@@ -20,7 +20,7 @@ print()
 
 print("time  s'   s-s'")
 for t in range(0, int(trace.quiescence_time()) + 1):
-    s_prime, _ = pa.read_output(trace, net, t)
+    s_prime = pa.computed_sum(net, p, t)
     print(f"{t:>4}  {s_prime:>3}  {4 - s_prime:>4}")
 print()
 

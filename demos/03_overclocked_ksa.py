@@ -21,7 +21,7 @@ trace = pa.simulate(net, p)
 print(f"computing {p.a} + {p.b} = {s_true}, reading the outputs at each time:")
 print("time   s'    s-s'")
 for t in range(0, int(trace.quiescence_time()) + 1):
-    s_prime, _ = pa.read_output(trace, net, t)
+    s_prime = pa.computed_sum(net, p, t)
     print(f"{t:>4}  {s_prime:>4}  {s_true - s_prime:>5}")
 print()
 

@@ -56,11 +56,10 @@ from .model import (
     StatsReport,
     all_chains,
     bit,
-    recover_carries,
     reference_add,
 )
 from .netlist import Gate, GateKind, Netlist, as_delay
-from .sim import SignalTrace, computed_sum, read_output, simulate
+from .sim import SignalTrace, computed_sum, simulate
 from .stats import (
     analyze_table,
     chain_sae_contribution,
@@ -71,7 +70,7 @@ from .stats import (
     sae_oracle_chains,
     sae_oracle_simulate,
 )
-from .sweep import PairSweep, operand_arrays
+from .sweep import PairSweep, operand_arrays, read_carries
 from .tables import (
     is_realizable_error,
     random_realizable_error,
@@ -134,8 +133,7 @@ __all__ = [
     "oracle_limit",
     "random_realizable_error",
     "random_realizable_table",
-    "read_output",
-    "recover_carries",
+    "read_carries",
     "reference_add",
     "sae_oracle_chains",
     "sae_oracle_simulate",

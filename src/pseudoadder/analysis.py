@@ -5,7 +5,9 @@ recovered carries ``c'_k = s'_k ^ a_k ^ b_k`` never exceed the true
 carries (no spurious carries) and (b) the position-0 sum bit is not
 stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
 error there cannot be attributed to any chain.  Only then does the sum
-of the per-chain errors reproduce every pair's total error.
+of the per-chain errors reproduce every pair's total error.  That rule
+is :func:`pseudoadder.sweep.read_carries`; every check here runs its pairs
+as one lane batch of :class:`~pseudoadder.sweep.PairSweep`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from .model import (
     InputPair,
     all_chains,
     bit,
-    reference_add,
 )
 from .netlist import Netlist
-from .sim import SignalTrace, Time, read_output, simulate
+from .sim import Time
 from .sweep import PairSweep
 
 
@@ -61,22 +62,6 @@ class AssumptionReport:
         return self.commutative and self.independent
 
 
-def _pair_violations(p: InputPair, s_prime: int) -> list[int]:
-    """Positions where the read violates the conservative model."""
-    _, carries = reference_add(p)
-    bad = []
-    if bit(s_prime, 0) != p.a_bit(0) ^ p.b_bit(0):
-        bad.append(0)
-    for k in range(1, p.n + 1):
-        ck_true = bit(carries, k)
-        ak = p.a_bit(k) if k < p.n else 0
-        bk = p.b_bit(k) if k < p.n else 0
-        ck_prime = bit(s_prime, k) ^ ak ^ bk
-        if ck_prime > ck_true:
-            bad.append(k)
-    return bad
-
-
 def check_conservative(
     net: Netlist,
     t: Time,
@@ -84,90 +69,56 @@ def check_conservative(
     sweep: PairSweep | None = None,
     max_counterexamples: int = 10,
 ) -> ConservativeReport:
-    """Verify ``c'_k <= c_k`` for every pair (or the given sample) at T.
+    """Verify ``c'_k <= c_k`` and a fresh position-0 bit for every pair
+    (or the given sample) at T.
 
-    With ``pairs=None`` the check is exhaustive over all 4^n pairs using
-    the bit-parallel engine; pass a prebuilt sweep to amortize it across
-    read times.
+    With ``pairs=None`` the check is exhaustive over all 4^n pairs; pass
+    a prebuilt sweep to amortize it across read times.  Counterexamples
+    are listed by position, then by lane.
     """
-    report = ConservativeReport(read_time=t, checked=0)
-    if pairs is not None:
-        for p in pairs:
-            s_prime, _ = read_output(simulate(net, p), net, t)
-            for k in _pair_violations(p, s_prime):
-                report.violations += 1
-                if len(report.counterexamples) < max_counterexamples:
-                    report.counterexamples.append((p.a, p.b, k))
-        report.checked = len(pairs)
-        return report
-
-    sw = sweep if sweep is not None else PairSweep(net, keep=set(net.outputs.values()))
-    s_masks = sw.output_masks_at(t)
-    true_carries = sw.true_carry_masks()
-    a0 = sw.operand_bit_mask("a", 0)
-    b0 = sw.operand_bit_mask("b", 0)
-    viol_by_pos: dict[int, int] = {}
-    stale0 = s_masks[0] ^ a0 ^ b0
-    if stale0:
-        viol_by_pos[0] = stale0
-    for k in range(1, net.n + 1):
-        ak = sw.operand_bit_mask("a", k) if k < net.n else 0
-        bk = sw.operand_bit_mask("b", k) if k < net.n else 0
-        c_prime = s_masks[k] ^ ak ^ bk
-        spurious = c_prime & ~true_carries[k] & sw.full
-        if spurious:
-            viol_by_pos[k] = spurious
-    report.checked = sw.pair_count
-    report.violations = sum(mask.bit_count() for mask in viol_by_pos.values())
-    for k, mask in sorted(viol_by_pos.items()):
+    sw = sweep if sweep is not None else PairSweep(net, keep=set(net.outputs.values()), pairs=pairs)
+    _, bad = sw.carries_at(t)
+    report = ConservativeReport(read_time=t, checked=sw.pair_count)
+    report.violations = sum(mask.bit_count() for mask in bad)
+    for k, mask in enumerate(bad):
         while mask and len(report.counterexamples) < max_counterexamples:
-            idx = (mask & -mask).bit_length() - 1
-            report.counterexamples.append(
-                (idx & ((1 << net.n) - 1), idx >> net.n, k)
-            )
+            lane = (mask & -mask).bit_length() - 1
+            report.counterexamples.append((*sw.lane_pair(lane), k))
             mask &= mask - 1
     return report
 
 
 def extract_ec_table(net: Netlist, t: Time) -> ChainErrorTable:
-    """Measure every chain's error by probing its canonical isolated pair.
+    """Measure every chain's error by reading its canonical isolated pair.
 
     For chain (i, j) the probe is ``a = generate | propagates``,
     ``b = generate``; its true sum is ``2**j`` and the entry is
     ``2**j - s'``.  A probe whose read is not conservative raises
     :class:`ConservativenessError` naming the chain.
     """
-    entries: dict[CarryChain, int] = {}
-    for c in all_chains(net.n):
-        probe = canonical_pair(c, net.n)
-        s_prime, _ = read_output(simulate(net, probe), net, t)
-        if _pair_violations(probe, s_prime):
-            raise ConservativenessError(
-                f"probe for chain {c} reads a spurious carry at T={t}", c
-            )
-        entries[c] = (1 << c.j) - s_prime
-    return ChainErrorTable(net.n, entries)
+    return ec_table_sweep(net, [t])[t]
 
 
 def ec_table_sweep(net: Netlist, times: list[Time]) -> dict[Time, ChainErrorTable]:
-    """Extract the chain-error table at several read times, simulating
-    each probe only once."""
-    probes: list[tuple[CarryChain, InputPair, SignalTrace]] = []
-    for c in all_chains(net.n):
-        probe = canonical_pair(c, net.n)
-        probes.append((c, probe, simulate(net, probe)))
+    """Extract the chain-error table at several read times from one
+    lane-parallel run of all n(n+1)/2 probes.
+
+    Raises :class:`ConservativenessError` naming the first failing chain
+    at the earliest read time where some probe's read is not conservative.
+    """
+    chains = all_chains(net.n)
+    sw = PairSweep(net, keep=set(net.outputs.values()), pairs=[canonical_pair(c, net.n) for c in chains])
     tables: dict[Time, ChainErrorTable] = {}
-    for t in times:
-        entries: dict[CarryChain, int] = {}
-        for c, probe, trace in probes:
-            s_prime, _ = read_output(trace, net, t)
-            if _pair_violations(probe, s_prime):
-                raise ConservativenessError(
-                    f"probe for chain {c} reads a spurious carry at T={t}", c
-                )
-            entries[c] = (1 << c.j) - s_prime
-        tables[t] = ChainErrorTable(net.n, entries)
-    return tables
+    for t in sorted(times):
+        failing = 0
+        for mask in sw.carries_at(t)[1]:
+            failing |= mask
+        if failing:
+            c = chains[(failing & -failing).bit_length() - 1]
+            raise ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
+        sums = sw.lane_sums(t)
+        tables[t] = ChainErrorTable(net.n, {c: (1 << c.j) - s for c, s in zip(chains, sums)})
+    return {t: tables[t] for t in times}
 
 
 def _random_witness(c: CarryChain, n: int, rng: random.Random) -> InputPair:
@@ -211,30 +162,32 @@ def verify_assumptions(
     n = net.n
     report = AssumptionReport(read_time=t, commutative=True, independent=True)
 
-    seeds = [(0, 1), (1, 0), (0, 0)] if n >= 1 else []
-    sampled = [
-        (rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)
+    ordered = [(0, 1), (1, 0), (0, 0)]
+    ordered += [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)]
+    chains = all_chains(n)
+    rng.shuffle(chains)
+    per_chain = max(2, samples // max(1, len(chains)))
+    witnessed = [
+        (c, canonical_pair(c, n), [_random_witness(c, n, rng) for _ in range(per_chain)])
+        for c in chains[: max(1, min(len(chains), samples))]
     ]
-    for a, b in seeds + sampled:
-        fwd = read_output(simulate(net, InputPair(n, a, b)), net, t)[0]
-        rev = read_output(simulate(net, InputPair(n, b, a)), net, t)[0]
+    # one lane batch: (a, b) then (b, a) per ordered pair, then per chain
+    # its probe followed by its witnesses
+    lanes = [InputPair(n, x, y) for a, b in ordered for x, y in ((a, b), (b, a))]
+    lanes += [p for _, probe, witnesses in witnessed for p in (probe, *witnesses)]
+    sums = iter(PairSweep(net, keep=set(net.outputs.values()), pairs=lanes).lane_sums(t))
+
+    for a, b in ordered:
+        fwd, rev = next(sums), next(sums)
         if fwd != rev:
             report.commutative = False
             if len(report.commutativity_counterexamples) < 10:
                 report.commutativity_counterexamples.append((a, b))
 
-    chains = all_chains(n)
-    rng.shuffle(chains)
-    per_chain = max(2, samples // max(1, len(chains)))
-    for c in chains[: max(1, min(len(chains), samples))]:
-        probe = canonical_pair(c, n)
-        s_probe, _ = read_output(simulate(net, probe), net, t)
-        expected = _span_error(probe, s_probe, c)
-        for _ in range(per_chain):
-            w = _random_witness(c, n, rng)
-            s_prime, _ = read_output(simulate(net, w), net, t)
-            got = _span_error(w, s_prime, c)
-            if got != expected:
+    for c, probe, witnesses in witnessed:
+        expected = _span_error(probe, next(sums), c)
+        for w in witnesses:
+            if _span_error(w, next(sums), c) != expected:
                 report.independent = False
                 if len(report.independence_counterexamples) < 10:
                     report.independence_counterexamples.append((c, w.a, w.b))

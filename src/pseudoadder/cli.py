@@ -7,9 +7,16 @@ equality), ``trace`` (time table of one addition), ``chains`` (carry
 chains of a pair), ``ec`` (chain-error table only) and ``sweep``
 (statistics over a range of read times, CSV-friendly).
 
-Exit code 0 means no errors and no failed verification.  All sampling
-takes an explicit ``--seed`` (default 0) so reports are reproducible.
-The width gate for exhaustive oracles honors ``PSEUDOADDER_ORACLE_LIMIT``.
+Every simulation runs on the lane-parallel engine
+(:class:`~pseudoadder.sweep.PairSweep`): all chain probes as one batch, a
+sample as one batch, a trace as one lane.  ``0..quiescence`` stops at the
+netlist's static arrival time, after which no output changes.
+
+Exit code 0 means no errors and no failed verification; a failed
+verification or an error (printed as ``error: ...``) exits 1.  All
+sampling takes an explicit ``--seed`` (default 0) so reports are
+reproducible.  The width gate for exhaustive oracles honors
+``PSEUDOADDER_ORACLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -20,16 +27,15 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .analysis import check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
 from .chains import detect_chains
 from .generators import KsaDelays, generate_ksa, generate_rca
 from .maxerror import max_abs_error
-from .model import ChainErrorTable, InputPair
+from .model import ChainErrorTable, InputPair, PseudoAdderError
 from .netlist import Netlist, as_delay
-from .sim import Time, read_output, simulate
+from .sim import Time
 from .stats import (
     analyze_table,
     er_avg_fast,
@@ -102,21 +108,14 @@ def _stats_row(t: Time, ec: ChainErrorTable) -> dict:
 
 
 def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
-    """``<start>..<stop>[:<step>]``; ``quiescence`` resolves the stop."""
+    """``<start>..<stop>[:<step>]``; a ``quiescence`` stop is the static
+    arrival time of the outputs."""
     body, _, step_text = spec.partition(":")
     start_text, sep, stop_text = body.partition("..")
     if not sep:
         raise ValueError(f"bad T range {spec!r}, expected start..stop[:step]")
     start = _parse_time(start_text)
-    if stop_text == "quiescence":
-        if net.n <= oracle_limit():
-            stop = PairSweep(net, keep=set(net.outputs.values())).quiescence_time()
-        else:
-            # too wide to sweep every pair: bound by the full-ripple probe
-            ripple = InputPair(net.n, (1 << net.n) - 1, 1)
-            stop = simulate(net, ripple).quiescence_time()
-    else:
-        stop = _parse_time(stop_text)
+    stop = net.arrival_time() if stop_text == "quiescence" else _parse_time(stop_text)
     step = _parse_time(step_text) if step_text else 1
     if step <= 0:
         raise ValueError("step must be positive")
@@ -128,25 +127,7 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     return times
 
 
-def _sweep_rows(net: Netlist, times: list[Time], jobs: int) -> list[dict]:
-    if jobs > 1 and len(times) > 1:
-        chunks = [times[k::jobs] for k in range(jobs)]
-        payload = net.to_json()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _sweep_worker, [(payload, [str(t) for t in chunk]) for chunk in chunks]
-            )
-        rows = [row for part in parts for row in part]
-        rows.sort(key=lambda r: as_delay(r["T"]))
-        return rows
-    tables = ec_table_sweep(net, times)
-    return [_stats_row(t, tables[t]) for t in times]
-
-
-def _sweep_worker(args: tuple[str, list[str]]) -> list[dict]:
-    payload, time_texts = args
-    net = Netlist.from_json(payload)
-    times = [as_delay(t) for t in time_texts]
+def _sweep_rows(net: Netlist, times: list[Time]) -> list[dict]:
     tables = ec_table_sweep(net, times)
     return [_stats_row(t, tables[t]) for t in times]
 
@@ -174,7 +155,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     if args.sweep_T:
         times = _parse_t_range(args.sweep_T, net)
-        rows = _sweep_rows(net, times, args.jobs)
+        rows = _sweep_rows(net, times)
         if args.format == "csv":
             _emit(_rows_to_csv(rows), args.output)
         else:
@@ -219,18 +200,16 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
-    trace = simulate(net, p)
+    lane = PairSweep(net, pairs=[p])
     if args.times:
         times = [_parse_time(x) for x in args.times.split(",")]
     else:
-        seen: set[Time] = {0, trace.quiescence_time()}
-        for events in trace.transitions.values():
-            seen.update(t for t, _ in events)
-        times = sorted(seen)
+        times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b
     rows = []
     for t in times:
-        s_prime, c_prime = read_output(trace, net, t)
+        s_prime = lane.lane_sums(t)[0]
+        c_prime = sum(ck << k for k, ck in enumerate(lane.carries_at(t)[0]))
         rows.append(
             {
                 "time": str(t),
@@ -255,7 +234,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     times = _parse_t_range(args.t_range, net)
-    rows = _sweep_rows(net, times, args.jobs)
+    rows = _sweep_rows(net, times)
     if args.format == "json":
         _emit(json.dumps({"n": net.n, "rows": rows}, indent=2) + "\n", args.output)
     else:
@@ -363,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("-T", default="0", help="read time")
     p_stats.add_argument("--sweep-T", default=None,
                          help="start..stop[:step]; stop may be 'quiescence'")
-    p_stats.add_argument("--jobs", type=int, default=1)
     add_common(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -391,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="statistics over a range of read times")
     p_sweep.add_argument("--netlist", required=True)
     p_sweep.add_argument("--t-range", required=True, help="start..stop[:step]; stop may be 'quiescence'")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -417,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (PseudoAdderError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .netlist import Delay, Gate, GateKind, Netlist, as_delay
+from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json
 
 
 def _input_gates(n: int) -> list[Gate]:
@@ -88,13 +88,10 @@ class KsaDelays:
         )
 
     def to_json_dict(self) -> dict:
-        def num(d: Delay) -> int | float:
-            return d if isinstance(d, int) else float(d)
-
         return {
-            "pg": [num(d) for d in self.pg],
-            "prefix": [[num(d) for d in row] for row in self.prefix],
-            "sum": [num(d) for d in self.sums],
+            "pg": [delay_to_json(d) for d in self.pg],
+            "prefix": [[delay_to_json(d) for d in row] for row in self.prefix],
+            "sum": [delay_to_json(d) for d in self.sums],
         }
 
     @classmethod
@@ -183,7 +180,7 @@ def staggered_ksa8_delays() -> KsaDelays:
     With these module delays the carry into position 7 lands at t=7 while
     the carries into positions 5 and 6 only land at t=10, so a read at
     T=7 sees one chain err by -96 and another by +16 at the same time.
-    The quiescent output (t=10) is fully correct.
+    The quiescent output (t=11) is fully correct.
     """
     x = 0  # placeholder for columns without a compute cell
     return KsaDelays(

@@ -275,17 +275,3 @@ def reference_add(p: InputPair) -> tuple[int, int]:
         carries |= c << (k + 1)
     s = p.a + p.b
     return s, carries
-
-
-def recover_carries(s_prime: int, p: InputPair) -> int:
-    """Carries implied by a computed sum: ``c'_k = s'_k ^ a_k ^ b_k``.
-
-    Position 0 is returned as 0 (the input carry); the caller can compare
-    ``s'_0`` against ``a_0 ^ b_0`` separately if it cares about stale
-    low-order sum bits.
-    """
-    c_prime = 0
-    for k in range(1, p.n + 1):
-        ck = bit(s_prime, k) ^ p.a_bit(k) ^ p.b_bit(k)
-        c_prime |= ck << k
-    return c_prime

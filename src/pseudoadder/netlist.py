@@ -15,7 +15,8 @@ JSON schema::
     }
 
 INPUT gates take no ``inputs`` and are bound to operand bits through
-their ids.
+their ids.  A delay is written as an integer or, when it is not one, as
+an exact ``"p/q"`` string; floats are read but never written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from graphlib import TopologicalSorter
+from typing import Sequence
 
 Delay = int | Fraction
 
@@ -56,11 +58,16 @@ ARITY = {
 SOURCE_KINDS = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
 
 
-def evaluate_gate(kind: GateKind, vals: tuple[int, ...]) -> int:
+def evaluate_gate(kind: GateKind, vals: Sequence[int], full: int) -> int:
+    """Output of a logic gate over lanes of input bits.
+
+    Each value is a lane mask (bit k is the signal in lane k) and ``full``
+    has every lane set; a single pair is the one-lane case ``full=1``.
+    """
     if kind is GateKind.BUF:
         return vals[0]
     if kind is GateKind.NOT:
-        return vals[0] ^ 1
+        return full ^ vals[0]
     if kind is GateKind.AND2:
         return vals[0] & vals[1]
     if kind is GateKind.OR2:
@@ -71,7 +78,7 @@ def evaluate_gate(kind: GateKind, vals: tuple[int, ...]) -> int:
         x, y, z = vals
         return (x & y) | (x & z) | (y & z)
     if kind is GateKind.CONST1:
-        return 1
+        return full
     return 0  # CONST0; INPUT values come from the stimulus
 
 
@@ -94,6 +101,11 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
     if d < 0:
         raise ValueError(f"delay must be non-negative, got {value}")
     return d
+
+
+def delay_to_json(d: Delay) -> int | str:
+    """Exact JSON form of a delay: an int, else ``"p/q"`` (see :func:`as_delay`)."""
+    return d if isinstance(d, int) else str(d)
 
 
 @dataclass(frozen=True)
@@ -179,10 +191,17 @@ class Netlist:
         """Gates that compute something (everything but inputs/constants)."""
         return sum(1 for g in self.gates if g.kind not in SOURCE_KINDS)
 
-    def to_json_dict(self) -> dict:
-        def num(d: Delay) -> int | float:
-            return d if isinstance(d, int) else float(d)
+    def arrival_time(self) -> Delay:
+        """Latest static arrival time of any sum output: the longest delay
+        along a path into an output gate.  Under transport delay no output
+        changes after it, for any input pair."""
+        arrival: dict[str, Delay] = {}
+        for gid in self.order:
+            gate = self.by_id[gid]
+            arrival[gid] = gate.delay + max((arrival[s] for s in gate.inputs), default=0)
+        return max(arrival[gid] for gid in self.outputs.values())
 
+    def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "gates": [
@@ -190,7 +209,7 @@ class Netlist:
                     "id": g.id,
                     "kind": g.kind.value,
                     "inputs": list(g.inputs),
-                    "delay": num(g.delay),
+                    "delay": delay_to_json(g.delay),
                 }
                 for g in self.gates
             ],

@@ -1,4 +1,8 @@
-"""Discrete-event simulation of delay-annotated netlists.
+"""Discrete-event simulation of delay-annotated netlists: the reference oracle.
+
+The production engine is the lane-parallel :class:`pseudoadder.sweep.PairSweep`;
+this simulator runs one input pair at a time and exists so that tests can
+check the engine against an independent implementation.
 
 Semantics: every gate output is 0 at t=0; operand and constant values are
 applied at t=0; whenever a gate's inputs change at time t it re-evaluates
@@ -14,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import InputPair, bit
+from .model import InputPair
 from .netlist import Netlist, SOURCE_KINDS, evaluate_gate
 
 Time = int | Fraction
@@ -68,7 +72,7 @@ def simulate(net: Netlist, p: InputPair) -> SignalTrace:
         if g.kind in SOURCE_KINDS:
             schedule(0, g.id, net.source_value(g, p.a, p.b))
         else:
-            v = evaluate_gate(g.kind, tuple(0 for _ in g.inputs))
+            v = evaluate_gate(g.kind, [0] * len(g.inputs), 1)
             if v:
                 schedule(g.delay, g.id, v)
 
@@ -91,7 +95,7 @@ def simulate(net: Netlist, p: InputPair) -> SignalTrace:
                     touched.update(net.fanout[gid])
             for gid in touched:
                 g = net.by_id[gid]
-                v = evaluate_gate(g.kind, tuple(value[s] for s in g.inputs))
+                v = evaluate_gate(g.kind, [value[s] for s in g.inputs], 1)
                 schedule(now + g.delay, gid, v)
         for gid, old in before.items():
             if value[gid] != old:
@@ -100,28 +104,9 @@ def simulate(net: Netlist, p: InputPair) -> SignalTrace:
     return SignalTrace(net.n, transitions)
 
 
-def read_output(trace: SignalTrace, net: Netlist, t: Time) -> tuple[int, int]:
-    """Sample the sum at time T and recover the implied carries.
-
-    Returns ``(s_prime, c_prime)``: the computed sum assembled from the
-    output gates and the carry vector ``c'_k = s'_k ^ a_k ^ b_k`` for
-    k = 1..n (bit 0 is the input carry, always 0).  Carry recovery needs
-    the operands, which are read back from the trace's input gates.
-    """
+def computed_sum(net: Netlist, p: InputPair, t: Time) -> int:
+    """Oracle: simulate one pair and read the sum at time T."""
     if t < 0:
         raise ValueError(f"read time must be non-negative, got {t}")
-    s_prime = 0
-    for pos, gid in net.outputs.items():
-        s_prime |= trace.value_at(gid, t) << pos
-    c_prime = 0
-    for k in range(1, net.n + 1):
-        # bit n of both operands is the fixed zero top bit
-        ak = trace.value_at(f"a{k}", t) if k < net.n else 0
-        bk = trace.value_at(f"b{k}", t) if k < net.n else 0
-        c_prime |= (bit(s_prime, k) ^ ak ^ bk) << k
-    return s_prime, c_prime
-
-
-def computed_sum(net: Netlist, p: InputPair, t: Time) -> int:
-    """Convenience: simulate one pair and read the sum at time T."""
-    return read_output(simulate(net, p), net, t)[0]
+    trace = simulate(net, p)
+    return sum(trace.value_at(gid, t) << pos for pos, gid in net.outputs.items())

@@ -1,17 +1,17 @@
-"""Bit-parallel simulation of a netlist over every input pair at once.
+"""Lane-parallel timed simulation: the production simulation engine.
 
-The trick: index the 4^n input pairs as ``idx = a + (b << n)`` and
-represent each signal's value at a point in time as one 4^n-bit integer
-(bit idx = the signal's value for that pair).  Operand-bit sources are
-periodic 0/1 block patterns, gate logic is plain integer bitwise algebra,
-and transport delays turn into waveform time shifts.  One pass over the
-gates in topological order yields, for every gate, the full list of
-``(time, value-mask)`` transitions: the exact aggregate of what the
-event-driven simulator produces pair by pair.
+A *lane* is one input pair.  Each signal's value at a point in time is
+one integer with a bit per lane, so gate logic over every lane is plain
+integer bitwise algebra and transport delays turn into waveform time
+shifts.  One pass over the gates in topological order yields, for every
+gate, the full list of ``(time, lane-mask)`` changes: the exact aggregate
+of what the event-driven simulator :func:`pseudoadder.sim.simulate`
+produces pair by pair (the test suite checks that, gate by gate).
 
-This is the workhorse behind exhaustive oracles and conservativeness
-checks; it is cross-validated against :func:`pseudoadder.sim.simulate`
-in the test suite.
+The lanes are either all 4^n pairs, indexed ``idx = a + (b << n)``, or
+any given batch of pairs: the n(n+1)/2 chain probes, a sample, or a
+single pair.  :func:`read_carries` is the one validity rule of the
+carry-chain model, applied to lane masks.
 """
 
 from __future__ import annotations
@@ -20,118 +20,190 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .netlist import GateKind, Netlist, SOURCE_KINDS
+from .model import InputPair
+from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, evaluate_gate
 from .sim import Time
 
 
-def _bit_pattern(bitpos: int, index_bits: int) -> int:
-    """Mask over 2^index_bits positions whose index has ``bitpos`` set."""
-    run = (1 << (1 << bitpos)) - 1
-    period = 1 << (bitpos + 1)
-    total = 1 << index_bits
-    return (run << (1 << bitpos)) * (((1 << total) - 1) // ((1 << period) - 1))
+def _index_bit_masks(bits: int) -> list[int]:
+    """Mask p over 2^bits lanes has lane idx set iff idx has bit p set,
+    built by doubling a one-period block."""
+    lanes = 1 << bits
+    masks = []
+    for p in range(bits):
+        run = 1 << p
+        mask, width = ((1 << run) - 1) << run, 2 * run
+        while width < lanes:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
 
 
-def _eval_mask(kind: GateKind, vals: list[int], full: int) -> int:
-    if kind is GateKind.BUF:
-        return vals[0]
-    if kind is GateKind.NOT:
-        return full ^ vals[0]
-    if kind is GateKind.AND2:
-        return vals[0] & vals[1]
-    if kind is GateKind.OR2:
-        return vals[0] | vals[1]
-    if kind is GateKind.XOR2:
-        return vals[0] ^ vals[1]
-    if kind is GateKind.MAJ3:
-        x, y, z = vals
-        return (x & y) | (x & z) | (y & z)
-    if kind is GateKind.CONST1:
-        return full
-    return 0
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of ``rows[i]`` becomes bit i of the
+    j-th result, for j < width."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, :width]
+    cols = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in cols]
+
+
+def _gate_steps(gate: Gate, ins: list[list[tuple[Time, int]]], full: int) -> list[tuple[Time, int]]:
+    """Output changes of one gate: evaluate at t=0 and at every input
+    change, walking the inputs' step lists with one pointer each, and
+    shift each change of value by the gate delay."""
+    times = sorted({0}.union(*([t for t, _ in steps] for steps in ins)))
+    ptr = [0] * len(ins)
+    vals = [0] * len(ins)
+    out: list[tuple[Time, int]] = []
+    prev = 0
+    for t in times:
+        for x, steps in enumerate(ins):
+            k = ptr[x]
+            if k < len(steps) and steps[k][0] == t:
+                vals[x] = steps[k][1]
+                ptr[x] = k + 1
+        v = evaluate_gate(gate.kind, vals, full)
+        if v != prev:
+            out.append((t + gate.delay, v))
+            prev = v
+    return out
+
+
+def read_carries(
+    s: list[int], a: list[int], b: list[int], c: list[int]
+) -> tuple[list[int], list[int]]:
+    """The carry-chain model's validity rule, over lane masks.
+
+    ``s`` holds the read sum bits s'_0..s'_n, ``a`` and ``b`` the operand
+    bits of positions 0..n-1 (bit n of both is 0), and ``c`` the true
+    carries c_0..c_n.  Returns ``(c_prime, bad)``: the carries the read
+    implies, ``c'_k = s'_k ^ a_k ^ b_k`` for k = 1..n with ``c'_0 = 0``,
+    and per position the lanes that leave the model: ``bad[0]`` a stale
+    position-0 bit (``s'_0 != a_0 ^ b_0``, an error no chain can own) and
+    ``bad[k]`` a spurious carry (``c'_k > c_k``).
+    """
+    n = len(a)
+    c_prime = [0]
+    bad = [s[0] ^ a[0] ^ b[0]]
+    for k in range(1, n + 1):
+        ck = s[k] ^ a[k] ^ b[k] if k < n else s[k]
+        c_prime.append(ck)
+        bad.append(ck & ~c[k])
+    return c_prime, bad
 
 
 class Waveform:
     """Piecewise-constant mask over time: ``(time, mask)`` changes, 0 start."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "times")
 
     def __init__(self, steps: list[tuple[Time, int]]):
         self.steps = steps
+        self.times = [t for t, _ in steps]
 
     def at(self, t: Time) -> int:
-        times = [s[0] for s in self.steps]
-        k = bisect_right(times, t)
+        k = bisect_right(self.times, t)
         return self.steps[k - 1][1] if k else 0
-
-    def change_times(self) -> list[Time]:
-        return [s[0] for s in self.steps]
 
 
 class PairSweep:
-    """All-pairs waveforms of a netlist's gates."""
+    """Waveforms of a netlist's gates over a batch of lanes.
 
-    def __init__(self, net: Netlist, keep: set[str] | None = None):
+    ``pairs=None`` runs all 4^n pairs (lane ``a + (b << n)``); otherwise
+    lane k is ``pairs[k]``, duplicates allowed.  Only the gates in
+    ``keep`` (default: all) and the sum outputs keep their waveforms; any
+    other waveform is freed as soon as its last fanout has read it.
+    """
+
+    def __init__(
+        self,
+        net: Netlist,
+        keep: set[str] | None = None,
+        pairs: list[InputPair] | None = None,
+    ):
         self.net = net
-        self.n = net.n
-        self.pair_count = 1 << (2 * net.n)
+        self.n = n = net.n
+        if pairs is None:
+            self._words: list[int] | None = None
+            self.pair_count = 1 << (2 * n)
+            sources = _index_bit_masks(2 * n)
+        else:
+            for p in pairs:
+                if p.n != n:
+                    raise ValueError(f"width mismatch: netlist n={n}, pair n={p.n}")
+            self._words = [p.a | (p.b << n) for p in pairs]
+            self.pair_count = len(self._words)
+            sources = _transpose(self._words, 2 * n)
         self.full = (1 << self.pair_count) - 1
+        self._a, self._b = sources[:n], sources[n:]
+        self._carries: list[int] | None = None
         wanted = keep if keep is not None else {g.id for g in net.gates}
         wanted = set(wanted) | set(net.outputs.values())
 
-        waveforms: dict[str, list[tuple[Time, int]]] = {}
+        unread = {gid: len(fan) for gid, fan in net.fanout.items()}
+        live: dict[str, list[tuple[Time, int]]] = {}
+        self._wf: dict[str, Waveform] = {}
+        self._quiescence: Time = 0
         for gid in net.order:
             gate = net.by_id[gid]
             if gate.kind in SOURCE_KINDS:
                 if gate.kind is GateKind.INPUT:
-                    operand, k = net.input_bit(gid)
-                    bitpos = k if operand == "a" else net.n + k
-                    mask = _bit_pattern(bitpos, 2 * net.n)
-                elif gate.kind is GateKind.CONST1:
-                    mask = self.full
+                    mask = self.operand_bit_mask(*net.input_bit(gid))
                 else:
-                    mask = 0
-                waveforms[gid] = [(0, mask)] if mask else []
-                continue
-            ins = [waveforms[s] for s in gate.inputs]
-            times: set[Time] = {0}
-            for wf in ins:
-                times.update(t for t, _ in wf)
-            steps: list[tuple[Time, int]] = []
-            prev = 0
-            for t in sorted(times):
-                vals = [_value_at(wf, t) for wf in ins]
-                v = _eval_mask(gate.kind, vals, self.full)
-                if v != prev:
-                    steps.append((t + gate.delay, v))
-                    prev = v
-            waveforms[gid] = steps
-
-        self._wf = {gid: Waveform(steps) for gid, steps in waveforms.items() if gid in wanted}
-        self._quiescence: Time = 0
-        for steps in waveforms.values():
+                    mask = self.full if gate.kind is GateKind.CONST1 else 0
+                steps = [(0, mask)] if mask else []
+            else:
+                steps = _gate_steps(gate, [live[s] for s in gate.inputs], self.full)
+                for s in gate.inputs:
+                    unread[s] -= 1
+                    if not unread[s]:
+                        del live[s]
             if steps and steps[-1][0] > self._quiescence:
                 self._quiescence = steps[-1][0]
+            if unread[gid]:
+                live[gid] = steps
+            if gid in wanted:
+                self._wf[gid] = Waveform(steps)
 
     def waveform(self, gate_id: str) -> Waveform:
         return self._wf[gate_id]
 
     def quiescence_time(self) -> Time:
+        """Time of the last change of any gate in any lane."""
         return self._quiescence
 
+    def lane_pair(self, lane: int) -> tuple[int, int]:
+        """The operands ``(a, b)`` of one lane."""
+        word = lane if self._words is None else self._words[lane]
+        return word & ((1 << self.n) - 1), word >> self.n
+
     def output_change_times(self) -> list[Time]:
-        """Sorted times at which any sum bit changes for any pair."""
+        """Sorted times at which any sum bit changes in any lane."""
         times: set[Time] = {0}
         for gid in self.net.outputs.values():
-            times.update(self._wf[gid].change_times())
+            times.update(self._wf[gid].times)
         return sorted(times)
 
     def output_masks_at(self, t: Time) -> list[int]:
-        """One 4^n-bit mask per sum position 0..n at read time t."""
+        """One lane mask per sum position 0..n at read time t."""
+        if t < 0:
+            raise ValueError(f"read time must be non-negative, got {t}")
         return [self._wf[self.net.outputs[pos]].at(t) for pos in range(self.n + 1)]
 
+    def lane_sums(self, t: Time) -> list[int]:
+        """The computed sum s' of every lane at read time t."""
+        return _transpose(self.output_masks_at(t), self.pair_count)
+
+    def carries_at(self, t: Time) -> tuple[list[int], list[int]]:
+        """``(c_prime, bad)`` masks of :func:`read_carries` at read time t."""
+        return read_carries(self.output_masks_at(t), self._a, self._b, self.true_carry_masks())
+
     def sums_at(self, t: Time) -> np.ndarray:
-        """Computed sums for every pair at read time t (int64, index a + (b << n))."""
+        """Computed sums of every lane at read time t, as int64."""
         s = np.zeros(self.pair_count, dtype=np.int64)
         for pos, mask in enumerate(self.output_masks_at(t)):
             if mask:
@@ -139,28 +211,18 @@ class PairSweep:
         return s
 
     def operand_bit_mask(self, operand: str, k: int) -> int:
-        bitpos = k if operand == "a" else self.n + k
-        return _bit_pattern(bitpos, 2 * self.n)
+        return (self._a if operand == "a" else self._b)[k]
 
     def true_carry_masks(self) -> list[int]:
-        """Masks of the correct carries c_0..c_n over all pairs."""
-        carries = [0]
-        c = 0
-        for k in range(self.n):
-            ak = self.operand_bit_mask("a", k)
-            bk = self.operand_bit_mask("b", k)
-            c = (ak & bk) | (ak & c) | (bk & c)
-            carries.append(c)
-        return carries
-
-
-def _value_at(steps: list[tuple[Time, int]], t: Time) -> int:
-    v = 0
-    for when, mask in steps:
-        if when > t:
-            break
-        v = mask
-    return v
+        """Masks of the correct carries c_0..c_n over all lanes."""
+        if self._carries is None:
+            carries = [0]
+            c = 0
+            for ak, bk in zip(self._a, self._b):
+                c = (ak & bk) | (ak & c) | (bk & c)
+                carries.append(c)
+            self._carries = carries
+        return self._carries
 
 
 def mask_to_bools(mask: int, count: int) -> np.ndarray:

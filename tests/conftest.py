@@ -39,3 +39,19 @@ def chains_by_scan(p):
 
 def pair_index(p):
     return p.a + (p.b << p.n)
+
+
+def traced_sum(trace, net, t):
+    """Sum read at time t from an event-simulator trace (the oracle)."""
+    return sum(trace.value_at(gid, t) << pos for pos, gid in net.outputs.items())
+
+
+def lane_transitions(steps, lane):
+    """One lane's ``(time, value)`` changes in a lane-parallel waveform."""
+    out, prev = [], 0
+    for t, mask in steps:
+        v = (mask >> lane) & 1
+        if v != prev:
+            out.append((t, v))
+            prev = v
+    return out

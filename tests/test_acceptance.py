@@ -35,7 +35,6 @@ from pseudoadder import (
     nu_single,
     count_dominated_pairs,
     random_realizable_table,
-    read_output,
     sae_oracle_chains,
     simulate,
     staggered_ksa8,
@@ -45,7 +44,7 @@ from pseudoadder import (
 )
 from pseudoadder.stats import chain_membership
 from pseudoadder.sweep import PairSweep, operand_arrays
-from conftest import exhaustive_pairs
+from conftest import exhaustive_pairs, traced_sum
 
 
 def criterion(name):
@@ -296,6 +295,16 @@ def test_scaling():
     assert t128 < 10.0, f"n=128 took {t128:.3f}s"
 
 
+@criterion("scaling: chain-error extraction of a 64-bit Kogge-Stone under 2 s")
+def test_extraction_scaling():
+    net = generate_ksa(64, 1)
+    start = time.perf_counter()
+    ec = extract_ec_table(net, 7)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"KSA-64 extraction took {elapsed:.3f}s"
+    assert ec.nonzero()  # T=7 is before quiescence: some chains err
+
+
 @criterion("documented substitutes for non-reproducible figure data")
 def test_documented_exclusions_and_demo_trace():
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -307,7 +316,7 @@ def test_documented_exclusions_and_demo_trace():
     net = staggered_ksa8()
     trace = simulate(net, InputPair(8, 86, 59))
     table = [
-        (t, read_output(trace, net, t)[0])
+        (t, traced_sum(trace, net, t))
         for t in range(0, 11)
     ]
     assert table == [

@@ -9,7 +9,9 @@ from pseudoadder import (
     GateKind,
     InputPair,
     Netlist,
+    bit,
     check_conservative,
+    computed_sum,
     ec_table_sweep,
     extract_ec_table,
     generate_ksa,
@@ -112,13 +114,14 @@ def test_inverted_carry_netlist_fails_with_counterexample():
     report = check_conservative(net, 1000)
     assert not report.passed
     a, b, k = report.counterexamples[0]
-    # recompute the violation by hand
+    # recompute the violation by hand: c'_k = s'_k ^ a_k ^ b_k > c_k
     p = InputPair(2, a, b)
-    from pseudoadder import read_output, reference_add
+    from pseudoadder import reference_add
 
-    s_prime, c_prime = read_output(simulate(net, p), net, 1000)
+    s_prime = computed_sum(net, p, 1000)
+    c_prime_k = bit(s_prime, k) ^ bit(a, k) ^ bit(b, k)
     _, carries = reference_add(p)
-    assert (c_prime >> k) & 1 > (carries >> k) & 1
+    assert k >= 1 and c_prime_k > bit(carries, k)
 
 
 def test_sampled_mode_agrees_with_exhaustive():

@@ -121,17 +121,54 @@ def test_sweep_reaches_zero_at_quiescence(capsys, tmp_path):
     assert int(rows[0]["sae"]) > 0
 
 
-def test_sweep_jobs_match_serial(capsys, tmp_path):
-    netlist = write_staggered(tmp_path)
-    _, serial, _ = run_cli(
-        capsys, "sweep", "--netlist", netlist, "--t-range", "0..8:2", "--format", "csv"
-    )
-    _, parallel, _ = run_cli(
-        capsys,
-        "sweep", "--netlist", netlist, "--t-range", "0..8:2", "--jobs", "2",
-        "--format", "csv",
-    )
-    assert serial == parallel
+def test_quiescence_stop_is_sound_on_random_netlists():
+    import random
+
+    from pseudoadder import KsaDelays, generate_ksa, generate_rca
+    from pseudoadder.cli import _parse_t_range
+    from pseudoadder.sweep import PairSweep
+    from test_sweep_engine import random_netlist
+
+    rng = random.Random(8)
+    for _ in range(20):
+        net = random_netlist(rng.choice([1, 2, 3]), rng)
+        stop = _parse_t_range("0..quiescence", net)[-1]
+        # no sum bit of any pair changes after the stop
+        assert stop >= PairSweep(net).output_change_times()[-1]
+
+    def draw():
+        return tuple(rng.randint(1, 3) for _ in range(8))
+
+    adders = [staggered_ksa8(), generate_ksa(8, 1), generate_rca(8, [1] * 8, [1] * 9)]
+    for _ in range(6):
+        stages = [rng.randint(0, 3) for _ in range(7)]
+        adders.append(generate_rca(6, stages[:6], stages))
+        adders.append(generate_ksa(8, KsaDelays(draw(), (draw(), draw(), draw()), draw() + (1,))))
+    for net in adders:
+        # on adders the static stop is exactly the all-pairs quiescence
+        assert _parse_t_range("0..quiescence", net)[-1] == PairSweep(net).quiescence_time()
+
+
+def test_quiescence_stop_ignores_oracle_limit(monkeypatch):
+    from pseudoadder.cli import _parse_t_range
+
+    net = staggered_ksa8()
+    below = _parse_t_range("0..quiescence", net)
+    monkeypatch.setenv("PSEUDOADDER_ORACLE_LIMIT", "4")
+    assert _parse_t_range("0..quiescence", net) == below
+    assert below[-1] == 11
+
+
+def test_model_errors_exit_cleanly(capsys, tmp_path):
+    from test_analysis import inverted_carry_rca2
+
+    path = tmp_path / "bad.json"
+    path.write_text(inverted_carry_rca2().to_json())
+    for command in ("stats", "ec"):
+        code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: probe for chain") and "Traceback" not in err
 
 
 def test_verify_pass_and_exit_codes(capsys, tmp_path):

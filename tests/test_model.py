@@ -8,7 +8,7 @@ from pseudoadder import (
     ChainErrorTable,
     InputPair,
     bit,
-    recover_carries,
+    read_carries,
     reference_add,
 )
 
@@ -74,9 +74,24 @@ def test_reference_add_matches_machine_addition(n, data):
     assert reference_add(InputPair(n, a, b))[0] == a + b
 
 
+def recover_carries(s_prime, p):
+    """The validity rule on one lane: packed c' and per-position violations."""
+    _, carries = reference_add(p)
+    c_prime, bad = read_carries(
+        [bit(s_prime, k) for k in range(p.n + 1)],
+        [p.a_bit(k) for k in range(p.n)],
+        [p.b_bit(k) for k in range(p.n)],
+        [bit(carries, k) for k in range(p.n + 1)],
+    )
+    return sum(ck << k for k, ck in enumerate(c_prime)), bad
+
+
 def test_recover_carries_fig_pair():
-    # computed sum 0b011100001 on (86, 59) implies carries 0b010001100
-    assert recover_carries(0b011100001, InputPair(8, 86, 59)) == 0b010001100
+    # computed sum 0b011100001 on (86, 59) implies carries 0b010001100,
+    # all of them true carries
+    c_prime, bad = recover_carries(0b011100001, InputPair(8, 86, 59))
+    assert c_prime == 0b010001100
+    assert not any(bad)
 
 
 def test_recover_carries_correct_sum_gives_true_carries():
@@ -85,7 +100,15 @@ def test_recover_carries_correct_sum_gives_true_carries():
         n = rng.randint(1, 12)
         p = InputPair(n, rng.randrange(1 << n), rng.randrange(1 << n))
         s, carries = reference_add(p)
-        assert recover_carries(s, p) == carries
+        c_prime, bad = recover_carries(s, p)
+        assert c_prime == carries
+        assert not any(bad)
+
+
+def test_read_carries_flags_stale_bit_and_spurious_carry():
+    p = InputPair(2, 1, 0)  # 1 + 0: no carries anywhere
+    assert recover_carries(0, p)[1] == [1, 0, 0]  # s'_0 stale
+    assert recover_carries(0b101, p)[1] == [0, 0, 1]  # c'_2 = 1 > c_2 = 0
 
 
 def test_chain_error_table_validation():

@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     Gate,
@@ -8,6 +10,7 @@ from pseudoadder import (
     KsaDelays,
     Netlist,
     as_delay,
+    extract_ec_table,
     generate_ksa,
     generate_rca,
 )
@@ -82,6 +85,41 @@ def test_fractional_delays_roundtrip():
     delays = {g.id: g.delay for g in again.gates}
     assert delays["c1"] == Fraction(1, 2)
     assert delays["s1"] == Fraction(1, 4)
+
+
+def test_sevenths_survive_json_and_keep_the_table():
+    net = generate_rca(4, [Fraction(5, 7)] * 4, [Fraction(5, 7)] * 5)
+    text = net.to_json()
+    assert '"5/7"' in text
+    again = Netlist.from_json(text)
+    for t in (Fraction(5, 7), Fraction(10, 7), Fraction(15, 7)):
+        assert extract_ec_table(again, t) == extract_ec_table(net, t)
+
+
+rationals = st.fractions(min_value=0, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    carries=st.lists(rationals, min_size=3, max_size=3),
+    sums=st.lists(rationals, min_size=4, max_size=4),
+    reads=st.lists(rationals, min_size=1, max_size=3),
+)
+def test_rational_delays_roundtrip_exactly(carries, sums, reads):
+    net = generate_rca(3, carries, sums)
+    again = Netlist.from_json(net.to_json())
+    assert [g.delay for g in again.gates] == [g.delay for g in net.gates]
+    assert again.to_json_dict() == net.to_json_dict()
+    for t in reads:
+        assert extract_ec_table(again, t) == extract_ec_table(net, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(rationals, min_size=17, max_size=17))
+def test_rational_ksa_delays_roundtrip_exactly(values):
+    # a 4-bit Kogge-Stone: 4 PG cells, 2 prefix levels of 4, 5 sum XORs
+    delays = KsaDelays(tuple(values[:4]), (tuple(values[4:8]), tuple(values[8:12])), tuple(values[12:]))
+    assert KsaDelays.from_json(json.dumps(delays.to_json_dict())) == delays
 
 
 def test_generator_guards():

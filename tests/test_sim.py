@@ -7,12 +7,12 @@ from pseudoadder import (
     computed_sum,
     generate_ksa,
     generate_rca,
-    read_output,
     reference_add,
     simulate,
     staggered_ksa8,
 )
-from conftest import exhaustive_pairs
+from pseudoadder.sweep import PairSweep
+from conftest import exhaustive_pairs, traced_sum
 
 
 def test_trace_times_increase_and_values_alternate():
@@ -50,7 +50,7 @@ def test_quiescent_ksa_sampled():
         for _ in range(40):
             p = InputPair(n, rng.randrange(1 << n), rng.randrange(1 << n))
             trace = simulate(net, p)
-            assert read_output(trace, net, trace.quiescence_time())[0] == p.a + p.b
+            assert traced_sum(trace, net, trace.quiescence_time()) == p.a + p.b
 
 
 def test_read_at_zero_with_positive_delays_is_zero():
@@ -74,23 +74,32 @@ def test_rca_carries_ripple_one_apart():
     assert trace.transitions["c4"] == []
 
 
+def lane_read(net, p, t):
+    """Sum and recovered carries of one pair, read from a one-lane sweep."""
+    lane = PairSweep(net, pairs=[p])
+    c_prime, _ = lane.carries_at(t)
+    return lane.lane_sums(t)[0], sum(ck << k for k, ck in enumerate(c_prime))
+
+
 def test_read_output_recovers_carries():
     net = staggered_ksa8()
-    trace = simulate(net, InputPair(8, 86, 59))
-    s_prime, c_prime = read_output(trace, net, 7)
+    p = InputPair(8, 86, 59)
+    s_prime, c_prime = lane_read(net, p, 7)
     assert s_prime == 0b011100001 == 225
     assert c_prime == 0b010001100
     # at quiescence the carries are the true ones
-    s_q, c_q = read_output(trace, net, trace.quiescence_time())
-    s_true, carries = reference_add(InputPair(8, 86, 59))
+    s_q, c_q = lane_read(net, p, simulate(net, p).quiescence_time())
+    s_true, carries = reference_add(p)
     assert (s_q, c_q) == (s_true, carries)
 
 
 def test_read_output_rejects_negative_time():
     net = generate_rca(1, [1], [1, 1])
-    trace = simulate(net, InputPair(1, 1, 1))
+    p = InputPair(1, 1, 1)
     with pytest.raises(ValueError):
-        read_output(trace, net, -1)
+        PairSweep(net, pairs=[p]).output_masks_at(-1)
+    with pytest.raises(ValueError):
+        computed_sum(net, p, -1)
 
 
 def test_simulate_width_mismatch():
@@ -116,7 +125,7 @@ def test_staggered_ksa_time_table():
         10: 145,
     }
     for t, want in expected.items():
-        assert read_output(trace, net, t)[0] == want
+        assert traced_sum(trace, net, t) == want
     assert trace.quiescence_time() == 10
 
 
@@ -134,7 +143,7 @@ def test_fractional_delays_order_events():
 
 
 def test_exhaustive_quiescent_correctness_n8_via_sweep():
-    from pseudoadder.sweep import PairSweep, operand_arrays
+    from pseudoadder.sweep import operand_arrays
     import numpy as np
 
     a, b = operand_arrays(8)
@@ -146,7 +155,7 @@ def test_exhaustive_quiescent_correctness_n8_via_sweep():
 def test_read_at_zero_recovers_xor_carries():
     net = generate_ksa(8, 1)
     p = InputPair(8, 86, 59)
-    _, c_prime = read_output(simulate(net, p), net, 0)
+    _, c_prime = lane_read(net, p, 0)
     want = 0
     for k in range(1, 8):
         want |= (((p.a ^ p.b) >> k) & 1) << k

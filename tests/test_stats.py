@@ -66,6 +66,13 @@ def test_staggered_fast_equals_simulation_oracle():
         )
 
 
+def test_staggered_ksa8_is_correct_from_t11():
+    # the output still errs at t=10; it is quiescent and correct at t=11
+    net = staggered_ksa8()
+    assert sae_oracle_simulate(net, 10).sae == 229376
+    assert sae_oracle_simulate(net, 11).sae == 0
+
+
 def test_oracle_limit_gate(monkeypatch):
     big = ChainErrorTable(11)
     with pytest.raises(OracleLimitError):

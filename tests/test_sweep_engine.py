@@ -6,13 +6,14 @@ from pseudoadder import (
     InputPair,
     KsaDelays,
     generate_ksa,
+    all_chains,
+    canonical_pair,
     generate_rca,
-    read_output,
     simulate,
     staggered_ksa8,
 )
 from pseudoadder.sweep import PairSweep, mask_to_bools, operand_arrays
-from conftest import exhaustive_pairs, pair_index
+from conftest import exhaustive_pairs, lane_transitions, pair_index, traced_sum
 
 
 def test_operand_bit_masks_match_index_convention():
@@ -52,7 +53,7 @@ def test_sweep_equals_event_sim_exhaustive_small():
             trace = simulate(net, p)
             idx = pair_index(p)
             for t in times:
-                want = read_output(trace, net, t)[0]
+                want = traced_sum(trace, net, t)
                 got = sum(
                     ((sweep.output_masks_at(t)[pos] >> idx) & 1) << pos
                     for pos in range(net.n + 1)
@@ -69,7 +70,7 @@ def test_sweep_equals_event_sim_sampled_staggered():
         p = InputPair(8, rng.randrange(256), rng.randrange(256))
         trace = simulate(net, p)
         for t in range(0, 12):
-            assert sums[t][pair_index(p)] == read_output(trace, net, t)[0]
+            assert sums[t][pair_index(p)] == traced_sum(trace, net, t)
 
 
 def test_sweep_quiescence_matches_event_sim():
@@ -119,10 +120,6 @@ def random_netlist(n, rng):
 
 
 def test_sweep_equals_event_sim_on_random_netlists():
-    import random
-
-    from pseudoadder import read_output, simulate
-
     rng = random.Random(31)
     for _ in range(25):
         n = rng.choice([1, 2, 3])
@@ -133,10 +130,41 @@ def test_sweep_equals_event_sim_on_random_netlists():
             trace = simulate(net, p)
             idx = pair_index(p)
             for t in times:
-                want = read_output(trace, net, t)[0]
+                want = traced_sum(trace, net, t)
                 masks = sweep.output_masks_at(t)
                 got = sum(((masks[pos] >> idx) & 1) << pos for pos in range(n + 1))
                 assert got == want
+
+        # lane batches: random pairs with duplicates, the chain probes, one
+        # pair; every lane of every gate changes exactly as the event sim
+        drawn = [InputPair(n, rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(12)]
+        batches = [
+            drawn + drawn[:4],
+            [canonical_pair(c, n) for c in all_chains(n)],
+            [drawn[0]],
+        ]
+        for pairs in batches:
+            lanes = PairSweep(net, pairs=pairs)
+            assert lanes.pair_count == len(pairs)
+            for lane, p in enumerate(pairs):
+                assert lanes.lane_pair(lane) == (p.a, p.b)
+                trace = simulate(net, p)
+                for g in net.gates:
+                    got = lane_transitions(lanes.waveform(g.id).steps, lane)
+                    assert got == trace.transitions[g.id], (g.id, p)
+
+
+def test_batch_source_masks_match_all_pairs_lanes():
+    # a batch of every pair in index order is the all-pairs sweep
+    net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
+    every = PairSweep(net)
+    batch = PairSweep(net, pairs=sorted(exhaustive_pairs(3), key=pair_index))
+    for operand in "ab":
+        for k in range(3):
+            assert batch.operand_bit_mask(operand, k) == every.operand_bit_mask(operand, k)
+    for t in every.output_change_times():
+        assert batch.output_masks_at(t) == every.output_masks_at(t)
+        assert batch.lane_sums(t) == list(every.sums_at(t))
 
 
 def test_hand_written_json_netlist_runs():
