@@ -70,7 +70,7 @@ from .stats import (
     sae_oracle_chains,
     sae_oracle_simulate,
 )
-from .sweep import PairSweep, operand_arrays, read_carries
+from .sweep import PairSweep, read_carries
 from .tables import (
     is_realizable_error,
     random_realizable_error,
@@ -129,7 +129,6 @@ __all__ = [
     "nu_signed",
     "nu_signed_all",
     "nu_single",
-    "operand_arrays",
     "oracle_limit",
     "random_realizable_error",
     "random_realizable_table",

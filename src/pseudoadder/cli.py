@@ -255,16 +255,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.netlist:
         net = _load_netlist(args.netlist)
         t = _parse_time(args.T)
-        exhaustive = net.n <= args.exhaustive_n_limit
-        if exhaustive:
-            conservative = check_conservative(net, t)
+        sweep = pairs = None
+        if net.n <= args.exhaustive_n_limit:
+            # one all-pairs run serves the conservative check and the oracle
+            sweep = PairSweep(net, keep=set(net.outputs.values()))
         else:
             rng = random.Random(args.seed)
             pairs = [
                 InputPair(net.n, rng.randrange(1 << net.n), rng.randrange(1 << net.n))
                 for _ in range(args.samples)
             ]
-            conservative = check_conservative(net, t, pairs=pairs)
+        conservative = check_conservative(net, t, pairs=pairs, sweep=sweep)
         record(
             "conservative (no spurious carries)",
             conservative.passed,
@@ -278,7 +279,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if conservative.passed and assumptions.passed and net.n <= oracle_limit():
             ec = extract_ec_table(net, t)
             fast = analyze_table(ec)
-            oracle = sae_oracle_simulate(net, t)
+            oracle = sae_oracle_simulate(net, t, sweep=sweep)
             record(
                 "fast statistics equal exhaustive simulation",
                 fast.sae == oracle.sae

@@ -1,31 +1,25 @@
 """Exact error statistics: brute-force oracles and fast chain algorithms.
 
-The oracles enumerate all 2^(2n) input pairs (bit-parallel, but still an
-exhaustive enumeration) and are gated by a width limit; the fast paths
-work from a chain-error table in quadratic time and are exact for any
-table realizable by a conservative pseudo-adder.
+The oracles enumerate all 2^(2n) input pairs, bit-sliced over the
+all-pairs sweep's lanes: every pair's signed error is a bit of each of
+a few two's-complement slice masks, O(n * 4^n / 8) bytes in all; a width
+limit gates them.  The fast paths work from a chain-error table in
+quadratic time and are exact for any table realizable by a conservative
+pseudo-adder.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from fractions import Fraction
 
-import numpy as np
-
-from .counting import nu_pair, nu_signed_all, nu_single
+from .counting import nu_signed_all, nu_single
 from .maxerror import max_abs_error
-from .model import (
-    CarryChain,
-    ChainErrorTable,
-    ExactRational,
-    OracleLimitError,
-    StatsReport,
-    all_chains,
-)
+from .model import CarryChain, ChainErrorTable, ExactRational, OracleLimitError, StatsReport
 from .netlist import Netlist
 from .sim import Time
-from .sweep import PairSweep, operand_arrays
+from .sweep import PairSweep, _index_bit_masks
 
 DEFAULT_ORACLE_LIMIT = 10
 ORACLE_LIMIT_ENV = "PSEUDOADDER_ORACLE_LIMIT"
@@ -46,60 +40,69 @@ def _check_oracle_width(n: int, force: bool) -> None:
         )
 
 
-def chain_membership(n: int) -> tuple[list[CarryChain], list[np.ndarray]]:
-    """For each chain, the boolean per-pair membership array.
-
-    Index convention matches the sweep engine: ``idx = a + (b << n)``.
-    """
-    a, b = operand_arrays(n)
-    chains = all_chains(n)
-    members: list[np.ndarray] = []
-    for c in chains:
-        m = ((a >> (c.i - 1)) & (b >> (c.i - 1)) & 1).astype(bool)
-        for k in range(c.i, c.j):
-            m &= (((a >> k) ^ (b >> k)) & 1).astype(bool)
-        if c.j < n:
-            m &= (((a >> c.j) ^ (b >> c.j)) & 1) == 0
-        members.append(m)
-    return chains, members
+def _chain_masks(gen: list[int], prop: list[int]) -> Iterator[tuple[CarryChain, int]]:
+    """Every chain with its lane mask, ascending (i, j): the generate
+    mask at i-1, narrowed by one running propagate prefix per start and
+    cut by an equal-bits end (none at j = n)."""
+    n = len(gen)
+    for i in range(1, n + 1):
+        run = gen[i - 1]
+        for j in range(i, n):
+            yield CarryChain(i, j), run & ~prop[j]
+            run &= prop[j]
+        yield CarryChain(i, n), run
 
 
-def _oracle_report(
-    n: int,
-    totals: np.ndarray,
-    chains: list[CarryChain] | None = None,
-    members: list[np.ndarray] | None = None,
-    ec: ChainErrorTable | None = None,
-) -> StatsReport:
-    pairs = 1 << (2 * n)
-    sae = int(np.abs(totals).sum(dtype=np.int64))
-    sse = int((totals.astype(np.int64) ** 2).sum(dtype=np.int64))
-    report = StatsReport(
-        n=n,
-        sae=sae,
-        er_avg=Fraction(sae, pairs),
-        mse=Fraction(sse, pairs),
-        max_abs_error=int(np.abs(totals).max(initial=0)),
-    )
-    if chains is None or members is None or ec is None:
-        return report
-    # Dominating sign per pair: walk chains by ascending start so the
-    # last error-contributing hit wins (largest start = leftmost).
-    sign = np.zeros(len(totals), dtype=np.int8)
-    for c, m in zip(chains, members):
-        e = ec.get(c.i, c.j)
-        if e:
-            sign[m] = 1 if e > 0 else -1
-    nu_p: dict[CarryChain, int] = {}
-    nu_m: dict[CarryChain, int] = {}
-    for c, m in zip(chains, members):
-        nu_p[c] = int((m & (sign == 1)).sum())
-        nu_m[c] = int((m & (sign == -1)).sum())
-    report.nu_plus = nu_p
-    report.nu_minus = nu_m
+def _add_masked(d: list[int], m: int, e: int) -> None:
+    """Add the constant e to the two's-complement slices d in the lanes
+    of m, by a ripple carry (e > 0) or borrow (e < 0) that stops once
+    it dies out; overflow past the top slice wraps."""
+    v, c = abs(e), 0
+    for k, x in enumerate(d):
+        if not (v or c):
+            break
+        y = x if e > 0 else ~x
+        if v & 1:
+            d[k] = x ^ m ^ c
+            c = m & (y | c)
+        else:
+            d[k] = x ^ c
+            c &= y
+        v >>= 1
+
+
+def _with_tallies(report: StatsReport, nu_p: dict, nu_m: dict) -> StatsReport:
+    """Attach the sign-classified chain counts and their float shares."""
+    pairs = 1 << (2 * report.n)
+    report.nu_plus, report.nu_minus = nu_p, nu_m
     report.p_plus = {c: v / pairs for c, v in nu_p.items()}
     report.p_minus = {c: v / pairs for c, v in nu_m.items()}
     return report
+
+
+def _slices_report(n: int, d: list[int], full: int) -> StatsReport:
+    """SAE, MSE and max |error| of the per-lane signed errors held in the
+    two's-complement slices d (top slice = sign, magnitude below it)."""
+    sign = c = d[-1]
+    mag = []
+    for x in d[:-1]:
+        x ^= sign
+        mag.append(x ^ c)
+        c &= x
+    pops = [m.bit_count() for m in mag]
+    sae = sum(p << k for k, p in enumerate(pops))
+    sse = sum(p << (2 * k) for k, p in enumerate(pops))
+    for k, mk in enumerate(mag):
+        if mk:
+            for l in range(k + 1, len(mag)):
+                sse += (mk & mag[l]).bit_count() << (k + l + 1)
+    top, cand = 0, full
+    for k in reversed(range(len(mag))):
+        if cand & mag[k]:
+            cand &= mag[k]
+            top |= 1 << k
+    pairs = 1 << (2 * n)
+    return StatsReport(n, sae, Fraction(sae, pairs), Fraction(sse, pairs), top)
 
 
 def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
@@ -109,24 +112,50 @@ def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
     report also tallies, per chain, how many generating pairs fall under
     a positive or negative dominating chain.
     """
-    _check_oracle_width(ec.n, force)
-    chains, members = chain_membership(ec.n)
-    totals = np.zeros(1 << (2 * ec.n), dtype=np.int64)
-    for c, m in zip(chains, members):
+    n = ec.n
+    _check_oracle_width(n, force)
+    bits = _index_bit_masks(2 * n)
+    gen = [bits[k] & bits[n + k] for k in range(n)]
+    prop = [bits[k] ^ bits[n + k] for k in range(n)]
+    del bits
+    # a pair's chains end at distinct positions j, so this bounds |error|
+    bound = sum(max(abs(ec.get(i, j)) for i in range(1, j + 1)) for j in range(1, n + 1))
+    d = [0] * (bound.bit_length() + 1)
+    # dominating sign per pair: chains by ascending start, so the last
+    # error-contributing hit (largest start = leftmost) wins
+    pos = neg = 0
+    for c, m in _chain_masks(gen, prop):
         e = ec.get(c.i, c.j)
         if e:
-            totals[m] += e
-    return _oracle_report(ec.n, totals, chains, members, ec)
+            _add_masked(d, m, e)
+            pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
+    report = _slices_report(n, d, (1 << (1 << (2 * n))) - 1)
+    nu_p, nu_m = {}, {}
+    for c, m in _chain_masks(gen, prop):
+        nu_p[c], nu_m[c] = (m & pos).bit_count(), (m & neg).bit_count()
+    return _with_tallies(report, nu_p, nu_m)
 
 
-def sae_oracle_simulate(net: Netlist, t: Time, force: bool = False) -> StatsReport:
+def sae_oracle_simulate(
+    net: Netlist, t: Time, force: bool = False, sweep: PairSweep | None = None
+) -> StatsReport:
     """Ground truth by simulating every pair; independent of the chain
-    model (no per-chain tallies)."""
-    _check_oracle_width(net.n, force)
-    sweep = PairSweep(net, keep=set(net.outputs.values()))
-    a, b = operand_arrays(net.n)
-    totals = (a + b) - sweep.sums_at(t)
-    return _oracle_report(net.n, totals)
+    model (no per-chain tallies).  A prebuilt all-pairs ``sweep`` of
+    ``net`` can be shared with other exhaustive checks."""
+    n = net.n
+    _check_oracle_width(n, force)
+    if sweep is None:
+        sweep = PairSweep(net, keep=set(net.outputs.values()))
+    elif sweep.net is not net or sweep.pair_count != 1 << (2 * n):
+        raise ValueError("sae_oracle_simulate needs the all-pairs sweep of the same netlist")
+    bit, c = sweep.operand_bit_mask, sweep.true_carry_masks()
+    d, borrow = [], 0
+    for k, y in enumerate(sweep.output_masks_at(t)):
+        x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
+        d.append(x ^ y ^ borrow)
+        borrow = (~x & (y | borrow)) | (y & borrow)
+    d.append(borrow)
+    return _slices_report(n, d, sweep.full)
 
 
 def chain_sae_contribution(ec_value: int, nu_plus: int, nu_minus: int) -> int:
@@ -146,27 +175,12 @@ def er_avg_fast(ec: ChainErrorTable) -> StatsReport:
     contribution; valid for tables realizable by a conservative
     pseudo-adder (where the dominating chain fixes the error sign).
     """
-    n = ec.n
-    pairs = 1 << (2 * n)
     signed = nu_signed_all(ec)
-    sae = 0
-    nu_p: dict[CarryChain, int] = {}
-    nu_m: dict[CarryChain, int] = {}
-    for c, e in ec.entries():
-        plus, minus = signed[c]
-        nu_p[c] = plus
-        nu_m[c] = minus
-        if e:
-            sae += chain_sae_contribution(e, plus, minus)
-    return StatsReport(
-        n=n,
-        sae=sae,
-        er_avg=Fraction(sae, pairs),
-        nu_plus=nu_p,
-        nu_minus=nu_m,
-        p_plus={c: float(Fraction(v, pairs)) for c, v in nu_p.items()},
-        p_minus={c: float(Fraction(v, pairs)) for c, v in nu_m.items()},
-    )
+    sae = sum(chain_sae_contribution(e, *signed[c]) for c, e in ec.nonzero())
+    report = StatsReport(ec.n, sae, Fraction(sae, 1 << (2 * ec.n)))
+    nu_p = {c: plus for c, (plus, _) in signed.items()}
+    nu_m = {c: minus for c, (_, minus) in signed.items()}
+    return _with_tallies(report, nu_p, nu_m)
 
 
 def er_avg_rca(ec: ChainErrorTable) -> ExactRational:
@@ -188,23 +202,29 @@ def er_avg_rca(ec: ChainErrorTable) -> ExactRational:
 
 
 def mse_fast(ec: ChainErrorTable) -> ExactRational:
-    """Mean squared error from single and joint chain counts.
+    """Mean squared error from single and joint chain counts, in O(n^2).
 
     Squares distribute over each pair's chain sum into per-chain squares
-    plus cross terms over ordered distinct co-occurring chains; only
-    nonzero entries contribute.
+    plus cross terms over co-occurring chains, j1 < i2.  The joint count
+    factorizes through the gap (j1, i2), so with ``L[j]`` the sum of
+    ``e 4^(i-1) 2^(j-i)`` over chains ending at j and the prefix sum
+    ``A[m] = 4 A[m-1] + L[m]``, chain 2's partners total
+    ``L[i2-1] + 2 A[i2-2]``.
     """
-    nz = ec.nonzero()
+    n, nz = ec.n, ec.nonzero()
+    low = [0] * (n + 1)
+    for (i, j), e in nz:
+        low[j] += (e << (j - i)) * 4 ** (i - 1)
+    acc = [0] * (n + 1)  # acc[m] = A[m-1]
+    for m in range(1, n + 1):
+        acc[m] = 4 * acc[m - 1] + low[m - 1]
     total = 0
-    for c, e in nz:
-        total += nu_single(ec.n, c) * e * e
-    for x, (c1, e1) in enumerate(nz):
-        for c2, e2 in nz[x + 1 :]:
-            first, second = (c1, c2) if c1.i < c2.i else (c2, c1)
-            if first.j < second.i:
-                # ordered distinct pairs: each unordered pair twice
-                total += 2 * nu_pair(ec.n, first, second) * e1 * e2
-    return Fraction(total, 1 << (2 * ec.n))
+    for (i, j), e in nz:
+        end = 1 if j == n else 2 * 4 ** (n - 1 - j)
+        partners = low[i - 1] + 2 * acc[i - 1]
+        # e^2 nu_single, plus both orders of every cross term
+        total += (e << (j - i)) * end * (e * 4 ** (i - 1) + 2 * partners)
+    return Fraction(total, 1 << (2 * n))
 
 
 def analyze_table(ec: ChainErrorTable) -> StatsReport:

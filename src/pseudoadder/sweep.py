@@ -202,14 +202,6 @@ class PairSweep:
         """``(c_prime, bad)`` masks of :func:`read_carries` at read time t."""
         return read_carries(self.output_masks_at(t), self._a, self._b, self.true_carry_masks())
 
-    def sums_at(self, t: Time) -> np.ndarray:
-        """Computed sums of every lane at read time t, as int64."""
-        s = np.zeros(self.pair_count, dtype=np.int64)
-        for pos, mask in enumerate(self.output_masks_at(t)):
-            if mask:
-                s += mask_to_bools(mask, self.pair_count).astype(np.int64) << pos
-        return s
-
     def operand_bit_mask(self, operand: str, k: int) -> int:
         return (self._a if operand == "a" else self._b)[k]
 
@@ -224,15 +216,3 @@ class PairSweep:
             self._carries = carries
         return self._carries
 
-
-def mask_to_bools(mask: int, count: int) -> np.ndarray:
-    """Unpack a mask integer into a boolean array of the given length."""
-    raw = mask.to_bytes((count + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:count].astype(bool)
-
-
-def operand_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of a and b per pair index (``idx = a + (b << n)``)."""
-    idx = np.arange(1 << (2 * n), dtype=np.int64)
-    return idx & ((1 << n) - 1), idx >> n

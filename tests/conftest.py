@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, InputPair
-from pseudoadder.stats import chain_membership
+from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains
 
 
 @pytest.fixture
@@ -55,3 +56,117 @@ def lane_transitions(steps, lane):
             out.append((t, v))
             prev = v
     return out
+
+
+def random_netlist(n, rng):
+    """Arbitrary gate DAG over the operand inputs (not an adder)."""
+    from pseudoadder import Gate, GateKind, Netlist
+
+    gates = [Gate(f"a{k}", GateKind.INPUT) for k in range(n)]
+    gates += [Gate(f"b{k}", GateKind.INPUT) for k in range(n)]
+    gates.append(Gate("zero", GateKind.CONST0))
+    gates.append(Gate("one", GateKind.CONST1))
+    pool = [g.id for g in gates]
+    kinds = [
+        GateKind.BUF,
+        GateKind.NOT,
+        GateKind.AND2,
+        GateKind.OR2,
+        GateKind.XOR2,
+        GateKind.MAJ3,
+    ]
+    from pseudoadder.netlist import ARITY
+
+    for x in range(rng.randint(6, 14)):
+        kind = rng.choice(kinds)
+        inputs = tuple(rng.choice(pool) for _ in range(ARITY[kind]))
+        gid = f"g{x}"
+        gates.append(Gate(gid, kind, inputs, rng.randint(0, 3)))
+        pool.append(gid)
+    outputs = {pos: rng.choice(pool) for pos in range(n + 1)}
+    return Netlist(n, gates, outputs)
+
+
+# --- NumPy per-pair reference for the bit-sliced oracles ----------------
+# Each pair is one array element, index ``a + (b << n)`` as in the sweep.
+
+
+def operand_arrays(n):
+    """Arrays of a and b per pair index (``idx = a + (b << n)``)."""
+    idx = np.arange(1 << (2 * n), dtype=np.int64)
+    return idx & ((1 << n) - 1), idx >> n
+
+
+def mask_to_bools(mask, count):
+    """Unpack a lane mask into a boolean array of the given length."""
+    raw = mask.to_bytes((count + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits[:count].astype(bool)
+
+
+def sums_at(sweep, t):
+    """Computed sums of every lane of a sweep at read time t, as int64."""
+    s = np.zeros(sweep.pair_count, dtype=np.int64)
+    for pos, mask in enumerate(sweep.output_masks_at(t)):
+        if mask:
+            s += mask_to_bools(mask, sweep.pair_count).astype(np.int64) << pos
+    return s
+
+
+def chain_membership(n):
+    """For each chain, the boolean per-pair membership array."""
+    a, b = operand_arrays(n)
+    chains = all_chains(n)
+    members = []
+    for c in chains:
+        m = ((a >> (c.i - 1)) & (b >> (c.i - 1)) & 1).astype(bool)
+        for k in range(c.i, c.j):
+            m &= (((a >> k) ^ (b >> k)) & 1).astype(bool)
+        if c.j < n:
+            m &= (((a >> c.j) ^ (b >> c.j)) & 1) == 0
+        members.append(m)
+    return chains, members
+
+
+def oracle_report(n, totals, chains=None, members=None, ec=None):
+    """StatsReport of per-pair signed errors; with chains, members and a
+    table, also the dominating-sign tallies (last hit by ascending start
+    wins)."""
+    pairs = 1 << (2 * n)
+    sae = int(np.abs(totals).sum(dtype=np.int64))
+    sse = int((totals.astype(np.int64) ** 2).sum(dtype=np.int64))
+    report = StatsReport(
+        n=n,
+        sae=sae,
+        er_avg=Fraction(sae, pairs),
+        mse=Fraction(sse, pairs),
+        max_abs_error=int(np.abs(totals).max(initial=0)),
+    )
+    if chains is None:
+        return report
+    sign = np.zeros(len(totals), dtype=np.int8)
+    for c, m in zip(chains, members):
+        e = ec.get(c.i, c.j)
+        if e:
+            sign[m] = 1 if e > 0 else -1
+    report.nu_plus = {c: int((m & (sign == 1)).sum()) for c, m in zip(chains, members)}
+    report.nu_minus = {c: int((m & (sign == -1)).sum()) for c, m in zip(chains, members)}
+    report.p_plus = {c: v / pairs for c, v in report.nu_plus.items()}
+    report.p_minus = {c: v / pairs for c, v in report.nu_minus.items()}
+    return report
+
+
+def reference_oracle_chains(ec):
+    """Per-pair reference for ``sae_oracle_chains``."""
+    chains, members = chain_membership(ec.n)
+    totals = np.zeros(1 << (2 * ec.n), dtype=np.int64)
+    for c, m in zip(chains, members):
+        totals[m] += ec.get(c.i, c.j)
+    return oracle_report(ec.n, totals, chains, members, ec)
+
+
+def reference_oracle_simulate(net, t):
+    """Per-pair reference for ``sae_oracle_simulate``."""
+    a, b = operand_arrays(net.n)
+    sweep = PairSweep(net, keep=set(net.outputs.values()))
+    return oracle_report(net.n, (a + b) - sums_at(sweep, t))

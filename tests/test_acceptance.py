@@ -42,9 +42,8 @@ from pseudoadder import (
     witness_for_chain_set,
     ChainSet,
 )
-from pseudoadder.stats import chain_membership
-from pseudoadder.sweep import PairSweep, operand_arrays
-from conftest import exhaustive_pairs, traced_sum
+from pseudoadder.sweep import PairSweep
+from conftest import chain_membership, exhaustive_pairs, operand_arrays, sums_at, traced_sum
 
 
 def criterion(name):
@@ -193,7 +192,7 @@ def test_dominating_sign_law_on_ksa():
                 if e:
                     totals[m] += e
                     sign[m] = 1 if e > 0 else -1
-            diff = s_true - sweep.sums_at(t)
+            diff = s_true - sums_at(sweep, t)
             # every pair's error decomposes into its chains' errors...
             assert np.array_equal(diff, totals)
             # ...and every erring pair's sign is its dominating chain's sign
@@ -293,6 +292,25 @@ def test_scaling():
     er_avg_fast(ec128)
     t128 = time.perf_counter() - start
     assert t128 < 10.0, f"n=128 took {t128:.3f}s"
+
+
+@criterion("scaling: exact MSE of a full 128-bit table under 1 s")
+def test_mse_scaling():
+    ec = random_realizable_table(128, random.Random(3), density=1.0)
+    start = time.perf_counter()
+    mse_fast(ec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"n=128 MSE took {elapsed:.3f}s"
+
+
+@criterion("scaling: chain-enumeration oracle over all 4^10 pairs under 0.5 s")
+def test_oracle_scaling():
+    ec = random_realizable_table(10, random.Random(4), density=0.6)
+    start = time.perf_counter()
+    report = sae_oracle_chains(ec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"n=10 chain oracle took {elapsed:.3f}s"
+    assert report.sae == er_avg_fast(ec).sae
 
 
 @criterion("scaling: chain-error extraction of a 64-bit Kogge-Stone under 2 s")

@@ -18,9 +18,7 @@ from pseudoadder import (
     random_realizable_table,
     suffix_counts,
 )
-from pseudoadder.stats import chain_membership
-from pseudoadder.sweep import operand_arrays
-from conftest import exhaustive_pairs
+from conftest import chain_membership, exhaustive_pairs, operand_arrays
 
 
 def test_nu_single_examples():

@@ -1,0 +1,153 @@
+"""The bit-sliced exhaustive oracles against the NumPy per-pair reference.
+
+Both oracles hold every pair's error as bit-slice masks; the reference in
+``conftest`` keeps one array element per pair.  They must agree on every
+``StatsReport`` field, tallies and float probabilities included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pseudoadder import (
+    ChainErrorTable,
+    InputPair,
+    KsaDelays,
+    PairSweep,
+    all_chains,
+    generate_ksa,
+    generate_rca,
+    random_realizable_table,
+    sae_oracle_chains,
+    sae_oracle_simulate,
+    staggered_ksa8,
+)
+from pseudoadder.cli import main
+from conftest import (
+    operand_arrays,
+    random_netlist,
+    reference_oracle_chains,
+    reference_oracle_simulate,
+    sums_at,
+)
+
+
+def _table(n, rng, mode):
+    if mode == "zero":
+        return ChainErrorTable(n)
+    if mode == "realizable":
+        return random_realizable_table(n, rng, density=rng.choice([0.3, 0.6, 1.0]))
+    entries = {}
+    for c in all_chains(n):
+        if mode == "negative":
+            # missed carries only pull propagate bits up: -m, m in bits i..j-1
+            entries[c] = -(rng.getrandbits(c.j - c.i) << c.i)
+        else:
+            # any entry the table accepts, realizable or not: co-occurring
+            # chains can then sum far beyond one entry's bound
+            bound = 1 << (n + 1)
+            entries[c] = rng.randrange(-bound + 1, bound)
+    return ChainErrorTable(n, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from(["realizable", "zero", "negative", "arbitrary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_oracle_equals_per_pair_reference(n, mode, seed):
+    ec = _table(n, random.Random(seed), mode)
+    got = sae_oracle_chains(ec)
+    assert got == reference_oracle_chains(ec)
+    assert isinstance(got.sae, int) and isinstance(got.mse, Fraction)
+    if mode == "zero":
+        assert (got.sae, got.mse, got.max_abs_error) == (0, 0, 0)
+        assert not any(got.nu_plus.values()) and not any(got.nu_minus.values())
+    if mode == "negative":
+        assert not any(got.nu_plus.values())
+
+
+def _netlist(kind, rng):
+    if kind == "rca":
+        # independent sum delays read partial carries: negative errors too
+        n = rng.randint(1, 6)
+        return generate_rca(
+            n, [rng.randint(0, 3) for _ in range(n)], [rng.randint(0, 3) for _ in range(n + 1)]
+        )
+    if kind == "ksa":
+        n = rng.choice([2, 4, 8])
+        levels = (n - 1).bit_length()
+        return generate_ksa(n, KsaDelays(
+            pg=tuple(rng.randint(0, 3) for _ in range(n)),
+            prefix=tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(levels)),
+            sums=tuple(rng.randint(0, 3) for _ in range(n + 1)),
+        ))
+    return random_netlist(rng.randint(1, 4), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_simulation_oracle_equals_per_pair_reference(kind, seed, data):
+    net = _netlist(kind, random.Random(seed))
+    quiet = PairSweep(net, keep=set(net.outputs.values())).quiescence_time()
+    t = data.draw(st.integers(0, int(quiet) + 2), label="t")
+    got = sae_oracle_simulate(net, t)
+    assert got == reference_oracle_simulate(net, t)
+    assert got.nu_plus is None and got.p_plus is None
+    if kind != "dag" and t >= quiet:
+        # a quiescent adder adds correctly
+        assert (got.sae, got.mse, got.max_abs_error) == (0, 0, 0)
+
+
+def test_simulation_oracle_on_pinned_out_of_model_reads():
+    net = staggered_ksa8()
+    a, b = operand_arrays(8)
+    sweep = PairSweep(net, keep=set(net.outputs.values()))
+    # T=0: every output still reads 0 (a stale bit 0 wherever a0 != b0)
+    zero = sae_oracle_simulate(net, 0)
+    assert zero == reference_oracle_simulate(net, 0)
+    assert zero.sae == int((a + b).sum()) == (1 << 16) * 255
+    assert zero.max_abs_error == 510
+    # T=7: some pairs read more than the true sum
+    assert ((a + b) - sums_at(sweep, 7) < 0).any()
+    assert sae_oracle_simulate(net, 7) == reference_oracle_simulate(net, 7)
+    # T=11: quiescent, correct
+    assert sae_oracle_simulate(net, 11).sae == 0
+
+
+def test_simulation_oracle_shares_a_prebuilt_sweep():
+    net = generate_rca(4, [1, 2, 1, 2], [2, 1, 0, 1, 2])
+    sweep = PairSweep(net, keep=set(net.outputs.values()))
+    for t in range(0, 8):
+        assert sae_oracle_simulate(net, t, sweep=sweep) == sae_oracle_simulate(net, t)
+    batch = PairSweep(net, pairs=[InputPair(4, 3, 5)])
+    with pytest.raises(ValueError, match="all-pairs"):
+        sae_oracle_simulate(net, 3, sweep=batch)
+    other = generate_rca(4, [1] * 4, [1] * 5)
+    with pytest.raises(ValueError, match="all-pairs"):
+        sae_oracle_simulate(other, 3, sweep=sweep)
+
+
+def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "rca.json"
+    path.write_text(generate_rca(6, [1] * 6, [1] * 7).to_json())
+    built = []
+    init = PairSweep.__init__
+
+    def counting_init(self, net, keep=None, pairs=None):
+        built.append(pairs is None)
+        init(self, net, keep=keep, pairs=pairs)
+
+    monkeypatch.setattr(PairSweep, "__init__", counting_init)
+    code = main(["verify", "--netlist", str(path), "-T", "4"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS  fast statistics equal exhaustive simulation" in out
+    assert built.count(True) == 1

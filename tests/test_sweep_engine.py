@@ -12,8 +12,17 @@ from pseudoadder import (
     simulate,
     staggered_ksa8,
 )
-from pseudoadder.sweep import PairSweep, mask_to_bools, operand_arrays
-from conftest import exhaustive_pairs, lane_transitions, pair_index, traced_sum
+from pseudoadder.sweep import PairSweep
+from conftest import (
+    exhaustive_pairs,
+    lane_transitions,
+    mask_to_bools,
+    operand_arrays,
+    pair_index,
+    random_netlist,
+    sums_at,
+    traced_sum,
+)
 
 
 def test_operand_bit_masks_match_index_convention():
@@ -65,7 +74,7 @@ def test_sweep_equals_event_sim_sampled_staggered():
     net = staggered_ksa8()
     sweep = PairSweep(net)
     rng = random.Random(2)
-    sums = {t: sweep.sums_at(t) for t in range(0, 12)}
+    sums = {t: sums_at(sweep, t) for t in range(0, 12)}
     for _ in range(60):
         p = InputPair(8, rng.randrange(256), rng.randrange(256))
         trace = simulate(net, p)
@@ -86,37 +95,8 @@ def test_sums_at_quiescence_are_correct():
     net = generate_ksa(4, KsaDelays.uniform(4, 2))
     sweep = PairSweep(net)
     a, b = operand_arrays(4)
-    assert np.array_equal(sweep.sums_at(sweep.quiescence_time()), a + b)
-    assert np.array_equal(sweep.sums_at(0), np.zeros(256, dtype=np.int64))
-
-
-def random_netlist(n, rng):
-    """Arbitrary gate DAG over the operand inputs (not an adder)."""
-    from pseudoadder import Gate, GateKind, Netlist
-
-    gates = [Gate(f"a{k}", GateKind.INPUT) for k in range(n)]
-    gates += [Gate(f"b{k}", GateKind.INPUT) for k in range(n)]
-    gates.append(Gate("zero", GateKind.CONST0))
-    gates.append(Gate("one", GateKind.CONST1))
-    pool = [g.id for g in gates]
-    kinds = [
-        GateKind.BUF,
-        GateKind.NOT,
-        GateKind.AND2,
-        GateKind.OR2,
-        GateKind.XOR2,
-        GateKind.MAJ3,
-    ]
-    from pseudoadder.netlist import ARITY
-
-    for x in range(rng.randint(6, 14)):
-        kind = rng.choice(kinds)
-        inputs = tuple(rng.choice(pool) for _ in range(ARITY[kind]))
-        gid = f"g{x}"
-        gates.append(Gate(gid, kind, inputs, rng.randint(0, 3)))
-        pool.append(gid)
-    outputs = {pos: rng.choice(pool) for pos in range(n + 1)}
-    return Netlist(n, gates, outputs)
+    assert np.array_equal(sums_at(sweep, sweep.quiescence_time()), a + b)
+    assert np.array_equal(sums_at(sweep, 0), np.zeros(256, dtype=np.int64))
 
 
 def test_sweep_equals_event_sim_on_random_netlists():
@@ -164,7 +144,7 @@ def test_batch_source_masks_match_all_pairs_lanes():
             assert batch.operand_bit_mask(operand, k) == every.operand_bit_mask(operand, k)
     for t in every.output_change_times():
         assert batch.output_masks_at(t) == every.output_masks_at(t)
-        assert batch.lane_sums(t) == list(every.sums_at(t))
+        assert batch.lane_sums(t) == list(sums_at(every, t))
 
 
 def test_hand_written_json_netlist_runs():
