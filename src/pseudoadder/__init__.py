@@ -25,17 +25,7 @@ from .chains import (
     isolate_chain,
     witness_for_chain_set,
 )
-from .counting import (
-    ClassCounts,
-    SuffixClassCounts,
-    below_boundary_counts,
-    count_dominated_pairs,
-    nu_pair,
-    nu_signed,
-    nu_signed_all,
-    nu_single,
-    suffix_counts,
-)
+from .counting import nu_single
 from .generators import (
     KsaDelays,
     generate_ksa,
@@ -43,13 +33,12 @@ from .generators import (
     staggered_ksa8,
     staggered_ksa8_delays,
 )
-from .maxerror import ChainCompatDag, iter_chain_sets, max_abs_error
+from .maxerror import iter_chain_sets, max_abs_error
 from .model import (
     CarryChain,
     ChainErrorTable,
     ChainSet,
     ConservativenessError,
-    ExactRational,
     InputPair,
     OracleLimitError,
     PseudoAdderError,
@@ -62,9 +51,7 @@ from .netlist import Gate, GateKind, Netlist, as_delay
 from .sim import SignalTrace, computed_sum, simulate
 from .stats import (
     analyze_table,
-    chain_sae_contribution,
     er_avg_fast,
-    er_avg_rca,
     mse_fast,
     oracle_limit,
     sae_oracle_chains,
@@ -82,13 +69,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionReport",
     "CarryChain",
-    "ChainCompatDag",
     "ChainErrorTable",
     "ChainSet",
-    "ClassCounts",
     "ConservativeReport",
     "ConservativenessError",
-    "ExactRational",
     "Gate",
     "GateKind",
     "InputPair",
@@ -99,24 +83,19 @@ __all__ = [
     "PseudoAdderError",
     "SignalTrace",
     "StatsReport",
-    "SuffixClassCounts",
     "all_chains",
     "analyze_table",
     "as_delay",
-    "below_boundary_counts",
     "bit",
     "canonical_pair",
     "chain_predicate",
-    "chain_sae_contribution",
     "check_conservative",
     "computed_sum",
-    "count_dominated_pairs",
     "decompose_error",
     "detect_chains",
     "dominating_chain",
     "ec_table_sweep",
     "er_avg_fast",
-    "er_avg_rca",
     "extract_ec_table",
     "generate_ksa",
     "generate_rca",
@@ -125,9 +104,6 @@ __all__ = [
     "iter_chain_sets",
     "max_abs_error",
     "mse_fast",
-    "nu_pair",
-    "nu_signed",
-    "nu_signed_all",
     "nu_single",
     "oracle_limit",
     "random_realizable_error",
@@ -139,7 +115,6 @@ __all__ = [
     "simulate",
     "staggered_ksa8",
     "staggered_ksa8_delays",
-    "suffix_counts",
     "verify_assumptions",
     "witness_for_chain_set",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``gen`` (emit RCA/KSA netlist JSON), ``stats`` (chain-error
-table and exact statistics at a read time, optionally swept over T),
+table and exact statistics at a read time),
 ``verify`` (conservativeness, model assumptions, fast-vs-oracle
 equality), ``trace`` (time table of one addition), ``chains`` (carry
 chains of a pair), ``ec`` (chain-error table only) and ``sweep``
@@ -153,14 +153,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
-    if args.sweep_T:
-        times = _parse_t_range(args.sweep_T, net)
-        rows = _sweep_rows(net, times)
-        if args.format == "csv":
-            _emit(_rows_to_csv(rows), args.output)
-        else:
-            _emit(json.dumps({"n": net.n, "rows": rows}, indent=2) + "\n", args.output)
-        return 0
     t = _parse_time(args.T)
     ec = extract_ec_table(net, t)
     report = analyze_table(ec)
@@ -256,7 +248,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         net = _load_netlist(args.netlist)
         t = _parse_time(args.T)
         sweep = pairs = None
-        if net.n <= args.exhaustive_n_limit:
+        limit = args.exhaustive_n_limit
+        if net.n <= (oracle_limit() if limit is None else limit):
             # one all-pairs run serves the conservative check and the oracle
             sweep = PairSweep(net, keep=set(net.outputs.values()))
         else:
@@ -341,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="chain errors and exact statistics")
     p_stats.add_argument("--netlist", required=True, help="netlist JSON path or -")
     p_stats.add_argument("-T", default="0", help="read time")
-    p_stats.add_argument("--sweep-T", default=None,
-                         help="start..stop[:step]; stop may be 'quiescence'")
     add_common(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -376,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="model checks and oracle comparisons")
     p_verify.add_argument("--netlist", default=None)
     p_verify.add_argument("-T", default="0")
-    p_verify.add_argument("--exhaustive-n-limit", type=int, default=8)
+    p_verify.add_argument("--exhaustive-n-limit", type=int, default=None,
+                          help="widest netlist checked over all pairs (default: the oracle limit)")
     p_verify.add_argument("--samples", type=int, default=128)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fast-vs-oracle", action="store_true")

@@ -31,22 +31,10 @@ match their definition exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 from .model import CarryChain, ChainErrorTable
 
-
-class ClassCounts(NamedTuple):
-    """Pair counts split by dominating-chain sign."""
-
-    plus: int
-    minus: int
-    none: int
-
-    @property
-    def total(self) -> int:
-        return self.plus + self.minus + self.none
+#: pair counts split by dominating-chain sign, as (plus, minus, none)
+Tally = tuple[int, int, int]
 
 
 def nu_single(n: int, c: CarryChain) -> int:
@@ -61,84 +49,20 @@ def nu_single(n: int, c: CarryChain) -> int:
     return 4 ** (c.i - 1) * 2 ** (c.j - c.i) * end
 
 
-def nu_pair(n: int, c1: CarryChain, c2: CarryChain) -> int:
-    """Number of pairs generating both chains (0 when they overlap).
-
-    Chains must be given in ascending order.  When the second chain
-    starts right after the first ends, the shared boundary position is
-    forced to 11; otherwise the first end keeps its two choices and the
-    gap positions are free.
-    """
-    c1 = CarryChain(*c1).validate(n)
-    c2 = CarryChain(*c2).validate(n)
-    if c2.i <= c1.i:
-        raise ValueError(f"chains must be in ascending order, got {c1}, {c2}")
-    if c1.overlaps(c2):
-        return 0
-    if c2.i == c1.j + 1:
-        boundary = 1
-    else:
-        boundary = 2 * 4 ** (c2.i - c1.j - 2)
-    end = 1 if c2.j == n else 2 * 4 ** (n - 1 - c2.j)
-    return (
-        4 ** (c1.i - 1)
-        * 2 ** (c1.j - c1.i)
-        * boundary
-        * 2 ** (c2.j - c2.i)
-        * end
-    )
-
-
-def count_dominated_pairs(n: int, ij: CarryChain, pq: CarryChain) -> int:
-    """Pairs matching the joint condition table for a chain (i, j) and a
-    leftmost chain (p, q) above it.
-
-    The conditions: free below i-1, generate at i-1, propagate inside
-    (i, j), two end choices at j (one when p = j+1 forces 11), free gap,
-    generate at p-1, propagate inside (p, q), 00 at q, and no generate
-    (three choices) above q.  For q = n the trailing rows are empty.
-    """
-    ij = CarryChain(*ij).validate(n)
-    pq = CarryChain(*pq).validate(n)
-    if not pq.i > ij.j:
-        raise ValueError(f"need q >= p > j >= i, got {ij}, {pq}")
-    i, j = ij
-    p, q = pq
-    if p == j + 1:
-        middle = 1
-    else:
-        middle = 2 * 4 ** (p - j - 2)
-    tail = 1 if q == n else 3 ** (n - 1 - q)
-    return 4 ** (i - 1) * 2 ** (j - i) * middle * 2 ** (q - p) * tail
-
-
-@dataclass(frozen=True)
-class SuffixClassCounts:
-    """Sign-classified counts over suffix assignments, per boundary t.
+def suffix_counts(ec: ChainErrorTable) -> tuple[tuple[Tally, ...], tuple[Tally, ...]]:
+    """Classify suffix assignments by their dominating chain's sign, as
+    ``(free, bounded)`` indexed by boundary t = 0..n.
 
     ``free[t]`` sums to 4^(n-t); ``bounded[t]`` sums to 2*4^(n-t-1) for
-    t < n and to 1 for t = n.
-    """
-
-    n: int
-    free: tuple[ClassCounts, ...]
-    bounded: tuple[ClassCounts, ...]
-
-
-def suffix_counts(ec: ChainErrorTable) -> SuffixClassCounts:
-    """Classify suffix assignments by their dominating chain's sign.
-
-    Descending from t = n: a non-generate choice at t (3 ways) keeps the
-    classification of the free suffix above; the generate choice (11)
-    spawns a chain ending at the first equality position q, which claims
-    the dominating slot only when nothing above q contributes an error
-    and its own entry is nonzero.
+    t < n and to 1 for t = n.  Descending from t = n: a non-generate
+    choice at t (3 ways) keeps the classification of the free suffix
+    above; the generate choice (11) spawns a chain ending at the first
+    equality position q, which claims the dominating slot only when
+    nothing above q contributes an error and its own entry is nonzero.
     """
     n = ec.n
-    free: list[ClassCounts] = [ClassCounts(0, 0, 0)] * (n + 1)
-    bounded: list[ClassCounts] = [ClassCounts(0, 0, 0)] * (n + 1)
-    free[n] = ClassCounts(0, 0, 1)
-    bounded[n] = ClassCounts(0, 0, 1)
+    free: list[Tally] = [(0, 0, 0)] * n + [(0, 0, 1)]
+    bounded: list[Tally] = [(0, 0, 0)] * n + [(0, 0, 1)]
     for t in range(n - 1, -1, -1):
         gen_p = gen_m = gen_n = 0
         for q in range(t + 1, n + 1):
@@ -153,12 +77,12 @@ def suffix_counts(ec: ChainErrorTable) -> SuffixClassCounts:
             gen_m += ways * bm
             gen_n += ways * bn
         fp, fm, fn = free[t + 1]
-        free[t] = ClassCounts(3 * fp + gen_p, 3 * fm + gen_m, 3 * fn + gen_n)
-        bounded[t] = ClassCounts(fp + gen_p, fm + gen_m, fn + gen_n)
-    return SuffixClassCounts(n, tuple(free), tuple(bounded))
+        free[t] = (3 * fp + gen_p, 3 * fm + gen_m, 3 * fn + gen_n)
+        bounded[t] = (fp + gen_p, fm + gen_m, fn + gen_n)
+    return tuple(free), tuple(bounded)
 
 
-def below_boundary_counts(ec: ChainErrorTable) -> tuple[ClassCounts, ...]:
+def below_boundary_counts(ec: ChainErrorTable) -> tuple[Tally, ...]:
     """Classify assignments below a chain-ending boundary position.
 
     ``result[m]`` counts assignments of positions 0..m-1, given that
@@ -168,7 +92,7 @@ def below_boundary_counts(ec: ChainErrorTable) -> tuple[ClassCounts, ...]:
     (d+1, m); choosing 00 does not; all-unequal leaves no chain at all.
     """
     n = ec.n
-    out: list[ClassCounts] = [ClassCounts(0, 0, 1)]
+    out: list[Tally] = [(0, 0, 1)]
     for m in range(1, n + 1):
         acc_p = acc_m = 0
         acc_n = 1 << m  # every position below m unequal: no chain ends <= m
@@ -189,30 +113,25 @@ def below_boundary_counts(ec: ChainErrorTable) -> tuple[ClassCounts, ...]:
                 acc_p += ways * ep
                 acc_m += ways * em
                 acc_n += ways * en
-        out.append(ClassCounts(acc_p, acc_m, acc_n))
+        out.append((acc_p, acc_m, acc_n))
     return tuple(out)
 
 
-def nu_signed_all(
-    ec: ChainErrorTable,
-    counts: SuffixClassCounts | None = None,
-    below: tuple[ClassCounts, ...] | None = None,
-) -> dict[CarryChain, tuple[int, int]]:
+def nu_signed_all(ec: ChainErrorTable) -> dict[CarryChain, tuple[int, int]]:
     """(nu_plus, nu_minus) for every chain, from the two class tables.
 
     For chain (i, j): a signed region above j always dominates; with
     nothing above, the chain itself dominates when its entry is nonzero;
     otherwise the sign comes from the chains below the generate.
     """
-    counts = counts if counts is not None else suffix_counts(ec)
-    below = below if below is not None else below_boundary_counts(ec)
-    n = ec.n
+    _, bounded = suffix_counts(ec)
+    below = below_boundary_counts(ec)
     result: dict[CarryChain, tuple[int, int]] = {}
     for c, e in ec.entries():
         i, j = c
         low_free = 4 ** (i - 1)
         prop = 1 << (j - i)
-        gp, gm, gn = counts.bounded[j]
+        gp, gm, gn = bounded[j]
         plus = low_free * gp
         minus = low_free * gm
         if e > 0:
@@ -220,13 +139,7 @@ def nu_signed_all(
         elif e < 0:
             minus += gn * low_free
         else:
-            plus += gn * below[i - 1].plus
-            minus += gn * below[i - 1].minus
+            plus += gn * below[i - 1][0]
+            minus += gn * below[i - 1][1]
         result[c] = (prop * plus, prop * minus)
     return result
-
-
-def nu_signed(ec: ChainErrorTable, c: CarryChain) -> tuple[int, int]:
-    """(nu_plus, nu_minus) for one chain; see :func:`nu_signed_all`."""
-    c = CarryChain(*c).validate(ec.n)
-    return nu_signed_all(ec)[c]

@@ -5,40 +5,15 @@ from one chain to another exactly when the second starts after the first
 ends, so paths correspond one-to-one with the chain sets an input pair
 can generate.  The extreme path weights then bound the error of any
 single addition, and the maximum absolute error is
-``max(-w_min, w_max)`` over nonempty paths.
+``max(-w_min, w_max)`` over nonempty paths.  The DAG is never built:
+its edges are implicit in the dynamic program's start order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .model import CarryChain, ChainErrorTable, ChainSet, all_chains
-
-
-@dataclass(frozen=True)
-class ChainCompatDag:
-    """Implicit DAG over all chains; edges are start-after-end pairs."""
-
-    table: ChainErrorTable
-
-    @property
-    def n(self) -> int:
-        return self.table.n
-
-    def vertices(self) -> list[CarryChain]:
-        return all_chains(self.table.n)
-
-    def weight(self, c: CarryChain) -> int:
-        return self.table.get(c.i, c.j)
-
-    def has_edge(self, c1: CarryChain, c2: CarryChain) -> bool:
-        return c1.j < c2.i
-
-    def successors(self, c: CarryChain) -> Iterator[CarryChain]:
-        for i in range(c.j + 1, self.n + 1):
-            for j in range(i, self.n + 1):
-                yield CarryChain(i, j)
+from .model import CarryChain, ChainErrorTable, ChainSet
 
 
 def iter_chain_sets(n: int) -> Iterator[tuple[CarryChain, ...]]:

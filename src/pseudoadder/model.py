@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-#: Exact rational type used for Er_avg and MSE (numerator/denominator in
-#: lowest terms, denominator positive).  The stdlib type already satisfies
-#: every invariant we need.
-ExactRational = Fraction
-
 
 class PseudoAdderError(Exception):
     """Base class for errors raised by this package."""
@@ -79,9 +74,6 @@ class InputPair:
         if not 0 <= k <= self.n:
             raise ValueError(f"position {k} out of range 0..{self.n}")
 
-    def swapped(self) -> "InputPair":
-        return InputPair(self.n, self.b, self.a)
-
 
 class CarryChain(NamedTuple):
     """Interval of positions (i, j), 1 <= i <= j <= n, receiving a carry.
@@ -126,9 +118,6 @@ class ChainSet:
 
     def __len__(self) -> int:
         return len(self.chains)
-
-    def __contains__(self, c: object) -> bool:
-        return c in self.chains
 
 
 def all_chains(n: int) -> list[CarryChain]:
@@ -216,8 +205,8 @@ class StatsReport:
 
     n: int
     sae: int
-    er_avg: ExactRational
-    mse: ExactRational | None = None
+    er_avg: Fraction
+    mse: Fraction | None = None
     max_abs_error: int | None = None
     nu_plus: dict[CarryChain, int] | None = None
     nu_minus: dict[CarryChain, int] | None = None
@@ -228,12 +217,8 @@ class StatsReport:
     def er_avg_float(self) -> float:
         return float(self.er_avg)
 
-    @property
-    def mse_float(self) -> float | None:
-        return None if self.mse is None else float(self.mse)
-
     def to_json_dict(self) -> dict:
-        def ratio(x: ExactRational) -> dict:
+        def ratio(x: Fraction) -> dict:
             return {
                 "numerator": x.numerator,
                 "denominator": x.denominator,

@@ -14,9 +14,9 @@ import os
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .counting import nu_signed_all, nu_single
+from .counting import nu_signed_all
 from .maxerror import max_abs_error
-from .model import CarryChain, ChainErrorTable, ExactRational, OracleLimitError, StatsReport
+from .model import CarryChain, ChainErrorTable, OracleLimitError, StatsReport
 from .netlist import Netlist
 from .sim import Time
 from .sweep import PairSweep, _index_bit_masks
@@ -158,50 +158,24 @@ def sae_oracle_simulate(
     return _slices_report(n, d, sweep.full)
 
 
-def chain_sae_contribution(ec_value: int, nu_plus: int, nu_minus: int) -> int:
-    """One chain's term in the summed absolute error.
-
-    Each pair generating the chain adds the chain's error multiplied by
-    the sign of that pair's dominating chain, hence the signed-count
-    difference.
-    """
-    return ec_value * (nu_plus - nu_minus)
-
-
 def er_avg_fast(ec: ChainErrorTable) -> StatsReport:
     """Expected absolute error in quadratic time, exactly.
 
-    Assembles the signed per-chain pair counts and sums each chain's
-    contribution; valid for tables realizable by a conservative
-    pseudo-adder (where the dominating chain fixes the error sign).
+    Each pair generating a chain adds the chain's error multiplied by
+    the sign of that pair's dominating chain, so a chain contributes
+    ``e * (nu_plus - nu_minus)``; valid for tables realizable by a
+    conservative pseudo-adder (where the dominating chain fixes the
+    error sign).
     """
     signed = nu_signed_all(ec)
-    sae = sum(chain_sae_contribution(e, *signed[c]) for c, e in ec.nonzero())
+    sae = sum(e * (signed[c][0] - signed[c][1]) for c, e in ec.nonzero())
     report = StatsReport(ec.n, sae, Fraction(sae, 1 << (2 * ec.n)))
     nu_p = {c: plus for c, (plus, _) in signed.items()}
     nu_m = {c: minus for c, (_, minus) in signed.items()}
     return _with_tallies(report, nu_p, nu_m)
 
 
-def er_avg_rca(ec: ChainErrorTable) -> ExactRational:
-    """Expected absolute error for tables without negative entries.
-
-    Ripple-carry pseudo-adders only lose carries, so every chain error is
-    non-negative and the absolute values distribute over the sum; a
-    negative entry means this shortcut does not apply and is rejected.
-    """
-    sae = 0
-    for c, e in ec.nonzero():
-        if e < 0:
-            raise ValueError(
-                f"chain {c} has negative error {e}; the no-negative-errors "
-                "shortcut does not apply to this table"
-            )
-        sae += e * nu_single(ec.n, c)
-    return Fraction(sae, 1 << (2 * ec.n))
-
-
-def mse_fast(ec: ChainErrorTable) -> ExactRational:
+def mse_fast(ec: ChainErrorTable) -> Fraction:
     """Mean squared error from single and joint chain counts, in O(n^2).
 
     Squares distribute over each pair's chain sum into per-chain squares

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains
+from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, nu_single
 
 
 @pytest.fixture
@@ -85,6 +85,84 @@ def random_netlist(n, rng):
         pool.append(gid)
     outputs = {pos: rng.choice(pool) for pos in range(n + 1)}
     return Netlist(n, gates, outputs)
+
+
+# --- Joint-count closed forms, pinned against enumeration --------------
+# Production statistics never call these; they document the joint
+# counts behind the fast paths and the README's quoted-forms discussion.
+
+
+def nu_pair(n, c1, c2):
+    """Number of pairs generating both chains (0 when they overlap).
+
+    Chains must be given in ascending order.  When the second chain
+    starts right after the first ends, the shared boundary position is
+    forced to 11; otherwise the first end keeps its two choices and the
+    gap positions are free.
+    """
+    c1 = CarryChain(*c1).validate(n)
+    c2 = CarryChain(*c2).validate(n)
+    if c2.i <= c1.i:
+        raise ValueError(f"chains must be in ascending order, got {c1}, {c2}")
+    if c1.overlaps(c2):
+        return 0
+    boundary = 1 if c2.i == c1.j + 1 else 2 * 4 ** (c2.i - c1.j - 2)
+    end = 1 if c2.j == n else 2 * 4 ** (n - 1 - c2.j)
+    return 4 ** (c1.i - 1) * 2 ** (c1.j - c1.i) * boundary * 2 ** (c2.j - c2.i) * end
+
+
+def count_dominated_pairs(n, ij, pq):
+    """Pairs matching the joint condition table for a chain (i, j) and a
+    leftmost chain (p, q) above it.
+
+    The conditions: free below i-1, generate at i-1, propagate inside
+    (i, j), two end choices at j (one when p = j+1 forces 11), free gap,
+    generate at p-1, propagate inside (p, q), 00 at q, and no generate
+    (three choices) above q.  For q = n the trailing rows are empty.
+    """
+    ij = CarryChain(*ij).validate(n)
+    pq = CarryChain(*pq).validate(n)
+    if not pq.i > ij.j:
+        raise ValueError(f"need q >= p > j >= i, got {ij}, {pq}")
+    i, j = ij
+    p, q = pq
+    middle = 1 if p == j + 1 else 2 * 4 ** (p - j - 2)
+    tail = 1 if q == n else 3 ** (n - 1 - q)
+    return 4 ** (i - 1) * 2 ** (j - i) * middle * 2 ** (q - p) * tail
+
+
+def er_avg_nonnegative(ec):
+    """Er_avg of a table without negative entries: every pair's error is
+    a sum of non-negative chain errors, so the absolute values distribute
+    and each chain adds e * nu_single."""
+    sae = sum(e * nu_single(ec.n, c) for c, e in ec.nonzero())
+    return Fraction(sae, 1 << (2 * ec.n))
+
+
+def condition_table_count(n, ij, pq, a=None, b=None):
+    """Independent oracle for ``count_dominated_pairs``: enumerate pairs
+    against the per-position condition table (free / generate /
+    propagate / equal end / 00 end / no-generate tail).  ``a``, ``b``
+    are ``operand_arrays(n)``, passed in to reuse them across calls."""
+    if a is None:
+        a, b = operand_arrays(n)
+    i, j = ij
+    p, q = pq
+    ok = np.ones(1 << (2 * n), dtype=bool)
+    for k in range(n):
+        ak = ((a >> k) & 1).astype(bool)
+        bk = ((b >> k) & 1).astype(bool)
+        if k == i - 1 or k == p - 1:
+            ok &= ak & bk
+        elif i <= k < j or p <= k < q:
+            ok &= ak ^ bk
+        elif k == j:
+            ok &= ~(ak ^ bk)
+        elif k == q:
+            ok &= ~ak & ~bk
+        elif k > q:
+            ok &= ~(ak & bk)
+    return int(ok.sum())
 
 
 # --- NumPy per-pair reference for the bit-sliced oracles ----------------

@@ -17,23 +17,19 @@ from pseudoadder import (
     ChainErrorTable,
     InputPair,
     KsaDelays,
-    chain_sae_contribution,
     check_conservative,
     decompose_error,
     detect_chains,
     dominating_chain,
     ec_table_sweep,
     er_avg_fast,
-    er_avg_rca,
     extract_ec_table,
     generate_ksa,
     generate_rca,
     iter_chain_sets,
     max_abs_error,
     mse_fast,
-    nu_pair,
     nu_single,
-    count_dominated_pairs,
     random_realizable_table,
     sae_oracle_chains,
     simulate,
@@ -43,7 +39,17 @@ from pseudoadder import (
     ChainSet,
 )
 from pseudoadder.sweep import PairSweep
-from conftest import chain_membership, exhaustive_pairs, operand_arrays, sums_at, traced_sum
+from conftest import (
+    chain_membership,
+    condition_table_count,
+    count_dominated_pairs,
+    er_avg_nonnegative,
+    exhaustive_pairs,
+    nu_pair,
+    operand_arrays,
+    sums_at,
+    traced_sum,
+)
 
 
 def criterion(name):
@@ -94,12 +100,18 @@ def _timed(fn):
 
 @criterion("signed-count assembly: ec=-6 meeting dominators (+,-,+)")
 def test_example_assembly():
-    assert chain_sae_contribution(-6, 2, 1) == (-6) * (2 - 1)
+    # the chain's term in the SAE is e * (nu_plus - nu_minus)
     parts = [(1, 13), (-1, -14), (1, 15)]
     for sign, other in parts:
         assert abs(-6 + other) == sign * -6 + sign * other
-    sae = sum(sign * other for sign, other in parts) + chain_sae_contribution(-6, 2, 1)
+    sae = sum(sign * other for sign, other in parts) + (-6) * (2 - 1)
     assert sae == 7 + 20 + 9
+    # er_avg_fast assembles its SAE from exactly these per-chain terms
+    ec = ChainErrorTable(8, {CarryChain(2, 4): 16, CarryChain(5, 7): -96})
+    report = er_avg_fast(ec)
+    assert report.sae == sum(
+        e * (report.nu_plus[c] - report.nu_minus[c]) for c, e in ec.nonzero()
+    )
 
 
 @criterion("oracle equivalence: fast paths exact on n in {2,4,6,8}, 50+ tables each")
@@ -133,7 +145,7 @@ def test_rca_chain_errors_nonnegative():
         t = rng.randint(0, sum(mods) + 4)
         ec = extract_ec_table(net, t)
         assert all(v >= 0 for _, v in ec.entries()), (n, mods, t, ec.nonzero())
-        assert er_avg_rca(ec) == er_avg_fast(ec).er_avg
+        assert er_avg_fast(ec).er_avg == er_avg_nonnegative(ec)
         checked += 1
     for _ in range(60):
         n = rng.randint(2, 8)
@@ -142,7 +154,7 @@ def test_rca_chain_errors_nonnegative():
         t = rng.randint(0, 4 * n + 4)
         ec = extract_ec_table(net, t)
         assert all(v >= 0 for _, v in ec.entries()), (n, t, ec.nonzero())
-        assert er_avg_rca(ec) == er_avg_fast(ec).er_avg
+        assert er_avg_fast(ec).er_avg == er_avg_nonnegative(ec)
         checked += 1
     assert checked >= 100
 
@@ -243,7 +255,7 @@ def test_count_validation():
                 if pq.i <= ij.j:
                     continue
                 got = count_dominated_pairs(n, ij, pq)
-                assert got == _condition_enumeration(n, ij, pq, a, b)
+                assert got == condition_table_count(n, ij, pq, a, b)
                 i, j = ij
                 p, q = pq
                 quoted_4 = 4 ** ((p - 1) - (j - i + 1))
@@ -256,26 +268,6 @@ def test_count_validation():
         # documented discrepancy of the quoted closed forms (see README)
         assert quoted_mismatch["q=n"] <= {1, 2}
         assert quoted_mismatch["q<n"] <= {9, 18}
-
-
-def _condition_enumeration(n, ij, pq, a, b):
-    i, j = ij
-    p, q = pq
-    ok = np.ones(1 << (2 * n), dtype=bool)
-    for k in range(n):
-        ak = ((a >> k) & 1).astype(bool)
-        bk = ((b >> k) & 1).astype(bool)
-        if k == i - 1 or k == p - 1:
-            ok &= ak & bk
-        elif i <= k < j or p <= k < q:
-            ok &= ak ^ bk
-        elif k == j:
-            ok &= ~(ak ^ bk)
-        elif k == q:
-            ok &= ~ak & ~bk
-        elif k > q:
-            ok &= ~(ak & bk)
-    return int(ok.sum())
 
 
 @criterion("scaling: expected-error fast path under 1 s at n=64, under 10 s at n=128")

@@ -236,18 +236,6 @@ def test_gen_with_file_delay_specs(capsys, tmp_path):
     assert Netlist.from_json(out).to_json_dict() == staggered_ksa8().to_json_dict()
 
 
-def test_stats_sweep_flag_matches_sweep_command(capsys, tmp_path):
-    netlist = write_staggered(tmp_path)
-    _, via_stats, _ = run_cli(
-        capsys,
-        "stats", "--netlist", netlist, "--sweep-T", "0..4", "--format", "csv",
-    )
-    _, via_sweep, _ = run_cli(
-        capsys, "sweep", "--netlist", netlist, "--t-range", "0..4", "--format", "csv"
-    )
-    assert via_stats == via_sweep
-
-
 def test_verify_sampled_mode_for_wide_netlists(capsys, tmp_path):
     netlist = write_staggered(tmp_path)
     code, out, _ = run_cli(

@@ -1,6 +1,7 @@
+import pytest
+
 from pseudoadder import (
     CarryChain,
-    ChainCompatDag,
     ChainErrorTable,
     ChainSet,
     decompose_error,
@@ -47,12 +48,13 @@ def test_witness_drops_zero_weight_tail():
 
 
 def test_compat_dag_edge_facts():
-    dag = ChainCompatDag(ChainErrorTable(16))
-    assert not dag.has_edge(CarryChain(4, 8), CarryChain(7, 10))
-    assert dag.has_edge(CarryChain(4, 8), CarryChain(9, 10))
-    assert dag.has_edge(CarryChain(9, 10), CarryChain(12, 14))
+    # an edge u -> v of the compatibility DAG is a valid two-chain set
+    with pytest.raises(ValueError):
+        ChainSet(16, (CarryChain(4, 8), CarryChain(7, 10)))
+    ChainSet(16, (CarryChain(4, 8), CarryChain(9, 10)))
+    ChainSet(16, (CarryChain(9, 10), CarryChain(12, 14)))
     path = (CarryChain(4, 8), CarryChain(9, 10), CarryChain(12, 14))
-    assert all(dag.has_edge(u, v) for u, v in zip(path, path[1:]))
+    assert ChainSet(16, path).chains == path
 
 
 def test_paths_are_exactly_realized_chain_sets():

@@ -136,8 +136,6 @@ def test_simulation_oracle_shares_a_prebuilt_sweep():
 
 
 def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "rca.json"
-    path.write_text(generate_rca(6, [1] * 6, [1] * 7).to_json())
     built = []
     init = PairSweep.__init__
 
@@ -146,8 +144,17 @@ def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
         init(self, net, keep=keep, pairs=pairs)
 
     monkeypatch.setattr(PairSweep, "__init__", counting_init)
-    code = main(["verify", "--netlist", str(path), "-T", "4"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "PASS  fast statistics equal exhaustive simulation" in out
-    assert built.count(True) == 1
+    monkeypatch.delenv("PSEUDOADDER_ORACLE_LIMIT", raising=False)
+    # with default flags every width up to the oracle limit (10) is
+    # checked over all pairs
+    for n in (6, 9):
+        path = tmp_path / f"rca{n}.json"
+        path.write_text(generate_rca(n, [1] * n, [1] * (n + 1)).to_json())
+        built.clear()
+        code = main(["verify", "--netlist", str(path), "-T", "4"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS  fast statistics equal exhaustive simulation" in out
+        # the all-pairs sweep comes first: it also serves the conservative
+        # check, so no sampled batch is built for it
+        assert built[0] and built.count(True) == 1, (n, built)

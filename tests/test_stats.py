@@ -7,9 +7,7 @@ from pseudoadder import (
     ChainErrorTable,
     OracleLimitError,
     analyze_table,
-    chain_sae_contribution,
     er_avg_fast,
-    er_avg_rca,
     extract_ec_table,
     generate_rca,
     max_abs_error,
@@ -21,7 +19,9 @@ from pseudoadder import (
     sae_oracle_simulate,
     staggered_ksa8,
 )
+from pseudoadder.counting import nu_signed_all
 from pseudoadder.stats import oracle_limit
+from conftest import er_avg_nonnegative, nu_pair
 
 
 def test_oracle_equality_randomized(rng):
@@ -86,18 +86,12 @@ def test_oracle_limit_gate(monkeypatch):
     assert sae_oracle_chains(ChainErrorTable(3), force=True).sae == 0
 
 
-def test_er_avg_rca_guards_negative_entries():
-    bad = ChainErrorTable(4, {CarryChain(2, 3): -1})
-    with pytest.raises(ValueError, match=r"\(i=2, j=3\)|chain"):
-        er_avg_rca(bad)
-
-
 def test_er_avg_rca_equals_fast_on_nonnegative(rng):
     for _ in range(20):
         n = rng.choice([2, 4, 6, 8])
         ec = random_realizable_table(n, rng, density=0.6, nonnegative=True)
-        assert er_avg_rca(ec) == er_avg_fast(ec).er_avg
-    assert er_avg_rca(ChainErrorTable(6)) == 0
+        assert er_avg_nonnegative(ec) == er_avg_fast(ec).er_avg
+    assert er_avg_fast(ChainErrorTable(6)).er_avg == er_avg_nonnegative(ChainErrorTable(6)) == 0
 
 
 def test_mse_single_chain_width_one():
@@ -120,10 +114,11 @@ def test_sae_width_one_chain():
 def test_example_signed_assembly():
     # a chain erring by -6 whose generating pairs see dominators of signs
     # +, -, + contributes (-6) * (2 - 1)
-    assert chain_sae_contribution(-6, 2, 1) == -6
+    contribution = (-6) * (2 - 1)
+    assert contribution == -6
     for sign, other in ((1, 13), (-1, -14), (1, 15)):
         assert abs(-6 + other) == sign * -6 + sign * other
-    total = (1 * 13) + (-1 * -14) + (1 * 15) + chain_sae_contribution(-6, 2, 1)
+    total = (1 * 13) + (-1 * -14) + (1 * 15) + contribution
     assert total == abs(-6 + 13) + abs(-6 - 14) + abs(-6 + 15) == 36
 
 
@@ -179,10 +174,8 @@ def test_width_one_netlist_oracle():
 
 
 def test_nu_minus_counts_cooccurrence_with_negative_dominator():
-    from pseudoadder import nu_pair, nu_signed
-
     ec = ChainErrorTable(8, {CarryChain(2, 4): 16, CarryChain(5, 7): -96})
-    plus, minus = nu_signed(ec, CarryChain(2, 4))
+    plus, minus = nu_signed_all(ec)[CarryChain(2, 4)]
     # the only negative chain sits above (2, 4), so the minus tally is
     # exactly the number of pairs generating both chains
     assert minus == nu_pair(8, CarryChain(2, 4), CarryChain(5, 7))
