@@ -24,8 +24,7 @@ from .model import (
     all_chains,
     bit,
 )
-from .netlist import Netlist
-from .sim import Time
+from .netlist import Netlist, Time
 from .sweep import PairSweep
 
 

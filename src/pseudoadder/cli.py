@@ -34,8 +34,7 @@ from .chains import detect_chains
 from .generators import KsaDelays, generate_ksa, generate_rca
 from .maxerror import max_abs_error
 from .model import ChainErrorTable, InputPair, PseudoAdderError
-from .netlist import Netlist, as_delay
-from .sim import Time
+from .netlist import Netlist, Time, as_delay
 from .stats import (
     analyze_table,
     er_avg_fast,
@@ -46,10 +45,6 @@ from .stats import (
 )
 from .sweep import PairSweep
 from .tables import random_realizable_table
-
-
-def _parse_time(text: str) -> Time:
-    return as_delay(text)
 
 
 def _parse_delay_list(spec: str, count: int, what: str) -> list:
@@ -114,9 +109,9 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     start_text, sep, stop_text = body.partition("..")
     if not sep:
         raise ValueError(f"bad T range {spec!r}, expected start..stop[:step]")
-    start = _parse_time(start_text)
-    stop = net.arrival_time() if stop_text == "quiescence" else _parse_time(stop_text)
-    step = _parse_time(step_text) if step_text else 1
+    start = as_delay(start_text)
+    stop = net.arrival_time() if stop_text == "quiescence" else as_delay(stop_text)
+    step = as_delay(step_text) if step_text else 1
     if step <= 0:
         raise ValueError("step must be positive")
     times: list[Time] = []
@@ -153,7 +148,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
-    t = _parse_time(args.T)
+    t = as_delay(args.T)
     ec = extract_ec_table(net, t)
     report = analyze_table(ec)
     if args.format == "csv":
@@ -173,7 +168,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_ec(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
-    ec = extract_ec_table(net, _parse_time(args.T))
+    ec = extract_ec_table(net, as_delay(args.T))
     _emit(json.dumps(ec.to_json_dict(), indent=2) + "\n", args.output)
     return 0
 
@@ -194,7 +189,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     p = InputPair(net.n, args.a, args.b)
     lane = PairSweep(net, pairs=[p])
     if args.times:
-        times = [_parse_time(x) for x in args.times.split(",")]
+        times = [as_delay(x) for x in args.times.split(",")]
     else:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b
@@ -235,6 +230,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # zero samples or tables would check nothing and still print PASS
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.tables < 1:
+        raise ValueError(f"--tables must be at least 1, got {args.tables}")
     failures = 0
     lines: list[str] = []
 
@@ -246,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.netlist:
         net = _load_netlist(args.netlist)
-        t = _parse_time(args.T)
+        t = as_delay(args.T)
         sweep = pairs = None
         limit = args.exhaustive_n_limit
         if net.n <= (oracle_limit() if limit is None else limit):

@@ -29,6 +29,7 @@ from graphlib import TopologicalSorter
 from typing import Sequence
 
 Delay = int | Fraction
+Time = Delay  # a read time: exact like every delay
 
 
 class GateKind(str, Enum):
@@ -169,12 +170,11 @@ class Netlist:
         except Exception as exc:
             raise ValueError(f"gate graph is not acyclic: {exc}") from exc
 
-        self.fanout: dict[str, tuple[str, ...]] = {g.id: () for g in self.gates}
         fan: dict[str, list[str]] = {g.id: [] for g in self.gates}
         for g in self.gates:
             for src in g.inputs:
                 fan[src].append(g.id)
-        self.fanout = {gid: tuple(v) for gid, v in fan.items()}
+        self.fanout: dict[str, tuple[str, ...]] = {gid: tuple(v) for gid, v in fan.items()}
 
     def input_bit(self, gate_id: str) -> tuple[str, int]:
         """Operand ('a' or 'b') and bit position bound to an INPUT gate."""

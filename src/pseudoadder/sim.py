@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import InputPair
-from .netlist import Netlist, SOURCE_KINDS, evaluate_gate
-
-Time = int | Fraction
+from .netlist import Netlist, SOURCE_KINDS, Time, evaluate_gate
 
 
 @dataclass

@@ -17,8 +17,7 @@ from fractions import Fraction
 from .counting import nu_signed_all
 from .maxerror import max_abs_error
 from .model import CarryChain, ChainErrorTable, OracleLimitError, StatsReport
-from .netlist import Netlist
-from .sim import Time
+from .netlist import Netlist, Time
 from .sweep import PairSweep, _index_bit_masks
 
 DEFAULT_ORACLE_LIMIT = 10

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
 from .model import InputPair
-from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, evaluate_gate
-from .sim import Time
+from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, evaluate_gate
 
 
 def _index_bit_masks(bits: int) -> list[int]:
@@ -42,13 +39,15 @@ def _index_bit_masks(bits: int) -> list[int]:
 
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of ``rows[i]`` becomes bit i of the
-    j-th result, for j < width."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
-    bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, :width]
-    cols = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in cols]
+    j-th result, for j < width.  Every row must be below ``2**width``.
+
+    The rows, last first, are written as one string of ``width``-digit
+    binary numerals; column j is then every width-th digit from offset
+    ``width - 1 - j``, read as a base-2 numeral."""
+    if not rows:
+        return [0] * width
+    digits = "".join(format(r, f"0{width}b") for r in reversed(rows))
+    return [int(digits[k::width], 2) for k in reversed(range(width))]
 
 
 def _gate_steps(gate: Gate, ins: list[list[tuple[Time, int]]], full: int) -> list[tuple[Time, int]]:

@@ -169,6 +169,17 @@ def condition_table_count(n, ij, pq, a=None, b=None):
 # Each pair is one array element, index ``a + (b << n)`` as in the sweep.
 
 
+def reference_transpose(rows, width):
+    """NumPy bit transpose: bit j of ``rows[i]`` becomes bit i of the
+    j-th result, for j < width (the reference for ``sweep._transpose``)."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, :width]
+    cols = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in cols]
+
+
 def operand_arrays(n):
     """Arrays of a and b per pair index (``idx = a + (b << n)``)."""
     idx = np.arange(1 << (2 * n), dtype=np.int64)

@@ -245,3 +245,25 @@ def test_verify_sampled_mode_for_wide_netlists(capsys, tmp_path):
     )
     assert code == 0
     assert "PASS  conservative" in out
+
+
+def test_verify_rejects_zero_samples(capsys, tmp_path):
+    # a sampled check over no pairs would print PASS on a failing adder
+    path = tmp_path / "rca6.json"
+    run_cli(capsys, "gen", "rca", "--n", "6", "-o", str(path))
+    sampled = ("verify", "--netlist", str(path), "-T", "0", "--exhaustive-n-limit", "4")
+    code, out, _ = run_cli(capsys, *sampled, "--samples", "128")
+    assert code == 1
+    assert "FAIL  conservative" in out
+    for samples in ("0", "-3"):
+        code, out, err = run_cli(capsys, *sampled, "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+def test_verify_rejects_zero_tables(capsys):
+    code, out, err = run_cli(capsys, "verify", "--fast-vs-oracle", "--n", "6", "--tables", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --tables must be at least 1, got 0\n"

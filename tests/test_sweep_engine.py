@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from pseudoadder import (
     InputPair,
@@ -12,7 +13,7 @@ from pseudoadder import (
     simulate,
     staggered_ksa8,
 )
-from pseudoadder.sweep import PairSweep
+from pseudoadder.sweep import PairSweep, _transpose
 from conftest import (
     exhaustive_pairs,
     lane_transitions,
@@ -20,6 +21,7 @@ from conftest import (
     operand_arrays,
     pair_index,
     random_netlist,
+    reference_transpose,
     sums_at,
     traced_sum,
 )
@@ -145,6 +147,35 @@ def test_batch_source_masks_match_all_pairs_lanes():
     for t in every.output_change_times():
         assert batch.output_masks_at(t) == every.output_masks_at(t)
         assert batch.lane_sums(t) == list(sums_at(every, t))
+
+
+@st.composite
+def bit_matrices(draw):
+    width = draw(st.integers(0, 70))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    return rows, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+@example(([], 0))
+@example(([], 13))
+@example(([0, 0], 0))
+@example(([1, 0, 1], 1))
+@example(([(1 << 9) - 1, 5, 0, 256], 9))
+def test_transpose_equals_numpy_reference(matrix):
+    rows, width = matrix
+    cols = _transpose(rows, width)
+    assert cols == reference_transpose(rows, width)
+    assert _transpose(cols, len(rows)) == rows
+
+
+def test_empty_pair_batch_has_no_lanes():
+    net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
+    sweep = PairSweep(net, pairs=[])
+    assert sweep.pair_count == 0
+    for t in (0, 2, net.arrival_time()):
+        assert sweep.lane_sums(t) == []
 
 
 def test_hand_written_json_netlist_runs():
