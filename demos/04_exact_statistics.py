@@ -29,10 +29,10 @@ print("  exact agreement.")
 print()
 
 # Per-chain signed tallies: how many generating pairs sit under a
-# positive/negative dominating chain (probability form included).
+# positive/negative dominating chain (exact probability form included).
 c = pa.CarryChain(2, 4)
 print(f"chain {tuple(c)}: nu+ = {fast.nu_plus[c]}, nu- = {fast.nu_minus[c]}, "
-      f"p+ = {fast.p_plus[c]:.4f}, p- = {fast.p_minus[c]:.4f}, "
+      f"p+ = {Fraction(fast.nu_plus[c], 4**8)}, p- = {Fraction(fast.nu_minus[c], 4**8)}, "
       f"nu = {pa.nu_single(8, c)}")
 print()
 

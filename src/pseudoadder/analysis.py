@@ -73,9 +73,11 @@ def check_conservative(
 
     With ``pairs=None`` the check is exhaustive over all 4^n pairs; pass
     a prebuilt sweep to amortize it across read times.  Counterexamples
-    are listed by position, then by lane.
+    are listed by position, then by lane.  An empty sample raises ValueError.
     """
     sw = sweep if sweep is not None else PairSweep(net, keep=set(net.outputs.values()), pairs=pairs)
+    if not sw.pair_count:
+        raise ValueError("check_conservative needs at least one pair")
     _, bad = sw.carries_at(t)
     report = ConservativeReport(read_time=t, checked=sw.pair_count)
     report.violations = sum(mask.bit_count() for mask in bad)
@@ -155,8 +157,10 @@ def verify_assumptions(
     bit span matches the canonical probe's error on every sampled witness,
     regardless of the bits outside the chain.  A failure means per-chain
     errors are ill-defined for this netlist and the fast statistics do
-    not apply.
+    not apply.  ``samples`` must be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     n = net.n
     report = AssumptionReport(read_time=t, commutative=True, independent=True)

@@ -12,6 +12,10 @@ Every simulation runs on the lane-parallel engine
 sample as one batch, a trace as one lane.  ``0..quiescence`` stops at the
 netlist's static arrival time, after which no output changes.
 
+JSON output is one compact object per line; pretty-print it with
+``python -m json.tool``.  Per-chain tallies are exact pair counts
+(``nu_plus``/``nu_minus``); divide by ``4**n`` for a probability.
+
 Exit code 0 means no errors and no failed verification; a failed
 verification or an error (printed as ``error: ...``) exits 1.  All
 sampling takes an explicit ``--seed`` (default 0) so reports are
@@ -27,14 +31,13 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .analysis import check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
 from .chains import detect_chains
 from .generators import KsaDelays, generate_ksa, generate_rca
 from .maxerror import max_abs_error
 from .model import ChainErrorTable, InputPair, PseudoAdderError
-from .netlist import Netlist, Time, as_delay
+from .netlist import Netlist, Time, as_delay, malformed_json
 from .stats import (
     analyze_table,
     er_avg_fast,
@@ -52,9 +55,8 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
     if spec.startswith("uniform:"):
         return [as_delay(spec.split(":", 1)[1])] * count
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            values = json.load(fh)
-        return [as_delay(v) for v in values]
+        with open(spec.split(":", 1)[1]) as fh, malformed_json("delay list"):
+            return [as_delay(v) for v in json.load(fh)]
     values = [as_delay(part) for part in spec.split(",")]
     if len(values) != count:
         raise ValueError(f"{what}: expected {count} delays, got {len(values)}")
@@ -88,16 +90,15 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 def _stats_row(t: Time, ec: ChainErrorTable) -> dict:
     report = analyze_table(ec)
-    mse = report.mse if report.mse is not None else Fraction(0)
     return {
         "T": str(t),
         "sae": report.sae,
         "er_avg_num": report.er_avg.numerator,
         "er_avg_den": report.er_avg.denominator,
         "er_avg": report.er_avg_float,
-        "mse_num": mse.numerator,
-        "mse_den": mse.denominator,
-        "mse": float(mse),
+        "mse_num": report.mse.numerator,
+        "mse_den": report.mse.denominator,
+        "mse": float(report.mse),
         "max_abs_error": report.max_abs_error,
     }
 
@@ -122,11 +123,6 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     return times
 
 
-def _sweep_rows(net: Netlist, times: list[Time]) -> list[dict]:
-    tables = ec_table_sweep(net, times)
-    return [_stats_row(t, tables[t]) for t in times]
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "rca":
         carry = _parse_delay_list(args.carry_delays, args.n, "--carry-delays")
@@ -142,7 +138,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             delays = as_delay(spec)
         net = generate_ksa(args.n, delays)
-    _emit(net.to_json(indent=2) + "\n", args.output)
+    _emit(net.to_json() + "\n", args.output)
     return 0
 
 
@@ -150,7 +146,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     t = as_delay(args.T)
     ec = extract_ec_table(net, t)
-    report = analyze_table(ec)
     if args.format == "csv":
         row = {"n": net.n, **_stats_row(t, ec)}
         _emit(_rows_to_csv([row]), args.output)
@@ -160,16 +155,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "T": str(t),
             "sign_convention": "true_sum_minus_computed_sum",
             "ec": ec.to_json_dict(),
-            "stats": report.to_json_dict(),
+            "stats": analyze_table(ec).to_json_dict(),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(json.dumps(payload) + "\n", args.output)
     return 0
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     ec = extract_ec_table(net, as_delay(args.T))
-    _emit(json.dumps(ec.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(json.dumps(ec.to_json_dict()) + "\n", args.output)
     return 0
 
 
@@ -208,22 +203,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(_rows_to_csv(rows), args.output)
     else:
-        _emit(
-            json.dumps(
-                {"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}, indent=2
-            )
-            + "\n",
-            args.output,
-        )
+        _emit(json.dumps({"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}) + "\n", args.output)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     times = _parse_t_range(args.t_range, net)
-    rows = _sweep_rows(net, times)
+    rows = [_stats_row(t, ec) for t, ec in ec_table_sweep(net, times).items()]
     if args.format == "json":
-        _emit(json.dumps({"n": net.n, "rows": rows}, indent=2) + "\n", args.output)
+        _emit(json.dumps({"n": net.n, "rows": rows}) + "\n", args.output)
     else:
         _emit(_rows_to_csv(rows), args.output)
     return 0

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json
+from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json, malformed_json
 
 
 def _input_gates(n: int) -> list[Gate]:
@@ -96,11 +96,12 @@ class KsaDelays:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KsaDelays":
-        return cls(
-            pg=tuple(as_delay(d) for d in data["pg"]),
-            prefix=tuple(tuple(as_delay(d) for d in row) for row in data["prefix"]),
-            sums=tuple(as_delay(d) for d in data["sum"]),
-        )
+        with malformed_json("KSA delay"):
+            return cls(
+                pg=tuple(as_delay(d) for d in data["pg"]),
+                prefix=tuple(tuple(as_delay(d) for d in row) for row in data["prefix"]),
+                sums=tuple(as_delay(d) for d in data["sum"]),
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "KsaDelays":

@@ -9,7 +9,7 @@ integers; exact ratios use ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -210,8 +210,6 @@ class StatsReport:
     max_abs_error: int | None = None
     nu_plus: dict[CarryChain, int] | None = None
     nu_minus: dict[CarryChain, int] | None = None
-    p_plus: dict[CarryChain, float] | None = field(default=None, repr=False)
-    p_minus: dict[CarryChain, float] | None = field(default=None, repr=False)
 
     @property
     def er_avg_float(self) -> float:
@@ -225,7 +223,7 @@ class StatsReport:
                 "float": float(x),
             }
 
-        def chainmap(m: dict[CarryChain, int] | dict[CarryChain, float] | None):
+        def chainmap(m: dict[CarryChain, int] | None):
             if m is None:
                 return None
             return [{"i": c.i, "j": c.j, "value": v} for c, v in sorted(m.items())]
@@ -238,8 +236,6 @@ class StatsReport:
             "max_abs_error": self.max_abs_error,
             "nu_plus": chainmap(self.nu_plus),
             "nu_minus": chainmap(self.nu_minus),
-            "p_plus": chainmap(self.p_plus),
-            "p_minus": chainmap(self.p_minus),
         }
 
 

@@ -22,11 +22,11 @@ an exact ``"p/q"`` string; floats are read but never written.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from graphlib import TopologicalSorter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Delay = int | Fraction
 Time = Delay  # a read time: exact like every delay
@@ -104,6 +104,16 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
     return d
 
 
+@contextmanager
+def malformed_json(what: str) -> Iterator[None]:
+    """Raise a missing key or wrongly typed value in decoded JSON as ValueError."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed {what} JSON: {fault}") from exc
+
+
 def delay_to_json(d: Delay) -> int | str:
     """Exact JSON form of a delay: an int, else ``"p/q"`` (see :func:`as_delay`)."""
     return d if isinstance(d, int) else str(d)
@@ -164,17 +174,24 @@ class Netlist:
             if gid not in self.by_id:
                 raise ValueError(f"output {pos}: unknown gate {gid!r}")
 
-        sorter = TopologicalSorter({g.id: g.inputs for g in self.gates})
-        try:
-            self.order: tuple[str, ...] = tuple(sorter.static_order())
-        except Exception as exc:
-            raise ValueError(f"gate graph is not acyclic: {exc}") from exc
-
         fan: dict[str, list[str]] = {g.id: [] for g in self.gates}
         for g in self.gates:
             for src in g.inputs:
                 fan[src].append(g.id)
         self.fanout: dict[str, tuple[str, ...]] = {gid: tuple(v) for gid, v in fan.items()}
+
+        # Kahn's algorithm over the fanout; a duplicate input is two edges
+        waiting = {g.id: len(g.inputs) for g in self.gates}
+        order = [g.id for g in self.gates if not g.inputs]  # grows as gates become ready
+        for gid in order:
+            for dst in fan[gid]:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    order.append(dst)
+        if len(order) < len(self.gates):
+            stuck = ", ".join(g.id for g in self.gates if waiting[g.id])
+            raise ValueError(f"gate graph is not acyclic: gates on or behind a cycle: {stuck}")
+        self.order: tuple[str, ...] = tuple(order)
 
     def input_bit(self, gate_id: str) -> tuple[str, int]:
         """Operand ('a' or 'b') and bit position bound to an INPUT gate."""
@@ -216,22 +233,23 @@ class Netlist:
             "outputs": {str(pos): gid for pos, gid in sorted(self.outputs.items())},
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Netlist":
-        gates = [
-            Gate(
-                id=str(g["id"]),
-                kind=GateKind(g["kind"]),
-                inputs=tuple(str(s) for s in g.get("inputs", [])),
-                delay=as_delay(g.get("delay", 0)),
-            )
-            for g in data["gates"]
-        ]
-        outputs = {int(pos): str(gid) for pos, gid in data["outputs"].items()}
-        return cls(int(data["n"]), gates, outputs)
+        with malformed_json("netlist"):
+            gates = [
+                Gate(
+                    id=str(g["id"]),
+                    kind=GateKind(g["kind"]),
+                    inputs=tuple(str(s) for s in g.get("inputs", [])),
+                    delay=as_delay(g.get("delay", 0)),
+                )
+                for g in data["gates"]
+            ]
+            outputs = {int(pos): str(gid) for pos, gid in data["outputs"].items()}
+            return cls(int(data["n"]), gates, outputs)
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":

@@ -70,15 +70,6 @@ def _add_masked(d: list[int], m: int, e: int) -> None:
         v >>= 1
 
 
-def _with_tallies(report: StatsReport, nu_p: dict, nu_m: dict) -> StatsReport:
-    """Attach the sign-classified chain counts and their float shares."""
-    pairs = 1 << (2 * report.n)
-    report.nu_plus, report.nu_minus = nu_p, nu_m
-    report.p_plus = {c: v / pairs for c, v in nu_p.items()}
-    report.p_minus = {c: v / pairs for c, v in nu_m.items()}
-    return report
-
-
 def _slices_report(n: int, d: list[int], full: int) -> StatsReport:
     """SAE, MSE and max |error| of the per-lane signed errors held in the
     two's-complement slices d (top slice = sign, magnitude below it)."""
@@ -129,10 +120,10 @@ def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
             _add_masked(d, m, e)
             pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
     report = _slices_report(n, d, (1 << (1 << (2 * n))) - 1)
-    nu_p, nu_m = {}, {}
+    report.nu_plus, report.nu_minus = {}, {}
     for c, m in _chain_masks(gen, prop):
-        nu_p[c], nu_m[c] = (m & pos).bit_count(), (m & neg).bit_count()
-    return _with_tallies(report, nu_p, nu_m)
+        report.nu_plus[c], report.nu_minus[c] = (m & pos).bit_count(), (m & neg).bit_count()
+    return report
 
 
 def sae_oracle_simulate(
@@ -168,10 +159,11 @@ def er_avg_fast(ec: ChainErrorTable) -> StatsReport:
     """
     signed = nu_signed_all(ec)
     sae = sum(e * (signed[c][0] - signed[c][1]) for c, e in ec.nonzero())
-    report = StatsReport(ec.n, sae, Fraction(sae, 1 << (2 * ec.n)))
-    nu_p = {c: plus for c, (plus, _) in signed.items()}
-    nu_m = {c: minus for c, (_, minus) in signed.items()}
-    return _with_tallies(report, nu_p, nu_m)
+    return StatsReport(
+        ec.n, sae, Fraction(sae, 1 << (2 * ec.n)),
+        nu_plus={c: plus for c, (plus, _) in signed.items()},
+        nu_minus={c: minus for c, (_, minus) in signed.items()},
+    )
 
 
 def mse_fast(ec: ChainErrorTable) -> Fraction:

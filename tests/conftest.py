@@ -240,8 +240,6 @@ def oracle_report(n, totals, chains=None, members=None, ec=None):
             sign[m] = 1 if e > 0 else -1
     report.nu_plus = {c: int((m & (sign == 1)).sum()) for c, m in zip(chains, members)}
     report.nu_minus = {c: int((m & (sign == -1)).sum()) for c, m in zip(chains, members)}
-    report.p_plus = {c: v / pairs for c, v in report.nu_plus.items()}
-    report.p_minus = {c: v / pairs for c, v in report.nu_minus.items()}
     return report
 
 

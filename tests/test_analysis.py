@@ -132,6 +132,15 @@ def test_sampled_mode_agrees_with_exhaustive():
     assert not bad.passed and bad.counterexamples == [(1, 0, 0)]
 
 
+def test_conservative_check_refuses_an_empty_sample():
+    # exhaustively this read fails everywhere; a check over no pairs
+    # must not report a pass
+    net = generate_rca(6, [1] * 6, [1] * 7)
+    assert check_conservative(net, 0).violations == 8160
+    with pytest.raises(ValueError, match="at least one pair"):
+        check_conservative(net, 0, pairs=[])
+
+
 def test_extract_zero_table_from_correct_adder():
     net = generate_ksa(4, 1)
     ec = extract_ec_table(net, 1000)
@@ -197,6 +206,14 @@ def test_generators_pass_assumption_checks():
             report.commutativity_counterexamples,
             report.independence_counterexamples,
         )
+
+
+def test_assumption_check_refuses_fewer_than_one_sample():
+    net = ignores_a0_rca2()
+    assert not verify_assumptions(net, 1000, samples=1).commutative
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_assumptions(net, 1000, samples=samples)
 
 
 def test_ignored_input_fails_commutativity():

@@ -76,6 +76,42 @@ def test_stats_json_and_csv_agree(capsys, tmp_path):
     assert entries[(5, 7)] == -96
 
 
+def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "ksa64.json"
+    run_cli(capsys, "gen", "ksa", "--n", "64", "-o", str(path))
+    tracemalloc.start()
+    try:
+        code = main(["stats", "--netlist", str(path), "-T", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    # an indented (pure-Python) encode of the report with float tally
+    # maps peaked at 10.9 MB; the compact, exact-only one at 5.5 MB
+    assert peak < 7_000_000, f"stats peaked at {peak / 1e6:.1f} MB"
+    assert out.endswith("\n") and out.count("\n") == 1
+    stats = json.loads(out)["stats"]
+    assert "p_plus" not in stats and "p_minus" not in stats
+    assert len(stats["nu_plus"]) == len(stats["nu_minus"]) == 64 * 65 // 2
+
+
+def test_json_outputs_are_one_line(capsys, tmp_path):
+    netlist = write_staggered(tmp_path)
+    for argv in (
+        ("gen", "ksa", "--n", "8"),
+        ("ec", "--netlist", netlist, "-T", "7"),
+        ("trace", "--netlist", netlist, "-a", "86", "-b", "59"),
+        ("sweep", "--netlist", netlist, "--t-range", "0..quiescence", "--format", "json"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert isinstance(json.loads(out), dict)
+
+
 def test_ec_command(capsys, tmp_path):
     netlist = write_staggered(tmp_path)
     code, out, _ = run_cli(capsys, "ec", "--netlist", netlist, "-T", "7")
@@ -169,6 +205,26 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert err.startswith("error: probe for chain") and "Traceback" not in err
+
+    # malformed netlist and delay files name the fault, without a traceback
+    no_kind = {"n": 1, "gates": [{"id": "a0"}], "outputs": {}}
+    for text, fault in (
+        ("{}", "missing key 'gates'"),
+        (json.dumps(no_kind), "missing key 'kind'"),
+        ("[1]", "list indices must be integers"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "stats", "--netlist", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed netlist JSON: {fault}")
+    path.write_text('{"pg": [1, 1], "prefix": 3, "sum": [1, 1, 1]}')
+    code, out, err = run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed KSA delay JSON: 'int' object is not iterable")
+    path.write_text("5")
+    code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed delay list JSON: 'int' object is not iterable")
 
 
 def test_verify_pass_and_exit_codes(capsys, tmp_path):

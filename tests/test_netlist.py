@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from pseudoadder import (
     generate_ksa,
     generate_rca,
 )
+from conftest import random_netlist
 
 
 def inputs_for(n):
@@ -61,11 +63,50 @@ def test_netlist_validation_errors():
 
 
 def test_netlist_rejects_cycles():
-    gates = inputs_for(1)
-    gates.append(Gate("x", GateKind.AND2, ("y", "a0")))
-    gates.append(Gate("y", GateKind.OR2, ("x", "b0")))
-    with pytest.raises(ValueError, match="acyclic"):
-        Netlist(1, gates, {0: "x", 1: "y"})
+    cases = [
+        # two gates feeding each other
+        ([Gate("x", GateKind.AND2, ("y", "a0")), Gate("y", GateKind.OR2, ("x", "b0"))], "x, y"),
+        # a self-loop
+        ([Gate("x", GateKind.AND2, ("x", "a0")), Gate("y", GateKind.BUF, ("b0",))], "x"),
+        # a cycle hanging off valid gates, with a valid gate behind it
+        (
+            [
+                Gate("p", GateKind.XOR2, ("a0", "b0")),
+                Gate("q", GateKind.BUF, ("p",)),
+                Gate("x", GateKind.AND2, ("q", "z")),
+                Gate("z", GateKind.NOT, ("x",)),
+                Gate("y", GateKind.OR2, ("z", "p")),
+            ],
+            "x, z, y",
+        ),
+    ]
+    for extra, stuck in cases:
+        with pytest.raises(ValueError, match=f"not acyclic: .*: {stuck}$"):
+            Netlist(1, inputs_for(1) + extra, {0: "x", 1: "y"})
+
+
+def test_duplicate_input_gate_builds():
+    gates = inputs_for(1) + [
+        Gate("s0", GateKind.XOR2, ("a0", "a0")),
+        Gate("s1", GateKind.MAJ3, ("s0", "b0", "s0")),
+    ]
+    net = Netlist(1, gates, {0: "s0", 1: "s1"})
+    assert net.order[-2:] == ("s0", "s1")
+    assert net.fanout["a0"] == ("s0", "s0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_order_is_topological(seed, n):
+    rng = random.Random(seed)
+    base = random_netlist(n, rng)
+    gates = list(base.gates)
+    rng.shuffle(gates)  # the order must not lean on the listing order
+    net = Netlist(n, gates, base.outputs)
+    assert sorted(net.order) == sorted(g.id for g in gates)
+    position = {gid: k for k, gid in enumerate(net.order)}
+    for g in gates:
+        assert all(position[s] < position[g.id] for s in g.inputs)
 
 
 def test_generated_netlists_roundtrip_json():
