@@ -182,10 +182,9 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
-    lane = PairSweep(net, pairs=[p])
-    if args.times:
-        times = [as_delay(x) for x in args.times.split(",")]
-    else:
+    times = [as_delay(x) for x in args.times.split(",")] if args.times else None
+    lane = PairSweep(net, pairs=[p], times=times)
+    if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b
     rows = []
@@ -240,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         limit = args.exhaustive_n_limit
         if net.n <= (oracle_limit() if limit is None else limit):
             # one all-pairs run serves the conservative check and the oracle
-            sweep = PairSweep(net, keep=set(net.outputs.values()))
+            sweep = PairSweep(net, keep=set(net.outputs.values()), times=[t])
         else:
             rng = random.Random(args.seed)
             pairs = [

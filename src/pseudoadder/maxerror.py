@@ -44,8 +44,8 @@ def max_abs_error(ec: ChainErrorTable) -> tuple[int, ChainSet]:
     list; a zero result returns the empty chain set.
     """
     n = ec.n
-    best_max: dict[CarryChain, int] = {}
-    best_min: dict[CarryChain, int] = {}
+    best_max: dict[tuple[int, int], int] = {}
+    best_min: dict[tuple[int, int], int] = {}
     # suffix_max[t] = best path value over vertices with start >= t
     suffix_max: list[int | None] = [None] * (n + 2)
     suffix_min: list[int | None] = [None] * (n + 2)
@@ -53,14 +53,13 @@ def max_abs_error(ec: ChainErrorTable) -> tuple[int, ChainSet]:
         row_max: int | None = None
         row_min: int | None = None
         for j in range(i, n + 1):
-            c = CarryChain(i, j)
             w = ec.get(i, j)
             cont_max = suffix_max[j + 1]
             cont_min = suffix_min[j + 1]
             bmax = w + max(0, cont_max) if cont_max is not None else w
             bmin = w + min(0, cont_min) if cont_min is not None else w
-            best_max[c] = bmax
-            best_min[c] = bmin
+            best_max[i, j] = bmax
+            best_min[i, j] = bmin
             row_max = bmax if row_max is None else max(row_max, bmax)
             row_min = bmin if row_min is None else min(row_min, bmin)
         suffix_max[i] = row_max if suffix_max[i + 1] is None else max(row_max, suffix_max[i + 1])
@@ -81,7 +80,7 @@ def max_abs_error(ec: ChainErrorTable) -> tuple[int, ChainSet]:
 
 def _reconstruct(
     ec: ChainErrorTable,
-    best: dict[CarryChain, int],
+    best: dict[tuple[int, int], int],
     target: int,
     positive: bool,
 ) -> tuple[CarryChain, ...]:
@@ -96,14 +95,10 @@ def _reconstruct(
     start = 1
     remaining = target
     while True:
-        pick = None
-        for i in range(start, n + 1):
-            for j in range(i, n + 1):
-                if best[CarryChain(i, j)] == remaining:
-                    pick = CarryChain(i, j)
-                    break
-            if pick:
-                break
+        pick = next(
+            (CarryChain(i, j) for i in range(start, n + 1) for j in range(i, n + 1) if best[i, j] == remaining),
+            None,
+        )
         assert pick is not None, "DP value has no realizing vertex"
         chosen.append(pick)
         remaining -= ec.get(pick.i, pick.j)

@@ -152,11 +152,12 @@ class ChainErrorTable:
                 ec[chain] = int(value)
         self._ec = ec
 
+    # a CarryChain hashes and compares equal to its plain (i, j) tuple
     def __getitem__(self, key: tuple[int, int]) -> int:
-        return self._ec.get(CarryChain(*key), 0)
+        return self._ec.get(tuple(key), 0)
 
     def get(self, i: int, j: int) -> int:
-        return self._ec.get(CarryChain(i, j), 0)
+        return self._ec.get((i, j), 0)
 
     def nonzero(self) -> list[tuple[CarryChain, int]]:
         """Chains with a nonzero error, ascending by (i, j)."""

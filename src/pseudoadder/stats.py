@@ -135,7 +135,7 @@ def sae_oracle_simulate(
     n = net.n
     _check_oracle_width(n, force)
     if sweep is None:
-        sweep = PairSweep(net, keep=set(net.outputs.values()))
+        sweep = PairSweep(net, keep=set(net.outputs.values()), times=[t])
     elif sweep.net is not net or sweep.pair_count != 1 << (2 * n):
         raise ValueError("sae_oracle_simulate needs the all-pairs sweep of the same netlist")
     bit, c = sweep.operand_bit_mask, sweep.true_carry_masks()

@@ -12,6 +12,10 @@ The lanes are either all 4^n pairs, indexed ``idx = a + (b << n)``, or
 any given batch of pairs: the n(n+1)/2 chain probes, a sample, or a
 single pair.  :func:`read_carries` is the one validity rule of the
 carry-chain model, applied to lane masks.
+
+A sweep built for given read times answers only at them.  It stops at the
+last one (exact under transport delays) and keeps one mask per output and
+time: 128 KB at n=10, not ~8 MB of whole waveforms (unit-delay RCA-10).
 """
 
 from __future__ import annotations
@@ -50,16 +54,20 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return [int(digits[k::width], 2) for k in reversed(range(width))]
 
 
-def _gate_steps(gate: Gate, ins: list[list[tuple[Time, int]]], full: int) -> list[tuple[Time, int]]:
-    """Output changes of one gate: evaluate at t=0 and at every input
-    change, walking the inputs' step lists with one pointer each, and
-    shift each change of value by the gate delay."""
+def _gate_steps(
+    gate: Gate, ins: list[list[tuple[Time, int]]], full: int, horizon: Time | float
+) -> list[tuple[Time, int]]:
+    """Output changes of one gate up to ``horizon``: evaluate at t=0 and
+    at every input change, walking the inputs' step lists with one pointer
+    each, and shift each change of value by the gate delay."""
     times = sorted({0}.union(*([t for t, _ in steps] for steps in ins)))
     ptr = [0] * len(ins)
     vals = [0] * len(ins)
     out: list[tuple[Time, int]] = []
     prev = 0
     for t in times:
+        if t + gate.delay > horizon:
+            break
         for x, steps in enumerate(ins):
             k = ptr[x]
             if k < len(steps) and steps[k][0] == t:
@@ -116,6 +124,13 @@ class PairSweep:
     lane k is ``pairs[k]``, duplicates allowed.  Only the gates in
     ``keep`` (default: all) and the sum outputs keep their waveforms; any
     other waveform is freed as soon as its last fanout has read it.
+
+    ``times`` (default: the whole history) lists the only read times the
+    sweep answers; any other read, :meth:`quiescence_time` and
+    :meth:`output_change_times` raise ValueError.  Gates are simulated up
+    to the last one (exact: with transport delays an output at tau depends
+    only on inputs at tau - d); kept waveforms hold just those samples, so
+    at one T the unit-delay RCA-10 keeps 11 masks of 128 KB, not 65.
     """
 
     def __init__(
@@ -123,8 +138,12 @@ class PairSweep:
         net: Netlist,
         keep: set[str] | None = None,
         pairs: list[InputPair] | None = None,
+        times: list[Time] | None = None,
     ):
         self.net = net
+        self._reads = None if times is None else frozenset(times)
+        reads = sorted(self._reads or ())
+        horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
         if pairs is None:
             self._words: list[int] | None = None
@@ -156,7 +175,7 @@ class PairSweep:
                     mask = self.full if gate.kind is GateKind.CONST1 else 0
                 steps = [(0, mask)] if mask else []
             else:
-                steps = _gate_steps(gate, [live[s] for s in gate.inputs], self.full)
+                steps = _gate_steps(gate, [live[s] for s in gate.inputs], self.full, horizon)
                 for s in gate.inputs:
                     unread[s] -= 1
                     if not unread[s]:
@@ -166,13 +185,22 @@ class PairSweep:
             if unread[gid]:
                 live[gid] = steps
             if gid in wanted:
-                self._wf[gid] = Waveform(steps)
+                wf = Waveform(steps)
+                if times is not None:
+                    values = [wf.at(t) for t in reads]
+                    wf = Waveform([(t, v) for t, v, before in zip(reads, values, [0, *values]) if v != before])
+                self._wf[gid] = wf
 
     def waveform(self, gate_id: str) -> Waveform:
         return self._wf[gate_id]
 
+    def _whole_history(self, what: str) -> None:
+        if self._reads is not None:
+            raise ValueError(f"{what} needs the whole history; this sweep was built for given read times")
+
     def quiescence_time(self) -> Time:
         """Time of the last change of any gate in any lane."""
+        self._whole_history("quiescence_time")
         return self._quiescence
 
     def lane_pair(self, lane: int) -> tuple[int, int]:
@@ -182,6 +210,7 @@ class PairSweep:
 
     def output_change_times(self) -> list[Time]:
         """Sorted times at which any sum bit changes in any lane."""
+        self._whole_history("output_change_times")
         times: set[Time] = {0}
         for gid in self.net.outputs.values():
             times.update(self._wf[gid].times)
@@ -191,6 +220,8 @@ class PairSweep:
         """One lane mask per sum position 0..n at read time t."""
         if t < 0:
             raise ValueError(f"read time must be non-negative, got {t}")
+        if self._reads is not None and t not in self._reads:
+            raise ValueError(f"read time {t} is not one of this sweep's read times")
         return [self._wf[self.net.outputs[pos]].at(t) for pos in range(self.n + 1)]
 
     def lane_sums(self, t: Time) -> list[int]:

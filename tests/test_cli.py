@@ -98,6 +98,29 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     assert len(stats["nu_plus"]) == len(stats["nu_minus"]) == 64 * 65 // 2
 
 
+def test_verify_rca10_in_bounded_memory(capsys, monkeypatch, tmp_path):
+    import tracemalloc
+
+    from pseudoadder import generate_rca
+
+    monkeypatch.delenv("PSEUDOADDER_ORACLE_LIMIT", raising=False)
+    path = tmp_path / "rca10.json"
+    path.write_text(generate_rca(10, [1] * 10, [1] * 11).to_json())
+    tracemalloc.start()
+    try:
+        # T=11 is quiescence: the exhaustive check covers every output step
+        code = main(["verify", "--netlist", str(path), "-T", "11"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS  fast statistics equal exhaustive simulation" in out
+    # keeping every output's whole waveform over the 4^10 lanes peaked at
+    # 15.3 MB; keeping only the masks at T, at 8.8 MB
+    assert peak < 10_000_000, f"verify peaked at {peak / 1e6:.1f} MB"
+
+
 def test_json_outputs_are_one_line(capsys, tmp_path):
     netlist = write_staggered(tmp_path)
     for argv in (

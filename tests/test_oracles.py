@@ -139,9 +139,9 @@ def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
     built = []
     init = PairSweep.__init__
 
-    def counting_init(self, net, keep=None, pairs=None):
-        built.append(pairs is None)
-        init(self, net, keep=keep, pairs=pairs)
+    def counting_init(self, net, keep=None, pairs=None, times=None):
+        built.append((pairs is None, times))
+        init(self, net, keep=keep, pairs=pairs, times=times)
 
     monkeypatch.setattr(PairSweep, "__init__", counting_init)
     monkeypatch.delenv("PSEUDOADDER_ORACLE_LIMIT", raising=False)
@@ -156,5 +156,7 @@ def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
         assert code == 0, out
         assert "PASS  fast statistics equal exhaustive simulation" in out
         # the all-pairs sweep comes first: it also serves the conservative
-        # check, so no sampled batch is built for it
-        assert built[0] and built.count(True) == 1, (n, built)
+        # check, so no sampled batch is built for it; it is simulated only
+        # up to the one read time it answers
+        exhaustive = [times for all_pairs, times in built if all_pairs]
+        assert built[0][0] and exhaustive == [[4]], (n, built)

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pseudoadder import (
@@ -13,7 +16,8 @@ from pseudoadder import (
     simulate,
     staggered_ksa8,
 )
-from pseudoadder.sweep import PairSweep, _transpose
+from pseudoadder import sweep as sweep_module
+from pseudoadder.sweep import PairSweep, _gate_steps as gate_steps, _transpose
 from conftest import (
     exhaustive_pairs,
     lane_transitions,
@@ -147,6 +151,76 @@ def test_batch_source_masks_match_all_pairs_lanes():
     for t in every.output_change_times():
         assert batch.output_masks_at(t) == every.output_masks_at(t)
         assert batch.lane_sums(t) == list(sums_at(every, t))
+
+
+rationals = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+@st.composite
+def bounded_sweep_cases(draw):
+    """A netlist (random gate DAG, or RCA/KSA with rational delays), a lane
+    choice (all pairs, a batch with duplicates, one pair) and read times."""
+    kind = draw(st.sampled_from(["dag", "rca", "ksa"]))
+    if kind == "dag":
+        n = draw(st.integers(1, 3))
+        net = random_netlist(n, random.Random(draw(st.integers(0, 1 << 32))))
+    elif kind == "rca":
+        n = draw(st.integers(1, 4))
+        net = generate_rca(n, draw(st.lists(rationals, min_size=n, max_size=n)),
+                           draw(st.lists(rationals, min_size=n + 1, max_size=n + 1)))
+    else:
+        n = draw(st.sampled_from([2, 4]))
+
+        def row(k):
+            return tuple(draw(st.lists(rationals, min_size=k, max_size=k)))
+
+        net = generate_ksa(n, KsaDelays(row(n), tuple(row(n) for _ in range((n - 1).bit_length())), row(n + 1)))
+    operand = st.integers(0, (1 << n) - 1)
+    pair = st.builds(InputPair, st.just(n), operand, operand)
+    lanes = draw(st.sampled_from(["all", "batch", "one"]))
+    if lanes == "all":
+        pairs = None
+    elif lanes == "batch":
+        pairs = draw(st.lists(pair, min_size=1, max_size=20))
+    else:
+        pairs = [draw(pair)]
+    reads = draw(st.lists(st.fractions(min_value=0, max_value=12, max_denominator=6), max_size=4))
+    return net, pairs, reads, draw(st.fractions(min_value=0, max_value=12, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_sweep_cases())
+def test_bounded_sweep_equals_full_sweep(case):
+    net, pairs, reads, other = case
+    full = PairSweep(net, pairs=pairs)
+    past = full.quiescence_time() + Fraction(1, 2)
+    # 0 and the drawn (mostly rational) times, with and without a time
+    # past quiescence
+    for times in ([0, *reads, past], [0, *reads]):
+        simulated = []
+
+        def spy(*args):
+            steps = gate_steps(*args)
+            simulated.extend(t for t, _ in steps)
+            return steps
+
+        with mock.patch.object(sweep_module, "_gate_steps", spy):
+            bounded = PairSweep(net, pairs=pairs, times=times)
+        # no gate changes past the last read, and only the masks at the
+        # read times are kept
+        assert all(t <= max(times) for t in simulated)
+        for gid in net.outputs.values():
+            assert set(bounded.waveform(gid).times) <= set(times)
+        for t in times:
+            assert bounded.output_masks_at(t) == full.output_masks_at(t), t
+            assert bounded.carries_at(t) == full.carries_at(t), t
+            assert bounded.lane_sums(t) == full.lane_sums(t), t
+        unlisted = other if other not in times else max(times) + 1
+        with pytest.raises(ValueError, match="not one of this sweep's read times"):
+            bounded.output_masks_at(unlisted)
+        for whole_history in (bounded.quiescence_time, bounded.output_change_times):
+            with pytest.raises(ValueError, match="whole history"):
+                whole_history()
 
 
 @st.composite
