@@ -25,7 +25,6 @@ from .chains import (
     isolate_chain,
     witness_for_chain_set,
 )
-from .counting import nu_single
 from .generators import (
     KsaDelays,
     generate_ksa,
@@ -53,6 +52,7 @@ from .stats import (
     analyze_table,
     er_avg_fast,
     mse_fast,
+    nu_single,
     oracle_limit,
     sae_oracle_chains,
     sae_oracle_simulate,

@@ -199,9 +199,11 @@ class StatsReport:
     """Exact error statistics of a pseudo-adder over all 2^(2n) input pairs.
 
     ``sae`` is the summed absolute error, ``er_avg = sae / 2**(2n)``.  The
-    per-chain maps count input pairs by the sign of their dominating
-    (leftmost error-contributing) chain; they are ``None`` for oracles
-    that never look at chains.
+    per-chain maps count a chain's generating input pairs by the sign of
+    their dominating (leftmost error-contributing) chain.  The fast path
+    tallies exactly the erring chains (nonzero entries; the others enter
+    no statistic), the chain oracle every chain, and oracles that never
+    look at chains leave them ``None``.
     """
 
     n: int

@@ -3,9 +3,13 @@
 The oracles enumerate all 2^(2n) input pairs, bit-sliced over the
 all-pairs sweep's lanes: every pair's signed error is a bit of each of
 a few two's-complement slice masks, O(n * 4^n / 8) bytes in all; a width
-limit gates them.  The fast paths work from a chain-error table in
-quadratic time and are exact for any table realizable by a conservative
-pseudo-adder.
+limit gates them.  The fast path, :func:`analyze_table`, works from a
+chain-error table: one scan over bit positions yields SAE/Er_avg, MSE,
+max |error| with a witness, and the per-chain tallies of every erring
+chain, in quadratic time.  It is exact for any table realizable by a
+conservative pseudo-adder, checks the sign law this rests on, and
+raises ``ValueError`` for a table that breaks it.  ``er_avg_fast``,
+``mse_fast`` and ``maxerror.max_abs_error`` are views of the same scan.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ import os
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .counting import nu_signed_all
-from .maxerror import max_abs_error
-from .model import CarryChain, ChainErrorTable, OracleLimitError, StatsReport
+from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
 from .netlist import Netlist, Time
 from .sweep import PairSweep, _index_bit_masks
 
@@ -148,53 +150,108 @@ def sae_oracle_simulate(
     return _slices_report(n, d, sweep.full)
 
 
-def er_avg_fast(ec: ChainErrorTable) -> StatsReport:
-    """Expected absolute error in quadratic time, exactly.
+def nu_single(n: int, c: CarryChain) -> int:
+    """Number of pairs generating the chain (i, j).
 
-    Each pair generating a chain adds the chain's error multiplied by
-    the sign of that pair's dominating chain, so a chain contributes
-    ``e * (nu_plus - nu_minus)``; valid for tables realizable by a
-    conservative pseudo-adder (where the dominating chain fixes the
-    error sign).
+    Positions below the generate are free, the chain pattern is fixed,
+    the end position has two equal-bits choices unless it is the forced
+    top position, and everything above is free.
     """
-    signed = nu_signed_all(ec)
-    sae = sum(e * (signed[c][0] - signed[c][1]) for c, e in ec.nonzero())
-    return StatsReport(
-        ec.n, sae, Fraction(sae, 1 << (2 * ec.n)),
-        nu_plus={c: plus for c, (plus, _) in signed.items()},
-        nu_minus={c: minus for c, (_, minus) in signed.items()},
+    c = CarryChain(*c).validate(n)
+    end = 1 if c.j == n else 2 * 4 ** (n - 1 - c.j)
+    return 4 ** (c.i - 1) * 2 ** (c.j - c.i) * end
+
+
+def _scan(ec: ChainErrorTable) -> tuple[StatsReport, ChainSet]:
+    """Every fast statistic and a max witness from one top-down scan.
+
+    Past position k, a pair's state is its open chain end e (positions
+    k+1..e-1 propagate) and the sign s of its leftmost erring chain (0
+    while none errs).  Only a 00 or a generate (11) at k moves a pair to
+    end k, so each state is made once, at its end, and read at a lower k
+    scaled by 2^(e-1-k); running sums of those reads leave a step only
+    the chains that close there.  A generate at k closes chain (k+1, e)
+    and adds its error w.  A state carries its pair count, the sums of
+    s*error and error^2, the extremes of s*error, and a back-pointer to
+    the largest.  The smallest s*error must not fall below zero (the
+    sign law), or the summed s*error is not the SAE.
+    """
+    n = ec.n
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), w in ec.nonzero():
+        rows.setdefault(i - 1, []).append((j, w))
+    # made[e][s] = [count, sum s*error, sum error^2, max s*error, min s*error, back-pointer]
+    made: list[dict[int, list]] = [{} for _ in range(n)] + [{0: [1, 0, 0, 0, 0, None]}]
+    tot = {0: [1, 0, 0]}  # per sign: the first three fields of all made states, read at k
+    far = {0: (0, n)}  # per sign: the largest s*error of a made state, and its end
+    near = {0: 0}  # per sign: the smallest s*error of a made state
+    nu_plus: dict[CarryChain, int] = {}
+    nu_minus: dict[CarryChain, int] = {}
+    for k in range(n - 1, -1, -1):
+        # a 00 at k, or a generate closing an error-free chain, keeps the sign
+        step = {s: [2 * x for x in tot[s]] + [far[s][0], near[s], (far[s][1], s, None)] for s in tot}
+        for j, w in rows.get(k, ()):
+            chain, sh, tally = CarryChain(k + 1, j), j - 1 - k, {1: 0, -1: 0}
+            for s, (c, a, q, hi, lo, _) in made[j].items():
+                c, a, q = c << sh, a << sh, q << sh
+                kept = step[s]  # these pairs close an erring chain instead
+                kept[0] -= c
+                kept[1] -= a
+                kept[2] -= q
+                s2 = s or (1 if w > 0 else -1)
+                v = s2 * w
+                tally[s2] += c
+                new = [c, a + v * c, q + 2 * w * s * a + w * w * c, hi + v, lo + v, (j, s, chain)]
+                cur = step.setdefault(s2, new)
+                if cur is not new:
+                    for x in range(3):
+                        cur[x] += new[x]
+                    if new[3] > cur[3]:
+                        cur[3], cur[5] = new[3], new[5]
+                    cur[4] = min(cur[4], new[4])
+            nu_plus[chain], nu_minus[chain] = tally[1] << 2 * k, tally[-1] << 2 * k
+        made[k] = step
+        for s, st in step.items():
+            tot[s] = [2 * x + y for x, y in zip(tot.get(s, (0, 0, 0)), st)]
+            if s not in far or st[3] > far[s][0]:
+                far[s] = (st[3], k)
+            near[s] = min(near.get(s, st[4]), st[4])
+    if min(near.values()) < 0:
+        raise ValueError(
+            "chain-error table breaks the sign law: some pair's error has "
+            "the opposite sign of its leftmost erring chain"
+        )
+    top, s = max((v, s) for s, (v, _) in far.items())  # ties prefer the positive side
+    e, chains = far[s][1], []
+    while s:
+        e, s, chain = made[e][s][5]
+        if chain is not None:
+            chains.append(chain)
+    sae, sq = (sum(t[x] for t in tot.values()) for x in (1, 2))
+    pairs = 1 << (2 * n)
+    report = StatsReport(
+        n, sae, Fraction(sae, pairs), Fraction(sq, pairs), top, nu_plus, nu_minus
     )
-
-
-def mse_fast(ec: ChainErrorTable) -> Fraction:
-    """Mean squared error from single and joint chain counts, in O(n^2).
-
-    Squares distribute over each pair's chain sum into per-chain squares
-    plus cross terms over co-occurring chains, j1 < i2.  The joint count
-    factorizes through the gap (j1, i2), so with ``L[j]`` the sum of
-    ``e 4^(i-1) 2^(j-i)`` over chains ending at j and the prefix sum
-    ``A[m] = 4 A[m-1] + L[m]``, chain 2's partners total
-    ``L[i2-1] + 2 A[i2-2]``.
-    """
-    n, nz = ec.n, ec.nonzero()
-    low = [0] * (n + 1)
-    for (i, j), e in nz:
-        low[j] += (e << (j - i)) * 4 ** (i - 1)
-    acc = [0] * (n + 1)  # acc[m] = A[m-1]
-    for m in range(1, n + 1):
-        acc[m] = 4 * acc[m - 1] + low[m - 1]
-    total = 0
-    for (i, j), e in nz:
-        end = 1 if j == n else 2 * 4 ** (n - 1 - j)
-        partners = low[i - 1] + 2 * acc[i - 1]
-        # e^2 nu_single, plus both orders of every cross term
-        total += (e << (j - i)) * end * (e * 4 ** (i - 1) + 2 * partners)
-    return Fraction(total, 1 << (2 * n))
+    return report, ChainSet(n, tuple(chains))
 
 
 def analyze_table(ec: ChainErrorTable) -> StatsReport:
-    """Full fast-path report: SAE/Er_avg, MSE, max |error|, tallies."""
-    report = er_avg_fast(ec)
-    report.mse = mse_fast(ec)
-    report.max_abs_error = max_abs_error(ec)[0]
-    return report
+    """Exact SAE/Er_avg, MSE, max |error| and the per-chain tallies of
+    every erring chain, in O(n^2) from one scan over bit positions.
+
+    Each pair's error takes the sign of its dominating (leftmost
+    erring) chain in any table a conservative pseudo-adder realizes;
+    the scan checks this and raises ``ValueError`` for a table that
+    breaks it, where no exact SAE follows from the chain counts.
+    """
+    return _scan(ec)[0]
+
+
+def er_avg_fast(ec: ChainErrorTable) -> StatsReport:
+    """The :func:`analyze_table` report, under its expected-error name."""
+    return analyze_table(ec)
+
+
+def mse_fast(ec: ChainErrorTable) -> Fraction:
+    """Mean squared error of the table, from :func:`analyze_table`."""
+    return analyze_table(ec).mse

@@ -165,6 +165,168 @@ def condition_table_count(n, ij, pq, a=None, b=None):
     return int(ok.sum())
 
 
+# --- Earlier closed forms of the fast statistics, kept as references ----
+# The library computes SAE, MSE, max |error| and the tallies in one
+# position scan (``stats._scan``); these are the three separate
+# quadratic DPs it replaced, pinned against enumeration in
+# test_counting and compared with the scan in test_stats.
+
+def suffix_counts(ec):
+    """Classify suffix assignments by their dominating chain's sign, as
+    ``(free, bounded)`` indexed by boundary t = 0..n.
+
+    ``free[t]`` sums to 4^(n-t); ``bounded[t]`` sums to 2*4^(n-t-1) for
+    t < n and to 1 for t = n.  Descending from t = n: a non-generate
+    choice at t (3 ways) keeps the classification of the free suffix
+    above; the generate choice (11) spawns a chain ending at the first
+    equality position q, which claims the dominating slot only when
+    nothing above q contributes an error and its own entry is nonzero.
+    """
+    n = ec.n
+    free = [(0, 0, 0)] * n + [(0, 0, 1)]
+    bounded = [(0, 0, 0)] * n + [(0, 0, 1)]
+    for t in range(n - 1, -1, -1):
+        gen_p = gen_m = gen_n = 0
+        for q in range(t + 1, n + 1):
+            ways = 1 << (q - t - 1)
+            bp, bm, bn = bounded[q]
+            e = ec.get(t + 1, q)
+            if e > 0:
+                bp, bn = bp + bn, 0
+            elif e < 0:
+                bm, bn = bm + bn, 0
+            gen_p += ways * bp
+            gen_m += ways * bm
+            gen_n += ways * bn
+        fp, fm, fn = free[t + 1]
+        free[t] = (3 * fp + gen_p, 3 * fm + gen_m, 3 * fn + gen_n)
+        bounded[t] = (fp + gen_p, fm + gen_m, fn + gen_n)
+    return tuple(free), tuple(bounded)
+
+
+def below_boundary_counts(ec):
+    """Classify assignments below a chain-ending boundary position.
+
+    ``result[m]`` counts assignments of positions 0..m-1, given that
+    position m holds equal bits, by the sign of the dominating chain
+    among chains ending at or below m.  Recurrence over d, the highest
+    equality position below m: choosing 11 there spawns the chain
+    (d+1, m); choosing 00 does not; all-unequal leaves no chain at all.
+    """
+    n = ec.n
+    out = [(0, 0, 1)]
+    for m in range(1, n + 1):
+        acc_p = acc_m = 0
+        acc_n = 1 << m  # every position below m unequal: no chain ends <= m
+        for d in range(m):
+            ways = 1 << (m - 1 - d)
+            ep, em, en = out[d]
+            # position d = 00: no chain ends at m, lower classes carry up
+            acc_p += ways * ep
+            acc_m += ways * em
+            acc_n += ways * en
+            # position d = 11: chain (d+1, m) exists
+            e = ec.get(d + 1, m)
+            if e > 0:
+                acc_p += ways * 4**d
+            elif e < 0:
+                acc_m += ways * 4**d
+            else:
+                acc_p += ways * ep
+                acc_m += ways * em
+                acc_n += ways * en
+        out.append((acc_p, acc_m, acc_n))
+    return tuple(out)
+
+
+def nu_signed_all(ec):
+    """(nu_plus, nu_minus) for every chain, from the two class tables.
+
+    For chain (i, j): a signed region above j always dominates; with
+    nothing above, the chain itself dominates when its entry is nonzero;
+    otherwise the sign comes from the chains below the generate (the
+    zero-error tallies the library no longer reports).
+    """
+    _, bounded = suffix_counts(ec)
+    below = below_boundary_counts(ec)
+    result = {}
+    for c, e in ec.entries():
+        i, j = c
+        low_free = 4 ** (i - 1)
+        prop = 1 << (j - i)
+        gp, gm, gn = bounded[j]
+        plus = low_free * gp
+        minus = low_free * gm
+        if e > 0:
+            plus += gn * low_free
+        elif e < 0:
+            minus += gn * low_free
+        else:
+            plus += gn * below[i - 1][0]
+            minus += gn * below[i - 1][1]
+        result[c] = (prop * plus, prop * minus)
+    return result
+
+
+def sae_counting(ec):
+    """SAE from the signed tallies: each chain adds e * (nu_plus -
+    nu_minus), exact for tables that obey the sign law."""
+    signed = nu_signed_all(ec)
+    return sum(e * (signed[c][0] - signed[c][1]) for c, e in ec.nonzero())
+
+
+def mse_prefix(ec):
+    """Mean squared error from single and joint chain counts, in O(n^2).
+
+    Squares distribute over each pair's chain sum into per-chain squares
+    plus cross terms over co-occurring chains, j1 < i2.  The joint count
+    factorizes through the gap (j1, i2), so with ``L[j]`` the sum of
+    ``e 4^(i-1) 2^(j-i)`` over chains ending at j and the prefix sum
+    ``A[m] = 4 A[m-1] + L[m]``, chain 2's partners total
+    ``L[i2-1] + 2 A[i2-2]``.
+    """
+    n, nz = ec.n, ec.nonzero()
+    low = [0] * (n + 1)
+    for (i, j), e in nz:
+        low[j] += (e << (j - i)) * 4 ** (i - 1)
+    acc = [0] * (n + 1)  # acc[m] = A[m-1]
+    for m in range(1, n + 1):
+        acc[m] = 4 * acc[m - 1] + low[m - 1]
+    total = 0
+    for (i, j), e in nz:
+        end = 1 if j == n else 2 * 4 ** (n - 1 - j)
+        partners = low[i - 1] + 2 * acc[i - 1]
+        # e^2 nu_single, plus both orders of every cross term
+        total += (e << (j - i)) * end * (e * 4 ** (i - 1) + 2 * partners)
+    return Fraction(total, 1 << (2 * n))
+
+
+def max_abs_error_dag(ec):
+    """Max |error| by longest and shortest paths on the compatibility DAG.
+
+    In descending start order, the best path from a chain is its weight
+    plus the best continuation after its end, or nothing when every
+    continuation hurts; suffix extremes over start positions keep the
+    pass quadratic.
+    """
+    n = ec.n
+    # suffix_max[t] / suffix_min[t]: extreme path value over starts >= t
+    suffix_max = [None] * (n + 2)
+    suffix_min = [None] * (n + 2)
+    for i in range(n, 0, -1):
+        row_max = row_min = None
+        for j in range(i, n + 1):
+            w = ec.get(i, j)
+            cont_max, cont_min = suffix_max[j + 1], suffix_min[j + 1]
+            bmax = w + max(0, cont_max) if cont_max is not None else w
+            bmin = w + min(0, cont_min) if cont_min is not None else w
+            row_max = bmax if row_max is None else max(row_max, bmax)
+            row_min = bmin if row_min is None else min(row_min, bmin)
+        suffix_max[i] = row_max if suffix_max[i + 1] is None else max(row_max, suffix_max[i + 1])
+        suffix_min[i] = row_min if suffix_min[i + 1] is None else min(row_min, suffix_min[i + 1])
+    return max(-suffix_min[1], suffix_max[1])
+
+
 # --- NumPy per-pair reference for the bit-sliced oracles ----------------
 # Each pair is one array element, index ``a + (b << n)`` as in the sweep.
 
@@ -241,6 +403,15 @@ def oracle_report(n, totals, chains=None, members=None, ec=None):
     report.nu_plus = {c: int((m & (sign == 1)).sum()) for c, m in zip(chains, members)}
     report.nu_minus = {c: int((m & (sign == -1)).sum()) for c, m in zip(chains, members)}
     return report
+
+
+def tallies_match(ec, fast, oracle):
+    """The fast report tallies exactly the erring chains, and on those
+    agrees with the oracle, which tallies every chain."""
+    nz = [c for c, _ in ec.nonzero()]
+    assert sorted(fast.nu_plus) == sorted(fast.nu_minus) == nz
+    assert {c: oracle.nu_plus[c] for c in nz} == fast.nu_plus
+    assert {c: oracle.nu_minus[c] for c in nz} == fast.nu_minus
 
 
 def reference_oracle_chains(ec):

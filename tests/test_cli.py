@@ -93,9 +93,14 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     # maps peaked at 10.9 MB; the compact, exact-only one at 5.5 MB
     assert peak < 7_000_000, f"stats peaked at {peak / 1e6:.1f} MB"
     assert out.endswith("\n") and out.count("\n") == 1
-    stats = json.loads(out)["stats"]
+    payload = json.loads(out)
+    stats = payload["stats"]
     assert "p_plus" not in stats and "p_minus" not in stats
-    assert len(stats["nu_plus"]) == len(stats["nu_minus"]) == 64 * 65 // 2
+    # tallies cover exactly the erring chains of the table
+    erring = [(e["i"], e["j"]) for e in payload["ec"]["ec"]]
+    assert erring
+    for key in ("nu_plus", "nu_minus"):
+        assert [(e["i"], e["j"]) for e in stats[key]] == erring
 
 
 def test_verify_rca10_in_bounded_memory(capsys, monkeypatch, tmp_path):
@@ -248,6 +253,21 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
     assert (code, out) == (1, "")
     assert err.startswith("error: malformed delay list JSON: 'int' object is not iterable")
+
+
+def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp_path):
+    from pseudoadder import CarryChain, ChainErrorTable
+
+    # pairs generating both chains err by +1 under a negative leftmost
+    # chain: no conservative adder realizes this table
+    bad = ChainErrorTable(2, {CarryChain(1, 1): 2, CarryChain(2, 2): -1})
+    monkeypatch.setattr("pseudoadder.cli.extract_ec_table", lambda net, t: bad)
+    netlist = write_staggered(tmp_path)
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "stats", "--netlist", netlist, "-T", "7", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: chain-error table breaks the sign law")
+        assert "Traceback" not in err
 
 
 def test_verify_pass_and_exit_codes(capsys, tmp_path):

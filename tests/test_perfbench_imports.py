@@ -1,0 +1,36 @@
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark is frozen and its tests run outside this suite, so a
+    # renamed or removed library name would otherwise break it silently
+    paths = sorted(PERFBENCH.glob("*.py"))
+    assert paths
+    checked, missing = 0, []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                module, names = node.module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                module, names = None, [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                target = module or name
+                if target.split(".")[0] != "pseudoadder":
+                    continue
+                checked += 1
+                where = f"{path.name}:{node.lineno}"
+                try:
+                    mod = importlib.import_module(target)
+                except ImportError:
+                    missing.append(f"{where} {target}")
+                    continue
+                if module and not hasattr(mod, name):
+                    missing.append(f"{where} {module}.{name}")
+    assert checked
+    assert missing == []

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     CarryChain,
     ChainErrorTable,
     OracleLimitError,
     analyze_table,
+    decompose_error,
     er_avg_fast,
     extract_ec_table,
     generate_rca,
@@ -18,10 +21,18 @@ from pseudoadder import (
     sae_oracle_chains,
     sae_oracle_simulate,
     staggered_ksa8,
+    witness_for_chain_set,
 )
-from pseudoadder.counting import nu_signed_all
 from pseudoadder.stats import oracle_limit
-from conftest import er_avg_nonnegative, nu_pair
+from conftest import (
+    er_avg_nonnegative,
+    max_abs_error_dag,
+    mse_prefix,
+    nu_pair,
+    nu_signed_all,
+    sae_counting,
+    tallies_match,
+)
 
 
 def test_oracle_equality_randomized(rng):
@@ -34,8 +45,51 @@ def test_oracle_equality_randomized(rng):
         assert fast.er_avg == oracle.er_avg
         assert mse_fast(ec) == oracle.mse
         assert max_abs_error(ec)[0] == oracle.max_abs_error
-        assert fast.nu_plus == oracle.nu_plus
-        assert fast.nu_minus == oracle.nu_minus
+        tallies_match(ec, fast, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 64),
+    density=st.sampled_from([0.05, 0.3, 0.6, 1.0]),
+    nonnegative=st.booleans(),
+)
+def test_scan_equals_earlier_closed_forms(seed, n, density, nonnegative):
+    """The one position scan reproduces the three DPs it replaced, and
+    the chain oracle at n <= 8; its witness realizes the max."""
+    ec = random_realizable_table(n, random.Random(seed), density=density, nonnegative=nonnegative)
+    report = analyze_table(ec)
+    assert report.sae == sae_counting(ec)
+    assert report.mse == mse_prefix(ec)
+    assert report.max_abs_error == max_abs_error_dag(ec)
+    signed = nu_signed_all(ec)
+    nz = [c for c, _ in ec.nonzero()]
+    assert report.nu_plus == {c: signed[c][0] for c in nz}
+    assert report.nu_minus == {c: signed[c][1] for c in nz}
+    if n <= 8:
+        oracle = sae_oracle_chains(ec)
+        assert (report.sae, report.mse, report.max_abs_error) == (
+            oracle.sae, oracle.mse, oracle.max_abs_error
+        )
+        tallies_match(ec, report, oracle)
+    value, witness = max_abs_error(ec)
+    assert value == report.max_abs_error
+    assert all(ec.get(c.i, c.j) for c in witness)
+    error = decompose_error(witness_for_chain_set(witness), ec)[0]
+    assert abs(error) == value
+    if value == 0:
+        assert len(witness) == 0
+
+
+def test_sign_law_guard():
+    # pairs generating both chains err by 2 - 1 = +1 although the leftmost
+    # erring chain is negative, so e * (nu_plus - nu_minus) would give 4
+    ec = ChainErrorTable(2, {CarryChain(1, 1): 2, CarryChain(2, 2): -1})
+    assert sae_oracle_chains(ec).sae == 6
+    for fast in (analyze_table, er_avg_fast, mse_fast, max_abs_error):
+        with pytest.raises(ValueError, match="sign law"):
+            fast(ec)
 
 
 def test_simulation_oracle_equals_chain_oracle(rng):
@@ -171,7 +225,8 @@ def test_width_one_netlist_oracle():
 
 def test_nu_minus_counts_cooccurrence_with_negative_dominator():
     ec = ChainErrorTable(8, {CarryChain(2, 4): 16, CarryChain(5, 7): -96})
-    plus, minus = nu_signed_all(ec)[CarryChain(2, 4)]
+    report = analyze_table(ec)
+    plus, minus = report.nu_plus[CarryChain(2, 4)], report.nu_minus[CarryChain(2, 4)]
     # the only negative chain sits above (2, 4), so the minus tally is
     # exactly the number of pairs generating both chains
     assert minus == nu_pair(8, CarryChain(2, 4), CarryChain(5, 7))
