@@ -53,7 +53,6 @@ from .stats import (
     er_avg_fast,
     mse_fast,
     nu_single,
-    oracle_limit,
     sae_oracle_chains,
     sae_oracle_simulate,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "max_abs_error",
     "mse_fast",
     "nu_single",
-    "oracle_limit",
     "random_realizable_error",
     "random_realizable_table",
     "read_carries",

@@ -76,7 +76,7 @@ def check_conservative(
     Counterexamples are listed by position, then by lane.  An empty
     sample raises ValueError.
     """
-    sw = sweep if sweep is not None else PairSweep(net, keep=set(net.outputs.values()), pairs=pairs, times=[t])
+    sw = sweep if sweep is not None else PairSweep(net, pairs=pairs, times=[t])
     if not sw.pair_count:
         raise ValueError("check_conservative needs at least one pair")
     _, bad = sw.carries_at(t)
@@ -109,9 +109,7 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> dict[Time, ChainErrorTabl
     at the earliest read time where some probe's read is not conservative.
     """
     chains = all_chains(net.n)
-    sw = PairSweep(
-        net, keep=set(net.outputs.values()), pairs=[canonical_pair(c, net.n) for c in chains], times=times
-    )
+    sw = PairSweep(net, pairs=[canonical_pair(c, net.n) for c in chains], times=times)
     tables: dict[Time, ChainErrorTable] = {}
     for t in sorted(times):
         failing = 0
@@ -181,7 +179,7 @@ def verify_assumptions(
     # its probe followed by its witnesses
     lanes = [InputPair(n, x, y) for a, b in ordered for x, y in ((a, b), (b, a))]
     lanes += [p for _, probe, witnesses in witnessed for p in (probe, *witnesses)]
-    sums = iter(PairSweep(net, keep=set(net.outputs.values()), pairs=lanes, times=[t]).lane_sums(t))
+    sums = iter(PairSweep(net, pairs=lanes, times=[t]).lane_sums(t))
 
     for a, b in ordered:
         fwd, rev = next(sums), next(sums)

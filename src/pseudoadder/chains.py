@@ -32,31 +32,21 @@ def detect_chains(p: InputPair) -> ChainSet:
 
 
 def chain_predicate(p: InputPair, i: int, j: int) -> bool:
-    """True iff the pair generates exactly the chain (i, j)."""
-    CarryChain(i, j).validate(p.n)
-    if not (p.a_bit(i - 1) and p.b_bit(i - 1)):
-        return False
-    for k in range(i, j):
-        if p.a_bit(k) == p.b_bit(k):
-            return False
-    return p.a_bit(j) == p.b_bit(j)
+    """True iff the pair generates the chain (i, j)."""
+    return CarryChain(i, j).validate(p.n) in detect_chains(p)
 
 
-def isolate_chain(c: CarryChain, witness: InputPair, n: int | None = None) -> InputPair:
+def isolate_chain(c: CarryChain, witness: InputPair) -> InputPair:
     """Zero out every position irrelevant to the chain's appearance.
 
     Positions i-1..j-1 are copied from the witness (which must generate
     the chain), everything else is cleared.  The result generates exactly
     ``{c}``.
     """
-    n = witness.n if n is None else n
-    if n != witness.n:
-        raise ValueError(f"width mismatch: {n} != witness width {witness.n}")
-    c.validate(n)
     if not chain_predicate(witness, c.i, c.j):
         raise ValueError(f"witness ({witness.a}, {witness.b}) does not generate {c}")
     mask = ((1 << c.j) - 1) & ~((1 << (c.i - 1)) - 1)
-    return InputPair(n, witness.a & mask, witness.b & mask)
+    return InputPair(witness.n, witness.a & mask, witness.b & mask)
 
 
 def canonical_pair(c: CarryChain, n: int) -> InputPair:
@@ -106,10 +96,5 @@ def dominating_chain(p: InputPair, ec: ChainErrorTable) -> CarryChain | None:
     Its sign equals the sign of the pair's total error; ``None`` when no
     generated chain contributes an error.
     """
-    if ec.n != p.n:
-        raise ValueError(f"width mismatch: table has n={ec.n}, pair has n={p.n}")
-    best: CarryChain | None = None
-    for c in detect_chains(p):
-        if ec.get(c.i, c.j) != 0:
-            best = c  # ascending scan: the last hit has the largest start
-    return best
+    erring = [c for c, v in decompose_error(p, ec)[1] if v]
+    return erring[-1] if erring else None  # terms ascend by start

@@ -20,8 +20,9 @@ for a probability.
 Exit code 0 means no errors and no failed verification; a failed
 verification or an error (printed as ``error: ...``) exits 1.  All
 sampling takes an explicit ``--seed`` (default 0) so reports are
-reproducible.  The width gate for exhaustive oracles honors
-``PSEUDOADDER_ORACLE_LIMIT``.
+reproducible.  ``verify`` checks conservativeness over all 4^n pairs,
+and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
+(default 10); above it the check is sampled and no oracle runs.
 """
 
 from __future__ import annotations
@@ -36,14 +37,9 @@ import sys
 from .analysis import check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
 from .chains import detect_chains
 from .generators import KsaDelays, generate_ksa, generate_rca
-from .model import ChainErrorTable, InputPair, PseudoAdderError
+from .model import ChainErrorTable, InputPair, PseudoAdderError, StatsReport
 from .netlist import Netlist, Time, as_delay, malformed_json
-from .stats import (
-    analyze_table,
-    oracle_limit,
-    sae_oracle_chains,
-    sae_oracle_simulate,
-)
+from .stats import ORACLE_LIMIT, analyze_table, sae_oracle_chains, sae_oracle_simulate
 from .sweep import PairSweep
 from .tables import random_realizable_table
 
@@ -181,7 +177,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = [as_delay(x) for x in args.times.split(",")] if args.times else None
-    lane = PairSweep(net, pairs=[p], times=times)
+    lane = PairSweep(net, keep=set(net.by_id), pairs=[p], times=times)
     if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b
@@ -223,6 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--tables must be at least 1, got {args.tables}")
     failures = 0
     lines: list[str] = []
+    limit = args.exhaustive_n_limit
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         nonlocal failures
@@ -230,14 +227,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
+    def same(fast: StatsReport, oracle: StatsReport) -> bool:
+        return (fast.sae, fast.mse, fast.max_abs_error) == (oracle.sae, oracle.mse, oracle.max_abs_error)
+
     if args.netlist:
         net = _load_netlist(args.netlist)
         t = as_delay(args.T)
         sweep = pairs = None
-        limit = args.exhaustive_n_limit
-        if net.n <= (oracle_limit() if limit is None else limit):
+        if net.n <= limit:
             # one all-pairs run serves the conservative check and the oracle
-            sweep = PairSweep(net, keep=set(net.outputs.values()), times=[t])
+            sweep = PairSweep(net, times=[t])
         else:
             rng = random.Random(args.seed)
             pairs = [
@@ -255,15 +254,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                str(assumptions.commutativity_counterexamples[:3]) if not assumptions.commutative else "")
         record("lower-position independence", assumptions.independent,
                str(assumptions.independence_counterexamples[:3]) if not assumptions.independent else "")
-        if conservative.passed and assumptions.passed and net.n <= oracle_limit():
-            ec = extract_ec_table(net, t)
-            fast = analyze_table(ec)
-            oracle = sae_oracle_simulate(net, t, sweep=sweep)
+        if sweep is not None and conservative.passed and assumptions.passed:
+            fast = analyze_table(extract_ec_table(net, t))
+            oracle = sae_oracle_simulate(net, t, force=True, sweep=sweep)
             record(
                 "fast statistics equal exhaustive simulation",
-                fast.sae == oracle.sae
-                and fast.mse == oracle.mse
-                and fast.max_abs_error == oracle.max_abs_error,
+                same(fast, oracle),
                 f"fast sae={fast.sae} oracle sae={oracle.sae}",
             )
 
@@ -271,23 +267,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n = args.n
         if n is None:
             record("fast-vs-oracle", False, "--n is required with --fast-vs-oracle")
-        elif n > oracle_limit() and not args.force:
-            record(
-                "fast-vs-oracle", False,
-                f"n={n} above oracle limit {oracle_limit()}; use --force",
-            )
+        elif n > limit:
+            record("fast-vs-oracle", False, f"n={n} above --exhaustive-n-limit {limit}")
         else:
             rng = random.Random(args.seed)
             ok = True
             for _ in range(args.tables):
                 ec = random_realizable_table(n, rng)
-                fast = analyze_table(ec)
-                oracle = sae_oracle_chains(ec, force=args.force)
-                ok &= (
-                    fast.sae == oracle.sae
-                    and fast.mse == oracle.mse
-                    and fast.max_abs_error == oracle.max_abs_error
-                )
+                ok &= same(analyze_table(ec), sae_oracle_chains(ec, force=True))
             record(f"fast-vs-oracle on {args.tables} random tables (n={n})", ok)
 
     _emit("\n".join(lines) + "\n", args.output)
@@ -354,15 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="model checks and oracle comparisons")
     p_verify.add_argument("--netlist", default=None)
     p_verify.add_argument("-T", default="0")
-    p_verify.add_argument("--exhaustive-n-limit", type=int, default=None,
-                          help="widest netlist checked over all pairs (default: the oracle limit)")
+    p_verify.add_argument("--exhaustive-n-limit", type=int, default=ORACLE_LIMIT,
+                          help="check all 4^n pairs and run the oracles iff n is at most "
+                          "this (default: %(default)s); wider netlists are sampled")
     p_verify.add_argument("--samples", type=int, default=128)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fast-vs-oracle", action="store_true")
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--tables", type=int, default=20)
-    p_verify.add_argument("--force", action="store_true",
-                          help="override the oracle width limit")
     add_common(p_verify, fmt=False)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -62,18 +62,6 @@ class InputPair:
         if not 0 <= self.b < top:
             raise ValueError(f"b={self.b} out of range for width {self.n}")
 
-    def a_bit(self, k: int) -> int:
-        self._check_position(k)
-        return bit(self.a, k)
-
-    def b_bit(self, k: int) -> int:
-        self._check_position(k)
-        return bit(self.b, k)
-
-    def _check_position(self, k: int) -> None:
-        if not 0 <= k <= self.n:
-            raise ValueError(f"position {k} out of range 0..{self.n}")
-
 
 class CarryChain(NamedTuple):
     """Interval of positions (i, j), 1 <= i <= j <= n, receiving a carry.

@@ -238,18 +238,26 @@ class Netlist:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Netlist":
+        """Parse the JSON schema; ``n`` must be an integer, ``inputs`` a
+        list and every output key a canonical decimal ``"0"``..``"n"``."""
         with malformed_json("netlist"):
-            gates = [
-                Gate(
-                    id=str(g["id"]),
-                    kind=GateKind(g["kind"]),
-                    inputs=tuple(str(s) for s in g.get("inputs", [])),
-                    delay=as_delay(g.get("delay", 0)),
-                )
-                for g in data["gates"]
-            ]
-            outputs = {int(pos): str(gid) for pos, gid in data["outputs"].items()}
-            return cls(int(data["n"]), gates, outputs)
+            gates = []
+            for g in data["gates"]:
+                inputs = g.get("inputs", [])
+                if not isinstance(inputs, list):
+                    raise TypeError(f"gate {g['id']!r}: inputs must be a list, got {inputs!r}")
+                gates.append(Gate(str(g["id"]), GateKind(g["kind"]), tuple(map(str, inputs)),
+                                  as_delay(g.get("delay", 0))))
+            n = data["n"]
+            if type(n) is not int:
+                raise TypeError(f"n must be an integer, got {n!r}")
+            positions = {str(k): k for k in range(n + 1)}
+            outputs = {}
+            for key, gid in data["outputs"].items():
+                if key not in positions:
+                    raise TypeError(f"output key {key!r} is not one of '0'..'{n}'")
+                outputs[positions[key]] = str(gid)
+            return cls(n, gates, outputs)
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":

@@ -2,19 +2,19 @@
 
 The oracles enumerate all 2^(2n) input pairs, bit-sliced over the
 all-pairs sweep's lanes: every pair's signed error is a bit of each of
-a few two's-complement slice masks, O(n * 4^n / 8) bytes in all; a width
-limit gates them.  The fast path, :func:`analyze_table`, works from a
-chain-error table: one scan over bit positions yields SAE/Er_avg, MSE,
-max |error| with a witness, and the per-chain tallies of every erring
-chain, in quadratic time.  It is exact for any table realizable by a
-conservative pseudo-adder, checks the sign law this rests on, and
-raises ``ValueError`` for a table that breaks it.  ``er_avg_fast``,
-``mse_fast`` and ``maxerror.max_abs_error`` are views of the same scan.
+a few two's-complement slice masks, O(n * 4^n / 8) bytes in all; above
+``ORACLE_LIMIT`` bits they run only with ``force=True``.  The fast path,
+:func:`analyze_table`, works from a chain-error table: one scan over bit
+positions yields SAE/Er_avg, MSE, max |error| with a witness, and the
+per-chain tallies of every erring chain, in quadratic time.  It is exact
+for any table realizable by a conservative pseudo-adder, checks the sign
+law this rests on, and raises ``ValueError`` for a table that breaks it.
+``er_avg_fast``, ``mse_fast`` and ``maxerror.max_abs_error`` are views
+of the same scan.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -22,22 +22,14 @@ from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, Stat
 from .netlist import Netlist, Time
 from .sweep import PairSweep, _index_bit_masks
 
-DEFAULT_ORACLE_LIMIT = 10
-ORACLE_LIMIT_ENV = "PSEUDOADDER_ORACLE_LIMIT"
-
-
-def oracle_limit() -> int:
-    """Width limit for exhaustive enumeration (env-overridable)."""
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_LIMIT
+ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
 
 
 def _check_oracle_width(n: int, force: bool) -> None:
-    limit = oracle_limit()
-    if n > limit and not force:
+    if n > ORACLE_LIMIT and not force:
         raise OracleLimitError(
             f"exhaustive enumeration over 4^{n} pairs exceeds the width "
-            f"limit {limit}; pass force=True or raise {ORACLE_LIMIT_ENV}"
+            f"limit {ORACLE_LIMIT}; pass force=True to run it anyway"
         )
 
 
@@ -137,7 +129,7 @@ def sae_oracle_simulate(
     n = net.n
     _check_oracle_width(n, force)
     if sweep is None:
-        sweep = PairSweep(net, keep=set(net.outputs.values()), times=[t])
+        sweep = PairSweep(net, times=[t])
     elif sweep.net is not net or sweep.pair_count != 1 << (2 * n):
         raise ValueError("sae_oracle_simulate needs the all-pairs sweep of the same netlist")
     bit, c = sweep.operand_bit_mask, sweep.true_carry_masks()

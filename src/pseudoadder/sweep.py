@@ -121,9 +121,9 @@ class PairSweep:
     """Waveforms of a netlist's gates over a batch of lanes.
 
     ``pairs=None`` runs all 4^n pairs (lane ``a + (b << n)``); otherwise
-    lane k is ``pairs[k]``, duplicates allowed.  Only the gates in
-    ``keep`` (default: all) and the sum outputs keep their waveforms; any
-    other waveform is freed as soon as its last fanout has read it.
+    lane k is ``pairs[k]``, duplicates allowed.  Only the sum outputs and
+    the gates in ``keep`` (default: none) keep their waveforms; any other
+    waveform is freed as soon as its last fanout has read it.
 
     ``times`` (default: the whole history) lists the only read times the
     sweep answers; any other read, :meth:`quiescence_time` and
@@ -159,8 +159,7 @@ class PairSweep:
         self.full = (1 << self.pair_count) - 1
         self._a, self._b = sources[:n], sources[n:]
         self._carries: list[int] | None = None
-        wanted = keep if keep is not None else {g.id for g in net.gates}
-        wanted = set(wanted) | set(net.outputs.values())
+        wanted = set(net.outputs.values()).union(keep or ())
 
         unread = {gid: len(fan) for gid, fan in net.fanout.items()}
         live: dict[str, list[tuple[Time, int]]] = {}

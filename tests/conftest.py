@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, nu_single
+from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, bit, nu_single
 
 
 @pytest.fixture
@@ -16,6 +16,19 @@ def rng():
 def membership8():
     """Cached per-chain membership arrays for n=8 (used by several suites)."""
     return chain_membership(8)
+
+
+@pytest.fixture
+def sweeps_built(monkeypatch):
+    """``(all_pairs, times)`` of every PairSweep built during the test."""
+    built, init = [], PairSweep.__init__
+
+    def spy(self, net, keep=None, pairs=None, times=None):
+        built.append((pairs is None, times))
+        init(self, net, keep=keep, pairs=pairs, times=times)
+
+    monkeypatch.setattr(PairSweep, "__init__", spy)
+    return built
 
 
 def exhaustive_pairs(n):
@@ -30,10 +43,10 @@ def chains_by_scan(p):
     found = []
     for i in range(1, p.n + 1):
         for j in range(i, p.n + 1):
-            if p.a_bit(i - 1) == 1 and p.b_bit(i - 1) == 1:
-                if all(p.a_bit(k) != p.b_bit(k) for k in range(i, j)) and p.a_bit(
-                    j
-                ) == p.b_bit(j):
+            if bit(p.a, i - 1) == 1 and bit(p.b, i - 1) == 1:
+                if all(bit(p.a, k) != bit(p.b, k) for k in range(i, j)) and bit(
+                    p.a, j
+                ) == bit(p.b, j):
                     found.append(CarryChain(i, j))
     return found
 

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from pseudoadder import Netlist, staggered_ksa8
 from pseudoadder.cli import main
 
@@ -103,12 +105,11 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
         assert [(e["i"], e["j"]) for e in stats[key]] == erring
 
 
-def test_verify_rca10_in_bounded_memory(capsys, monkeypatch, tmp_path):
+def test_verify_rca10_in_bounded_memory(capsys, tmp_path):
     import tracemalloc
 
     from pseudoadder import generate_rca
 
-    monkeypatch.delenv("PSEUDOADDER_ORACLE_LIMIT", raising=False)
     path = tmp_path / "rca10.json"
     path.write_text(generate_rca(10, [1] * 10, [1] * 11).to_json())
     tracemalloc.start()
@@ -213,16 +214,6 @@ def test_quiescence_stop_is_sound_on_random_netlists():
         assert _parse_t_range("0..quiescence", net)[-1] == PairSweep(net).quiescence_time()
 
 
-def test_quiescence_stop_ignores_oracle_limit(monkeypatch):
-    from pseudoadder.cli import _parse_t_range
-
-    net = staggered_ksa8()
-    below = _parse_t_range("0..quiescence", net)
-    monkeypatch.setenv("PSEUDOADDER_ORACLE_LIMIT", "4")
-    assert _parse_t_range("0..quiescence", net) == below
-    assert below[-1] == 11
-
-
 def test_model_errors_exit_cleanly(capsys, tmp_path):
     from test_analysis import inverted_carry_rca2
 
@@ -290,13 +281,52 @@ def test_verify_fast_vs_oracle(capsys):
     assert "PASS" in out
 
 
-def test_verify_fast_vs_oracle_respects_limit(capsys, monkeypatch):
-    monkeypatch.setenv("PSEUDOADDER_ORACLE_LIMIT", "4")
+def test_verify_fast_vs_oracle_respects_limit(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--fast-vs-oracle", "--n", "6", "--tables", "2"
+        capsys, "verify", "--fast-vs-oracle", "--n", "6", "--tables", "2", "--exhaustive-n-limit", "4"
     )
     assert code == 1
-    assert "oracle limit" in out
+    assert out == "FAIL  fast-vs-oracle  n=6 above --exhaustive-n-limit 4\n"
+
+
+def unit_rca(tmp_path, n):
+    from pseudoadder import generate_rca
+
+    path = tmp_path / f"rca{n}.json"
+    path.write_text(generate_rca(n, [1] * n, [1] * (n + 1)).to_json())
+    return str(path)
+
+
+def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_built, tmp_path):
+    # n=6 above a limit of 4: the conservative check is sampled, and no
+    # all-pairs sweep is built for an oracle either
+    netlist = unit_rca(tmp_path, 6)
+    code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "7", "--exhaustive-n-limit", "4")
+    assert code == 0, out
+    assert not any(all_pairs for all_pairs, _ in sweeps_built), sweeps_built
+    assert out.splitlines() == [
+        "PASS  conservative (no spurious carries)",
+        "PASS  commutativity",
+        "PASS  lower-position independence",
+    ]
+
+
+def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
+    # n=11 within a limit of 11: one all-pairs sweep serves the
+    # conservative check and the oracle
+    netlist = unit_rca(tmp_path, 11)
+    code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "12", "--exhaustive-n-limit", "11")
+    assert code == 0, out
+    assert "PASS  fast statistics equal exhaustive simulation  fast sae=0 oracle sae=0" in out
+    assert [times for all_pairs, times in sweeps_built if all_pairs] == [[12]]
+    assert sweeps_built[0][0], sweeps_built
+
+
+def test_verify_force_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--fast-vs-oracle", "--n", "4", "--tables", "1", "--force"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_verify_faulty_netlist_fails(capsys, tmp_path):

@@ -120,6 +120,32 @@ def test_generated_netlists_roundtrip_json():
         assert again.order == net.order
 
 
+def test_malformed_netlist_json_is_refused():
+    base = generate_rca(1, [1], [1, 1]).to_json_dict()
+    assert base["outputs"] == {"0": "s0", "1": "s1"}
+    xor = next(g for g in base["gates"] if g["id"] == "s0")
+    assert xor["inputs"] == ["a0", "b0"]
+
+    def changed(edit):
+        data = json.loads(json.dumps(base))
+        edit(data)
+        return data
+
+    for data, fault in (
+        # "01" used to fold onto position 1, making s0 the carry-out
+        (changed(lambda d: d["outputs"].update({"01": "s0"})), "output key '01' is not one of '0'..'1'"),
+        (changed(lambda d: d["outputs"].update({" 1": "s1"})), "output key ' 1'"),
+        (changed(lambda d: d.update(n=1.5)), "n must be an integer, got 1.5"),
+        (changed(lambda d: d.update(n=True)), "n must be an integer, got True"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs="a0b0")),
+         "gate 's0': inputs must be a list, got 'a0b0'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Netlist.from_json_dict(data)
+        assert str(exc.value).startswith(f"malformed netlist JSON: {fault}")
+    assert Netlist.from_json_dict(base).outputs == {0: "s0", 1: "s1"}
+
+
 def test_fractional_delays_roundtrip():
     net = generate_rca(2, [as_delay("0.5"), 1], [0, as_delay("0.25"), 1])
     again = Netlist.from_json(net.to_json())

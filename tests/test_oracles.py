@@ -135,22 +135,13 @@ def test_simulation_oracle_shares_a_prebuilt_sweep():
         sae_oracle_simulate(other, 3, sweep=sweep)
 
 
-def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
-    built = []
-    init = PairSweep.__init__
-
-    def counting_init(self, net, keep=None, pairs=None, times=None):
-        built.append((pairs is None, times))
-        init(self, net, keep=keep, pairs=pairs, times=times)
-
-    monkeypatch.setattr(PairSweep, "__init__", counting_init)
-    monkeypatch.delenv("PSEUDOADDER_ORACLE_LIMIT", raising=False)
+def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
     # with default flags every width up to the oracle limit (10) is
     # checked over all pairs
     for n in (6, 9):
         path = tmp_path / f"rca{n}.json"
         path.write_text(generate_rca(n, [1] * n, [1] * (n + 1)).to_json())
-        built.clear()
+        sweeps_built.clear()
         code = main(["verify", "--netlist", str(path), "-T", "4"])
         out = capsys.readouterr().out
         assert code == 0, out
@@ -158,5 +149,5 @@ def test_verify_runs_one_exhaustive_sweep(capsys, monkeypatch, tmp_path):
         # the all-pairs sweep comes first: it also serves the conservative
         # check, so no sampled batch is built for it; it is simulated only
         # up to the one read time it answers
-        exhaustive = [times for all_pairs, times in built if all_pairs]
-        assert built[0][0] and exhaustive == [[4]], (n, built)
+        exhaustive = [times for all_pairs, times in sweeps_built if all_pairs]
+        assert sweeps_built[0][0] and exhaustive == [[4]], (n, sweeps_built)

@@ -1,6 +1,10 @@
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
+
+from pseudoadder.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +38,22 @@ def test_benchmark_imports_resolve():
                     missing.append(f"{where} {module}.{name}")
     assert checked
     assert missing == []
+
+
+def test_benchmark_flags_are_cli_options():
+    # the frozen benchmark passes these flags; removing one would break it silently
+    path = PERFBENCH / "workloads.py"
+    flags = {
+        node.value
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"--?[A-Za-z][\w-]*", node.value)
+    }
+    assert "--exhaustive-n-limit" in flags
+    options = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options.update(sub._option_string_actions)
+    assert sorted(flags - options) == []

@@ -23,7 +23,7 @@ from pseudoadder import (
     staggered_ksa8,
     witness_for_chain_set,
 )
-from pseudoadder.stats import oracle_limit
+from pseudoadder.stats import ORACLE_LIMIT
 from conftest import (
     er_avg_nonnegative,
     max_abs_error_dag,
@@ -127,17 +127,16 @@ def test_staggered_ksa8_is_correct_from_t11():
     assert sae_oracle_simulate(net, 11).sae == 0
 
 
-def test_oracle_limit_gate(monkeypatch):
+def test_oracle_limit_gate():
+    # the oracles refuse widths above 10 unless forced
+    assert ORACLE_LIMIT == 10
     big = ChainErrorTable(11)
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(OracleLimitError, match="width limit 10; pass force=True"):
         sae_oracle_chains(big)
-    monkeypatch.setenv("PSEUDOADDER_ORACLE_LIMIT", "12")
-    assert oracle_limit() == 12
-    sae_oracle_chains(ChainErrorTable(3))  # still fine
-    monkeypatch.setenv("PSEUDOADDER_ORACLE_LIMIT", "2")
     with pytest.raises(OracleLimitError):
-        sae_oracle_chains(ChainErrorTable(3))
-    assert sae_oracle_chains(ChainErrorTable(3), force=True).sae == 0
+        sae_oracle_simulate(generate_rca(11, [1] * 11, [1] * 12), 0)
+    sae_oracle_chains(ChainErrorTable(3))  # still fine
+    assert sae_oracle_chains(big, force=True).sae == 0
 
 
 def test_er_avg_rca_equals_fast_on_nonnegative(rng):

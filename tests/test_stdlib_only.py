@@ -24,3 +24,15 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_library_reads_no_environment_variables():
+    # every setting is an argument; nothing depends on the caller's environment
+    reads = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)]
+        if name in ("environ", "environb", "getenv", "getenvb")
+    ]
+    assert reads == []

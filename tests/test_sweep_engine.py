@@ -130,7 +130,7 @@ def test_sweep_equals_event_sim_on_random_netlists():
             [drawn[0]],
         ]
         for pairs in batches:
-            lanes = PairSweep(net, pairs=pairs)
+            lanes = PairSweep(net, keep=set(net.by_id), pairs=pairs)
             assert lanes.pair_count == len(pairs)
             for lane, p in enumerate(pairs):
                 assert lanes.lane_pair(lane) == (p.a, p.b)
