@@ -41,7 +41,7 @@ mods = [2, 1, 3, 1]
 rca = pa.generate_rca(4, mods, mods + [1])
 ec_rca = pa.extract_ec_table(rca, 3)
 print("ripple-carry at T=3: all chain errors non-negative ->",
-      all(v >= 0 for _, v in ec_rca.entries()))
+      all(v >= 0 for _, v in ec_rca.nonzero()))
 # with no negative entry the absolute values distribute over each
 # pair's chain sum, so Er_avg is just sum(e * nu) / 4^n
 simple = Fraction(sum(e * pa.nu_single(4, c) for c, e in ec_rca.nonzero()), 4**4)

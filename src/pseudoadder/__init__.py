@@ -17,8 +17,6 @@ from .analysis import (
     verify_assumptions,
 )
 from .chains import (
-    canonical_pair,
-    chain_predicate,
     decompose_error,
     detect_chains,
     dominating_chain,
@@ -43,10 +41,9 @@ from .model import (
     PseudoAdderError,
     StatsReport,
     all_chains,
-    bit,
     reference_add,
 )
-from .netlist import Gate, GateKind, Netlist, as_delay
+from .netlist import Gate, GateKind, Netlist
 from .sim import SignalTrace, computed_sum, simulate
 from .stats import (
     analyze_table,
@@ -56,12 +53,8 @@ from .stats import (
     sae_oracle_chains,
     sae_oracle_simulate,
 )
-from .sweep import PairSweep, read_carries
-from .tables import (
-    is_realizable_error,
-    random_realizable_error,
-    random_realizable_table,
-)
+from .sweep import PairSweep
+from .tables import random_realizable_table
 
 __version__ = "0.1.0"
 
@@ -84,10 +77,6 @@ __all__ = [
     "StatsReport",
     "all_chains",
     "analyze_table",
-    "as_delay",
-    "bit",
-    "canonical_pair",
-    "chain_predicate",
     "check_conservative",
     "computed_sum",
     "decompose_error",
@@ -98,15 +87,12 @@ __all__ = [
     "extract_ec_table",
     "generate_ksa",
     "generate_rca",
-    "is_realizable_error",
     "isolate_chain",
     "iter_chain_sets",
     "max_abs_error",
     "mse_fast",
     "nu_single",
-    "random_realizable_error",
     "random_realizable_table",
-    "read_carries",
     "reference_add",
     "sae_oracle_chains",
     "sae_oracle_simulate",

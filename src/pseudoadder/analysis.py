@@ -22,7 +22,6 @@ from .model import (
     ConservativenessError,
     InputPair,
     all_chains,
-    bit,
 )
 from .netlist import Netlist, Time
 from .sweep import PairSweep
@@ -66,7 +65,6 @@ def check_conservative(
     t: Time,
     pairs: list[InputPair] | None = None,
     sweep: PairSweep | None = None,
-    max_counterexamples: int = 10,
 ) -> ConservativeReport:
     """Verify ``c'_k <= c_k`` and a fresh position-0 bit for every pair
     (or the given sample) at T.
@@ -83,7 +81,7 @@ def check_conservative(
     report = ConservativeReport(read_time=t, checked=sw.pair_count)
     report.violations = sum(mask.bit_count() for mask in bad)
     for k, mask in enumerate(bad):
-        while mask and len(report.counterexamples) < max_counterexamples:
+        while mask and len(report.counterexamples) < 10:
             lane = (mask & -mask).bit_length() - 1
             report.counterexamples.append((*sw.lane_pair(lane), k))
             mask &= mask - 1
@@ -156,9 +154,12 @@ def verify_assumptions(
     Commutativity: ``s'(a, b) == s'(b, a)`` for sampled pairs.
     Independence: for sampled chains, the error restricted to the chain's
     bit span matches the canonical probe's error on every sampled witness,
-    regardless of the bits outside the chain.  A failure means per-chain
-    errors are ill-defined for this netlist and the fast statistics do
-    not apply.  ``samples`` must be at least 1.
+    regardless of the bits outside the chain.  Every pair generating chain
+    (i, j) has the same true sum bits i..j (0 at i..j-1, 1 at j: the
+    generate at i-1 always carries in), so two span errors are equal
+    exactly when the read bits i..j are equal, and those are compared.
+    A failure means per-chain errors are ill-defined for this netlist and
+    the fast statistics do not apply.  ``samples`` must be at least 1.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -172,13 +173,13 @@ def verify_assumptions(
     rng.shuffle(chains)
     per_chain = max(2, samples // max(1, len(chains)))
     witnessed = [
-        (c, canonical_pair(c, n), [_random_witness(c, n, rng) for _ in range(per_chain)])
+        (c, [_random_witness(c, n, rng) for _ in range(per_chain)])
         for c in chains[: max(1, min(len(chains), samples))]
     ]
     # one lane batch: (a, b) then (b, a) per ordered pair, then per chain
     # its probe followed by its witnesses
     lanes = [InputPair(n, x, y) for a, b in ordered for x, y in ((a, b), (b, a))]
-    lanes += [p for _, probe, witnesses in witnessed for p in (probe, *witnesses)]
+    lanes += [p for c, witnesses in witnessed for p in (canonical_pair(c, n), *witnesses)]
     sums = iter(PairSweep(net, pairs=lanes, times=[t]).lane_sums(t))
 
     for a, b in ordered:
@@ -188,19 +189,12 @@ def verify_assumptions(
             if len(report.commutativity_counterexamples) < 10:
                 report.commutativity_counterexamples.append((a, b))
 
-    for c, probe, witnesses in witnessed:
-        expected = _span_error(probe, next(sums), c)
+    for c, witnesses in witnessed:
+        span = (1 << (c.j + 1)) - (1 << c.i)  # bits i..j
+        expected = next(sums) & span
         for w in witnesses:
-            if _span_error(w, next(sums), c) != expected:
+            if next(sums) & span != expected:
                 report.independent = False
                 if len(report.independence_counterexamples) < 10:
                     report.independence_counterexamples.append((c, w.a, w.b))
     return report
-
-
-def _span_error(p: InputPair, s_prime: int, c: CarryChain) -> int:
-    """Error contribution of positions i..j: sum of (s_k - s'_k) 2^k."""
-    s_true = p.a + p.b
-    return sum(
-        (bit(s_true, k) - bit(s_prime, k)) << k for k in range(c.i, c.j + 1)
-    )

@@ -49,8 +49,10 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
     if spec.startswith("uniform:"):
         return [as_delay(spec.split(":", 1)[1])] * count
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh, malformed_json("delay list"):
-            return [as_delay(v) for v in json.load(fh)]
+        with open(spec.split(":", 1)[1]) as fh:
+            values = json.load(fh)
+        with malformed_json("delay list"):
+            return [as_delay(v) for v in values]
     values = [as_delay(part) for part in spec.split(",")]
     if len(values) != count:
         raise ValueError(f"{what}: expected {count} delays, got {len(values)}")
@@ -118,6 +120,13 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    """Unset delay options are uniform:1; the other kind's are refused."""
+    own = {"rca": ("carry_delays", "sum_delays"), "ksa": ("delay",)}[args.kind]
+    for name in ("carry_delays", "sum_delays", "delay"):
+        if getattr(args, name) is None:
+            setattr(args, name, "uniform:1")
+        elif name not in own:
+            raise ValueError(f"gen {args.kind} does not take --{name.replace('_', '-')}")
     if args.kind == "rca":
         carry = _parse_delay_list(args.carry_delays, args.n, "--carry-delays")
         sums = _parse_delay_list(args.sum_delays, args.n + 1, "--sum-delays")
@@ -127,10 +136,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if spec.startswith("file:"):
             with open(spec.split(":", 1)[1]) as fh:
                 delays: KsaDelays | int = KsaDelays.from_json_dict(json.load(fh))
-        elif spec.startswith("uniform:"):
-            delays = as_delay(spec.split(":", 1)[1])
         else:
-            delays = as_delay(spec)
+            delays = as_delay(spec.removeprefix("uniform:"))
         net = generate_ksa(args.n, delays)
     _emit(net.to_json() + "\n", args.output)
     return 0
@@ -296,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a netlist")
     p_gen.add_argument("kind", choices=("rca", "ksa"))
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--carry-delays", default="uniform:1",
-                       help="rca: uniform:<d>, comma list, or file:<path>")
-    p_gen.add_argument("--sum-delays", default="uniform:1",
-                       help="rca: uniform:<d>, comma list, or file:<path>")
-    p_gen.add_argument("--delay", default="uniform:1",
-                       help="ksa: uniform:<d> or file:<path> (per-module JSON)")
+    p_gen.add_argument("--carry-delays",
+                       help="rca only: uniform:<d>, comma list, or file:<path> (default uniform:1)")
+    p_gen.add_argument("--sum-delays",
+                       help="rca only: uniform:<d>, comma list, or file:<path> (default uniform:1)")
+    p_gen.add_argument("--delay",
+                       help="ksa only: uniform:<d> or file:<path> (per-module JSON; default uniform:1)")
     add_common(p_gen, fmt=False)
     p_gen.set_defaults(func=_cmd_gen)
 

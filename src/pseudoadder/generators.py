@@ -13,7 +13,6 @@ delay, so one traversal of the cell costs exactly its assigned delay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,10 +101,6 @@ class KsaDelays:
                 prefix=tuple(tuple(as_delay(d) for d in row) for row in data["prefix"]),
                 sums=tuple(as_delay(d) for d in data["sum"]),
             )
-
-    @classmethod
-    def from_json(cls, text: str) -> "KsaDelays":
-        return cls.from_json_dict(json.loads(text))
 
 
 def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:

@@ -80,9 +80,6 @@ class CarryChain(NamedTuple):
             raise ValueError(f"chain {self} violates 1 <= i <= j <= {n}")
         return self
 
-    def overlaps(self, other: "CarryChain") -> bool:
-        return not (self.j < other.i or other.j < self.i)
-
 
 @dataclass(frozen=True)
 class ChainSet:
@@ -132,17 +129,15 @@ class ChainErrorTable:
         bound = 1 << (n + 1)
         for key, value in (entries or {}).items():
             chain = CarryChain(*key).validate(n)
+            if type(value) is not int:
+                raise ValueError(f"error for chain {chain} must be an int, got {value!r}")
             if abs(value) >= bound:
                 raise ValueError(
                     f"error {value} for chain {chain} exceeds +/-2^{n + 1}"
                 )
             if value:
-                ec[chain] = int(value)
+                ec[chain] = value
         self._ec = ec
-
-    # a CarryChain hashes and compares equal to its plain (i, j) tuple
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self._ec.get(tuple(key), 0)
 
     def get(self, i: int, j: int) -> int:
         return self._ec.get((i, j), 0)
@@ -150,11 +145,6 @@ class ChainErrorTable:
     def nonzero(self) -> list[tuple[CarryChain, int]]:
         """Chains with a nonzero error, ascending by (i, j)."""
         return sorted(self._ec.items())
-
-    def entries(self) -> Iterator[tuple[CarryChain, int]]:
-        """All n(n+1)/2 entries including zeros, ascending by (i, j)."""
-        for c in all_chains(self.n):
-            yield c, self._ec.get(c, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainErrorTable):
@@ -171,15 +161,6 @@ class ChainErrorTable:
                 {"i": c.i, "j": c.j, "value": v} for c, v in sorted(self._ec.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainErrorTable":
-        n = int(data["n"])
-        entries = {
-            CarryChain(int(e["i"]), int(e["j"])): int(e["value"])
-            for e in data.get("ec", [])
-        }
-        return cls(n, entries)
 
 
 @dataclass

@@ -106,10 +106,11 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
 
 @contextmanager
 def malformed_json(what: str) -> Iterator[None]:
-    """Raise a missing key or wrongly typed value in decoded JSON as ValueError."""
+    """Raise a missing key, wrongly typed value or bad value in decoded JSON
+    as one ValueError naming the format."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed {what} JSON: {fault}") from exc
 
@@ -129,11 +130,11 @@ class Gate:
     def __post_init__(self) -> None:
         if len(self.inputs) != ARITY[self.kind]:
             raise ValueError(
-                f"gate {self.id}: kind {self.kind.value} takes "
+                f"gate {self.id!r}: kind {self.kind.value} takes "
                 f"{ARITY[self.kind]} inputs, got {len(self.inputs)}"
             )
         if self.delay < 0:
-            raise ValueError(f"gate {self.id}: negative delay {self.delay}")
+            raise ValueError(f"gate {self.id!r}: negative delay {self.delay}")
 
 
 class Netlist:
@@ -204,10 +205,6 @@ class Netlist:
             return (word >> k) & 1
         return 1 if gate.kind is GateKind.CONST1 else 0
 
-    def logic_gate_count(self) -> int:
-        """Gates that compute something (everything but inputs/constants)."""
-        return sum(1 for g in self.gates if g.kind not in SOURCE_KINDS)
-
     def arrival_time(self) -> Delay:
         """Latest static arrival time of any sum output: the longest delay
         along a path into an output gate.  Under transport delay no output
@@ -239,15 +236,19 @@ class Netlist:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Netlist":
         """Parse the JSON schema; ``n`` must be an integer, ``inputs`` a
-        list and every output key a canonical decimal ``"0"``..``"n"``."""
+        list and every output key a canonical decimal ``"0"``..``"n"``.
+        A bad kind, delay or arity names its gate."""
         with malformed_json("netlist"):
             gates = []
             for g in data["gates"]:
                 inputs = g.get("inputs", [])
                 if not isinstance(inputs, list):
                     raise TypeError(f"gate {g['id']!r}: inputs must be a list, got {inputs!r}")
-                gates.append(Gate(str(g["id"]), GateKind(g["kind"]), tuple(map(str, inputs)),
-                                  as_delay(g.get("delay", 0))))
+                try:
+                    kind, delay = GateKind(g["kind"]), as_delay(g.get("delay", 0))
+                except ValueError as exc:
+                    raise ValueError(f"gate {g['id']!r}: {exc}") from exc
+                gates.append(Gate(str(g["id"]), kind, tuple(map(str, inputs)), delay))
             n = data["n"]
             if type(n) is not int:
                 raise TypeError(f"n must be an integer, got {n!r}")
@@ -257,7 +258,7 @@ class Netlist:
                 if key not in positions:
                     raise TypeError(f"output key {key!r} is not one of '0'..'{n}'")
                 outputs[positions[key]] = str(gid)
-            return cls(n, gates, outputs)
+        return cls(n, gates, outputs)
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":

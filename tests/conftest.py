@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, bit, nu_single
+from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, nu_single
+from pseudoadder.model import bit
 
 
 @pytest.fixture
@@ -117,7 +118,7 @@ def nu_pair(n, c1, c2):
     c2 = CarryChain(*c2).validate(n)
     if c2.i <= c1.i:
         raise ValueError(f"chains must be in ascending order, got {c1}, {c2}")
-    if c1.overlaps(c2):
+    if c2.i <= c1.j:
         return 0
     boundary = 1 if c2.i == c1.j + 1 else 2 * 4 ** (c2.i - c1.j - 2)
     end = 1 if c2.j == n else 2 * 4 ** (n - 1 - c2.j)
@@ -263,7 +264,8 @@ def nu_signed_all(ec):
     _, bounded = suffix_counts(ec)
     below = below_boundary_counts(ec)
     result = {}
-    for c, e in ec.entries():
+    for c in all_chains(ec.n):
+        e = ec.get(*c)
         i, j = c
         low_free = 4 ** (i - 1)
         prop = 1 << (j - i)

@@ -144,7 +144,7 @@ def test_rca_chain_errors_nonnegative():
         net = generate_rca(n, mods, mods + [rng.randint(0, 4)])
         t = rng.randint(0, sum(mods) + 4)
         ec = extract_ec_table(net, t)
-        assert all(v >= 0 for _, v in ec.entries()), (n, mods, t, ec.nonzero())
+        assert all(v >= 0 for _, v in ec.nonzero()), (n, mods, t, ec.nonzero())
         assert er_avg_fast(ec).er_avg == er_avg_nonnegative(ec)
         checked += 1
     for _ in range(60):
@@ -153,7 +153,7 @@ def test_rca_chain_errors_nonnegative():
         net = generate_rca(n, [rng.randint(0, 4) for _ in range(n)], [d] * (n + 1))
         t = rng.randint(0, 4 * n + 4)
         ec = extract_ec_table(net, t)
-        assert all(v >= 0 for _, v in ec.entries()), (n, t, ec.nonzero())
+        assert all(v >= 0 for _, v in ec.nonzero()), (n, t, ec.nonzero())
         assert er_avg_fast(ec).er_avg == er_avg_nonnegative(ec)
         checked += 1
     assert checked >= 100

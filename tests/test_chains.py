@@ -8,8 +8,6 @@ from pseudoadder import (
     ChainSet,
     InputPair,
     all_chains,
-    canonical_pair,
-    chain_predicate,
     decompose_error,
     detect_chains,
     dominating_chain,
@@ -18,6 +16,7 @@ from pseudoadder import (
     reference_add,
     witness_for_chain_set,
 )
+from pseudoadder.chains import canonical_pair, chain_predicate
 from conftest import chains_by_scan, exhaustive_pairs
 
 

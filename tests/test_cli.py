@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pseudoadder import Netlist, staggered_ksa8
+from pseudoadder import Netlist, generate_rca, staggered_ksa8
 from pseudoadder.cli import main
 
 
@@ -50,6 +50,17 @@ def test_gen_rca_rejects_bad_delay_count(capsys):
     )
     assert code == 1
     assert "expected 4" in err
+
+
+def test_gen_refuses_the_other_kinds_delay_options(capsys):
+    for argv, option in (
+        (("rca", "--n", "2", "--delay", "uniform:5"), "--delay"),
+        (("ksa", "--n", "2", "--carry-delays", "9,9"), "--carry-delays"),
+        (("ksa", "--n", "2", "--sum-delays", "9,9,9"), "--sum-delays"),
+    ):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: gen {argv[0]} does not take {option}\n"
 
 
 def write_staggered(tmp_path):
@@ -227,10 +238,15 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
 
     # malformed netlist and delay files name the fault, without a traceback
     no_kind = {"n": 1, "gates": [{"id": "a0"}], "outputs": {}}
+    rca1 = generate_rca(1, [2], [1, 1]).to_json()
     for text, fault in (
         ("{}", "missing key 'gates'"),
         (json.dumps(no_kind), "missing key 'kind'"),
         ("[1]", "list indices must be integers"),
+        (rca1.replace('"kind": "MAJ3"', '"kind": "FOO"'), "gate 'c1': 'FOO' is not a valid GateKind"),
+        (rca1.replace('"delay": 2', '"delay": "abc"'), "gate 'c1': Invalid literal for Fraction: 'abc'"),
+        (rca1.replace('"inputs": ["a0", "b0", "zero"]', '"inputs": ["a0"]'),
+         "gate 'c1': kind MAJ3 takes 3 inputs, got 1"),
     ):
         path.write_text(text)
         code, out, err = run_cli(capsys, "stats", "--netlist", str(path))
@@ -240,10 +256,15 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}")
     assert (code, out) == (1, "")
     assert err.startswith("error: malformed KSA delay JSON: 'int' object is not iterable")
-    path.write_text("5")
-    code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
+    path.write_text('{"pg": [1, "abc"], "prefix": [[1, 1]], "sum": [1, 1, 1]}')
+    code, out, err = run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}")
     assert (code, out) == (1, "")
-    assert err.startswith("error: malformed delay list JSON: 'int' object is not iterable")
+    assert err.startswith("error: malformed KSA delay JSON: Invalid literal for Fraction: 'abc'")
+    for text, fault in (("5", "'int' object is not iterable"), ("[1, -2]", "delay must be non-negative")):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed delay list JSON: {fault}")
 
 
 def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp_path):

@@ -10,11 +10,11 @@ from pseudoadder import (
     GateKind,
     KsaDelays,
     Netlist,
-    as_delay,
     extract_ec_table,
     generate_ksa,
     generate_rca,
 )
+from pseudoadder.netlist import as_delay
 from conftest import random_netlist
 
 
@@ -139,6 +139,15 @@ def test_malformed_netlist_json_is_refused():
         (changed(lambda d: d.update(n=True)), "n must be an integer, got True"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs="a0b0")),
          "gate 's0': inputs must be a list, got 'a0b0'"),
+        # a bad kind, delay or arity names its gate
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(kind="FOO")),
+         "gate 's0': 'FOO' is not a valid GateKind"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="abc")),
+         "gate 's0': Invalid literal for Fraction: 'abc'"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay=-1)),
+         "gate 's0': delay must be non-negative, got -1"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs=["a0"])),
+         "gate 's0': kind XOR2 takes 2 inputs, got 1"),
     ):
         with pytest.raises(ValueError) as exc:
             Netlist.from_json_dict(data)
@@ -186,7 +195,7 @@ def test_rational_delays_roundtrip_exactly(carries, sums, reads):
 def test_rational_ksa_delays_roundtrip_exactly(values):
     # a 4-bit Kogge-Stone: 4 PG cells, 2 prefix levels of 4, 5 sum XORs
     delays = KsaDelays(tuple(values[:4]), (tuple(values[4:8]), tuple(values[8:12])), tuple(values[12:]))
-    assert KsaDelays.from_json(json.dumps(delays.to_json_dict())) == delays
+    assert KsaDelays.from_json_dict(json.loads(json.dumps(delays.to_json_dict()))) == delays
 
 
 def test_generator_guards():
@@ -202,7 +211,6 @@ def test_generator_guards():
 
 def test_rca_minimal_structure():
     net = generate_rca(1, [1], [1, 1])
-    assert net.logic_gate_count() == 3
     kinds = sorted(g.kind.value for g in net.gates if g.inputs)
     assert kinds == ["MAJ3", "XOR2", "XOR2"]
 

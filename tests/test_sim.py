@@ -130,7 +130,7 @@ def test_staggered_ksa_time_table():
 
 
 def test_fractional_delays_order_events():
-    from pseudoadder import as_delay
+    from pseudoadder.netlist import as_delay
 
     net = generate_rca(2, [as_delay("0.5"), as_delay("0.5")], [0, 0, 0])
     p = InputPair(2, 3, 1)  # full ripple: carries at 0.5 and 1.0

@@ -16,7 +16,6 @@ from pseudoadder import (
     max_abs_error,
     mse_fast,
     nu_single,
-    random_realizable_error,
     random_realizable_table,
     sae_oracle_chains,
     sae_oracle_simulate,
@@ -24,6 +23,7 @@ from pseudoadder import (
     witness_for_chain_set,
 )
 from pseudoadder.stats import ORACLE_LIMIT
+from pseudoadder.tables import random_realizable_error
 from conftest import (
     er_avg_nonnegative,
     max_abs_error_dag,

@@ -11,12 +11,12 @@ from pseudoadder import (
     KsaDelays,
     generate_ksa,
     all_chains,
-    canonical_pair,
     generate_rca,
     simulate,
     staggered_ksa8,
 )
 from pseudoadder import sweep as sweep_module
+from pseudoadder.chains import canonical_pair
 from pseudoadder.sweep import PairSweep, _gate_steps as gate_steps, _transpose
 from conftest import (
     exhaustive_pairs,
