@@ -42,22 +42,19 @@ def generate_rca(
         raise ValueError(f"need {n} carry delays, got {len(carry_delays)}")
     if len(sum_delays) != n + 1:
         raise ValueError(f"need {n + 1} sum delays, got {len(sum_delays)}")
-    cd = [as_delay(d) for d in carry_delays]
-    sd = [as_delay(d) for d in sum_delays]
-
     gates = _input_gates(n)
     outputs: dict[int, str] = {}
     carry = "zero"
     for k in range(n):
         if k == 0:
-            gates.append(Gate("s0", GateKind.XOR2, ("a0", "b0"), sd[0]))
+            gates.append(Gate("s0", GateKind.XOR2, ("a0", "b0"), sum_delays[0]))
         else:
             gates.append(Gate(f"p{k}", GateKind.XOR2, (f"a{k}", f"b{k}"), 0))
-            gates.append(Gate(f"s{k}", GateKind.XOR2, (f"p{k}", carry), sd[k]))
-        gates.append(Gate(f"c{k + 1}", GateKind.MAJ3, (f"a{k}", f"b{k}", carry), cd[k]))
+            gates.append(Gate(f"s{k}", GateKind.XOR2, (f"p{k}", carry), sum_delays[k]))
+        gates.append(Gate(f"c{k + 1}", GateKind.MAJ3, (f"a{k}", f"b{k}", carry), carry_delays[k]))
         outputs[k] = f"s{k}"
         carry = f"c{k + 1}"
-    gates.append(Gate(f"s{n}", GateKind.XOR2, (carry, "zero"), sd[n]))
+    gates.append(Gate(f"s{n}", GateKind.XOR2, (carry, "zero"), sum_delays[n]))
     outputs[n] = f"s{n}"
     return Netlist(n, gates, outputs)
 
@@ -130,7 +127,7 @@ def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:
     g_net: list[str] = []
     p_net: list[str] = []
     for k in range(n):
-        d = as_delay(delays.pg[k])
+        d = delays.pg[k]
         gates.append(Gate(f"p{k}", GateKind.XOR2, (f"a{k}", f"b{k}"), d))
         gates.append(Gate(f"g{k}", GateKind.AND2, (f"a{k}", f"b{k}"), d))
         g_net.append(f"g{k}")
@@ -141,7 +138,7 @@ def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:
         g_next = list(g_net)
         p_next = list(p_net)
         for k in range(span, n):
-            d = as_delay(delays.prefix[level - 1][k])
+            d = delays.prefix[level - 1][k]
             tag = f"l{level}k{k}"
             gates.append(
                 Gate(f"gp_{tag}", GateKind.AND2, (p_net[k], g_net[k - span]), 0)
@@ -156,15 +153,15 @@ def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:
         g_net, p_net = g_next, p_next
 
     outputs: dict[int, str] = {}
-    gates.append(Gate("s0", GateKind.XOR2, ("p0", "zero"), as_delay(delays.sums[0])))
+    gates.append(Gate("s0", GateKind.XOR2, ("p0", "zero"), delays.sums[0]))
     outputs[0] = "s0"
     for k in range(1, n):
         gates.append(
-            Gate(f"s{k}", GateKind.XOR2, (f"p{k}", g_net[k - 1]), as_delay(delays.sums[k]))
+            Gate(f"s{k}", GateKind.XOR2, (f"p{k}", g_net[k - 1]), delays.sums[k])
         )
         outputs[k] = f"s{k}"
     gates.append(
-        Gate(f"s{n}", GateKind.XOR2, (g_net[n - 1], "zero"), as_delay(delays.sums[n]))
+        Gate(f"s{n}", GateKind.XOR2, (g_net[n - 1], "zero"), delays.sums[n])
     )
     outputs[n] = f"s{n}"
     return Netlist(n, gates, outputs)

@@ -64,6 +64,7 @@ def evaluate_gate(kind: GateKind, vals: Sequence[int], full: int) -> int:
 
     Each value is a lane mask (bit k is the signal in lane k) and ``full``
     has every lane set; a single pair is the one-lane case ``full=1``.
+    Sources never reach it: their values come from the stimulus.
     """
     if kind is GateKind.BUF:
         return vals[0]
@@ -75,12 +76,8 @@ def evaluate_gate(kind: GateKind, vals: Sequence[int], full: int) -> int:
         return vals[0] | vals[1]
     if kind is GateKind.XOR2:
         return vals[0] ^ vals[1]
-    if kind is GateKind.MAJ3:
-        x, y, z = vals
-        return (x & y) | (x & z) | (y & z)
-    if kind is GateKind.CONST1:
-        return full
-    return 0  # CONST0; INPUT values come from the stimulus
+    x, y, z = vals  # MAJ3
+    return (x & y) | (x & z) | (y & z)
 
 
 def as_delay(value: int | float | str | Fraction) -> Delay:
@@ -91,11 +88,11 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
         d: Delay = value
     elif isinstance(value, Fraction):
         d = int(value) if value.denominator == 1 else value
-    elif isinstance(value, float):
-        f = Fraction(str(value))
-        d = int(f) if f.denominator == 1 else f
-    elif isinstance(value, str):
-        f = Fraction(value)
+    elif isinstance(value, (float, str)):
+        try:
+            f = Fraction(str(value))
+        except ZeroDivisionError:  # "p/0"
+            raise ValueError(f"cannot interpret delay {value!r}") from None
         d = int(f) if f.denominator == 1 else f
     else:
         raise ValueError(f"cannot interpret delay {value!r}")
@@ -122,19 +119,25 @@ def delay_to_json(d: Delay) -> int | str:
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate; its kind is stored as a :class:`GateKind` and its delay
+    exactly (:func:`as_delay`), so ``"XOR2"`` and ``0.1`` are accepted."""
+
     id: str
     kind: GateKind
     inputs: tuple[str, ...] = ()
     delay: Delay = 0
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", GateKind(self.kind))
+            object.__setattr__(self, "delay", as_delay(self.delay))
+        except ValueError as exc:
+            raise ValueError(f"gate {self.id!r}: {exc}") from exc
         if len(self.inputs) != ARITY[self.kind]:
             raise ValueError(
                 f"gate {self.id!r}: kind {self.kind.value} takes "
                 f"{ARITY[self.kind]} inputs, got {len(self.inputs)}"
             )
-        if self.delay < 0:
-            raise ValueError(f"gate {self.id!r}: negative delay {self.delay}")
 
 
 class Netlist:
@@ -244,11 +247,7 @@ class Netlist:
                 inputs = g.get("inputs", [])
                 if not isinstance(inputs, list):
                     raise TypeError(f"gate {g['id']!r}: inputs must be a list, got {inputs!r}")
-                try:
-                    kind, delay = GateKind(g["kind"]), as_delay(g.get("delay", 0))
-                except ValueError as exc:
-                    raise ValueError(f"gate {g['id']!r}: {exc}") from exc
-                gates.append(Gate(str(g["id"]), kind, tuple(map(str, inputs)), delay))
+                gates.append(Gate(str(g["id"]), g["kind"], tuple(map(str, inputs)), g.get("delay", 0)))
             n = data["n"]
             if type(n) is not int:
                 raise TypeError(f"n must be an integer, got {n!r}")

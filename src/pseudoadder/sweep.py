@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .model import InputPair
-from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, evaluate_gate
+from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
 def _index_bit_masks(bits: int) -> list[int]:
@@ -126,11 +126,12 @@ class PairSweep:
     waveform is freed as soon as its last fanout has read it.
 
     ``times`` (default: the whole history) lists the only read times the
-    sweep answers; any other read, :meth:`quiescence_time` and
-    :meth:`output_change_times` raise ValueError.  Gates are simulated up
-    to the last one (exact: with transport delays an output at tau depends
-    only on inputs at tau - d); kept waveforms hold just those samples, so
-    at one T the unit-delay RCA-10 keeps 11 masks of 128 KB, not 65.
+    sweep answers; any other read and :meth:`output_change_times` raise
+    ValueError.  Gates are simulated up to the last one (exact: with
+    transport delays an output at tau depends only on inputs at tau - d);
+    kept waveforms hold just those samples, so at one T the unit-delay
+    RCA-10 keeps 11 masks of 128 KB, not 65.  Read times are taken exactly
+    like delays (:func:`~pseudoadder.netlist.as_delay`): 0.3 reads at 3/10.
     """
 
     def __init__(
@@ -141,7 +142,7 @@ class PairSweep:
         times: list[Time] | None = None,
     ):
         self.net = net
-        self._reads = None if times is None else frozenset(times)
+        self._reads = None if times is None else frozenset(map(as_delay, times))
         reads = sorted(self._reads or ())
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
@@ -164,7 +165,6 @@ class PairSweep:
         unread = {gid: len(fan) for gid, fan in net.fanout.items()}
         live: dict[str, list[tuple[Time, int]]] = {}
         self._wf: dict[str, Waveform] = {}
-        self._quiescence: Time = 0
         for gid in net.order:
             gate = net.by_id[gid]
             if gate.kind in SOURCE_KINDS:
@@ -179,8 +179,6 @@ class PairSweep:
                     unread[s] -= 1
                     if not unread[s]:
                         del live[s]
-            if steps and steps[-1][0] > self._quiescence:
-                self._quiescence = steps[-1][0]
             if unread[gid]:
                 live[gid] = steps
             if gid in wanted:
@@ -193,15 +191,6 @@ class PairSweep:
     def waveform(self, gate_id: str) -> Waveform:
         return self._wf[gate_id]
 
-    def _whole_history(self, what: str) -> None:
-        if self._reads is not None:
-            raise ValueError(f"{what} needs the whole history; this sweep was built for given read times")
-
-    def quiescence_time(self) -> Time:
-        """Time of the last change of any gate in any lane."""
-        self._whole_history("quiescence_time")
-        return self._quiescence
-
     def lane_pair(self, lane: int) -> tuple[int, int]:
         """The operands ``(a, b)`` of one lane."""
         word = lane if self._words is None else self._words[lane]
@@ -209,7 +198,8 @@ class PairSweep:
 
     def output_change_times(self) -> list[Time]:
         """Sorted times at which any sum bit changes in any lane."""
-        self._whole_history("output_change_times")
+        if self._reads is not None:
+            raise ValueError("output_change_times needs the whole history; this sweep was built for given read times")
         times: set[Time] = {0}
         for gid in self.net.outputs.values():
             times.update(self._wf[gid].times)
@@ -219,6 +209,7 @@ class PairSweep:
         """One lane mask per sum position 0..n at read time t."""
         if t < 0:
             raise ValueError(f"read time must be non-negative, got {t}")
+        t = as_delay(t)
         if self._reads is not None and t not in self._reads:
             raise ValueError(f"read time {t} is not one of this sweep's read times")
         return [self._wf[self.net.outputs[pos]].at(t) for pos in range(self.n + 1)]

@@ -17,17 +17,6 @@ import random
 from .model import CarryChain, ChainErrorTable, all_chains
 
 
-def is_realizable_error(value: int, c: CarryChain) -> bool:
-    """True when the value is a possible error of the chain (i, j)."""
-    if value == 0:
-        return True
-    span = ((1 << c.j) - 1) ^ ((1 << c.i) - 1)  # bits i..j-1
-    if value > 0:
-        m = (1 << c.j) - value
-        return m >= 0 and (m & ~span) == 0
-    return (-value & ~span) == 0
-
-
 def random_realizable_error(
     c: CarryChain, rng: random.Random, nonnegative: bool = False
 ) -> int:

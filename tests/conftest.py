@@ -101,6 +101,18 @@ def random_netlist(n, rng):
     return Netlist(n, gates, outputs)
 
 
+def is_realizable_error(value, c):
+    """True when the value is a possible error of the chain (i, j): the
+    shape that ``pseudoadder.tables`` draws from."""
+    if value == 0:
+        return True
+    span = ((1 << c.j) - 1) ^ ((1 << c.i) - 1)  # bits i..j-1
+    if value > 0:
+        m = (1 << c.j) - value
+        return m >= 0 and (m & ~span) == 0
+    return (-value & ~span) == 0
+
+
 # --- Joint-count closed forms, pinned against enumeration --------------
 # Production statistics never call these; they document the joint
 # counts behind the fast paths and the README's quoted-forms discussion.

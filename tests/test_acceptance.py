@@ -180,7 +180,7 @@ def test_dominating_sign_law_on_ksa():
     for delays in configs:
         net = generate_ksa(8, delays)
         sweep = PairSweep(net, keep=set(net.outputs.values()))
-        quiescence = int(sweep.quiescence_time())
+        quiescence = int(sweep.output_change_times()[-1])
         settle = max(
             int(delays.pg[k]) + int(delays.sums[k]) for k in range(8)
         )

@@ -222,7 +222,7 @@ def test_quiescence_stop_is_sound_on_random_netlists():
         adders.append(generate_ksa(8, KsaDelays(draw(), (draw(), draw(), draw()), draw() + (1,))))
     for net in adders:
         # on adders the static stop is exactly the all-pairs quiescence
-        assert _parse_t_range("0..quiescence", net)[-1] == PairSweep(net).quiescence_time()
+        assert _parse_t_range("0..quiescence", net)[-1] == PairSweep(net).output_change_times()[-1]
 
 
 def test_model_errors_exit_cleanly(capsys, tmp_path):
@@ -245,6 +245,7 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
         ("[1]", "list indices must be integers"),
         (rca1.replace('"kind": "MAJ3"', '"kind": "FOO"'), "gate 'c1': 'FOO' is not a valid GateKind"),
         (rca1.replace('"delay": 2', '"delay": "abc"'), "gate 'c1': Invalid literal for Fraction: 'abc'"),
+        (rca1.replace('"delay": 2', '"delay": "1/0"'), "gate 'c1': cannot interpret delay '1/0'"),
         (rca1.replace('"inputs": ["a0", "b0", "zero"]', '"inputs": ["a0"]'),
          "gate 'c1': kind MAJ3 takes 3 inputs, got 1"),
     ):
@@ -265,6 +266,16 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
         code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
         assert (code, out) == (1, "")
         assert err.startswith(f"error: malformed delay list JSON: {fault}")
+    # a zero denominator is refused like any other bad number
+    path.write_text(rca1)
+    for argv in (
+        ("stats", "--netlist", str(path), "-T", "1/0"),
+        ("sweep", "--netlist", str(path), "--t-range", "0..1:1/0"),
+        ("trace", "--netlist", str(path), "-a", "1", "-b", "0", "--times", "1/0"),
+        ("gen", "ksa", "--n", "2", "--delay", "uniform:1/0"),
+        ("gen", "rca", "--n", "1", "--carry-delays", "1/0"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", "error: cannot interpret delay '1/0'\n"), argv
 
 
 def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ from pseudoadder import (
     GateKind,
     KsaDelays,
     Netlist,
+    PairSweep,
     extract_ec_table,
     generate_ksa,
     generate_rca,
@@ -31,6 +32,31 @@ def test_gate_arity_checked():
         Gate("g", GateKind.NOT, ("x", "y"))
     with pytest.raises(ValueError):
         Gate("g", GateKind.INPUT, ("x",))
+
+
+def test_gate_normalizes_kind_and_delay():
+    gate = Gate("x", "XOR2", ("a0", "b0"), 0.1)
+    assert gate.kind is GateKind.XOR2 and gate.delay == Fraction(1, 10)
+    exact = generate_rca(3, [Fraction(1, 10)] * 3, [Fraction(2, 7), 1, 0, Fraction(1, 2)])
+    loose_delay = {Fraction(1, 10): 0.1, Fraction(2, 7): "2/7", 1: 1.0, 0: "0", Fraction(1, 2): "1/2"}
+    loose = Netlist(
+        3,
+        [Gate(g.id, g.kind.value, g.inputs, loose_delay[g.delay]) for g in exact.gates],
+        exact.outputs,
+    )
+    for g, e in zip(loose.gates, exact.gates):
+        assert g == e and g.kind is e.kind and type(g.delay) is type(e.delay), g
+    assert loose.to_json() == exact.to_json()
+    assert loose.arrival_time() == exact.arrival_time() == Fraction(11, 10)
+    lanes, reference = PairSweep(loose), PairSweep(exact)
+    for t in reference.output_change_times():
+        assert lanes.lane_sums(t) == reference.lane_sums(t), t
+    for args, fault in (
+        ((GateKind.XOR2, ("a0", "b0"), True), "delay must be a number"),
+        (("XOR3", ("a0", "b0")), "'XOR3' is not a valid GateKind"),
+    ):
+        with pytest.raises(ValueError, match=f"^gate 'x': {fault}$"):
+            Gate("x", *args)
 
 
 def test_as_delay():
@@ -144,6 +170,8 @@ def test_malformed_netlist_json_is_refused():
          "gate 's0': 'FOO' is not a valid GateKind"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="abc")),
          "gate 's0': Invalid literal for Fraction: 'abc'"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="1/0")),
+         "gate 's0': cannot interpret delay '1/0'"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay=-1)),
          "gate 's0': delay must be non-negative, got -1"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs=["a0"])),

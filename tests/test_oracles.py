@@ -96,7 +96,7 @@ def _netlist(kind, rng):
 )
 def test_simulation_oracle_equals_per_pair_reference(kind, seed, data):
     net = _netlist(kind, random.Random(seed))
-    quiet = PairSweep(net, keep=set(net.outputs.values())).quiescence_time()
+    quiet = PairSweep(net, keep=set(net.outputs.values())).output_change_times()[-1]
     t = data.draw(st.integers(0, int(quiet) + 2), label="t")
     got = sae_oracle_simulate(net, t)
     assert got == reference_oracle_simulate(net, t)

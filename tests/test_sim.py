@@ -150,7 +150,7 @@ def test_exhaustive_quiescent_correctness_n8_via_sweep():
     a, b = operand_arrays(8)
     for net in (generate_rca(8, [1] * 8, [1] * 9), generate_ksa(8, 1)):
         sweep = PairSweep(net, keep=set(net.outputs.values()))
-        assert np.array_equal(sums_at(sweep, sweep.quiescence_time()), a + b)
+        assert np.array_equal(sums_at(sweep, net.arrival_time()), a + b)
 
 
 def test_read_at_zero_recovers_xor_carries():

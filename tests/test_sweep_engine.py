@@ -11,6 +11,8 @@ from pseudoadder import (
     KsaDelays,
     generate_ksa,
     all_chains,
+    analyze_table,
+    extract_ec_table,
     generate_rca,
     simulate,
     staggered_ksa8,
@@ -90,18 +92,29 @@ def test_sweep_equals_event_sim_sampled_staggered():
 
 def test_sweep_quiescence_matches_event_sim():
     net = generate_rca(3, [1, 3, 2], [2, 0, 1, 4])
-    sweep = PairSweep(net)
+    sweep = PairSweep(net, keep=set(net.by_id))
     worst = max(
         simulate(net, p).quiescence_time() for p in exhaustive_pairs(3)
     )
-    assert sweep.quiescence_time() == worst
+    last = max(wf.times[-1] for wf in map(sweep.waveform, net.by_id) if wf.times)
+    assert last == worst
+
+
+def test_float_read_times_are_exact():
+    # the float 0.3 lies just below 3/10, where the last sum bit lands
+    net = generate_rca(4, [Fraction(1, 10)] * 4, [Fraction(1, 10)] * 5)
+    exact = Fraction(3, 10)
+    assert analyze_table(extract_ec_table(net, 0.3)) == analyze_table(extract_ec_table(net, exact))
+    full = PairSweep(net)
+    assert full.lane_sums(0.3) == full.lane_sums(exact)
+    assert PairSweep(net, times=[0.3]).lane_sums(exact) == full.lane_sums(exact)
 
 
 def test_sums_at_quiescence_are_correct():
     net = generate_ksa(4, KsaDelays.uniform(4, 2))
     sweep = PairSweep(net)
     a, b = operand_arrays(4)
-    assert np.array_equal(sums_at(sweep, sweep.quiescence_time()), a + b)
+    assert np.array_equal(sums_at(sweep, net.arrival_time()), a + b)
     assert np.array_equal(sums_at(sweep, 0), np.zeros(256, dtype=np.int64))
 
 
@@ -193,7 +206,7 @@ def bounded_sweep_cases(draw):
 def test_bounded_sweep_equals_full_sweep(case):
     net, pairs, reads, other = case
     full = PairSweep(net, pairs=pairs)
-    past = full.quiescence_time() + Fraction(1, 2)
+    past = net.arrival_time() + Fraction(1, 2)
     # 0 and the drawn (mostly rational) times, with and without a time
     # past quiescence
     for times in ([0, *reads, past], [0, *reads]):
@@ -218,9 +231,8 @@ def test_bounded_sweep_equals_full_sweep(case):
         unlisted = other if other not in times else max(times) + 1
         with pytest.raises(ValueError, match="not one of this sweep's read times"):
             bounded.output_masks_at(unlisted)
-        for whole_history in (bounded.quiescence_time, bounded.output_change_times):
-            with pytest.raises(ValueError, match="whole history"):
-                whole_history()
+        with pytest.raises(ValueError, match="whole history"):
+            bounded.output_change_times()
 
 
 @st.composite

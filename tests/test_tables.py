@@ -1,7 +1,8 @@
 import random
 
 from pseudoadder import CarryChain, random_realizable_table
-from pseudoadder.tables import is_realizable_error, random_realizable_error
+from pseudoadder.tables import random_realizable_error
+from conftest import is_realizable_error
 
 
 def test_realizability_predicate():
