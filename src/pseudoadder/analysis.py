@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import islice
 
 from .chains import canonical_pair, chain_predicate
 from .model import (
@@ -24,7 +26,7 @@ from .model import (
     all_chains,
 )
 from .netlist import Netlist, Time
-from .sweep import PairSweep
+from .sweep import PairSweep, block_sweeps
 
 
 @dataclass
@@ -32,7 +34,7 @@ class ConservativeReport:
     """Outcome of a no-spurious-carries check at one read time."""
 
     read_time: Time
-    checked: int
+    checked: int = 0
     violations: int = 0
     counterexamples: list[tuple[int, int, int]] = field(default_factory=list)
     #: counterexamples are (a, b, position), capped; position 0 flags a
@@ -41,6 +43,24 @@ class ConservativeReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+    def add(self, sweep: PairSweep) -> None:
+        """Count in the lanes of a sweep that answers at the read time: a
+        sample, or one lane block of an exhaustive check.  Counterexamples
+        stay the first 10 by position, then by lane, where lanes of
+        several blocks are ordered as ``a + (b << n)``."""
+        _, bad = sweep.carries_at(self.read_time)
+        self.checked += sweep.pair_count
+        self.violations += sum(mask.bit_count() for mask in bad)
+        found = []
+        for k, mask in enumerate(bad):
+            while mask and len(found) < 10:
+                lane = (mask & -mask).bit_length() - 1
+                found.append((*sweep.lane_pair(lane), k))
+                mask &= mask - 1
+        n = sweep.n
+        merged = merge(self.counterexamples, found, key=lambda c: (c[2], c[0] + (c[1] << n)))
+        self.counterexamples = list(islice(merged, 10))
 
 
 @dataclass
@@ -60,31 +80,19 @@ class AssumptionReport:
         return self.commutative and self.independent
 
 
-def check_conservative(
-    net: Netlist,
-    t: Time,
-    pairs: list[InputPair] | None = None,
-    sweep: PairSweep | None = None,
-) -> ConservativeReport:
+def check_conservative(net: Netlist, t: Time, pairs: list[InputPair] | None = None) -> ConservativeReport:
     """Verify ``c'_k <= c_k`` and a fresh position-0 bit for every pair
     (or the given sample) at T.
 
-    With ``pairs=None`` the check is exhaustive over all 4^n pairs; pass
-    a prebuilt sweep that answers at T to share it with other checks.
-    Counterexamples are listed by position, then by lane.  An empty
-    sample raises ValueError.
+    With ``pairs=None`` the check is exhaustive over all 4^n pairs, one
+    lane block at a time.  Counterexamples are listed by position, then
+    by lane.  An empty sample raises ValueError.
     """
-    sw = sweep if sweep is not None else PairSweep(net, pairs=pairs, times=[t])
-    if not sw.pair_count:
+    report = ConservativeReport(read_time=t)
+    for sw in block_sweeps(net, [t]) if pairs is None else [PairSweep(net, pairs=pairs, times=[t])]:
+        report.add(sw)
+    if not report.checked:
         raise ValueError("check_conservative needs at least one pair")
-    _, bad = sw.carries_at(t)
-    report = ConservativeReport(read_time=t, checked=sw.pair_count)
-    report.violations = sum(mask.bit_count() for mask in bad)
-    for k, mask in enumerate(bad):
-        while mask and len(report.counterexamples) < 10:
-            lane = (mask & -mask).bit_length() - 1
-            report.counterexamples.append((*sw.lane_pair(lane), k))
-            mask &= mask - 1
     return report
 
 

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .model import InputPair
-from .netlist import Netlist, SOURCE_KINDS, Time, evaluate_gate
+from .netlist import Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
 @dataclass
@@ -31,6 +31,9 @@ class SignalTrace:
     transitions: dict[str, list[tuple[Time, int]]]
 
     def value_at(self, gate_id: str, t: Time) -> int:
+        """The gate's value at read time t, taken exactly like a delay
+        (:func:`~pseudoadder.netlist.as_delay`): 0.3 reads at 3/10."""
+        t = as_delay(t)
         value = 0
         for when, v in self.transitions[gate_id]:
             if when > t:

@@ -1,8 +1,10 @@
 """Exact error statistics: brute-force oracles and fast chain algorithms.
 
-The oracles enumerate all 2^(2n) input pairs, bit-sliced over the
-all-pairs sweep's lanes: every pair's signed error is a bit of each of
-a few two's-complement slice masks, O(n * 4^n / 8) bytes in all; above
+The oracles enumerate all 2^(2n) input pairs, bit-sliced over the lanes
+of one lane block at a time (:func:`~pseudoadder.sweep.lane_blocks`):
+every pair's signed error is a bit of each of a few two's-complement
+slice masks, O(n) masks of 8 KB per block, which each block reduces to
+its SAE, SSE and max |error| before the next is built; above
 ``ORACLE_LIMIT`` bits they run only with ``force=True``.  The fast path,
 :func:`analyze_table`, works from a chain-error table: one scan over bit
 positions yields SAE/Er_avg, MSE, max |error| with a witness, and the
@@ -15,12 +17,12 @@ of the same scan.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
 from .netlist import Netlist, Time
-from .sweep import PairSweep, _index_bit_masks
+from .sweep import PairSweep, block_sweeps, lane_blocks, operand_masks
 
 ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
 
@@ -64,8 +66,8 @@ def _add_masked(d: list[int], m: int, e: int) -> None:
         v >>= 1
 
 
-def _slices_report(n: int, d: list[int], full: int) -> StatsReport:
-    """SAE, MSE and max |error| of the per-lane signed errors held in the
+def _slice_sums(d: list[int], full: int) -> tuple[int, int, int]:
+    """SAE, SSE and max |error| of the per-lane signed errors held in the
     two's-complement slices d (top slice = sign, magnitude below it)."""
     sign = c = d[-1]
     mag = []
@@ -85,6 +87,15 @@ def _slices_report(n: int, d: list[int], full: int) -> StatsReport:
         if cand & mag[k]:
             cand &= mag[k]
             top |= 1 << k
+    return sae, sse, top
+
+
+def _oracle_report(n: int, blocks: Iterable[tuple[int, int, int]]) -> StatsReport:
+    """One report from the SAE, SSE and max |error| of lane blocks that
+    together hold all 4^n pairs."""
+    sae = sse = top = 0
+    for block_sae, block_sse, block_top in blocks:
+        sae, sse, top = sae + block_sae, sse + block_sse, max(top, block_top)
     pairs = 1 << (2 * n)
     return StatsReport(n, sae, Fraction(sae, pairs), Fraction(sse, pairs), top)
 
@@ -98,48 +109,66 @@ def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
     """
     n = ec.n
     _check_oracle_width(n, force)
-    bits = _index_bit_masks(2 * n)
-    gen = [bits[k] & bits[n + k] for k in range(n)]
-    prop = [bits[k] ^ bits[n + k] for k in range(n)]
-    del bits
     # a pair's chains end at distinct positions j, so this bounds |error|
     bound = sum(max(abs(ec.get(i, j)) for i in range(1, j + 1)) for j in range(1, n + 1))
-    d = [0] * (bound.bit_length() + 1)
-    # dominating sign per pair: chains by ascending start, so the last
-    # error-contributing hit (largest start = leftmost) wins
-    pos = neg = 0
-    for c, m in _chain_masks(gen, prop):
-        e = ec.get(c.i, c.j)
-        if e:
-            _add_masked(d, m, e)
-            pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
-    report = _slices_report(n, d, (1 << (1 << (2 * n))) - 1)
-    report.nu_plus, report.nu_minus = {}, {}
-    for c, m in _chain_masks(gen, prop):
-        report.nu_plus[c], report.nu_minus[c] = (m & pos).bit_count(), (m & neg).bit_count()
+    nu_plus: dict[CarryChain, int] = {}
+    nu_minus: dict[CarryChain, int] = {}
+
+    def blocks() -> Iterator[tuple[int, int, int]]:
+        for block, width in lane_blocks(n):
+            a, b = operand_masks(n, block, width)
+            gen = [x & y for x, y in zip(a, b)]
+            prop = [x ^ y for x, y in zip(a, b)]
+            d = [0] * (bound.bit_length() + 1)
+            # dominating sign per pair: chains by ascending start, so the
+            # last error-contributing hit (largest start = leftmost) wins
+            pos = neg = 0
+            for c, m in _chain_masks(gen, prop):
+                e = ec.get(c.i, c.j)
+                if e:
+                    _add_masked(d, m, e)
+                    pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
+            for c, m in _chain_masks(gen, prop):
+                nu_plus[c] = nu_plus.get(c, 0) + (m & pos).bit_count()
+                nu_minus[c] = nu_minus.get(c, 0) + (m & neg).bit_count()
+            yield _slice_sums(d, (1 << (1 << 2 * width)) - 1)
+
+    report = _oracle_report(n, blocks())
+    report.nu_plus, report.nu_minus = nu_plus, nu_minus
     return report
 
 
 def sae_oracle_simulate(
-    net: Netlist, t: Time, force: bool = False, sweep: PairSweep | None = None
+    net: Netlist, t: Time, force: bool = False, sweeps: Iterable[PairSweep] | None = None
 ) -> StatsReport:
     """Ground truth by simulating every pair; independent of the chain
-    model (no per-chain tallies).  A prebuilt all-pairs ``sweep`` of
-    ``net`` can be shared with other exhaustive checks."""
+    model (no per-chain tallies).  ``sweeps`` (default:
+    :func:`~pseudoadder.sweep.block_sweeps` of ``net`` at T) are lane
+    blocks of ``net`` that answer at T and together hold all 4^n pairs;
+    pass them to share each block with another exhaustive check."""
     n = net.n
     _check_oracle_width(n, force)
-    if sweep is None:
-        sweep = PairSweep(net, times=[t])
-    elif sweep.net is not net or sweep.pair_count != 1 << (2 * n):
-        raise ValueError("sae_oracle_simulate needs the all-pairs sweep of the same netlist")
-    bit, c = sweep.operand_bit_mask, sweep.true_carry_masks()
-    d, borrow = [], 0
-    for k, y in enumerate(sweep.output_masks_at(t)):
-        x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
-        d.append(x ^ y ^ borrow)
-        borrow = (~x & (y | borrow)) | (y & borrow)
-    d.append(borrow)
-    return _slices_report(n, d, sweep.full)
+    seen: list[tuple[int, int]] = []
+
+    def blocks() -> Iterator[tuple[int, int, int]]:
+        for sw in block_sweeps(net, [t]) if sweeps is None else sweeps:
+            if sw.net is not net or sw.block is None:
+                raise ValueError("sae_oracle_simulate needs all-pairs lane blocks of the same netlist")
+            seen.append(sw.block)
+            bit, c = sw.operand_bit_mask, sw.true_carry_masks()
+            d, borrow = [], 0
+            for k, y in enumerate(sw.output_masks_at(t)):
+                x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
+                d.append(x ^ y ^ borrow)
+                borrow = (~x & (y | borrow)) | (y & borrow)
+            d.append(borrow)
+            yield _slice_sums(d, sw.full)
+
+    report = _oracle_report(n, blocks())
+    width = seen[0][1] if seen else 0
+    if sorted(seen) != [(k, width) for k in range(1 << 2 * (n - width))]:
+        raise ValueError("sae_oracle_simulate needs all-pairs lane blocks of the same netlist")
+    return report
 
 
 def nu_single(n: int, c: CarryChain) -> int:

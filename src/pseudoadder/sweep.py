@@ -8,19 +8,27 @@ gate, the full list of ``(time, lane-mask)`` changes: the exact aggregate
 of what the event-driven simulator :func:`pseudoadder.sim.simulate`
 produces pair by pair (the test suite checks that, gate by gate).
 
-The lanes are either all 4^n pairs, indexed ``idx = a + (b << n)``, or
-any given batch of pairs: the n(n+1)/2 chain probes, a sample, or a
-single pair.  :func:`read_carries` is the one validity rule of the
-carry-chain model, applied to lane masks.
+The lanes are either one *lane block* of pairs or any given batch of
+pairs: the n(n+1)/2 chain probes, a sample, or a single pair.  Block k of
+width w holds the 4^w pairs whose top n - w bits of a and b are k's low
+and high halves, at lane ``a_lo + (b_lo << w)`` for their low w bits;
+the one block of width n is all 4^n pairs at lane ``a + (b << n)``.
+:func:`lane_blocks` splits all pairs into blocks of ``BLOCK_BITS`` bits,
+so an exhaustive check holds 8 KB masks at any n, where all pairs at
+once take 4^n / 8 bytes per mask (128 KB at n=10, 8 MB at n=13).
+:func:`read_carries` is the one validity rule of the carry-chain model,
+applied to lane masks.
 
 A sweep built for given read times answers only at them.  It stops at the
 last one (exact under transport delays) and keeps one mask per output and
-time: 128 KB at n=10, not ~8 MB of whole waveforms (unit-delay RCA-10).
+time: 11 masks for the unit-delay RCA-10 read at one T, not its 65 whole
+waveforms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 
 from .model import InputPair
 from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
@@ -39,6 +47,33 @@ def _index_bit_masks(bits: int) -> list[int]:
             width *= 2
         masks.append(mask)
     return masks
+
+
+BLOCK_BITS = 8  # operand bits of a lane block: 4^8 lanes, so a mask is 8 KB
+
+
+def lane_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """``(block, width)`` of the lane blocks that together hold all 4^n
+    pairs: width ``min(n, BLOCK_BITS)``, blocks 0..4^(n - width) - 1."""
+    width = min(n, BLOCK_BITS)
+    return ((k, width) for k in range(1 << 2 * (n - width)))
+
+
+def operand_masks(n: int, block: int, width: int) -> tuple[list[int], list[int]]:
+    """Lane masks of a's and of b's bits 0..n-1 over one lane block: the
+    low ``width`` bits are doubling masks over the block's 4^width lanes,
+    each fixed high bit is 0 or every lane."""
+    low = _index_bit_masks(2 * width)
+    full = (1 << (1 << 2 * width)) - 1
+    high = [full if block >> x & 1 else 0 for x in range(2 * (n - width))]
+    return low[:width] + high[: n - width], low[width:] + high[n - width :]
+
+
+def block_sweeps(net: Netlist, times: list[Time]) -> Iterator[PairSweep]:
+    """One sweep answering at ``times`` per lane block of all 4^n pairs,
+    each built only when the consumer asks for it, so a consumer that
+    drops each block holds one block's masks at a time."""
+    return (PairSweep(net, times=times, block=block) for block in lane_blocks(net.n))
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -120,8 +155,9 @@ class Waveform:
 class PairSweep:
     """Waveforms of a netlist's gates over a batch of lanes.
 
-    ``pairs=None`` runs all 4^n pairs (lane ``a + (b << n)``); otherwise
-    lane k is ``pairs[k]``, duplicates allowed.  Only the sum outputs and
+    ``pairs=None`` runs the lane block ``block = (k, width)``, by default
+    all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is
+    ``pairs[k]``, duplicates allowed.  Only the sum outputs and
     the gates in ``keep`` (default: none) keep their waveforms; any other
     waveform is freed as soon as its last fanout has read it.
 
@@ -130,7 +166,8 @@ class PairSweep:
     ValueError.  Gates are simulated up to the last one (exact: with
     transport delays an output at tau depends only on inputs at tau - d);
     kept waveforms hold just those samples, so at one T the unit-delay
-    RCA-10 keeps 11 masks of 128 KB, not 65.  Read times are taken exactly
+    RCA-10 keeps 11 masks, not 65: of 8 KB in a block of 4^8 lanes, of
+    128 KB over all its pairs at once.  Read times are taken exactly
     like delays (:func:`~pseudoadder.netlist.as_delay`): 0.3 reads at 3/10.
     """
 
@@ -140,6 +177,7 @@ class PairSweep:
         keep: set[str] | None = None,
         pairs: list[InputPair] | None = None,
         times: list[Time] | None = None,
+        block: tuple[int, int] | None = None,
     ):
         self.net = net
         self._reads = None if times is None else frozenset(map(as_delay, times))
@@ -147,18 +185,23 @@ class PairSweep:
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
         if pairs is None:
+            self.block: tuple[int, int] | None = block or (0, n)
+            k, width = self.block
+            if not (0 <= width <= n and 0 <= k < 1 << 2 * (n - width)):
+                raise ValueError(f"no lane block {block} at n={n}")
             self._words: list[int] | None = None
-            self.pair_count = 1 << (2 * n)
-            sources = _index_bit_masks(2 * n)
+            self.pair_count = 1 << (2 * width)
+            self._a, self._b = operand_masks(n, k, width)
         else:
             for p in pairs:
                 if p.n != n:
                     raise ValueError(f"width mismatch: netlist n={n}, pair n={p.n}")
+            self.block = None
             self._words = [p.a | (p.b << n) for p in pairs]
             self.pair_count = len(self._words)
             sources = _transpose(self._words, 2 * n)
+            self._a, self._b = sources[:n], sources[n:]
         self.full = (1 << self.pair_count) - 1
-        self._a, self._b = sources[:n], sources[n:]
         self._carries: list[int] | None = None
         wanted = set(net.outputs.values()).union(keep or ())
 
@@ -193,8 +236,13 @@ class PairSweep:
 
     def lane_pair(self, lane: int) -> tuple[int, int]:
         """The operands ``(a, b)`` of one lane."""
-        word = lane if self._words is None else self._words[lane]
-        return word & ((1 << self.n) - 1), word >> self.n
+        if self._words is not None:
+            word = self._words[lane]
+            return word & ((1 << self.n) - 1), word >> self.n
+        k, width = self.block
+        high = self.n - width
+        a_high, b_high = k & ((1 << high) - 1), k >> high
+        return lane & ((1 << width) - 1) | a_high << width, lane >> width | b_high << width
 
     def output_change_times(self) -> list[Time]:
         """Sorted times at which any sum bit changes in any lane."""

@@ -21,12 +21,13 @@ def membership8():
 
 @pytest.fixture
 def sweeps_built(monkeypatch):
-    """``(all_pairs, times)`` of every PairSweep built during the test."""
+    """``(block, times)`` of every PairSweep built during the test; the
+    block is ``None`` for a batch of given pairs."""
     built, init = [], PairSweep.__init__
 
-    def spy(self, net, keep=None, pairs=None, times=None):
-        built.append((pairs is None, times))
-        init(self, net, keep=keep, pairs=pairs, times=times)
+    def spy(self, net, keep=None, pairs=None, times=None, block=None):
+        init(self, net, keep=keep, pairs=pairs, times=times, block=block)
+        built.append((self.block, times))
 
     monkeypatch.setattr(PairSweep, "__init__", spy)
     return built

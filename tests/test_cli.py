@@ -134,8 +134,9 @@ def test_verify_rca10_in_bounded_memory(capsys, tmp_path):
     assert code == 0, out
     assert "PASS  fast statistics equal exhaustive simulation" in out
     # keeping every output's whole waveform over the 4^10 lanes peaked at
-    # 15.3 MB; keeping only the masks at T, at 8.8 MB
-    assert peak < 10_000_000, f"verify peaked at {peak / 1e6:.1f} MB"
+    # 15.3 MB; keeping only the masks at T, at 8.8 MB; one lane block of
+    # 4^8 lanes at a time, at 0.9 MB
+    assert peak < 2_000_000, f"verify peaked at {peak / 1e6:.1f} MB"
 
 
 def test_json_outputs_are_one_line(capsys, tmp_path):
@@ -331,11 +332,11 @@ def unit_rca(tmp_path, n):
 
 def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_built, tmp_path):
     # n=6 above a limit of 4: the conservative check is sampled, and no
-    # all-pairs sweep is built for an oracle either
+    # lane block is built for an oracle either
     netlist = unit_rca(tmp_path, 6)
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "7", "--exhaustive-n-limit", "4")
     assert code == 0, out
-    assert not any(all_pairs for all_pairs, _ in sweeps_built), sweeps_built
+    assert all(block is None for block, _ in sweeps_built), sweeps_built
     assert out.splitlines() == [
         "PASS  conservative (no spurious carries)",
         "PASS  commutativity",
@@ -344,14 +345,15 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
 
 
 def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
-    # n=11 within a limit of 11: one all-pairs sweep serves the
-    # conservative check and the oracle
+    # n=11 within a limit of 11: the 4^3 lane blocks of 4^8 pairs are
+    # built once each, first, and serve the conservative check and the
+    # oracle
     netlist = unit_rca(tmp_path, 11)
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "12", "--exhaustive-n-limit", "11")
     assert code == 0, out
     assert "PASS  fast statistics equal exhaustive simulation  fast sae=0 oracle sae=0" in out
-    assert [times for all_pairs, times in sweeps_built if all_pairs] == [[12]]
-    assert sweeps_built[0][0], sweeps_built
+    assert sweeps_built[:64] == [((k, 8), [12]) for k in range(64)], sweeps_built
+    assert all(block is None for block, _ in sweeps_built[64:]), sweeps_built
 
 
 def test_verify_force_is_gone(capsys):

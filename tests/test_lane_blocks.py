@@ -1,0 +1,146 @@
+"""Lane blocks: the exhaustive checks run over 4^n pairs one block of
+4^BLOCK_BITS lanes at a time.
+
+Splitting the lanes must not move a single figure: every blocked check
+equals the single-block run over all pairs, counterexample order
+included.  What it saves is memory: a check holds the masks of one
+block, so its peak no longer grows as 4^n.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from pseudoadder import (
+    ChainErrorTable,
+    KsaDelays,
+    all_chains,
+    check_conservative,
+    generate_ksa,
+    generate_rca,
+    random_realizable_table,
+    sae_oracle_chains,
+    sae_oracle_simulate,
+    sweep,
+)
+from pseudoadder.cli import main
+from pseudoadder.sweep import PairSweep
+from conftest import random_netlist
+
+
+def _delay(rng):
+    return Fraction(rng.randint(0, 6), 2)
+
+
+def _netlist(kind, rng):
+    if kind == "dag":
+        # adders treat a_k and b_k alike; a random gate DAG need not, so
+        # it also catches a block that swaps a's and b's fixed bits
+        return random_netlist(rng.randint(1, 6), rng)
+    if kind == "rca":
+        n = rng.randint(1, 6)
+        return generate_rca(n, [_delay(rng) for _ in range(n)], [_delay(rng) for _ in range(n + 1)])
+    n = rng.choice([2, 4])
+    levels = (n - 1).bit_length()
+    return generate_ksa(n, KsaDelays(
+        pg=tuple(_delay(rng) for _ in range(n)),
+        prefix=tuple(tuple(_delay(rng) for _ in range(n)) for _ in range(levels)),
+        sums=tuple(_delay(rng) for _ in range(n + 1)),
+    ))
+
+
+def _table(n, rng, realizable):
+    if realizable:
+        return random_realizable_table(n, rng)
+    bound = 1 << (n + 1)
+    return ChainErrorTable(n, {c: rng.randrange(-bound + 1, bound) for c in all_chains(n)})
+
+
+def _in_blocks(width, fn, *args):
+    with mock.patch.object(sweep, "BLOCK_BITS", width):
+        return fn(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag"]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    realizable=st.booleans(),
+    data=st.data(),
+)
+def test_blocked_checks_equal_the_single_block_run(kind, seed, width, realizable, data):
+    rng = random.Random(seed)
+    net = _netlist(kind, rng)
+    n = net.n
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    # n <= 6: the default width runs all pairs as one block
+    assert list(sweep.lane_blocks(n)) == [(0, n)]
+    assert len(list(_in_blocks(width, sweep.lane_blocks, n))) == 4 ** max(0, n - width)
+
+    whole = check_conservative(net, t)
+    blocked = _in_blocks(width, check_conservative, net, t)
+    assert blocked == whole
+    assert blocked.checked == 4**n
+
+    assert _in_blocks(width, sae_oracle_simulate, net, t) == sae_oracle_simulate(net, t)
+
+    ec = _table(n, rng, realizable)
+    whole_chains = sae_oracle_chains(ec)
+    blocked_chains = _in_blocks(width, sae_oracle_chains, ec)
+    assert blocked_chains == whole_chains
+    assert list(blocked_chains.nu_plus) == list(whole_chains.nu_plus) == all_chains(n)
+
+
+def test_default_width_blocks_equal_one_block_at_n10():
+    rng = random.Random(1012)
+    net = generate_rca(10, [rng.choice((1, 2, 3)) for _ in range(10)], [rng.choice((1, 2, 3)) for _ in range(11)])
+    assert len(list(sweep.lane_blocks(10))) == 16
+    for t in (0, 1, 2, 3, 7):
+        blocked = check_conservative(net, t)
+        whole = _in_blocks(10, check_conservative, net, t)
+        assert blocked == whole and blocked.checked == 4**10
+        assert sae_oracle_simulate(net, t) == sae_oracle_simulate(net, t, sweeps=[PairSweep(net, times=[t])])
+    ec = random_realizable_table(10, rng)
+    assert sae_oracle_chains(ec) == _in_blocks(10, sae_oracle_chains, ec)
+
+
+def test_failing_rca10_read_prints_the_unblocked_lines(capsys, tmp_path):
+    # recorded from the single all-pairs sweep, before lane blocks
+    path = tmp_path / "rca10.json"
+    path.write_text(generate_rca(10, [1] * 10, [1] * 11).to_json())
+    code = main(["verify", "--netlist", str(path), "-T", "0"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  conservative (no spurious carries)  counterexamples=[(1, 0, 0), (3, 0, 0), (5, 0, 0), "
+        "(7, 0, 0), (9, 0, 0), (11, 0, 0), (13, 0, 0), (15, 0, 0), (17, 0, 0), (19, 0, 0)]",
+        "PASS  commutativity",
+        "PASS  lower-position independence",
+    ]
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_checks_peak_at_one_block(capsys, tmp_path):
+    """An exhaustive check holds O(n) masks of one block, 4^BLOCK_BITS / 8
+    bytes each, whatever n: its peak no longer grows as 4^n."""
+    path = tmp_path / "rca11.json"
+    path.write_text(generate_rca(11, [1] * 11, [1] * 12).to_json())
+    code, verify_peak = _peak(main, ["verify", "--netlist", str(path), "-T", "5", "--exhaustive-n-limit", "11"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS  fast statistics equal exhaustive simulation" in out
+    _, chains_peak = _peak(sae_oracle_chains, random_realizable_table(11, random.Random(11)), True)
+    # over all 4^11 pairs at once these peaked at 35 MB and 26 MB
+    assert verify_peak < 2_000_000, f"verify peaked at {verify_peak / 1e6:.1f} MB"
+    assert chains_peak < 1_000_000, f"sae_oracle_chains peaked at {chains_peak / 1e6:.1f} MB"

@@ -125,14 +125,19 @@ def test_simulation_oracle_on_pinned_out_of_model_reads():
 def test_simulation_oracle_shares_a_prebuilt_sweep():
     net = generate_rca(4, [1, 2, 1, 2], [2, 1, 0, 1, 2])
     sweep = PairSweep(net, keep=set(net.outputs.values()))
+    quarters = [PairSweep(net, keep=set(net.outputs.values()), block=(k, 3)) for k in range(4)]
     for t in range(0, 8):
-        assert sae_oracle_simulate(net, t, sweep=sweep) == sae_oracle_simulate(net, t)
+        assert sae_oracle_simulate(net, t, sweeps=[sweep]) == sae_oracle_simulate(net, t)
+        assert sae_oracle_simulate(net, t, sweeps=quarters[::-1]) == sae_oracle_simulate(net, t)
     batch = PairSweep(net, pairs=[InputPair(4, 3, 5)])
-    with pytest.raises(ValueError, match="all-pairs"):
-        sae_oracle_simulate(net, 3, sweep=batch)
     other = generate_rca(4, [1] * 4, [1] * 5)
+    # a batch of pairs, another netlist's sweep, or blocks that miss,
+    # repeat or mix widths do not hold all pairs once
+    for sweeps in ([batch], [sweep, batch], [sweep, sweep], quarters[:3], quarters[:3] + [sweep], []):
+        with pytest.raises(ValueError, match="all-pairs"):
+            sae_oracle_simulate(net, 3, sweeps=sweeps)
     with pytest.raises(ValueError, match="all-pairs"):
-        sae_oracle_simulate(other, 3, sweep=sweep)
+        sae_oracle_simulate(other, 3, sweeps=[sweep])
 
 
 def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
@@ -146,8 +151,9 @@ def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS  fast statistics equal exhaustive simulation" in out
-        # the all-pairs sweep comes first: it also serves the conservative
-        # check, so no sampled batch is built for it; it is simulated only
-        # up to the one read time it answers
-        exhaustive = [times for all_pairs, times in sweeps_built if all_pairs]
-        assert sweeps_built[0][0] and exhaustive == [[4]], (n, sweeps_built)
+        # the lane blocks come first, once each: they also serve the
+        # conservative check, so no sampled batch is built for it; each
+        # is simulated only up to the one read time it answers
+        blocks = [((k, min(n, 8)), [4]) for k in range(1 << 2 * max(0, n - 8))]
+        assert sweeps_built[: len(blocks)] == blocks, (n, sweeps_built)
+        assert all(block is None for block, _ in sweeps_built[len(blocks):]), (n, sweeps_built)

@@ -142,6 +142,19 @@ def test_fractional_delays_order_events():
     assert computed_sum(net, p, as_delay(1)) == 4
 
 
+def test_float_read_times_are_exact():
+    # a float read is taken like a delay: 0.3 reads at 3/10, where the
+    # last sum bit of 1 + 3 lands; compared with the float, it was missed
+    from fractions import Fraction
+
+    net = generate_rca(4, [Fraction(1, 10)] * 4, [Fraction(1, 10)] * 5)
+    assert computed_sum(net, InputPair(4, 1, 3), 0.3) == 4
+    lanes = PairSweep(net, times=[Fraction(3, 10)]).lane_sums(Fraction(3, 10))
+    for p in exhaustive_pairs(4):
+        trace = simulate(net, p)
+        assert traced_sum(trace, net, 0.3) == traced_sum(trace, net, Fraction(3, 10)) == lanes[p.a + (p.b << 4)]
+
+
 def test_exhaustive_quiescent_correctness_n8_via_sweep():
     import numpy as np
 
