@@ -33,7 +33,6 @@ import io
 import json
 import random
 import sys
-from collections.abc import Iterator
 from functools import cache
 
 from .analysis import ConservativeReport, check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
@@ -42,7 +41,7 @@ from .generators import KsaDelays, generate_ksa, generate_rca
 from .model import ChainErrorTable, InputPair, PseudoAdderError, StatsReport
 from .netlist import Netlist, Time, as_delay, malformed_json
 from .stats import ORACLE_LIMIT, analyze_table, sae_oracle_chains, sae_oracle_simulate
-from .sweep import PairSweep, block_sweeps
+from .sweep import PairSweep
 from .tables import random_realizable_table
 
 
@@ -221,11 +220,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # zero samples or tables would check nothing and still print PASS
+    # zero samples or tables, or no netlist and no tables, would check
+    # nothing and still exit 0
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.tables < 1:
         raise ValueError(f"--tables must be at least 1, got {args.tables}")
+    if not (args.netlist or args.fast_vs_oracle):
+        raise ValueError("verify needs --netlist or --fast-vs-oracle")
     failures = 0
     lines: list[str] = []
     limit = args.exhaustive_n_limit
@@ -244,16 +246,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         t = as_delay(args.T)
         oracle = None
         if net.n <= limit:
-            # each lane block is simulated once, for the oracle and the
-            # conservative check
+            # one exhaustive pass: the oracle counts each block in as well
             conservative = ConservativeReport(read_time=t)
-
-            def blocks() -> Iterator[PairSweep]:
-                for sw in block_sweeps(net, [t]):
-                    conservative.add(sw)
-                    yield sw
-
-            oracle = sae_oracle_simulate(net, t, force=True, sweeps=blocks())
+            oracle = sae_oracle_simulate(net, t, force=True, conservative=conservative)
         else:
             rng = random.Random(args.seed)
             pairs = [

@@ -29,14 +29,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
+from functools import cache
 
 from .model import InputPair
 from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
-def _index_bit_masks(bits: int) -> list[int]:
+@cache
+def _index_bit_masks(bits: int) -> tuple[int, ...]:
     """Mask p over 2^bits lanes has lane idx set iff idx has bit p set,
-    built by doubling a one-period block."""
+    built by doubling a one-period block, once per process and width:
+    every lane block of one width shares them."""
     lanes = 1 << bits
     masks = []
     for p in range(bits):
@@ -46,7 +49,7 @@ def _index_bit_masks(bits: int) -> list[int]:
             mask |= mask << width
             width *= 2
         masks.append(mask)
-    return masks
+    return tuple(masks)
 
 
 BLOCK_BITS = 8  # operand bits of a lane block: 4^8 lanes, so a mask is 8 KB
@@ -66,7 +69,7 @@ def operand_masks(n: int, block: int, width: int) -> tuple[list[int], list[int]]
     low = _index_bit_masks(2 * width)
     full = (1 << (1 << 2 * width)) - 1
     high = [full if block >> x & 1 else 0 for x in range(2 * (n - width))]
-    return low[:width] + high[: n - width], low[width:] + high[n - width :]
+    return [*low[:width], *high[: n - width]], [*low[width:], *high[n - width :]]
 
 
 def block_sweeps(net: Netlist, times: list[Time]) -> Iterator[PairSweep]:
@@ -157,9 +160,10 @@ class PairSweep:
 
     ``pairs=None`` runs the lane block ``block = (k, width)``, by default
     all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is
-    ``pairs[k]``, duplicates allowed.  Only the sum outputs and
-    the gates in ``keep`` (default: none) keep their waveforms; any other
-    waveform is freed as soon as its last fanout has read it.
+    ``pairs[k]``, duplicates allowed, and a ``block`` raises ValueError.
+    Only the sum outputs and the gates in ``keep`` (default: none) keep
+    their waveforms; any other waveform is freed as soon as its last
+    fanout has read it.
 
     ``times`` (default: the whole history) lists the only read times the
     sweep answers; any other read and :meth:`output_change_times` raise
@@ -184,6 +188,8 @@ class PairSweep:
         reads = sorted(self._reads or ())
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
+        if pairs is not None and block is not None:
+            raise ValueError("PairSweep takes pairs or a lane block, not both")
         if pairs is None:
             self.block: tuple[int, int] | None = block or (0, n)
             k, width = self.block

@@ -17,31 +17,21 @@ import random
 from .model import CarryChain, ChainErrorTable, all_chains
 
 
-def random_realizable_error(
-    c: CarryChain, rng: random.Random, nonnegative: bool = False
-) -> int:
+def random_realizable_error(c: CarryChain, rng: random.Random) -> int:
     """A random error the chain could actually exhibit (possibly zero)."""
     width = c.j - c.i
     m = rng.getrandbits(width) << c.i if width else 0
-    if nonnegative:
-        return (1 << c.j) - m
     end_failed = rng.random() < 0.5
     return ((1 << c.j) if end_failed else 0) - m
 
 
-def random_realizable_table(
-    n: int,
-    rng: random.Random,
-    density: float = 0.6,
-    nonnegative: bool = False,
-) -> ChainErrorTable:
+def random_realizable_table(n: int, rng: random.Random, density: float = 0.6) -> ChainErrorTable:
     """Random table with every entry realizable by some conservative adder.
 
-    ``density`` is the probability that a chain errs at all; with
-    ``nonnegative=True`` all entries keep the ripple-carry sign.
+    ``density`` is the probability that a chain errs at all.
     """
     entries: dict[CarryChain, int] = {}
     for c in all_chains(n):
         if rng.random() < density:
-            entries[c] = random_realizable_error(c, rng, nonnegative=nonnegative)
+            entries[c] = random_realizable_error(c, rng)
     return ChainErrorTable(n, entries)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, InputPair, PairSweep, StatsReport, all_chains, nu_single
+from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single
 from pseudoadder.model import bit
 
 
@@ -156,6 +156,17 @@ def count_dominated_pairs(n, ij, pq):
     middle = 1 if p == j + 1 else 2 * 4 ** (p - j - 2)
     tail = 1 if q == n else 3 ** (n - 1 - q)
     return 4 ** (i - 1) * 2 ** (j - i) * middle * 2 ** (q - p) * tail
+
+
+def nonnegative_table(n, rng, density):
+    """A realizable table whose erring chains all keep the ripple-carry
+    sign: each misses its end bit, 2^j - m with m in bits i..j-1."""
+    entries = {}
+    for c in all_chains(n):
+        if rng.random() < density:
+            m = rng.getrandbits(c.j - c.i) << c.i if c.j > c.i else 0
+            entries[c] = (1 << c.j) - m
+    return ChainErrorTable(n, entries)
 
 
 def er_avg_nonnegative(ec):

@@ -430,3 +430,11 @@ def test_verify_rejects_zero_tables(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --tables must be at least 1, got 0\n"
+
+
+def test_verify_without_netlist_or_tables_is_refused(capsys):
+    # it checked nothing, printed an empty line and exited 0
+    code, out, err = run_cli(capsys, "verify", "-T", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: verify needs --netlist or --fast-vs-oracle\n"

@@ -12,10 +12,12 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     ChainErrorTable,
+    ConservativeReport,
     KsaDelays,
     all_chains,
     check_conservative,
@@ -27,7 +29,6 @@ from pseudoadder import (
     sweep,
 )
 from pseudoadder.cli import main
-from pseudoadder.sweep import PairSweep
 from conftest import random_netlist
 
 
@@ -59,9 +60,9 @@ def _table(n, rng, realizable):
     return ChainErrorTable(n, {c: rng.randrange(-bound + 1, bound) for c in all_chains(n)})
 
 
-def _in_blocks(width, fn, *args):
+def _in_blocks(width, fn, *args, **kwargs):
     with mock.patch.object(sweep, "BLOCK_BITS", width):
-        return fn(*args)
+        return fn(*args, **kwargs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,6 +96,30 @@ def test_blocked_checks_equal_the_single_block_run(kind, seed, width, realizable
     assert list(blocked_chains.nu_plus) == list(whole_chains.nu_plus) == all_chains(n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag"]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    data=st.data(),
+)
+def test_simulation_oracle_counts_each_block_into_a_conservative_report(kind, seed, width, data):
+    # verify's one exhaustive pass: the oracle's blocks also feed the check
+    net = _netlist(kind, random.Random(seed))
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    report = ConservativeReport(read_time=t)
+    shared = _in_blocks(width, sae_oracle_simulate, net, t, conservative=report)
+    assert shared == sae_oracle_simulate(net, t)
+    assert report == check_conservative(net, t)
+    assert report.checked == 4**net.n
+
+
+def test_simulation_oracle_refuses_a_report_at_another_read_time():
+    net = generate_rca(4, [1, 2, 1, 2], [2, 1, 0, 1, 2])
+    with pytest.raises(ValueError, match="not one of this sweep's read times"):
+        sae_oracle_simulate(net, 3, conservative=ConservativeReport(read_time=2))
+
+
 def test_default_width_blocks_equal_one_block_at_n10():
     rng = random.Random(1012)
     net = generate_rca(10, [rng.choice((1, 2, 3)) for _ in range(10)], [rng.choice((1, 2, 3)) for _ in range(11)])
@@ -103,7 +128,7 @@ def test_default_width_blocks_equal_one_block_at_n10():
         blocked = check_conservative(net, t)
         whole = _in_blocks(10, check_conservative, net, t)
         assert blocked == whole and blocked.checked == 4**10
-        assert sae_oracle_simulate(net, t) == sae_oracle_simulate(net, t, sweeps=[PairSweep(net, times=[t])])
+        assert sae_oracle_simulate(net, t) == _in_blocks(10, sae_oracle_simulate, net, t)
     ec = random_realizable_table(10, rng)
     assert sae_oracle_chains(ec) == _in_blocks(10, sae_oracle_chains, ec)
 
@@ -120,6 +145,18 @@ def test_failing_rca10_read_prints_the_unblocked_lines(capsys, tmp_path):
         "PASS  commutativity",
         "PASS  lower-position independence",
     ]
+
+
+def test_verify_builds_the_doubling_masks_once(capsys, sweeps_built, tmp_path):
+    # every block of one width shares its low operand masks
+    path = tmp_path / "rca10.json"
+    path.write_text(generate_rca(10, [1] * 10, [1] * 11).to_json())
+    sweep._index_bit_masks.cache_clear()
+    code = main(["verify", "--netlist", str(path), "-T", "5", "--exhaustive-n-limit", "10"])
+    assert code == 0, capsys.readouterr().out
+    assert [block for block, _ in sweeps_built[:16]] == [(k, 8) for k in range(16)]
+    info = sweep._index_bit_masks.cache_info()
+    assert (info.misses, info.hits) == (1, 15)
 
 
 def _peak(fn, *args):

@@ -8,12 +8,10 @@ Both oracles hold every pair's error as bit-slice masks; the reference in
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     ChainErrorTable,
-    InputPair,
     KsaDelays,
     PairSweep,
     all_chains,
@@ -120,24 +118,6 @@ def test_simulation_oracle_on_pinned_out_of_model_reads():
     assert sae_oracle_simulate(net, 7) == reference_oracle_simulate(net, 7)
     # T=11: quiescent, correct
     assert sae_oracle_simulate(net, 11).sae == 0
-
-
-def test_simulation_oracle_shares_a_prebuilt_sweep():
-    net = generate_rca(4, [1, 2, 1, 2], [2, 1, 0, 1, 2])
-    sweep = PairSweep(net, keep=set(net.outputs.values()))
-    quarters = [PairSweep(net, keep=set(net.outputs.values()), block=(k, 3)) for k in range(4)]
-    for t in range(0, 8):
-        assert sae_oracle_simulate(net, t, sweeps=[sweep]) == sae_oracle_simulate(net, t)
-        assert sae_oracle_simulate(net, t, sweeps=quarters[::-1]) == sae_oracle_simulate(net, t)
-    batch = PairSweep(net, pairs=[InputPair(4, 3, 5)])
-    other = generate_rca(4, [1] * 4, [1] * 5)
-    # a batch of pairs, another netlist's sweep, or blocks that miss,
-    # repeat or mix widths do not hold all pairs once
-    for sweeps in ([batch], [sweep, batch], [sweep, sweep], quarters[:3], quarters[:3] + [sweep], []):
-        with pytest.raises(ValueError, match="all-pairs"):
-            sae_oracle_simulate(net, 3, sweeps=sweeps)
-    with pytest.raises(ValueError, match="all-pairs"):
-        sae_oracle_simulate(other, 3, sweeps=[sweep])
 
 
 def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):

@@ -58,3 +58,18 @@ def test_benchmark_flags_are_cli_options():
             for sub in action.choices.values():
                 options.update(sub._option_string_actions)
     assert sorted(flags - options) == []
+
+
+def test_benchmark_tracer_wraps_every_traced_name(monkeypatch):
+    # the tracer wraps library functions by name; a renamed one would
+    # silently read 0 in its per-layer metric.  These three are already
+    # gone from the library; the benchmark still lists them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent() == ["counting", "sim.read_output", "counting.nu_pair"]
+    finally:
+        tracer.uninstall()

@@ -28,6 +28,7 @@ from conftest import (
     er_avg_nonnegative,
     max_abs_error_dag,
     mse_prefix,
+    nonnegative_table,
     nu_pair,
     nu_signed_all,
     sae_counting,
@@ -58,7 +59,8 @@ def test_oracle_equality_randomized(rng):
 def test_scan_equals_earlier_closed_forms(seed, n, density, nonnegative):
     """The one position scan reproduces the three DPs it replaced, and
     the chain oracle at n <= 8; its witness realizes the max."""
-    ec = random_realizable_table(n, random.Random(seed), density=density, nonnegative=nonnegative)
+    table = nonnegative_table if nonnegative else random_realizable_table
+    ec = table(n, random.Random(seed), density=density)
     report = analyze_table(ec)
     assert report.sae == sae_counting(ec)
     assert report.mse == mse_prefix(ec)
@@ -142,7 +144,7 @@ def test_oracle_limit_gate():
 def test_er_avg_rca_equals_fast_on_nonnegative(rng):
     for _ in range(20):
         n = rng.choice([2, 4, 6, 8])
-        ec = random_realizable_table(n, rng, density=0.6, nonnegative=True)
+        ec = nonnegative_table(n, rng, density=0.6)
         assert er_avg_nonnegative(ec) == er_avg_fast(ec).er_avg
     assert er_avg_fast(ChainErrorTable(6)).er_avg == er_avg_nonnegative(ChainErrorTable(6)) == 0
 

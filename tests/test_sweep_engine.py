@@ -264,6 +264,12 @@ def test_empty_pair_batch_has_no_lanes():
         assert sweep.lane_sums(t) == []
 
 
+def test_pairs_and_a_block_are_refused():
+    net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
+    with pytest.raises(ValueError, match="pairs or a lane block"):
+        PairSweep(net, pairs=[InputPair(3, 1, 2)], block=(5, 1))
+
+
 def test_hand_written_json_netlist_runs():
     import json
 

@@ -30,13 +30,6 @@ def test_generator_emits_realizable_values():
                 assert is_realizable_error(v, c), (c, v)
 
 
-def test_nonnegative_mode():
-    rng = random.Random(8)
-    for _ in range(10):
-        table = random_realizable_table(6, rng, density=0.8, nonnegative=True)
-        assert all(v >= 0 for _, v in table.nonzero())
-
-
 def test_every_realizable_value_reachable_small_chain():
     rng = random.Random(9)
     c = CarryChain(1, 2)
