@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from heapq import merge
 from itertools import islice
 
-from .chains import canonical_pair, chain_predicate
+from .chains import canonical_word, chain_predicate
 from .model import (
     CarryChain,
     ChainErrorTable,
@@ -89,7 +89,13 @@ def check_conservative(net: Netlist, t: Time, pairs: list[InputPair] | None = No
     by lane.  An empty sample raises ValueError.
     """
     report = ConservativeReport(read_time=t)
-    for sw in block_sweeps(net, [t]) if pairs is None else [PairSweep(net, pairs=pairs, times=[t])]:
+    if pairs is None:
+        sweeps = block_sweeps(net, [t])
+    else:
+        if any(p.n != net.n for p in pairs):
+            raise ValueError(f"width mismatch: netlist n={net.n}, pairs of another width")
+        sweeps = [PairSweep(net, words=[p.a | p.b << net.n for p in pairs], times=[t])]
+    for sw in sweeps:
         report.add(sw)
     if not report.checked:
         raise ValueError("check_conservative needs at least one pair")
@@ -115,7 +121,7 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> dict[Time, ChainErrorTabl
     at the earliest read time where some probe's read is not conservative.
     """
     chains = all_chains(net.n)
-    sw = PairSweep(net, pairs=[canonical_pair(c, net.n) for c in chains], times=times)
+    sw = PairSweep(net, words=[canonical_word(c, net.n) for c in chains], times=times)
     tables: dict[Time, ChainErrorTable] = {}
     for t in sorted(times):
         failing = 0
@@ -186,9 +192,10 @@ def verify_assumptions(
     ]
     # one lane batch: (a, b) then (b, a) per ordered pair, then per chain
     # its probe followed by its witnesses
-    lanes = [InputPair(n, x, y) for a, b in ordered for x, y in ((a, b), (b, a))]
-    lanes += [p for c, witnesses in witnessed for p in (canonical_pair(c, n), *witnesses)]
-    sums = iter(PairSweep(net, pairs=lanes, times=[t]).lane_sums(t))
+    words = [x | y << n for a, b in ordered for x, y in ((a, b), (b, a))]
+    for c, witnesses in witnessed:
+        words += [canonical_word(c, n), *(w.a | w.b << n for w in witnesses)]
+    sums = iter(PairSweep(net, words=words, times=[t]).lane_sums(t))
 
     for a, b in ordered:
         fwd, rev = next(sums), next(sums)

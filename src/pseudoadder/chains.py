@@ -56,9 +56,16 @@ def canonical_pair(c: CarryChain, n: int) -> InputPair:
     ones at i..j-1.  Its true sum is exactly ``2**j``.
     """
     c.validate(n)
+    word = canonical_word(c, n)
+    return InputPair(n, word & ((1 << n) - 1), word >> n)
+
+
+def canonical_word(c: CarryChain, n: int) -> int:
+    """The probe pair of :func:`canonical_pair` packed as the lane word
+    ``a | b << n``, for a chain ``c`` already known to fit width n."""
     gen = 1 << (c.i - 1)
-    propagate = ((1 << c.j) - 1) & ~((1 << c.i) - 1)
-    return InputPair(n, gen | propagate, gen)
+    propagate = (1 << c.j) - (1 << c.i)  # bits i..j-1
+    return gen | propagate | (gen << n)
 
 
 def witness_for_chain_set(chains: ChainSet) -> InputPair:

@@ -13,9 +13,11 @@ sample as one batch, a trace as one lane.  ``0..quiescence`` stops at the
 netlist's static arrival time, after which no output changes.
 
 JSON output is one compact object per line; pretty-print it with
-``python -m json.tool``.  Per-chain tallies are exact pair counts
-(``nu_plus``/``nu_minus``) for each erring chain; divide by ``4**n``
-for a probability.
+``python -m json.tool``.  It is written slice by slice through the C
+encoder (lists :data:`JSON_SLICE` items at a time), with bytes identical
+to one ``json.dumps``, so a large report never exists whole in memory.
+Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
+each erring chain; divide by ``4**n`` for a probability.
 
 Exit code 0 means no errors and no failed verification; a failed
 verification or an error (printed as ``error: ...``) exits 1.  All
@@ -33,6 +35,8 @@ import io
 import json
 import random
 import sys
+from collections.abc import Callable
+from contextlib import nullcontext
 from functools import cache
 
 from .analysis import ConservativeReport, check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
@@ -73,6 +77,37 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+JSON_SLICE = 256  # list items per call of the C encoder
+
+
+def _encode(obj: object, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(obj)`` piece by piece: a dict with str keys one
+    member at a time, a list longer than :data:`JSON_SLICE` one slice at a
+    time, anything else (a dict with other keys, which the encoder
+    converts) in one call of the C encoder."""
+    if isinstance(obj, dict) and all(type(k) is str for k in obj):
+        write("{")
+        for k, (key, value) in enumerate(obj.items()):
+            write((", " if k else "") + json.dumps(key) + ": ")
+            _encode(value, write)
+        write("}")
+    elif isinstance(obj, list) and len(obj) > JSON_SLICE:
+        write("[")
+        for start in range(0, len(obj), JSON_SLICE):
+            write((", " if start else "") + json.dumps(obj[start : start + JSON_SLICE])[1:-1])
+        write("]")
+    else:
+        write(json.dumps(obj))
+
+
+def _emit_json(obj: object, output: str | None) -> None:
+    """Write ``json.dumps(obj)`` and a newline to stdout or ``output``
+    without ever holding the whole line or its encoder's chunk list."""
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        _encode(obj, fh.write)
+        fh.write("\n")
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -140,7 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             delays = as_delay(spec.removeprefix("uniform:"))
         net = generate_ksa(args.n, delays)
-    _emit(net.to_json() + "\n", args.output)
+    _emit_json(net.to_json_dict(), args.output)
     return 0
 
 
@@ -148,25 +183,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     t = as_delay(args.T)
     ec = extract_ec_table(net, t)
+    del net  # the report is built and written without the netlist held
     if args.format == "csv":
-        row = {"n": net.n, **_stats_row(t, ec)}
+        row = {"n": ec.n, **_stats_row(t, ec)}
         _emit(_rows_to_csv([row]), args.output)
     else:
         payload = {
-            "n": net.n,
+            "n": ec.n,
             "T": str(t),
             "sign_convention": "true_sum_minus_computed_sum",
             "ec": ec.to_json_dict(),
             "stats": analyze_table(ec).to_json_dict(),
         }
-        _emit(json.dumps(payload) + "\n", args.output)
+        _emit_json(payload, args.output)
     return 0
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
-    net = _load_netlist(args.netlist)
-    ec = extract_ec_table(net, as_delay(args.T))
-    _emit(json.dumps(ec.to_json_dict()) + "\n", args.output)
+    ec = extract_ec_table(_load_netlist(args.netlist), as_delay(args.T))
+    _emit_json(ec.to_json_dict(), args.output)
     return 0
 
 
@@ -177,7 +212,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         rows = [{"i": i, "j": j} for i, j in found]
         _emit(_rows_to_csv(rows), args.output)
     else:
-        _emit(json.dumps({"n": args.n, "a": args.a, "b": args.b, "chains": found}) + "\n", args.output)
+        _emit_json({"n": args.n, "a": args.a, "b": args.b, "chains": found}, args.output)
     return 0
 
 
@@ -185,7 +220,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = [as_delay(x) for x in args.times.split(",")] if args.times else None
-    lane = PairSweep(net, keep=set(net.by_id), pairs=[p], times=times)
+    lane = PairSweep(net, keep=set(net.by_id), words=[p.a | p.b << net.n], times=times)
     if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b
@@ -204,7 +239,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(_rows_to_csv(rows), args.output)
     else:
-        _emit(json.dumps({"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}) + "\n", args.output)
+        _emit_json({"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}, args.output)
     return 0
 
 
@@ -213,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     times = _parse_t_range(args.t_range, net)
     rows = [_stats_row(t, ec) for t, ec in ec_table_sweep(net, times).items()]
     if args.format == "json":
-        _emit(json.dumps({"n": net.n, "rows": rows}) + "\n", args.output)
+        _emit_json({"n": net.n, "rows": rows}, args.output)
     else:
         _emit(_rows_to_csv(rows), args.output)
     return 0

@@ -117,10 +117,11 @@ def delay_to_json(d: Delay) -> int | str:
     return d if isinstance(d, int) else str(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate; its kind is stored as a :class:`GateKind` and its delay
-    exactly (:func:`as_delay`), so ``"XOR2"`` and ``0.1`` are accepted."""
+    exactly (:func:`as_delay`), so ``"XOR2"`` and ``0.1`` are accepted.
+    Slotted: a gate carries no ``__dict__``."""
 
     id: str
     kind: GateKind

@@ -31,15 +31,12 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
 
-from .model import InputPair
 from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
-@cache
-def _index_bit_masks(bits: int) -> tuple[int, ...]:
+def _doubling_masks(bits: int) -> tuple[int, ...]:
     """Mask p over 2^bits lanes has lane idx set iff idx has bit p set,
-    built by doubling a one-period block, once per process and width:
-    every lane block of one width shares them."""
+    built by doubling a one-period block."""
     lanes = 1 << bits
     masks = []
     for p in range(bits):
@@ -54,6 +51,11 @@ def _index_bit_masks(bits: int) -> tuple[int, ...]:
 
 BLOCK_BITS = 8  # operand bits of a lane block: 4^8 lanes, so a mask is 8 KB
 
+# built once per process for each lane-block width, and shared by every
+# block of it (at width BLOCK_BITS, 16 masks of 8 KB); a wider all-pairs
+# sweep builds its own, which are freed with it
+_index_bit_masks = cache(_doubling_masks)
+
 
 def lane_blocks(n: int) -> Iterator[tuple[int, int]]:
     """``(block, width)`` of the lane blocks that together hold all 4^n
@@ -66,7 +68,7 @@ def operand_masks(n: int, block: int, width: int) -> tuple[list[int], list[int]]
     """Lane masks of a's and of b's bits 0..n-1 over one lane block: the
     low ``width`` bits are doubling masks over the block's 4^width lanes,
     each fixed high bit is 0 or every lane."""
-    low = _index_bit_masks(2 * width)
+    low = (_index_bit_masks if width <= BLOCK_BITS else _doubling_masks)(2 * width)
     full = (1 << (1 << 2 * width)) - 1
     high = [full if block >> x & 1 else 0 for x in range(2 * (n - width))]
     return [*low[:width], *high[: n - width]], [*low[width:], *high[n - width :]]
@@ -158,9 +160,10 @@ class Waveform:
 class PairSweep:
     """Waveforms of a netlist's gates over a batch of lanes.
 
-    ``pairs=None`` runs the lane block ``block = (k, width)``, by default
-    all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is
-    ``pairs[k]``, duplicates allowed, and a ``block`` raises ValueError.
+    ``words=None`` runs the lane block ``block = (k, width)``, by default
+    all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is the pair
+    packed as ``words[k] = a | b << n``, duplicates allowed, a word outside
+    ``[0, 4^n)`` raises ValueError, and so does a ``block``.
     Only the sum outputs and the gates in ``keep`` (default: none) keep
     their waveforms; any other waveform is freed as soon as its last
     fanout has read it.
@@ -179,7 +182,7 @@ class PairSweep:
         self,
         net: Netlist,
         keep: set[str] | None = None,
-        pairs: list[InputPair] | None = None,
+        words: list[int] | None = None,
         times: list[Time] | None = None,
         block: tuple[int, int] | None = None,
     ):
@@ -188,9 +191,9 @@ class PairSweep:
         reads = sorted(self._reads or ())
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
-        if pairs is not None and block is not None:
-            raise ValueError("PairSweep takes pairs or a lane block, not both")
-        if pairs is None:
+        if words is not None and block is not None:
+            raise ValueError("PairSweep takes pair words or a lane block, not both")
+        if words is None:
             self.block: tuple[int, int] | None = block or (0, n)
             k, width = self.block
             if not (0 <= width <= n and 0 <= k < 1 << 2 * (n - width)):
@@ -199,11 +202,10 @@ class PairSweep:
             self.pair_count = 1 << (2 * width)
             self._a, self._b = operand_masks(n, k, width)
         else:
-            for p in pairs:
-                if p.n != n:
-                    raise ValueError(f"width mismatch: netlist n={n}, pair n={p.n}")
             self.block = None
-            self._words = [p.a | (p.b << n) for p in pairs]
+            self._words = list(words)
+            if self._words and not (min(self._words) >= 0 and max(self._words) < 1 << 2 * n):
+                raise ValueError(f"width mismatch: a pair word is outside [0, 4^{n}) for netlist n={n}")
             self.pair_count = len(self._words)
             sources = _transpose(self._words, 2 * n)
             self._a, self._b = sources[:n], sources[n:]

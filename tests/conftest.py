@@ -22,11 +22,11 @@ def membership8():
 @pytest.fixture
 def sweeps_built(monkeypatch):
     """``(block, times)`` of every PairSweep built during the test; the
-    block is ``None`` for a batch of given pairs."""
+    block is ``None`` for a batch of given pair words."""
     built, init = [], PairSweep.__init__
 
-    def spy(self, net, keep=None, pairs=None, times=None, block=None):
-        init(self, net, keep=keep, pairs=pairs, times=times, block=block)
+    def spy(self, net, keep=None, words=None, times=None, block=None):
+        init(self, net, keep=keep, words=words, times=times, block=block)
         built.append((self.block, times))
 
     monkeypatch.setattr(PairSweep, "__init__", spy)

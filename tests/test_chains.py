@@ -16,7 +16,7 @@ from pseudoadder import (
     reference_add,
     witness_for_chain_set,
 )
-from pseudoadder.chains import canonical_pair, chain_predicate
+from pseudoadder.chains import canonical_pair, canonical_word, chain_predicate
 from conftest import chains_by_scan, exhaustive_pairs
 
 
@@ -105,6 +105,7 @@ def test_canonical_pair_generates_only_its_chain():
             probe = canonical_pair(c, n)
             assert list(detect_chains(probe)) == [c]
             assert probe.a + probe.b == 1 << c.j
+            assert canonical_word(c, n) == probe.a | probe.b << n
 
 
 def test_decompose_fig_pair():

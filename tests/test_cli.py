@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pseudoadder import Netlist, generate_rca, staggered_ksa8
-from pseudoadder.cli import main
+from pseudoadder.cli import JSON_SLICE, _emit_json, main
 
 
 def run_cli(capsys, *argv):
@@ -103,8 +107,11 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     # an indented (pure-Python) encode of the report with float tally
-    # maps peaked at 10.9 MB; the compact, exact-only one at 5.5 MB
-    assert peak < 7_000_000, f"stats peaked at {peak / 1e6:.1f} MB"
+    # maps peaked at 10.9 MB; the compact, exact-only one at 5.5 MB; one
+    # json.dumps of the compact line, with its encoder's chunk list, at
+    # 5.0 MB; the line written slice by slice, without the netlist held,
+    # at 2.0 MB
+    assert peak < 3_000_000, f"stats peaked at {peak / 1e6:.1f} MB"
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)
     stats = payload["stats"]
@@ -114,6 +121,23 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     assert erring
     for key in ("nu_plus", "nu_minus"):
         assert [(e["i"], e["j"]) for e in stats[key]] == erring
+
+
+def test_gen_ksa64_to_a_file_in_bounded_memory(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "ksa64.json"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "ksa", "--n", "64", "-o", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one json.dumps of the 1,222 gates peaked at 1.57 MB; slices of
+    # JSON_SLICE gates and slotted gates, at 0.8 MB
+    assert peak < 1_200_000, f"gen peaked at {peak / 1e6:.2f} MB"
+    assert Netlist.from_json(path.read_text()).n == 64
 
 
 def test_verify_rca10_in_bounded_memory(capsys, tmp_path):
@@ -139,18 +163,55 @@ def test_verify_rca10_in_bounded_memory(capsys, tmp_path):
     assert peak < 2_000_000, f"verify peaked at {peak / 1e6:.1f} MB"
 
 
-def test_json_outputs_are_one_line(capsys, tmp_path):
-    netlist = write_staggered(tmp_path)
-    for argv in (
-        ("gen", "ksa", "--n", "8"),
-        ("ec", "--netlist", netlist, "-T", "7"),
-        ("trace", "--netlist", netlist, "-a", "86", "-b", "59"),
-        ("sweep", "--netlist", netlist, "--t-range", "0..quiescence", "--format", "json"),
-    ):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+class RecordingStdout(io.StringIO):
+    """stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_json_outputs_are_one_line(tmp_path, monkeypatch):
+    """Every JSON command writes one line that json round-trips, the same
+    to stdout and through -o; a long line is written in slices."""
+    ksa64 = tmp_path / "ksa64.json"
+    assert main(["gen", "ksa", "--n", "64", "-o", str(ksa64)]) == 0
+    rca10 = tmp_path / "rca10.json"
+    rca10.write_text(generate_rca(10, [Fraction(k % 7 + 1, 7) for k in range(10)], [Fraction(3, 7)] * 11).to_json())
+    ksa8 = write_staggered(tmp_path)
+    commands = [
+        ("gen", "rca", "--n", "10"),
+        ("gen", "ksa", "--n", "64"),
+        ("stats", "--netlist", str(ksa64), "-T", "2"),
+        ("stats", "--netlist", str(ksa64), "-T", "8"),
+        ("ec", "--netlist", str(ksa64), "-T", "2"),
+        ("chains", "--n", "8", "-a", "86", "-b", "59"),
+        ("trace", "--netlist", ksa8, "-a", "86", "-b", "59"),
+        ("trace", "--netlist", str(rca10), "-a", "1000", "-b", "24", "--times", "0,3/7,1,2"),
+        # 0..11 in steps of 1/25: 276 rows, more than one slice
+        ("sweep", "--netlist", ksa8, "--t-range", "0..quiescence:1/25", "--format", "json"),
+    ]
+    for argv in commands:
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == 0, argv
+        out = stdout.getvalue()
         assert out.endswith("\n") and out.count("\n") == 1, argv
-        assert isinstance(json.loads(out), dict)
+        assert isinstance(json.loads(out), dict), argv
+        assert json.dumps(json.loads(out)) + "\n" == out, argv
+        # gen, stats and ec on KSA-64 (78-275 KB) are written in pieces of
+        # JSON_SLICE list items, never as one string
+        if len(out) > 50_000:
+            assert max(stdout.sizes) < len(out) // 4, (argv, max(stdout.sizes))
+        path = tmp_path / "out.json"
+        assert main([*argv, "-o", str(path)]) == 0, argv
+        assert path.read_text() == out, argv
+        if argv[0] == "sweep":
+            assert len(json.loads(out)["rows"]) == 276 > JSON_SLICE
 
 
 def test_ec_command(capsys, tmp_path):
@@ -438,3 +499,42 @@ def test_verify_without_netlist_or_tables_is_refused(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: verify needs --netlist or --fast-vs-oracle\n"
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+    | st.floats()
+    | st.text()
+)
+
+
+@st.composite
+def json_lists(draw, children):
+    """A list shorter than, exactly as long as, or longer than the
+    writer's slice, or empty: a few drawn items repeated to that length."""
+    length = draw(st.sampled_from(
+        [0, 1, 5, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 2 * JSON_SLICE, 3 * JSON_SLICE - 7]
+    ))
+    items = draw(st.lists(children, min_size=1, max_size=4))
+    return [items[k % len(items)] for k in range(length)]
+
+
+json_values = st.recursive(
+    json_leaves,
+    lambda children: json_lists(children) | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+@example({"a\"\\\né😀": [1] * (JSON_SLICE + 1), "": {}, "x": []})
+@example([[10**40] * JSON_SLICE] * (JSON_SLICE + 2))
+def test_json_writer_writes_exactly_one_dumps_line(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(obj, None)
+    assert buf.getvalue() == json.dumps(obj) + "\n"

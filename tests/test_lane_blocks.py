@@ -159,6 +159,21 @@ def test_verify_builds_the_doubling_masks_once(capsys, sweeps_built, tmp_path):
     assert (info.misses, info.hits) == (1, 15)
 
 
+def test_a_dropped_wide_sweep_leaves_no_masks_behind():
+    # all 4^10 pairs at once is wider than a lane block: its 20 doubling
+    # masks of 128 KB (2.6 MB) go with the sweep, not into the cache
+    net = generate_rca(10, [1] * 10, [1] * 11)
+    tracemalloc.start()
+    try:
+        sw = sweep.PairSweep(net, times=[5])
+        assert sw.pair_count == 1 << 20
+        del sw
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 200_000, f"{kept / 1e6:.2f} MB stayed allocated"
+
+
 def _peak(fn, *args):
     tracemalloc.start()
     try:

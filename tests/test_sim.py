@@ -12,7 +12,7 @@ from pseudoadder import (
     staggered_ksa8,
 )
 from pseudoadder.sweep import PairSweep
-from conftest import exhaustive_pairs, traced_sum
+from conftest import exhaustive_pairs, pair_index, traced_sum
 
 
 def test_trace_times_increase_and_values_alternate():
@@ -76,7 +76,7 @@ def test_rca_carries_ripple_one_apart():
 
 def lane_read(net, p, t):
     """Sum and recovered carries of one pair, read from a one-lane sweep."""
-    lane = PairSweep(net, pairs=[p])
+    lane = PairSweep(net, words=[pair_index(p)])
     c_prime, _ = lane.carries_at(t)
     return lane.lane_sums(t)[0], sum(ck << k for k, ck in enumerate(c_prime))
 
@@ -97,7 +97,7 @@ def test_read_output_rejects_negative_time():
     net = generate_rca(1, [1], [1, 1])
     p = InputPair(1, 1, 1)
     with pytest.raises(ValueError):
-        PairSweep(net, pairs=[p]).output_masks_at(-1)
+        PairSweep(net, words=[pair_index(p)]).output_masks_at(-1)
     with pytest.raises(ValueError):
         computed_sum(net, p, -1)
 

@@ -12,6 +12,7 @@ from pseudoadder import (
     generate_ksa,
     all_chains,
     analyze_table,
+    check_conservative,
     extract_ec_table,
     generate_rca,
     simulate,
@@ -143,7 +144,7 @@ def test_sweep_equals_event_sim_on_random_netlists():
             [drawn[0]],
         ]
         for pairs in batches:
-            lanes = PairSweep(net, keep=set(net.by_id), pairs=pairs)
+            lanes = PairSweep(net, keep=set(net.by_id), words=[pair_index(p) for p in pairs])
             assert lanes.pair_count == len(pairs)
             for lane, p in enumerate(pairs):
                 assert lanes.lane_pair(lane) == (p.a, p.b)
@@ -157,7 +158,7 @@ def test_batch_source_masks_match_all_pairs_lanes():
     # a batch of every pair in index order is the all-pairs sweep
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
     every = PairSweep(net)
-    batch = PairSweep(net, pairs=sorted(exhaustive_pairs(3), key=pair_index))
+    batch = PairSweep(net, words=sorted(map(pair_index, exhaustive_pairs(3))))
     for operand in "ab":
         for k in range(3):
             assert batch.operand_bit_mask(operand, k) == every.operand_bit_mask(operand, k)
@@ -192,20 +193,20 @@ def bounded_sweep_cases(draw):
     pair = st.builds(InputPair, st.just(n), operand, operand)
     lanes = draw(st.sampled_from(["all", "batch", "one"]))
     if lanes == "all":
-        pairs = None
+        words = None
     elif lanes == "batch":
-        pairs = draw(st.lists(pair, min_size=1, max_size=20))
+        words = [pair_index(p) for p in draw(st.lists(pair, min_size=1, max_size=20))]
     else:
-        pairs = [draw(pair)]
+        words = [pair_index(draw(pair))]
     reads = draw(st.lists(st.fractions(min_value=0, max_value=12, max_denominator=6), max_size=4))
-    return net, pairs, reads, draw(st.fractions(min_value=0, max_value=12, max_denominator=7))
+    return net, words, reads, draw(st.fractions(min_value=0, max_value=12, max_denominator=7))
 
 
 @settings(max_examples=150, deadline=None)
 @given(bounded_sweep_cases())
 def test_bounded_sweep_equals_full_sweep(case):
-    net, pairs, reads, other = case
-    full = PairSweep(net, pairs=pairs)
+    net, words, reads, other = case
+    full = PairSweep(net, words=words)
     past = net.arrival_time() + Fraction(1, 2)
     # 0 and the drawn (mostly rational) times, with and without a time
     # past quiescence
@@ -218,7 +219,7 @@ def test_bounded_sweep_equals_full_sweep(case):
             return steps
 
         with mock.patch.object(sweep_module, "_gate_steps", spy):
-            bounded = PairSweep(net, pairs=pairs, times=times)
+            bounded = PairSweep(net, words=words, times=times)
         # no gate changes past the last read, and only the masks at the
         # read times are kept
         assert all(t <= max(times) for t in simulated)
@@ -258,7 +259,7 @@ def test_transpose_equals_numpy_reference(matrix):
 
 def test_empty_pair_batch_has_no_lanes():
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
-    sweep = PairSweep(net, pairs=[])
+    sweep = PairSweep(net, words=[])
     assert sweep.pair_count == 0
     for t in (0, 2, net.arrival_time()):
         assert sweep.lane_sums(t) == []
@@ -266,8 +267,20 @@ def test_empty_pair_batch_has_no_lanes():
 
 def test_pairs_and_a_block_are_refused():
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
-    with pytest.raises(ValueError, match="pairs or a lane block"):
-        PairSweep(net, pairs=[InputPair(3, 1, 2)], block=(5, 1))
+    with pytest.raises(ValueError, match="words or a lane block"):
+        PairSweep(net, words=[pair_index(InputPair(3, 1, 2))], block=(5, 1))
+
+
+def test_pair_words_outside_the_width_are_refused():
+    # a word packs a | b << n, so every lane of width 3 lies in [0, 4^3)
+    net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
+    assert PairSweep(net, words=[0, 63]).lane_pair(1) == (7, 7)
+    for words in ([64], [5, -1], [1 << 70]):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\^3\)"):
+            PairSweep(net, words=words)
+    # a sampled pair of another width is refused before it is packed
+    with pytest.raises(ValueError, match="width mismatch"):
+        check_conservative(net, 1, pairs=[InputPair(2, 3, 3)])
 
 
 def test_hand_written_json_netlist_runs():
