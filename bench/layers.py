@@ -6,7 +6,7 @@ Usage, from the repository root::
     python3 bench/layers.py --src /path/to/other/checkout/src --out BENCH_13.json
 
 For a unit-delay ripple-carry adder (RCA) and a uniform-delay
-Kogge-Stone adder (KSA) at each width in ``--sizes`` it runs, through
+Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
 ``pseudoadder.cli.main`` in this process:
 
 * ``gen <kind> --n <n> -o <netlist>``
@@ -15,13 +15,15 @@ Kogge-Stone adder (KSA) at each width in ``--sizes`` it runs, through
 * ``sweep --netlist <netlist> --t-range 0..quiescence --format json``
 
 Every command writes to a file (``-o``), so no captured output counts
-as its memory.  Per command the report holds the median
-``time.perf_counter`` seconds of ``--repeats`` runs, then the
-``tracemalloc`` peak of one more run, its exit code and its output size.
-The report is one JSON file with the Python version, the CPU count, the
-git commit of the measured sources and any uncommitted changes to them.
-Compare two reports only when they were taken on the same machine.  It
-uses only the standard library.
+as its memory.  Per command the report holds the median and the lower
+and upper quartiles of ``time.perf_counter`` seconds over ``REPEATS``
+runs, then the ``tracemalloc`` peak of one more run, its exit code and
+its output size.  The report is one JSON file with the Python version,
+the CPU count, the git commit of the measured sources and any
+uncommitted changes to them.  The peaks repeat to within 1% between
+runs; the times of unchanged code can differ by 2x between runs, so
+compare times only within one report, or over several runs taken
+alternately.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("rca", "ksa")
 SIZES = (8, 16, 32, 64)
+REPEATS = 5
 
 
 def read_time(kind: str, n: int) -> int:
@@ -59,10 +62,11 @@ def git(path: Path, *args: str) -> str | None:
     return done.stdout.rstrip()
 
 
-def measure(main, argv: list[str], output: Path, repeats: int) -> dict:
-    """Median time of ``repeats`` runs, then the peak of one traced run."""
+def measure(main, argv: list[str], output: Path) -> dict:
+    """Median and quartile times of ``REPEATS`` runs, then the peak of one
+    traced run."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = perf_counter()
         code = main(argv)
         times.append(perf_counter() - start)
@@ -76,15 +80,15 @@ def measure(main, argv: list[str], output: Path, repeats: int) -> dict:
         "exit_code": code,
         "output_bytes": output.stat().st_size if output.exists() else 0,
         "median_s": statistics.median(times),
-        "times_s": times,
+        "quartiles_s": statistics.quantiles(times, n=4)[::2],
         "peak_bytes": peak,
     }
 
 
-def run(main, sizes: list[int], repeats: int, workdir: Path) -> list[dict]:
+def run(main, workdir: Path) -> list[dict]:
     rows = []
     for kind in KINDS:
-        for n in sizes:
+        for n in SIZES:
             netlist = workdir / f"{kind}{n}.json"
             out = workdir / "out"
             commands = {
@@ -94,7 +98,7 @@ def run(main, sizes: list[int], repeats: int, workdir: Path) -> list[dict]:
                           "--format", "json", "-o", str(out)],
             }
             for name, argv in commands.items():
-                result = measure(main, argv, netlist if name == "gen" else out, repeats)
+                result = measure(main, argv, netlist if name == "gen" else out)
                 shown = [a if a not in (str(netlist), str(out)) else Path(a).name for a in argv]
                 rows.append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
                 print(f"{kind}{n:<3} {name:6} {result['median_s'] * 1e3:9.2f} ms "
@@ -106,11 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON report to write")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the pseudoadder package")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma list of widths")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per command")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     from pseudoadder import cli
@@ -118,17 +118,15 @@ def main(argv: list[str] | None = None) -> int:
     if Path(cli.__file__).resolve().parent != src / "pseudoadder":
         print(f"error: imported pseudoadder from {cli.__file__}, not {src}", file=sys.stderr)
         return 2
-    sizes = [int(s) for s in args.sizes.split(",")]
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
-        rows = run(cli.main, sizes, args.repeats, Path(tmp))
+        rows = run(cli.main, Path(tmp))
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "git_sha": git(src, "rev-parse", "HEAD"),
         # sources that differ from that commit, as git status lists them
         "src_changes": (git(src, "status", "--porcelain", "--", ".") or "").splitlines(),
-        "repeats": args.repeats,
-        "read_time": {kind: "n // 2" if kind == "rca" else "2" for kind in KINDS},
+        "repeats": REPEATS,
         "commands": rows,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -41,7 +41,9 @@ from .model import (
     PseudoAdderError,
     StatsReport,
     all_chains,
+    pair_word,
     reference_add,
+    word_pair,
 )
 from .netlist import Gate, GateKind, Netlist
 from .sim import SignalTrace, computed_sum, simulate
@@ -92,6 +94,7 @@ __all__ = [
     "max_abs_error",
     "mse_fast",
     "nu_single",
+    "pair_word",
     "random_realizable_table",
     "reference_add",
     "sae_oracle_chains",
@@ -101,4 +104,5 @@ __all__ = [
     "staggered_ksa8_delays",
     "verify_assumptions",
     "witness_for_chain_set",
+    "word_pair",
 ]

@@ -24,6 +24,7 @@ from .model import (
     ConservativenessError,
     InputPair,
     all_chains,
+    pair_word,
 )
 from .netlist import Netlist, Time
 from .sweep import PairSweep, block_sweeps
@@ -48,7 +49,7 @@ class ConservativeReport:
         """Count in the lanes of a sweep that answers at the read time: a
         sample, or one lane block of an exhaustive check.  Counterexamples
         stay the first 10 by position, then by lane, where lanes of
-        several blocks are ordered as ``a + (b << n)``."""
+        several blocks are ordered by :func:`~pseudoadder.model.pair_word`."""
         _, bad = sweep.carries_at(self.read_time)
         self.checked += sweep.pair_count
         self.violations += sum(mask.bit_count() for mask in bad)
@@ -59,7 +60,7 @@ class ConservativeReport:
                 found.append((*sweep.lane_pair(lane), k))
                 mask &= mask - 1
         n = sweep.n
-        merged = merge(self.counterexamples, found, key=lambda c: (c[2], c[0] + (c[1] << n)))
+        merged = merge(self.counterexamples, found, key=lambda c: (c[2], pair_word(c[0], c[1], n)))
         self.counterexamples = list(islice(merged, 10))
 
 
@@ -94,7 +95,7 @@ def check_conservative(net: Netlist, t: Time, pairs: list[InputPair] | None = No
     else:
         if any(p.n != net.n for p in pairs):
             raise ValueError(f"width mismatch: netlist n={net.n}, pairs of another width")
-        sweeps = [PairSweep(net, words=[p.a | p.b << net.n for p in pairs], times=[t])]
+        sweeps = [PairSweep(net, words=[pair_word(p.a, p.b, net.n) for p in pairs], times=[t])]
     for sw in sweeps:
         report.add(sw)
     if not report.checked:
@@ -192,9 +193,9 @@ def verify_assumptions(
     ]
     # one lane batch: (a, b) then (b, a) per ordered pair, then per chain
     # its probe followed by its witnesses
-    words = [x | y << n for a, b in ordered for x, y in ((a, b), (b, a))]
+    words = [pair_word(x, y, n) for a, b in ordered for x, y in ((a, b), (b, a))]
     for c, witnesses in witnessed:
-        words += [canonical_word(c, n), *(w.a | w.b << n for w in witnesses)]
+        words += [canonical_word(c, n), *(pair_word(w.a, w.b, n) for w in witnesses)]
     sums = iter(PairSweep(net, words=words, times=[t]).lane_sums(t))
 
     for a, b in ordered:

@@ -10,7 +10,7 @@ error-contributing chain.
 
 from __future__ import annotations
 
-from .model import CarryChain, ChainErrorTable, ChainSet, InputPair
+from .model import CarryChain, ChainErrorTable, ChainSet, InputPair, pair_word, word_pair
 
 
 def detect_chains(p: InputPair) -> ChainSet:
@@ -56,16 +56,16 @@ def canonical_pair(c: CarryChain, n: int) -> InputPair:
     ones at i..j-1.  Its true sum is exactly ``2**j``.
     """
     c.validate(n)
-    word = canonical_word(c, n)
-    return InputPair(n, word & ((1 << n) - 1), word >> n)
+    return InputPair(n, *word_pair(canonical_word(c, n), n))
 
 
 def canonical_word(c: CarryChain, n: int) -> int:
-    """The probe pair of :func:`canonical_pair` packed as the lane word
-    ``a | b << n``, for a chain ``c`` already known to fit width n."""
+    """The probe pair of :func:`canonical_pair` packed as a lane word
+    (:func:`~pseudoadder.model.pair_word`), for a chain ``c`` already
+    known to fit width n."""
     gen = 1 << (c.i - 1)
     propagate = (1 << c.j) - (1 << c.i)  # bits i..j-1
-    return gen | propagate | (gen << n)
+    return pair_word(gen | propagate, gen, n)
 
 
 def witness_for_chain_set(chains: ChainSet) -> InputPair:

@@ -42,7 +42,7 @@ from functools import cache
 from .analysis import ConservativeReport, check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
 from .chains import detect_chains
 from .generators import KsaDelays, generate_ksa, generate_rca
-from .model import ChainErrorTable, InputPair, PseudoAdderError, StatsReport
+from .model import ChainErrorTable, InputPair, PseudoAdderError, StatsReport, pair_word
 from .netlist import Netlist, Time, as_delay, malformed_json
 from .stats import ORACLE_LIMIT, analyze_table, sae_oracle_chains, sae_oracle_simulate
 from .sweep import PairSweep
@@ -220,7 +220,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = [as_delay(x) for x in args.times.split(",")] if args.times else None
-    lane = PairSweep(net, keep=set(net.by_id), words=[p.a | p.b << net.n], times=times)
+    lane = PairSweep(net, keep=set(net.by_id), words=[pair_word(p.a, p.b, net.n)], times=times)
     if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
     s_true = p.a + p.b

@@ -63,6 +63,19 @@ class InputPair:
             raise ValueError(f"b={self.b} out of range for width {self.n}")
 
 
+def pair_word(a: int, b: int, n: int) -> int:
+    """The operands of one pair of width n packed as one lane word,
+    ``a | b << n``: the batch format of
+    :class:`~pseudoadder.sweep.PairSweep` and the lane order of all 4^n
+    pairs."""
+    return a | b << n
+
+
+def word_pair(word: int, n: int) -> tuple[int, int]:
+    """The operands ``(a, b)`` of a lane word of :func:`pair_word`."""
+    return word & ((1 << n) - 1), word >> n
+
+
 class CarryChain(NamedTuple):
     """Interval of positions (i, j), 1 <= i <= j <= n, receiving a carry.
 

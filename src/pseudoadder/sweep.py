@@ -31,6 +31,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
 
+from .model import word_pair
 from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
@@ -162,7 +163,8 @@ class PairSweep:
 
     ``words=None`` runs the lane block ``block = (k, width)``, by default
     all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is the pair
-    packed as ``words[k] = a | b << n``, duplicates allowed, a word outside
+    packed in ``words[k]`` by :func:`~pseudoadder.model.pair_word`,
+    duplicates allowed, a word outside
     ``[0, 4^n)`` raises ValueError, and so does a ``block``.
     Only the sum outputs and the gates in ``keep`` (default: none) keep
     their waveforms; any other waveform is freed as soon as its last
@@ -245,12 +247,10 @@ class PairSweep:
     def lane_pair(self, lane: int) -> tuple[int, int]:
         """The operands ``(a, b)`` of one lane."""
         if self._words is not None:
-            word = self._words[lane]
-            return word & ((1 << self.n) - 1), word >> self.n
+            return word_pair(self._words[lane], self.n)
         k, width = self.block
-        high = self.n - width
-        a_high, b_high = k & ((1 << high) - 1), k >> high
-        return lane & ((1 << width) - 1) | a_high << width, lane >> width | b_high << width
+        (a_low, b_low), (a_high, b_high) = word_pair(lane, width), word_pair(k, self.n - width)
+        return a_low | a_high << width, b_low | b_high << width
 
     def output_change_times(self) -> list[Time]:
         """Sorted times at which any sum bit changes in any lane."""

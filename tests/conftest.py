@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single
+from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single, pair_word
 from pseudoadder.model import bit
 
 
@@ -54,7 +54,7 @@ def chains_by_scan(p):
 
 
 def pair_index(p):
-    return p.a + (p.b << p.n)
+    return pair_word(p.a, p.b, p.n)
 
 
 def traced_sum(trace, net, t):

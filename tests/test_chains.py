@@ -17,7 +17,7 @@ from pseudoadder import (
     witness_for_chain_set,
 )
 from pseudoadder.chains import canonical_pair, canonical_word, chain_predicate
-from conftest import chains_by_scan, exhaustive_pairs
+from conftest import chains_by_scan, exhaustive_pairs, pair_index
 
 
 def test_detect_fig_pair():
@@ -105,7 +105,7 @@ def test_canonical_pair_generates_only_its_chain():
             probe = canonical_pair(c, n)
             assert list(detect_chains(probe)) == [c]
             assert probe.a + probe.b == 1 << c.j
-            assert canonical_word(c, n) == probe.a | probe.b << n
+            assert canonical_word(c, n) == pair_index(probe)
 
 
 def test_decompose_fig_pair():

@@ -9,7 +9,9 @@ from pseudoadder import (
     CarryChain,
     ChainErrorTable,
     InputPair,
+    pair_word,
     reference_add,
+    word_pair,
 )
 from pseudoadder.model import bit
 from pseudoadder.sweep import read_carries
@@ -72,6 +74,16 @@ def test_reference_add_matches_machine_addition(n, data):
     a = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     b = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     assert reference_add(InputPair(n, a, b))[0] == a + b
+
+
+@given(n=st.integers(min_value=1, max_value=70), data=st.data())
+def test_pair_words_cover_every_pair_of_the_width_once(n, data):
+    a = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    b = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    word = pair_word(a, b, n)
+    assert 0 <= word < 1 << 2 * n
+    assert word_pair(word, n) == (a, b)
+    assert pair_word(*word_pair(word, n), n) == word
 
 
 def recover_carries(s_prime, p):
