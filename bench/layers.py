@@ -2,8 +2,8 @@
 
 Usage, from the repository root::
 
-    python3 bench/layers.py --out BENCH_14.json
-    python3 bench/layers.py --src /path/to/other/checkout/src --out BENCH_13.json
+    python3 bench/layers.py --out BENCH_15.json
+    python3 bench/layers.py --src /path/to/other/checkout/src --out BENCH_14.json
 
 For a unit-delay ripple-carry adder (RCA) and a uniform-delay
 Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
@@ -18,7 +18,11 @@ Every command writes to a file (``-o``), so no captured output counts
 as its memory.  Per command the report holds the median and the lower
 and upper quartiles of ``time.perf_counter`` seconds over ``REPEATS``
 runs, then the ``tracemalloc`` peak of one more run, its exit code and
-its output size.  The report is one JSON file with the Python version,
+its output size.  The ``import`` record holds the median and quartiles
+of the time that ``import pseudoadder.cli`` takes in each of ``REPEATS``
+fresh interpreters (``python -S``, measured sources first on the path):
+the cold start that every CLI run pays before its command.  The report
+is one JSON file with the Python version,
 the CPU count, the git commit of the measured sources and any
 uncommitted changes to them.  The peaks repeat to within 1% between
 runs; the times of unchanged code can differ by 2x between runs, so
@@ -85,6 +89,20 @@ def measure(main, argv: list[str], output: Path) -> dict:
     }
 
 
+def import_time(src: Path) -> dict:
+    """Median and quartile seconds of ``import pseudoadder.cli`` from
+    ``src``, timed inside each of ``REPEATS`` fresh interpreters."""
+    code = (f"import sys, time; sys.path.insert(0, {str(src)!r}); start = time.perf_counter(); "
+            "import pseudoadder.cli; print(time.perf_counter() - start)")
+    times = [
+        float(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True).stdout)
+        for _ in range(REPEATS)
+    ]
+    print(f"import      {statistics.median(times) * 1e3:9.2f} ms", file=sys.stderr)
+    return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2]}
+
+
 def run(main, workdir: Path) -> list[dict]:
     rows = []
     for kind in KINDS:
@@ -127,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         # sources that differ from that commit, as git status lists them
         "src_changes": (git(src, "status", "--porcelain", "--", ".") or "").splitlines(),
         "repeats": REPEATS,
+        "import": import_time(src),
         "commands": rows,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -13,7 +13,6 @@ as one lane batch of :class:`~pseudoadder.sweep.PairSweep`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from heapq import merge
 from itertools import islice
 
@@ -30,16 +29,22 @@ from .netlist import Netlist, Time
 from .sweep import PairSweep, block_sweeps
 
 
-@dataclass
 class ConservativeReport:
     """Outcome of a no-spurious-carries check at one read time."""
 
-    read_time: Time
-    checked: int = 0
-    violations: int = 0
-    counterexamples: list[tuple[int, int, int]] = field(default_factory=list)
-    #: counterexamples are (a, b, position), capped; position 0 flags a
-    #: stale low-order sum bit rather than a spurious carry proper.
+    __slots__ = ("read_time", "checked", "violations", "counterexamples")
+
+    def __init__(self, read_time: Time):
+        self.read_time = read_time
+        self.checked = self.violations = 0
+        #: counterexamples are (a, b, position), capped; position 0 flags a
+        #: stale low-order sum bit rather than a spurious carry proper.
+        self.counterexamples: list[tuple[int, int, int]] = []
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def passed(self) -> bool:
@@ -64,17 +69,16 @@ class ConservativeReport:
         self.counterexamples = list(islice(merged, 10))
 
 
-@dataclass
 class AssumptionReport:
     """Commutativity and lower-position-independence verdicts."""
 
-    read_time: Time
-    commutative: bool
-    independent: bool
-    commutativity_counterexamples: list[tuple[int, int]] = field(default_factory=list)
-    independence_counterexamples: list[tuple[CarryChain, int, int]] = field(
-        default_factory=list
-    )
+    __slots__ = ("read_time", "commutative", "independent",
+                 "commutativity_counterexamples", "independence_counterexamples")
+
+    def __init__(self, read_time: Time, commutative: bool, independent: bool):
+        self.read_time, self.commutative, self.independent = read_time, commutative, independent
+        self.commutativity_counterexamples: list[tuple[int, int]] = []
+        self.independence_counterexamples: list[tuple[CarryChain, int, int]] = []
 
     @property
     def passed(self) -> bool:

@@ -37,6 +37,7 @@ import random
 import sys
 from collections.abc import Callable
 from contextlib import nullcontext
+from fractions import Fraction
 from functools import cache
 
 from .analysis import ConservativeReport, check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
@@ -62,6 +63,18 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
     if len(values) != count:
         raise ValueError(f"{what}: expected {count} delays, got {len(values)}")
     return values
+
+
+def _read_time(text: str, option: str) -> Time:
+    """A read time given to ``option``, exact like a delay and
+    non-negative; a bad one is refused naming the option."""
+    try:
+        t = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option}: cannot interpret read time {text!r}") from None
+    if t < 0:
+        raise ValueError(f"{option}: read time must be non-negative, got {text}")
+    return as_delay(t)
 
 
 def _load_netlist(path: str) -> Netlist:
@@ -142,11 +155,11 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     start_text, sep, stop_text = body.partition("..")
     if not sep:
         raise ValueError(f"bad T range {spec!r}, expected start..stop[:step]")
-    start = as_delay(start_text)
-    stop = net.arrival_time() if stop_text == "quiescence" else as_delay(stop_text)
-    step = as_delay(step_text) if step_text else 1
+    start = _read_time(start_text, "--t-range")
+    stop = net.arrival_time() if stop_text == "quiescence" else _read_time(stop_text, "--t-range")
+    step = _read_time(step_text, "--t-range") if step_text else 1
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ValueError("--t-range: step must be positive")
     times: list[Time] = []
     t = start
     while t <= stop:
@@ -181,7 +194,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
-    t = as_delay(args.T)
+    t = _read_time(args.T, "-T")
     ec = extract_ec_table(net, t)
     del net  # the report is built and written without the netlist held
     if args.format == "csv":
@@ -200,7 +213,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
-    ec = extract_ec_table(_load_netlist(args.netlist), as_delay(args.T))
+    ec = extract_ec_table(_load_netlist(args.netlist), _read_time(args.T, "-T"))
     _emit_json(ec.to_json_dict(), args.output)
     return 0
 
@@ -219,7 +232,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
-    times = [as_delay(x) for x in args.times.split(",")] if args.times else None
+    times = [_read_time(x, "--times") for x in args.times.split(",")] if args.times else None
     lane = PairSweep(net, keep=set(net.by_id), words=[pair_word(p.a, p.b, net.n)], times=times)
     if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
@@ -278,7 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.netlist:
         net = _load_netlist(args.netlist)
-        t = as_delay(args.T)
+        t = _read_time(args.T, "-T")
         oracle = None
         if net.n <= limit:
             # one exhaustive pass: the oracle counts each block in as well

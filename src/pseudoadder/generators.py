@@ -13,7 +13,7 @@ delay, so one traversal of the cell costs exactly its assigned delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json, malformed_json
@@ -59,9 +59,9 @@ def generate_rca(
     return Netlist(n, gates, outputs)
 
 
-@dataclass(frozen=True)
-class KsaDelays:
-    """Per-module delay assignment for a Kogge-Stone adder.
+class KsaDelays(namedtuple("KsaDelays", "pg prefix sums")):
+    """Per-module delay assignment ``(pg, prefix, sums)`` for a
+    Kogge-Stone adder, each a tuple of delays.
 
     ``pg[k]`` times the propagate/generate cell of bit k, ``prefix[l][k]``
     the prefix cell at level l (0-based) and column k, and ``sums[k]`` the
@@ -69,9 +69,7 @@ class KsaDelays:
     cell (k below the level's span) are ignored.
     """
 
-    pg: tuple[Delay, ...]
-    prefix: tuple[tuple[Delay, ...], ...]
-    sums: tuple[Delay, ...]
+    __slots__ = ()
 
     @classmethod
     def uniform(cls, n: int, d: Delay) -> "KsaDelays":

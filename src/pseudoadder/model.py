@@ -4,12 +4,13 @@ Operands are n-bit unsigned integers viewed as (n+1)-bit vectors with the
 top bit fixed to zero, so the overflow sum bit has a position of its own.
 Bit positions 0..n-1 carry operand data and position n holds the final
 carry-out.  All counts and error sums use Python's arbitrary-precision
-integers; exact ratios use ``fractions.Fraction``.
+integers; exact ratios use ``fractions.Fraction``.  No type here is a
+dataclass, so importing the module generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -41,26 +42,24 @@ def bit(x: int, k: int) -> int:
     return (x >> k) & 1
 
 
-@dataclass(frozen=True)
-class InputPair:
-    """Two n-bit operands; the unit of enumeration.
+class InputPair(namedtuple("InputPair", "n a b")):
+    """Two n-bit operands ``(n, a, b)``; the unit of enumeration.
 
     Invariants: ``0 <= a < 2**n`` and ``0 <= b < 2**n``, so bit n of both
     operands is implicitly zero.
     """
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"width must be positive, got {self.n}")
-        top = 1 << self.n
-        if not 0 <= self.a < top:
-            raise ValueError(f"a={self.a} out of range for width {self.n}")
-        if not 0 <= self.b < top:
-            raise ValueError(f"b={self.b} out of range for width {self.n}")
+    def __new__(cls, n: int, a: int, b: int):
+        if n < 1:
+            raise ValueError(f"width must be positive, got {n}")
+        top = 1 << n
+        if not 0 <= a < top:
+            raise ValueError(f"a={a} out of range for width {n}")
+        if not 0 <= b < top:
+            raise ValueError(f"b={b} out of range for width {n}")
+        return tuple.__new__(cls, (n, a, b))
 
 
 def pair_word(a: int, b: int, n: int) -> int:
@@ -94,22 +93,34 @@ class CarryChain(NamedTuple):
         return self
 
 
-@dataclass(frozen=True)
 class ChainSet:
     """Chains generated by one input pair: disjoint, ascending by start."""
 
-    n: int
-    chains: tuple[CarryChain, ...]
+    __slots__ = ("n", "chains")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, chains: tuple[CarryChain, ...]):
         prev_j = 0
-        for c in self.chains:
-            c.validate(self.n)
+        for c in chains:
+            c.validate(n)
             if c.i <= prev_j:
-                raise ValueError(
-                    f"chains must be disjoint and ascending, got {self.chains}"
-                )
+                raise ValueError(f"chains must be disjoint and ascending, got {chains}")
             prev_j = c.j
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chains", chains)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainSet):
+            return NotImplemented
+        return (self.n, self.chains) == (other.n, other.chains)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.chains))
+
+    def __repr__(self) -> str:
+        return f"ChainSet(n={self.n}, chains={self.chains!r})"
 
     def __iter__(self) -> Iterator[CarryChain]:
         return iter(self.chains)
@@ -176,7 +187,6 @@ class ChainErrorTable:
         }
 
 
-@dataclass
 class StatsReport:
     """Exact error statistics of a pseudo-adder over all 2^(2n) input pairs.
 
@@ -188,13 +198,18 @@ class StatsReport:
     look at chains leave them ``None``.
     """
 
-    n: int
-    sae: int
-    er_avg: Fraction
-    mse: Fraction | None = None
-    max_abs_error: int | None = None
-    nu_plus: dict[CarryChain, int] | None = None
-    nu_minus: dict[CarryChain, int] | None = None
+    __slots__ = ("n", "sae", "er_avg", "mse", "max_abs_error", "nu_plus", "nu_minus")
+
+    def __init__(self, n: int, sae: int, er_avg: Fraction, mse: Fraction | None = None,
+                 max_abs_error: int | None = None, nu_plus: dict[CarryChain, int] | None = None,
+                 nu_minus: dict[CarryChain, int] | None = None):
+        self.n, self.sae, self.er_avg, self.mse = n, sae, er_avg, mse
+        self.max_abs_error, self.nu_plus, self.nu_minus = max_abs_error, nu_plus, nu_minus
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def er_avg_float(self) -> float:

@@ -16,14 +16,15 @@ JSON schema::
 
 INPUT gates take no ``inputs`` and are bound to operand bits through
 their ids.  A delay is written as an integer or, when it is not one, as
-an exact ``"p/q"`` string; floats are read but never written.
+an exact ``"p/q"`` string; floats are read but never written.  A
+:class:`Gate` is an immutable named tuple, checked once when built.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -117,28 +118,32 @@ def delay_to_json(d: Delay) -> int | str:
     return d if isinstance(d, int) else str(d)
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate; its kind is stored as a :class:`GateKind` and its delay
-    exactly (:func:`as_delay`), so ``"XOR2"`` and ``0.1`` are accepted.
-    Slotted: a gate carries no ``__dict__``."""
+_KINDS = {k.value: k for k in GateKind}  # a str-Enum member hashes like its value
 
-    id: str
-    kind: GateKind
-    inputs: tuple[str, ...] = ()
-    delay: Delay = 0
 
-    def __post_init__(self) -> None:
+class Gate(namedtuple("Gate", "id kind inputs delay")):
+    """One gate ``(id, kind, inputs=(), delay=0)``; its kind is stored as a
+    :class:`GateKind` and its delay exactly (:func:`as_delay`), so
+    ``"XOR2"`` and ``0.1`` are accepted.  An immutable named tuple with
+    no ``__dict__``, checked and normalized once when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, kind: GateKind | str, inputs: tuple[str, ...] = (), delay: Delay = 0):
         try:
-            object.__setattr__(self, "kind", GateKind(self.kind))
-            object.__setattr__(self, "delay", as_delay(self.delay))
-        except ValueError as exc:
-            raise ValueError(f"gate {self.id!r}: {exc}") from exc
-        if len(self.inputs) != ARITY[self.kind]:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):  # a JSON list or dict kind is unhashable
+            raise ValueError(f"gate {id!r}: {kind!r} is not a valid GateKind") from None
+        if type(delay) is not int or delay < 0:
+            try:
+                delay = as_delay(delay)
+            except ValueError as exc:
+                raise ValueError(f"gate {id!r}: {exc}") from exc
+        if len(inputs) != ARITY[kind]:
             raise ValueError(
-                f"gate {self.id!r}: kind {self.kind.value} takes "
-                f"{ARITY[self.kind]} inputs, got {len(self.inputs)}"
+                f"gate {id!r}: kind {kind.value} takes {ARITY[kind]} inputs, got {len(inputs)}"
             )
+        return tuple.__new__(cls, (id, kind, inputs, delay))
 
 
 class Netlist:

@@ -15,20 +15,20 @@ guarantees quiescence.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .model import InputPair
 from .netlist import Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
-@dataclass
 class SignalTrace:
     """Per-gate transition lists ``(time, value)``; implicit 0 before the
     first transition.  Times are strictly increasing per gate and values
     alternate."""
 
-    n: int
-    transitions: dict[str, list[tuple[Time, int]]]
+    __slots__ = ("n", "transitions")
+
+    def __init__(self, n: int, transitions: dict[str, list[tuple[Time, int]]]):
+        self.n, self.transitions = n, transitions
 
     def value_at(self, gate_id: str, t: Time) -> int:
         """The gate's value at read time t, taken exactly like a delay

@@ -19,8 +19,11 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert layers.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "commands"}
+    assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "import", "commands"}
     assert report["repeats"] == layers.REPEATS
+    assert set(report["import"]) == {"median_s", "quartiles_s"}
+    low, high = report["import"]["quartiles_s"]
+    assert 0 < low <= report["import"]["median_s"] <= high
     rows = report["commands"]
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
         (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep")

@@ -306,6 +306,7 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
         (json.dumps(no_kind), "missing key 'kind'"),
         ("[1]", "list indices must be integers"),
         (rca1.replace('"kind": "MAJ3"', '"kind": "FOO"'), "gate 'c1': 'FOO' is not a valid GateKind"),
+        (rca1.replace('"kind": "MAJ3"', '"kind": ["MAJ3"]'), "gate 'c1': ['MAJ3'] is not a valid GateKind"),
         (rca1.replace('"delay": 2', '"delay": "abc"'), "gate 'c1': Invalid literal for Fraction: 'abc'"),
         (rca1.replace('"delay": 2', '"delay": "1/0"'), "gate 'c1': cannot interpret delay '1/0'"),
         (rca1.replace('"inputs": ["a0", "b0", "zero"]', '"inputs": ["a0"]'),
@@ -331,13 +332,34 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
     # a zero denominator is refused like any other bad number
     path.write_text(rca1)
     for argv in (
-        ("stats", "--netlist", str(path), "-T", "1/0"),
-        ("sweep", "--netlist", str(path), "--t-range", "0..1:1/0"),
-        ("trace", "--netlist", str(path), "-a", "1", "-b", "0", "--times", "1/0"),
         ("gen", "ksa", "--n", "2", "--delay", "uniform:1/0"),
         ("gen", "rca", "--n", "1", "--carry-delays", "1/0"),
     ):
         assert run_cli(capsys, *argv) == (1, "", "error: cannot interpret delay '1/0'\n"), argv
+
+
+def test_read_time_errors_name_their_option(capsys, tmp_path):
+    path = tmp_path / "rca1.json"
+    path.write_text(generate_rca(1, [2], [1, 1]).to_json())
+    net = ("--netlist", str(path))
+    for bad, fault in (
+        ("-1", "read time must be non-negative, got -1"),
+        ("-1/2", "read time must be non-negative, got -1/2"),
+        ("x", "cannot interpret read time 'x'"),
+        ("1/0", "cannot interpret read time '1/0'"),
+    ):
+        for argv, option in (
+            (("stats", *net, f"-T={bad}"), "-T"),
+            (("stats", *net, f"-T={bad}", "--format", "csv"), "-T"),
+            (("ec", *net, f"-T={bad}"), "-T"),
+            (("verify", *net, f"-T={bad}"), "-T"),
+            (("trace", *net, "-a", "1", "-b", "0", "--times", f"0,{bad}"), "--times"),
+            (("sweep", *net, f"--t-range={bad}..1"), "--t-range"),
+            (("sweep", *net, f"--t-range=0..{bad}", "--format", "json"), "--t-range"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", f"error: {option}: {fault}\n"), argv
+    for step, fault in (("0", "step must be positive"), ("x", "cannot interpret read time 'x'")):
+        assert run_cli(capsys, "sweep", *net, "--t-range", f"0..1:{step}") == (1, "", f"error: --t-range: {fault}\n")
 
 
 def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp_path):

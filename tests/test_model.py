@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 from pseudoadder import (
     CarryChain,
     ChainErrorTable,
+    ChainSet,
+    ConservativeReport,
+    Gate,
+    GateKind,
     InputPair,
+    KsaDelays,
+    StatsReport,
     pair_word,
     reference_add,
     word_pair,
@@ -37,6 +43,36 @@ def test_input_pair_validation():
         InputPair(0, 0, 0)
     p = InputPair(4, 5, 9)
     assert bit(p.a, 4) == 0 and bit(p.b, 4) == 0
+
+
+VALUE_TYPES = {  # a maker of instances that differ in one field, and that field
+    "Gate": (lambda d: Gate("s0", "XOR2", ("a0", "b0"), d), "delay"),
+    "InputPair": (lambda b: InputPair(4, 5, b), "b"),
+    "KsaDelays": (lambda d: KsaDelays.uniform(2, d), "pg"),
+    "ChainSet": (lambda j: ChainSet(4, (CarryChain(1, j),)), "chains"),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_compare_by_field_hash_and_refuse_assignment(name):
+    make, field = VALUE_TYPES[name]
+    one, same, other = make(1), make(1), make(2)
+    assert one == same and hash(one) == hash(same) and one != other
+    assert len({one, same, other}) == 2
+    with pytest.raises(AttributeError):
+        setattr(one, field, getattr(other, field))
+    assert one == same
+
+
+def test_value_and_report_types_keep_their_constructors():
+    gate = Gate("a0", GateKind.INPUT)
+    assert (gate.inputs, gate.delay) == ((), 0) and not hasattr(gate, "__dict__")
+    assert KsaDelays(pg=(1, 1), prefix=((1, 1),), sums=(1, 1, 1)) == KsaDelays.uniform(2, 1)
+    report = ConservativeReport(read_time=Fraction(3, 2))
+    assert (report.read_time, report.checked, report.violations, report.counterexamples) == (Fraction(3, 2), 0, 0, [])
+    stats = StatsReport(n=1, sae=2, er_avg=Fraction(1, 2))
+    assert (stats.n, stats.sae, stats.er_avg, stats.mse, stats.max_abs_error, stats.nu_plus) == (1, 2, Fraction(1, 2), None, None, None)
+    assert stats == StatsReport(1, 2, Fraction(1, 2)) != StatsReport(1, 2, Fraction(1, 2), mse=Fraction(1))
 
 
 def test_reference_add_fig_pair():

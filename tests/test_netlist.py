@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,8 +55,10 @@ def test_gate_normalizes_kind_and_delay():
     for args, fault in (
         ((GateKind.XOR2, ("a0", "b0"), True), "delay must be a number"),
         (("XOR3", ("a0", "b0")), "'XOR3' is not a valid GateKind"),
+        ((["XOR2"], ("a0", "b0")), "['XOR2'] is not a valid GateKind"),  # unhashable, as JSON gives it
+        ((GateKind.XOR2, ("a0", "b0"), -1), "delay must be non-negative, got -1"),
     ):
-        with pytest.raises(ValueError, match=f"^gate 'x': {fault}$"):
+        with pytest.raises(ValueError, match=f"^gate 'x': {re.escape(fault)}$"):
             Gate("x", *args)
 
 
@@ -168,6 +171,8 @@ def test_malformed_netlist_json_is_refused():
         # a bad kind, delay or arity names its gate
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(kind="FOO")),
          "gate 's0': 'FOO' is not a valid GateKind"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(kind=["XOR2"])),
+         "gate 's0': ['XOR2'] is not a valid GateKind"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="abc")),
          "gate 's0': Invalid literal for Fraction: 'abc'"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="1/0")),

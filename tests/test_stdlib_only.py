@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,16 @@ def test_library_reads_no_environment_variables():
         if name in ("environ", "environb", "getenv", "getenvb")
     ]
     assert reads == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and every CLI
+    # run pays its package import first; this checks modules, not time
+    code = "import sys; before = set(sys.modules); import pseudoadder.cli; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(done.stdout.split())
+    assert "pseudoadder.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
