@@ -99,8 +99,9 @@ def import_time(src: Path) -> dict:
                              timeout=60, check=True).stdout)
         for _ in range(REPEATS)
     ]
-    print(f"import      {statistics.median(times) * 1e3:9.2f} ms", file=sys.stderr)
-    return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2]}
+    median = statistics.median(times)
+    print(f"import      {median * 1e3:9.2f} ms", file=sys.stderr)
+    return {"median_s": median, "quartiles_s": statistics.quantiles(times, n=4)[::2]}
 
 
 def run(main, workdir: Path) -> list[dict]:

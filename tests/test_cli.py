@@ -536,11 +536,16 @@ json_leaves = (
 @st.composite
 def json_lists(draw, children):
     """A list shorter than, exactly as long as, or longer than the
-    writer's slice, or empty: a few drawn items repeated to that length."""
+    writer's slice, or empty: a few drawn items repeated to that length.
+    Lists and dicts are not repeated: nested repeats multiply, and four
+    levels of them (255 x 256 x 761 x 257 items) took the test past 2 GB.
+    The examples below cover long lists of containers."""
+    items = draw(st.lists(children, min_size=1, max_size=4))
+    if any(isinstance(x, (list, dict)) for x in items):
+        return items
     length = draw(st.sampled_from(
         [0, 1, 5, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 2 * JSON_SLICE, 3 * JSON_SLICE - 7]
     ))
-    items = draw(st.lists(children, min_size=1, max_size=4))
     return [items[k % len(items)] for k in range(length)]
 
 
@@ -555,6 +560,7 @@ json_values = st.recursive(
 @given(json_values)
 @example({"a\"\\\né😀": [1] * (JSON_SLICE + 1), "": {}, "x": []})
 @example([[10**40] * JSON_SLICE] * (JSON_SLICE + 2))
+@example([{"k": [1.5, None], "": "\u2028"}, []] * (JSON_SLICE + 3))
 def test_json_writer_writes_exactly_one_dumps_line(obj):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
