@@ -20,10 +20,10 @@ and upper quartiles of ``time.perf_counter`` seconds over ``REPEATS``
 runs, then the ``tracemalloc`` peak of one more run, its exit code and
 its output size.  The ``import`` record holds the median and quartiles
 of the time that ``import pseudoadder.cli`` takes in each of ``REPEATS``
-fresh interpreters (``python -S``, measured sources first on the path):
-the cold start that every CLI run pays before its command.  The report
-is one JSON file with the Python version,
-the CPU count, the git commit of the measured sources and any
+fresh interpreters with the measured sources as ``PYTHONPATH``, timed by
+the probe that ``perfbench/run.py`` counts in its ``setup_s``: the cold
+start that every CLI run pays before its command.  The report is one
+JSON file with the Python version, the CPU count, the git commit of the measured sources and any
 uncommitted changes to them.  The peaks repeat to within 1% between
 runs; the times of unchanged code can differ by 2x between runs, so
 compare times only within one report, or over several runs taken
@@ -33,6 +33,7 @@ alternately.  It uses only the standard library.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -91,12 +92,15 @@ def measure(main, argv: list[str], output: Path) -> dict:
 
 def import_time(src: Path) -> dict:
     """Median and quartile seconds of ``import pseudoadder.cli`` from
-    ``src``, timed inside each of ``REPEATS`` fresh interpreters."""
-    code = (f"import sys, time; sys.path.insert(0, {str(src)!r}); start = time.perf_counter(); "
-            "import pseudoadder.cli; print(time.perf_counter() - start)")
+    ``src`` in each of ``REPEATS`` fresh interpreters, timed by the
+    benchmark's own import probe."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench)  # stdlib imports and its one-thread BLAS variables only
+    env = dict(os.environ, PYTHONPATH=str(src))
     times = [
-        float(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                             timeout=60, check=True).stdout)
+        float(subprocess.run([sys.executable, "-c", perfbench.IMPORT_PROBE], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout)
         for _ in range(REPEATS)
     ]
     median = statistics.median(times)

@@ -22,6 +22,7 @@ from .model import (
     ChainErrorTable,
     ConservativenessError,
     InputPair,
+    Record,
     all_chains,
     pair_word,
 )
@@ -29,7 +30,7 @@ from .netlist import Netlist, Time
 from .sweep import PairSweep, block_sweeps
 
 
-class ConservativeReport:
+class ConservativeReport(Record):
     """Outcome of a no-spurious-carries check at one read time."""
 
     __slots__ = ("read_time", "checked", "violations", "counterexamples")
@@ -40,11 +41,6 @@ class ConservativeReport:
         #: counterexamples are (a, b, position), capped; position 0 flags a
         #: stale low-order sum bit rather than a spurious carry proper.
         self.counterexamples: list[tuple[int, int, int]] = []
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def passed(self) -> bool:
@@ -69,7 +65,7 @@ class ConservativeReport:
         self.counterexamples = list(islice(merged, 10))
 
 
-class AssumptionReport:
+class AssumptionReport(Record):
     """Commutativity and lower-position-independence verdicts."""
 
     __slots__ = ("read_time", "commutative", "independent",

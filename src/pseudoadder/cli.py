@@ -66,8 +66,7 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
 
 
 def _read_time(text: str, option: str) -> Time:
-    """A read time given to ``option``, exact like a delay and
-    non-negative; a bad one is refused naming the option."""
+    """A non-negative read time, exact like a delay; a bad one names ``option``."""
     try:
         t = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -4,8 +4,7 @@ Operands are n-bit unsigned integers viewed as (n+1)-bit vectors with the
 top bit fixed to zero, so the overflow sum bit has a position of its own.
 Bit positions 0..n-1 carry operand data and position n holds the final
 carry-out.  All counts and error sums use Python's arbitrary-precision
-integers; exact ratios use ``fractions.Fraction``.  No type here is a
-dataclass, so importing the module generates no code.
+integers; exact ratios use ``fractions.Fraction``; no type is a dataclass.
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ class InputPair(namedtuple("InputPair", "n a b")):
     """Two n-bit operands ``(n, a, b)``; the unit of enumeration.
 
     Invariants: ``0 <= a < 2**n`` and ``0 <= b < 2**n``, so bit n of both
-    operands is implicitly zero.
+    operands is implicitly zero; ``_make`` and ``_replace`` check them too.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, a: int, b: int):
         if n < 1:
@@ -93,7 +93,22 @@ class CarryChain(NamedTuple):
         return self
 
 
-class ChainSet:
+class Record:
+    """Slotted base: equal to its class's instances with equal slots, shown with them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class ChainSet(Record):
     """Chains generated by one input pair: disjoint, ascending by start."""
 
     __slots__ = ("n", "chains")
@@ -111,16 +126,11 @@ class ChainSet:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainSet):
-            return NotImplemented
-        return (self.n, self.chains) == (other.n, other.chains)
-
     def __hash__(self) -> int:
         return hash((self.n, self.chains))
 
-    def __repr__(self) -> str:
-        return f"ChainSet(n={self.n}, chains={self.chains!r})"
+    def __reduce__(self):  # copy and pickle go back through __init__
+        return ChainSet, (self.n, self.chains)
 
     def __iter__(self) -> Iterator[CarryChain]:
         return iter(self.chains)
@@ -187,7 +197,7 @@ class ChainErrorTable:
         }
 
 
-class StatsReport:
+class StatsReport(Record):
     """Exact error statistics of a pseudo-adder over all 2^(2n) input pairs.
 
     ``sae`` is the summed absolute error, ``er_avg = sae / 2**(2n)``.  The
@@ -205,11 +215,6 @@ class StatsReport:
                  nu_minus: dict[CarryChain, int] | None = None):
         self.n, self.sae, self.er_avg, self.mse = n, sae, er_avg, mse
         self.max_abs_error, self.nu_plus, self.nu_minus = max_abs_error, nu_plus, nu_minus
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def er_avg_float(self) -> float:

@@ -122,23 +122,23 @@ _KINDS = {k.value: k for k in GateKind}  # a str-Enum member hashes like its val
 
 
 class Gate(namedtuple("Gate", "id kind inputs delay")):
-    """One gate ``(id, kind, inputs=(), delay=0)``; its kind is stored as a
-    :class:`GateKind` and its delay exactly (:func:`as_delay`), so
-    ``"XOR2"`` and ``0.1`` are accepted.  An immutable named tuple with
-    no ``__dict__``, checked and normalized once when it is built."""
+    """One gate ``(id, kind, inputs=(), delay=0)``: an immutable named tuple
+    with no ``__dict__``, equal to the plain tuple of its fields, and checked
+    once when built (``_make`` and ``_replace`` too).  Its kind is stored as
+    a :class:`GateKind` and its delay exactly (:func:`as_delay`)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, id: str, kind: GateKind | str, inputs: tuple[str, ...] = (), delay: Delay = 0):
         try:
             kind = _KINDS[kind]
         except (KeyError, TypeError):  # a JSON list or dict kind is unhashable
             raise ValueError(f"gate {id!r}: {kind!r} is not a valid GateKind") from None
-        if type(delay) is not int or delay < 0:
-            try:
-                delay = as_delay(delay)
-            except ValueError as exc:
-                raise ValueError(f"gate {id!r}: {exc}") from exc
+        try:
+            delay = as_delay(delay)
+        except ValueError as exc:
+            raise ValueError(f"gate {id!r}: {exc}") from exc
         if len(inputs) != ARITY[kind]:
             raise ValueError(
                 f"gate {id!r}: kind {kind.value} takes {ARITY[kind]} inputs, got {len(inputs)}"

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import heapq
 
-from .model import InputPair
+from .model import InputPair, Record
 from .netlist import Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
 
 
-class SignalTrace:
+class SignalTrace(Record):
     """Per-gate transition lists ``(time, value)``; implicit 0 before the
     first transition.  Times are strictly increasing per gate and values
     alternate."""

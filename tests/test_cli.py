@@ -533,15 +533,24 @@ json_leaves = (
 )
 
 
+def longest_list(value) -> int:
+    """Length of the longest list anywhere in a JSON value, 0 if none."""
+    if isinstance(value, list):
+        return max([len(value), *map(longest_list, value)])
+    if isinstance(value, dict):
+        return max(map(longest_list, value.values()), default=0)
+    return 0
+
+
 @st.composite
 def json_lists(draw, children):
     """A list shorter than, exactly as long as, or longer than the
     writer's slice, or empty: a few drawn items repeated to that length.
-    Lists and dicts are not repeated: nested repeats multiply, and four
-    levels of them (255 x 256 x 761 x 257 items) took the test past 2 GB.
-    The examples below cover long lists of containers."""
+    Items that hold a list longer than 5 are not repeated: nested repeats
+    multiply, and four levels of them (255 x 256 x 761 x 257 items) took
+    the test past 2 GB.  The examples below add long lists of long lists."""
     items = draw(st.lists(children, min_size=1, max_size=4))
-    if any(isinstance(x, (list, dict)) for x in items):
+    if max(map(longest_list, items)) > 5:
         return items
     length = draw(st.sampled_from(
         [0, 1, 5, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 2 * JSON_SLICE, 3 * JSON_SLICE - 7]

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -62,6 +64,18 @@ def test_value_types_compare_by_field_hash_and_refuse_assignment(name):
     with pytest.raises(AttributeError):
         setattr(one, field, getattr(other, field))
     assert one == same
+    for twin in (copy.copy(one), copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
+        assert twin == one and type(twin) is type(one)
+
+
+def test_replace_checks_like_the_constructor():
+    gate = Gate("s0", GateKind.XOR2, ("a0", "b0"), 1)
+    assert gate._replace(kind="AND2", delay="1/2") == Gate("s0", GateKind.AND2, ("a0", "b0"), Fraction(1, 2))
+    with pytest.raises(ValueError, match="^gate 's0': delay must be non-negative, got -1$"):
+        gate._replace(delay=-1)
+    assert InputPair(4, 5, 1)._replace(b=15) == InputPair(4, 5, 15)
+    with pytest.raises(ValueError, match="^b=16 out of range for width 4$"):
+        InputPair(4, 5, 1)._replace(b=16)
 
 
 def test_value_and_report_types_keep_their_constructors():
@@ -73,6 +87,10 @@ def test_value_and_report_types_keep_their_constructors():
     stats = StatsReport(n=1, sae=2, er_avg=Fraction(1, 2))
     assert (stats.n, stats.sae, stats.er_avg, stats.mse, stats.max_abs_error, stats.nu_plus) == (1, 2, Fraction(1, 2), None, None, None)
     assert stats == StatsReport(1, 2, Fraction(1, 2)) != StatsReport(1, 2, Fraction(1, 2), mse=Fraction(1))
+    # a failed comparison of reports shows their fields
+    assert repr(stats) == ("StatsReport(n=1, sae=2, er_avg=Fraction(1, 2), mse=None, max_abs_error=None, "
+                           "nu_plus=None, nu_minus=None)")
+    assert repr(report) == "ConservativeReport(read_time=Fraction(3, 2), checked=0, violations=0, counterexamples=[])"
 
 
 def test_reference_add_fig_pair():
