@@ -94,7 +94,7 @@ class CarryChain(NamedTuple):
 
 
 class Record:
-    """Slotted base: equal to its class's instances with equal slots, shown with them."""
+    """Slotted base that compares and shows an instance by its slots."""
 
     __slots__ = ()
 
