@@ -26,11 +26,8 @@ def random_delays(rng: random.Random) -> pa.KsaDelays:
 
 def mixed_sign_windows(net: pa.Netlist) -> list[tuple[int, int, int]]:
     """Read times where the target pair sees chains of both signs."""
-    sweep_times = list(range(0, 40))
     windows = []
-    tables = pa.ec_table_sweep(net, sweep_times)
-    for t in sweep_times:
-        ec = tables[t]
+    for t, ec in pa.ec_table_sweep(net, list(range(0, 40))):
         if not pa.check_conservative(net, t).passed:
             continue
         values = [ec.get(c.i, c.j) for c in pa.detect_chains(TARGET_PAIR)]

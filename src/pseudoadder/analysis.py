@@ -8,11 +8,17 @@ error there cannot be attributed to any chain.  Only then does the sum
 of the per-chain errors reproduce every pair's total error.  That rule
 is :func:`pseudoadder.sweep.read_carries`; every check here runs its pairs
 as one lane batch of :class:`~pseudoadder.sweep.PairSweep`.
+
+Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
+``(t, table)`` per listed read time, in the caller's order, that raises
+at the first T whose probes leave the model; :func:`extract_ec_table`
+is its one-time case.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from heapq import merge
 from itertools import islice
 
@@ -109,31 +115,33 @@ def extract_ec_table(net: Netlist, t: Time) -> ChainErrorTable:
     For chain (i, j) the probe is ``a = generate | propagates``,
     ``b = generate``; its true sum is ``2**j`` and the entry is
     ``2**j - s'``.  A probe whose read is not conservative raises
-    :class:`ConservativenessError` naming the chain.
+    :class:`ConservativenessError` naming the chain.  This is the
+    one-time case of :func:`ec_table_sweep`.
     """
-    return ec_table_sweep(net, [t])[t]
+    return next(ec_table_sweep(net, [t]))[1]
 
 
-def ec_table_sweep(net: Netlist, times: list[Time]) -> dict[Time, ChainErrorTable]:
-    """Extract the chain-error table at several read times from one
-    lane-parallel run of all n(n+1)/2 probes.
+def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, ChainErrorTable]]:
+    """Iterate ``(t, table)`` over ``times`` in the caller's order, from
+    one lane-parallel run of all n(n+1)/2 probes that answers at every
+    read time.
 
-    Raises :class:`ConservativenessError` naming the first failing chain
-    at the earliest read time where some probe's read is not conservative.
+    Each table is built when it is asked for, so a consumer that drops
+    each one holds one table at a time; a time listed twice yields its
+    own pair each time.  At the first T in that order where some probe's
+    read is not conservative, :class:`ConservativenessError` is raised
+    naming the failing chain, after the pairs before it were yielded.
     """
     chains = all_chains(net.n)
     sw = PairSweep(net, words=[canonical_word(c, net.n) for c in chains], times=times)
-    tables: dict[Time, ChainErrorTable] = {}
-    for t in sorted(times):
+    for t in times:
         failing = 0
         for mask in sw.carries_at(t)[1]:
             failing |= mask
         if failing:
             c = chains[(failing & -failing).bit_length() - 1]
             raise ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
-        sums = sw.lane_sums(t)
-        tables[t] = ChainErrorTable(net.n, {c: (1 << c.j) - s for c, s in zip(chains, sums)})
-    return {t: tables[t] for t in times}
+        yield t, ChainErrorTable(net.n, {c: (1 << c.j) - s for c, s in zip(chains, sw.lane_sums(t))})
 
 
 def _random_witness(c: CarryChain, n: int, rng: random.Random) -> InputPair:

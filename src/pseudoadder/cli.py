@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
@@ -83,12 +82,9 @@ def _load_netlist(path: str) -> Netlist:
         return Netlist.from_json(fh.read())
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """The ``-o`` file, opened for writing, or stdout, left open."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
 JSON_SLICE = 256  # list items per call of the C encoder
@@ -117,19 +113,18 @@ def _encode(obj: object, write: Callable[[str], object]) -> None:
 def _emit_json(obj: object, output: str | None) -> None:
     """Write ``json.dumps(obj)`` and a newline to stdout or ``output``
     without ever holding the whole line or its encoder's chunk list."""
-    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+    with _output(output) as fh:
         _encode(obj, fh.write)
         fh.write("\n")
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_csv(rows: list[dict], output: str | None) -> None:
+    """Write rows as CSV under their keys; no rows write nothing."""
+    with _output(output) as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _stats_row(t: Time, ec: ChainErrorTable) -> dict:
@@ -197,8 +192,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     ec = extract_ec_table(net, t)
     del net  # the report is built and written without the netlist held
     if args.format == "csv":
-        row = {"n": ec.n, **_stats_row(t, ec)}
-        _emit(_rows_to_csv([row]), args.output)
+        _emit_csv([{"n": ec.n, **_stats_row(t, ec)}], args.output)
     else:
         payload = {
             "n": ec.n,
@@ -221,8 +215,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     p = InputPair(args.n, args.a, args.b)
     found = [[c.i, c.j] for c in detect_chains(p)]
     if args.format == "csv":
-        rows = [{"i": i, "j": j} for i, j in found]
-        _emit(_rows_to_csv(rows), args.output)
+        _emit_csv([{"i": i, "j": j} for i, j in found], args.output)
     else:
         _emit_json({"n": args.n, "a": args.a, "b": args.b, "chains": found}, args.output)
     return 0
@@ -249,7 +242,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "csv":
-        _emit(_rows_to_csv(rows), args.output)
+        _emit_csv(rows, args.output)
     else:
         _emit_json({"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}, args.output)
     return 0
@@ -258,11 +251,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     times = _parse_t_range(args.t_range, net)
-    rows = [_stats_row(t, ec) for t, ec in ec_table_sweep(net, times).items()]
+    # one table at a time becomes its row; a later T outside the model still writes nothing
+    rows = [_stats_row(t, ec) for t, ec in ec_table_sweep(net, times)]
     if args.format == "json":
         _emit_json({"n": net.n, "rows": rows}, args.output)
     else:
-        _emit(_rows_to_csv(rows), args.output)
+        _emit_csv(rows, args.output)
     return 0
 
 
@@ -275,6 +269,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--tables must be at least 1, got {args.tables}")
     if not (args.netlist or args.fast_vs_oracle):
         raise ValueError("verify needs --netlist or --fast-vs-oracle")
+    t = _read_time(args.T, "-T")
     failures = 0
     lines: list[str] = []
     limit = args.exhaustive_n_limit
@@ -290,7 +285,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.netlist:
         net = _load_netlist(args.netlist)
-        t = _read_time(args.T, "-T")
         oracle = None
         if net.n <= limit:
             # one exhaustive pass: the oracle counts each block in as well
@@ -335,7 +329,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ok &= same(analyze_table(ec), sae_oracle_chains(ec, force=True))
             record(f"fast-vs-oracle on {args.tables} random tables (n={n})", ok)
 
-    _emit("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
     return 1 if failures else 0
 
 

@@ -189,12 +189,12 @@ class ChainErrorTable:
         return f"ChainErrorTable(n={self.n}, nonzero={len(self._ec)})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ec": [
-                {"i": c.i, "j": c.j, "value": v} for c, v in sorted(self._ec.items())
-            ],
-        }
+        return {"n": self.n, "ec": _chain_entries(self._ec)}
+
+
+def _chain_entries(m: dict[CarryChain, int]) -> list[dict]:
+    """A chain map's JSON: ``{"i", "j", "value"}`` objects ascending by chain."""
+    return [{"i": c.i, "j": c.j, "value": v} for c, v in sorted(m.items())]
 
 
 class StatsReport(Record):
@@ -228,19 +228,14 @@ class StatsReport(Record):
                 "float": float(x),
             }
 
-        def chainmap(m: dict[CarryChain, int] | None):
-            if m is None:
-                return None
-            return [{"i": c.i, "j": c.j, "value": v} for c, v in sorted(m.items())]
-
         return {
             "n": self.n,
             "sae": self.sae,
             "er_avg": ratio(self.er_avg),
             "mse": None if self.mse is None else ratio(self.mse),
             "max_abs_error": self.max_abs_error,
-            "nu_plus": chainmap(self.nu_plus),
-            "nu_minus": chainmap(self.nu_minus),
+            "nu_plus": None if self.nu_plus is None else _chain_entries(self.nu_plus),
+            "nu_minus": None if self.nu_minus is None else _chain_entries(self.nu_minus),
         }
 
 

@@ -185,7 +185,7 @@ def test_dominating_sign_law_on_ksa():
             int(delays.pg[k]) + int(delays.sums[k]) for k in range(8)
         )
         times = list(range(0, quiescence + 1))
-        tables = ec_table_sweep(net, times)
+        tables = dict(ec_table_sweep(net, times))
         valid_reads = 0
         for t in times:
             check = ConservativeReport(read_time=t)

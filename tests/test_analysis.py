@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -162,9 +163,19 @@ def test_extract_flags_probe_violation():
 def test_ec_table_sweep_matches_pointwise():
     net = staggered_ksa8()
     times = list(range(0, 12))
-    swept = ec_table_sweep(net, times)
+    swept = dict(ec_table_sweep(net, times))
     for t in (0, 4, 7, 10, 11):
         assert swept[t] == extract_ec_table(net, t)
+    # the caller's order, a duplicate time yielding its own pair
+    assert [(t, ec) for t, ec in ec_table_sweep(net, [7, 0, 11, 7])] == [
+        (t, extract_ec_table(net, t)) for t in (7, 0, 11, 7)
+    ]
+    # tables before the first failing T arrive, then the error names its chain
+    stream = ec_table_sweep(inverted_carry_rca2(), [0, 1, 2, 3])
+    assert [t for t, _ in islice(stream, 2)] == [0, 1]
+    with pytest.raises(ConservativenessError, match="T=2") as err:
+        next(stream)
+    assert err.value.chain == CarryChain(2, 2)
 
 
 def test_rca_entries_nonnegative_and_vanish_at_quiescence():
