@@ -6,103 +6,45 @@ as delay-annotated gate netlists, attributes their errors to carry
 chains, and computes exact statistics (expected absolute error, mean
 squared error, maximum absolute error) with fast algorithms checked
 against brute-force oracles.
-"""
 
-from .analysis import (
-    AssumptionReport,
-    ConservativeReport,
-    check_conservative,
-    ec_table_sweep,
-    extract_ec_table,
-    verify_assumptions,
-)
-from .chains import (
-    decompose_error,
-    detect_chains,
-    dominating_chain,
-    isolate_chain,
-    witness_for_chain_set,
-)
-from .generators import (
-    KsaDelays,
-    generate_ksa,
-    generate_rca,
-    staggered_ksa8,
-    staggered_ksa8_delays,
-)
-from .maxerror import iter_chain_sets, max_abs_error
-from .model import (
-    CarryChain,
-    ChainErrorTable,
-    ChainSet,
-    ConservativenessError,
-    InputPair,
-    OracleLimitError,
-    PseudoAdderError,
-    StatsReport,
-    all_chains,
-    pair_word,
-    reference_add,
-    word_pair,
-)
-from .netlist import Gate, GateKind, Netlist
-from .sim import SignalTrace, computed_sum, simulate
-from .stats import (
-    analyze_table,
-    er_avg_fast,
-    mse_fast,
-    nu_single,
-    sae_oracle_chains,
-    sae_oracle_simulate,
-)
-from .sweep import PairSweep
-from .tables import random_realizable_table
+Every name in ``__all__`` loads its home module on first use, so
+``import pseudoadder`` loads no submodule.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "CarryChain",
-    "ChainErrorTable",
-    "ChainSet",
-    "ConservativeReport",
-    "ConservativenessError",
-    "Gate",
-    "GateKind",
-    "InputPair",
-    "KsaDelays",
-    "Netlist",
-    "OracleLimitError",
-    "PairSweep",
-    "PseudoAdderError",
-    "SignalTrace",
-    "StatsReport",
-    "all_chains",
-    "analyze_table",
-    "check_conservative",
-    "computed_sum",
-    "decompose_error",
-    "detect_chains",
-    "dominating_chain",
-    "ec_table_sweep",
-    "er_avg_fast",
-    "extract_ec_table",
-    "generate_ksa",
-    "generate_rca",
-    "isolate_chain",
-    "iter_chain_sets",
-    "max_abs_error",
-    "mse_fast",
-    "nu_single",
-    "pair_word",
-    "random_realizable_table",
-    "reference_add",
-    "sae_oracle_chains",
-    "sae_oracle_simulate",
-    "simulate",
-    "staggered_ksa8",
-    "staggered_ksa8_delays",
-    "verify_assumptions",
-    "witness_for_chain_set",
-    "word_pair",
-]
+_EXPORTS = {
+    "analysis": (
+        "AssumptionReport", "ConservativeReport", "check_conservative", "ec_table_sweep",
+        "extract_ec_table", "verify_assumptions",
+    ),
+    "chains": ("decompose_error", "detect_chains", "dominating_chain", "isolate_chain", "witness_for_chain_set"),
+    "generators": ("KsaDelays", "generate_ksa", "generate_rca", "staggered_ksa8", "staggered_ksa8_delays"),
+    "maxerror": ("iter_chain_sets", "max_abs_error"),
+    "model": (
+        "CarryChain", "ChainErrorTable", "ChainSet", "ConservativenessError", "InputPair", "OracleLimitError",
+        "PseudoAdderError", "StatsReport", "all_chains", "pair_word", "reference_add", "word_pair",
+    ),
+    "netlist": ("Gate", "GateKind", "Netlist"),
+    "sim": ("SignalTrace", "computed_sum", "simulate"),
+    "stats": ("analyze_table", "er_avg_fast", "mse_fast", "nu_single", "sae_oracle_chains", "sae_oracle_simulate"),
+    "sweep": ("PairSweep",),
+    "tables": ("random_realizable_table",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import an exported name's home module and cache the name here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,28 +25,24 @@ sampling takes an explicit ``--seed`` (default 0) so reports are
 reproducible.  ``verify`` checks conservativeness over all 4^n pairs,
 and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
 (default 10); above it the check is sampled and no oracle runs.
+
+Importing this module loads only :mod:`~pseudoadder.model` and
+:mod:`~pseudoadder.netlist`; each command imports the modules it runs
+when it runs, so ``gen`` never loads the simulators or the statistics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
 import sys
 from collections.abc import Callable
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 
-from .analysis import ConservativeReport, check_conservative, ec_table_sweep, extract_ec_table, verify_assumptions
-from .chains import detect_chains
-from .generators import KsaDelays, generate_ksa, generate_rca
-from .model import ChainErrorTable, InputPair, PseudoAdderError, StatsReport, pair_word
+from .model import ORACLE_LIMIT, ChainErrorTable, InputPair, PseudoAdderError, StatsReport, pair_word
 from .netlist import Netlist, Time, as_delay, malformed_json
-from .stats import ORACLE_LIMIT, analyze_table, sae_oracle_chains, sae_oracle_simulate
-from .sweep import PairSweep
-from .tables import random_realizable_table
 
 
 def _parse_delay_list(spec: str, count: int, what: str) -> list:
@@ -120,6 +116,8 @@ def _emit_json(obj: object, output: str | None) -> None:
 
 def _emit_csv(rows: list[dict], output: str | None) -> None:
     """Write rows as CSV under their keys; no rows write nothing."""
+    import csv
+
     with _output(output) as fh:
         if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -128,6 +126,8 @@ def _emit_csv(rows: list[dict], output: str | None) -> None:
 
 
 def _stats_row(t: Time, ec: ChainErrorTable) -> dict:
+    from .stats import analyze_table
+
     report = analyze_table(ec)
     return {
         "T": str(t),
@@ -164,6 +164,8 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     """Unset delay options are uniform:1; the other kind's are refused."""
+    from .generators import KsaDelays, generate_ksa, generate_rca
+
     own = {"rca": ("carry_delays", "sum_delays"), "ksa": ("delay",)}[args.kind]
     for name in ("carry_delays", "sum_delays", "delay"):
         if getattr(args, name) is None:
@@ -187,6 +189,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis import extract_ec_table
+    from .stats import analyze_table
+
     net = _load_netlist(args.netlist)
     t = _read_time(args.T, "-T")
     ec = extract_ec_table(net, t)
@@ -206,12 +211,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
+    from .analysis import extract_ec_table
+
     ec = extract_ec_table(_load_netlist(args.netlist), _read_time(args.T, "-T"))
     _emit_json(ec.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
+    from .chains import detect_chains
+
     p = InputPair(args.n, args.a, args.b)
     found = [[c.i, c.j] for c in detect_chains(p)]
     if args.format == "csv":
@@ -222,6 +231,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .sweep import PairSweep
+
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = [_read_time(x, "--times") for x in args.times.split(",")] if args.times else None
@@ -249,6 +260,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import ec_table_sweep
+
     net = _load_netlist(args.netlist)
     times = _parse_t_range(args.t_range, net)
     # one table at a time becomes its row; a later T outside the model still writes nothing
@@ -261,6 +274,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import random
+
+    from .analysis import ConservativeReport, check_conservative, extract_ec_table, verify_assumptions
+    from .stats import analyze_table, sae_oracle_chains, sae_oracle_simulate
+    from .tables import random_realizable_table
+
     # zero samples or tables, or no netlist and no tables, would check
     # nothing and still exit 0
     if args.samples < 1:

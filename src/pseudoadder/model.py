@@ -18,8 +18,11 @@ class PseudoAdderError(Exception):
     """Base class for errors raised by this package."""
 
 
+ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
+
+
 class OracleLimitError(PseudoAdderError):
-    """Raised when a brute-force enumeration would exceed the width limit."""
+    """Raised when a brute-force enumeration would exceed ``ORACLE_LIMIT``."""
 
 
 class ConservativenessError(PseudoAdderError):

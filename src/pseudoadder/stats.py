@@ -23,11 +23,9 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .analysis import ConservativeReport
-from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
+from .model import ORACLE_LIMIT, CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
 from .netlist import Netlist, Time
 from .sweep import block_sweeps, lane_blocks, operand_masks
-
-ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
 
 
 def _check_oracle_width(n: int, force: bool) -> None:

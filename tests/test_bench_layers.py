@@ -19,11 +19,17 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert layers.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "import", "commands"}
+    assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "import", "cold", "commands"}
     assert report["repeats"] == layers.REPEATS
     assert set(report["import"]) == {"median_s", "quartiles_s"}
     low, high = report["import"]["quartiles_s"]
     assert 0 < low <= report["import"]["median_s"] <= high
+    assert [row["command"] for row in report["cold"]] == [name for name, _ in layers.COLD]
+    for row in report["cold"]:
+        assert set(row) == {"command", "argv", "exit_code", "median_s", "quartiles_s"}
+        assert row["exit_code"] == 0
+        low, high = row["quartiles_s"]
+        assert 0 < low <= row["median_s"] <= high
     rows = report["commands"]
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
         (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep")

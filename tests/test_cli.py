@@ -389,7 +389,7 @@ def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp
     # pairs generating both chains err by +1 under a negative leftmost
     # chain: no conservative adder realizes this table
     bad = ChainErrorTable(2, {CarryChain(1, 1): 2, CarryChain(2, 2): -1})
-    monkeypatch.setattr("pseudoadder.cli.extract_ec_table", lambda net, t: bad)
+    monkeypatch.setattr("pseudoadder.analysis.extract_ec_table", lambda net, t: bad)
     netlist = write_staggered(tmp_path)
     for fmt in ("json", "csv"):
         code, out, err = run_cli(capsys, "stats", "--netlist", netlist, "-T", "7", "--format", fmt)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -40,14 +41,52 @@ def test_library_reads_no_environment_variables():
     assert reads == []
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     # dataclasses pulls in inspect, ast, dis and tokenize, and every CLI
-    # run pays its package import first; this checks modules, not time
-    code = "import sys; before = set(sys.modules); import pseudoadder.cli; print(*sorted(set(sys.modules) - before))"
+    # run pays its package import first; each command loads only the
+    # package modules it runs.  This checks modules, not time
+    netlist = tmp_path / "ksa8.json"
+    code = (
+        "import sys\n"
+        "def step(): global seen; added = set(sys.modules) - seen; seen |= added; print(*sorted(added))\n"
+        "seen = set(sys.modules)\n"
+        "import pseudoadder.cli as cli\n"
+        "step()\n"
+        f"assert cli.main(['gen', 'ksa', '--n', '8', '-o', {str(netlist)!r}]) == 0\n"
+        "step()\n"
+        f"assert cli.main(['stats', '--netlist', {str(netlist)!r}, '-T', '2', '-o', {str(tmp_path / 'out')!r}]) == 0\n"
+        "step()\n"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    added = set(done.stdout.split())
-    assert "pseudoadder.cli" in added
-    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    imported, generated, analysed = (set(line.split()) for line in done.stdout.splitlines())
+    assert imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+    def package(added):
+        return {m.removeprefix("pseudoadder.") for m in added if m.startswith("pseudoadder.")}
+
+    assert package(imported) == {"cli", "model", "netlist"}
+    assert package(generated) == {"generators"}
+    assert package(analysed) & {"sim", "generators", "tables", "maxerror"} == set()
+    assert "stats" in package(analysed)
+
+
+def test_package_api_resolves_every_name_lazily():
+    import pseudoadder
+    from pseudoadder import _HOME, cli, model, stats
+
+    for name in pseudoadder.__all__:
+        home = importlib.import_module(f"pseudoadder.{_HOME[name]}")
+        assert getattr(pseudoadder, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from pseudoadder import *", star)
+    assert set(star) - {"__builtins__"} == set(pseudoadder.__all__)
+    assert set(pseudoadder.__all__) <= set(dir(pseudoadder))
+    assert not hasattr(pseudoadder, "no_such_name")
+    from pseudoadder import sweep
+
+    assert sweep is sys.modules["pseudoadder.sweep"]
+    assert stats.ORACLE_LIMIT is model.ORACLE_LIMIT
+    assert cli.build_parser().parse_args(["verify"]).exhaustive_n_limit == model.ORACLE_LIMIT
