@@ -23,7 +23,7 @@ _EXPORTS = {
     "maxerror": ("iter_chain_sets", "max_abs_error"),
     "model": (
         "CarryChain", "ChainErrorTable", "ChainSet", "ConservativenessError", "InputPair", "OracleLimitError",
-        "PseudoAdderError", "StatsReport", "all_chains", "pair_word", "reference_add", "word_pair",
+        "PseudoAdderError", "StatsReport", "all_chains", "reference_add",
     ),
     "netlist": ("Gate", "GateKind", "Netlist"),
     "sim": ("SignalTrace", "computed_sum", "simulate"),

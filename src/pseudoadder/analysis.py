@@ -31,6 +31,7 @@ from .model import (
     Record,
     all_chains,
     pair_word,
+    word_pair,
 )
 from .netlist import Netlist, Time
 from .sweep import PairSweep, block_sweeps
@@ -144,10 +145,10 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
         yield t, ChainErrorTable(net.n, {c: (1 << c.j) - s for c, s in zip(chains, sw.lane_sums(t))})
 
 
-def _random_witness(c: CarryChain, n: int, rng: random.Random) -> InputPair:
-    """A random pair generating chain c (free positions randomized)."""
-    a = 1 << (c.i - 1)
-    b = 1 << (c.i - 1)
+def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
+    """A random pair generating chain c (free positions randomized), as a
+    lane word (:func:`~pseudoadder.model.pair_word`)."""
+    a = b = 1 << (c.i - 1)
     for k in range(c.i, c.j):
         if rng.random() < 0.5:
             a |= 1 << k
@@ -156,14 +157,12 @@ def _random_witness(c: CarryChain, n: int, rng: random.Random) -> InputPair:
     if c.j < n and rng.random() < 0.5:
         a |= 1 << c.j
         b |= 1 << c.j
-    free = [k for k in range(n) if k < c.i - 1 or k > c.j]
-    for k in free:
+    for k in (*range(c.i - 1), *range(c.j + 1, n)):
         bits = rng.randrange(4)
         a |= (bits & 1) << k
         b |= (bits >> 1) << k
-    p = InputPair(n, a, b)
-    assert chain_predicate(p, c.i, c.j)
-    return p
+    assert chain_predicate(InputPair(n, a, b), c.i, c.j)
+    return pair_word(a, b, n)
 
 
 def verify_assumptions(
@@ -203,7 +202,7 @@ def verify_assumptions(
     # its probe followed by its witnesses
     words = [pair_word(x, y, n) for a, b in ordered for x, y in ((a, b), (b, a))]
     for c, witnesses in witnessed:
-        words += [canonical_word(c, n), *(pair_word(w.a, w.b, n) for w in witnesses)]
+        words += [canonical_word(c, n), *witnesses]
     sums = iter(PairSweep(net, words=words, times=[t]).lane_sums(t))
 
     for a, b in ordered:
@@ -220,5 +219,5 @@ def verify_assumptions(
             if next(sums) & span != expected:
                 report.independent = False
                 if len(report.independence_counterexamples) < 10:
-                    report.independence_counterexamples.append((c, w.a, w.b))
+                    report.independence_counterexamples.append((c, *word_pair(w, n)))
     return report

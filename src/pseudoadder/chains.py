@@ -70,13 +70,10 @@ def canonical_word(c: CarryChain, n: int) -> int:
 
 def witness_for_chain_set(chains: ChainSet) -> InputPair:
     """An input pair generating exactly the given disjoint chains."""
-    a = 0
-    b = 0
-    for c in chains:
-        probe = canonical_pair(c, chains.n)
-        a |= probe.a
-        b |= probe.b
-    p = InputPair(chains.n, a, b)
+    word = 0
+    for c in chains:  # a ChainSet's chains fit its width
+        word |= canonical_word(c, chains.n)
+    p = InputPair(chains.n, *word_pair(word, chains.n))
     assert tuple(detect_chains(p)) == chains.chains
     return p
 

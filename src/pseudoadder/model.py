@@ -147,7 +147,7 @@ def all_chains(n: int) -> list[CarryChain]:
     return [CarryChain(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-class ChainErrorTable:
+class ChainErrorTable(Record):
     """Total map from every chain (i, j) to its signed integer error.
 
     Missing entries are zero.  Every entry is bounded by ``2**(n+1)`` in
@@ -182,11 +182,6 @@ class ChainErrorTable:
     def nonzero(self) -> list[tuple[CarryChain, int]]:
         """Chains with a nonzero error, ascending by (i, j)."""
         return sorted(self._ec.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainErrorTable):
-            return NotImplemented
-        return self.n == other.n and self._ec == other._ec
 
     def __repr__(self) -> str:
         return f"ChainErrorTable(n={self.n}, nonzero={len(self._ec)})"
@@ -243,19 +238,12 @@ class StatsReport(Record):
 
 
 def reference_add(p: InputPair) -> tuple[int, int]:
-    """Fully correct addition via the carry recurrence.
+    """Fully correct addition.
 
     Returns ``(sum, carries)`` where ``carries`` packs c_0..c_n as an
-    integer (bit k is the carry into position k, c_0 = 0).  The sum bit at
-    position k is ``a_k ^ b_k ^ c_k`` and the carry obeys the majority
-    recurrence ``c_{k+1} = a_k b_k | a_k c_k | b_k c_k``.
+    integer (bit k is the carry into position k, c_0 = 0).  The sum fixes
+    the carries: its bit k is ``a_k ^ b_k ^ c_k``, so the carries are
+    ``sum ^ a ^ b`` (bit n of both operands is 0, so c_n is the sum's bit n).
     """
-    carries = 0
-    c = 0
-    for k in range(p.n):
-        ak = bit(p.a, k)
-        bk = bit(p.b, k)
-        c = (ak & bk) | (ak & c) | (bk & c)
-        carries |= c << (k + 1)
     s = p.a + p.b
-    return s, carries
+    return s, s ^ p.a ^ p.b

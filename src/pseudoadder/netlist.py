@@ -87,11 +87,9 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
         raise ValueError("delay must be a number")
     if isinstance(value, int):
         d: Delay = value
-    elif isinstance(value, Fraction):
-        d = int(value) if value.denominator == 1 else value
-    elif isinstance(value, (float, str)):
+    elif isinstance(value, (Fraction, float, str)):
         try:
-            f = Fraction(str(value))
+            f = Fraction(value if isinstance(value, Fraction) else str(value))
         except ZeroDivisionError:  # "p/0"
             raise ValueError(f"cannot interpret delay {value!r}") from None
         d = int(f) if f.denominator == 1 else f
@@ -100,6 +98,14 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
     if d < 0:
         raise ValueError(f"delay must be non-negative, got {value}")
     return d
+
+
+def as_time(t: int | float | str | Fraction) -> Time:
+    """Normalize a read time exactly like a delay (:func:`as_delay`); a
+    negative number is refused as a read time."""
+    if isinstance(t, (int, float, Fraction)) and t < 0:
+        raise ValueError(f"read time must be non-negative, got {t}")
+    return as_delay(t)
 
 
 @contextmanager
@@ -166,9 +172,9 @@ class Netlist:
                 raise ValueError(f"duplicate gate id {g.id!r}")
             self.by_id[g.id] = g
 
-        expected_inputs = {f"a{k}" for k in range(n)} | {f"b{k}" for k in range(n)}
+        # sizes first, so a claimed n costs nothing until the gates are there
         declared_inputs = {g.id for g in self.gates if g.kind is GateKind.INPUT}
-        if declared_inputs != expected_inputs:
+        if len(declared_inputs) != 2 * n or declared_inputs != {f"{x}{k}" for x in "ab" for k in range(n)}:
             raise ValueError(
                 "INPUT gates must be exactly a0..a%d and b0..b%d" % (n - 1, n - 1)
             )
@@ -178,7 +184,7 @@ class Netlist:
                 if src not in self.by_id:
                     raise ValueError(f"gate {g.id}: unknown input {src!r}")
 
-        if set(self.outputs) != set(range(n + 1)):
+        if len(self.outputs) != n + 1 or set(self.outputs) != set(range(n + 1)):
             raise ValueError(f"outputs must map every position 0..{n}")
         for pos, gid in self.outputs.items():
             if gid not in self.by_id:
@@ -257,12 +263,11 @@ class Netlist:
             n = data["n"]
             if type(n) is not int:
                 raise TypeError(f"n must be an integer, got {n!r}")
-            positions = {str(k): k for k in range(n + 1)}
             outputs = {}
             for key, gid in data["outputs"].items():
-                if key not in positions:
+                if not (key.isdecimal() and len(key) <= len(str(n)) and str(int(key)) == key and int(key) <= n):
                     raise TypeError(f"output key {key!r} is not one of '0'..'{n}'")
-                outputs[positions[key]] = str(gid)
+                outputs[int(key)] = str(gid)
         return cls(n, gates, outputs)
 
     @classmethod

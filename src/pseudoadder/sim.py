@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 
 from .model import InputPair, Record
-from .netlist import Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
+from .netlist import Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
 
 class SignalTrace(Record):
@@ -31,9 +31,9 @@ class SignalTrace(Record):
         self.n, self.transitions = n, transitions
 
     def value_at(self, gate_id: str, t: Time) -> int:
-        """The gate's value at read time t, taken exactly like a delay
-        (:func:`~pseudoadder.netlist.as_delay`): 0.3 reads at 3/10."""
-        t = as_delay(t)
+        """The gate's value at read time t, taken exactly like a delay by
+        :func:`~pseudoadder.netlist.as_time`: 0.3 reads at 3/10."""
+        t = as_time(t)
         value = 0
         for when, v in self.transitions[gate_id]:
             if when > t:
@@ -106,7 +106,5 @@ def simulate(net: Netlist, p: InputPair) -> SignalTrace:
 
 def computed_sum(net: Netlist, p: InputPair, t: Time) -> int:
     """Oracle: simulate one pair and read the sum at time T."""
-    if t < 0:
-        raise ValueError(f"read time must be non-negative, got {t}")
     trace = simulate(net, p)
     return sum(trace.value_at(gid, t) << pos for pos, gid in net.outputs.items())

@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from functools import cache
 
 from .model import word_pair
-from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_delay, evaluate_gate
+from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
 
 def _doubling_masks(bits: int) -> tuple[int, ...]:
@@ -176,8 +176,8 @@ class PairSweep:
     transport delays an output at tau depends only on inputs at tau - d);
     kept waveforms hold just those samples, so at one T the unit-delay
     RCA-10 keeps 11 masks, not 65: of 8 KB in a block of 4^8 lanes, of
-    128 KB over all its pairs at once.  Read times are taken exactly
-    like delays (:func:`~pseudoadder.netlist.as_delay`): 0.3 reads at 3/10.
+    128 KB over all its pairs at once.  Read times, here and at a read, go
+    through :func:`~pseudoadder.netlist.as_time`: 0.3 reads at 3/10.
     """
 
     def __init__(
@@ -189,7 +189,7 @@ class PairSweep:
         block: tuple[int, int] | None = None,
     ):
         self.net = net
-        self._reads = None if times is None else frozenset(map(as_delay, times))
+        self._reads = None if times is None else frozenset(map(as_time, times))
         reads = sorted(self._reads or ())
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
@@ -263,9 +263,7 @@ class PairSweep:
 
     def output_masks_at(self, t: Time) -> list[int]:
         """One lane mask per sum position 0..n at read time t."""
-        if t < 0:
-            raise ValueError(f"read time must be non-negative, got {t}")
-        t = as_delay(t)
+        t = as_time(t)
         if self._reads is not None and t not in self._reads:
             raise ValueError(f"read time {t} is not one of this sweep's read times")
         return [self._wf[self.net.outputs[pos]].at(t) for pos in range(self.n + 1)]

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single, pair_word
+from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single
+from pseudoadder.model import pair_word
 from pseudoadder.model import bit
 
 

@@ -1,5 +1,6 @@
-"""Smoke test of ``bench/layers.py``: it runs at the smallest width and
-writes a report with every key.  No time is bounded here."""
+"""Smoke tests of ``bench/layers.py``, which runs at the smallest width
+and writes a report with every key, and of ``bench/corpus.py``, which
+prints one repeatable line per command.  No time is bounded here."""
 
 import ast
 import importlib.util
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+CORPUS = LAYERS.with_name("corpus.py")
 
 
 def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
@@ -42,7 +44,21 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
 
 
 def test_layers_imports_only_the_standard_library_and_the_package():
-    tree = ast.parse(LAYERS.read_text())
-    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
-    assert [m for m in names if m.split(".")[0] not in (*sys.stdlib_module_names, "pseudoadder")] == []
+    for script in (LAYERS, CORPUS):
+        tree = ast.parse(script.read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert [m for m in names if m.split(".")[0] not in (*sys.stdlib_module_names, "pseudoadder")] == [], script
+
+
+def test_corpus_prints_one_repeatable_line_per_command(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts the sources first
+    assert corpus.main([]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 2)[2] for line in first] == [" ".join(argv) for argv in corpus.commands()]
+    assert {line.split()[0] for line in first} == {"0", "1", "2"}  # argparse refusals exit 2
+    assert corpus.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == first

@@ -468,13 +468,37 @@ def test_verify_force_is_gone(capsys):
 
 
 def test_verify_faulty_netlist_fails(capsys, tmp_path):
-    from test_analysis import inverted_carry_rca2
+    from test_analysis import ignores_a0_rca2, inverted_carry_rca2, low_bit_gated_rca3
 
     path = tmp_path / "bad.json"
     path.write_text(inverted_carry_rca2().to_json())
     code, out, _ = run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000")
     assert code == 1
     assert "FAIL  conservative" in out
+    # each premise check fails once; only a FAIL line shows its detail
+    expected = {
+        inverted_carry_rca2: (
+            "FAIL  conservative (no spurious carries)  counterexamples=[(0, 0, 1), (2, 0, 1), (0, 1, 1), "
+            "(2, 1, 1), (0, 2, 1), (2, 2, 1), (0, 3, 1), (2, 3, 1), (2, 0, 2), (2, 1, 2)]\n"
+            "FAIL  commutativity  [(0, 1), (1, 0), (2, 3)]\n"
+            "PASS  lower-position independence\n"
+        ),
+        ignores_a0_rca2: (
+            "FAIL  conservative (no spurious carries)  counterexamples=[(1, 0, 0), (3, 0, 0), (1, 1, 0), "
+            "(3, 1, 0), (1, 2, 0), (3, 2, 0), (1, 3, 0), (3, 3, 0)]\n"
+            "FAIL  commutativity  [(0, 1), (1, 0), (2, 3)]\n"
+            "PASS  lower-position independence\n"
+        ),
+        low_bit_gated_rca3: (
+            "PASS  conservative (no spurious carries)\n"
+            "FAIL  commutativity  [(7, 6), (2, 7), (3, 2)]\n"
+            "FAIL  lower-position independence  [(CarryChain(i=2, j=3), 3, 6), "
+            "(CarryChain(i=2, j=3), 3, 6), (CarryChain(i=2, j=3), 3, 7)]\n"
+        ),
+    }
+    for build, text in expected.items():
+        path.write_text(build().to_json())
+        assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, ""), build.__name__
 
 
 def test_gen_with_file_delay_specs(capsys, tmp_path):

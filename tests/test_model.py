@@ -17,11 +17,9 @@ from pseudoadder import (
     InputPair,
     KsaDelays,
     StatsReport,
-    pair_word,
     reference_add,
-    word_pair,
 )
-from pseudoadder.model import bit
+from pseudoadder.model import bit, pair_word, word_pair
 from pseudoadder.sweep import read_carries
 
 
@@ -191,6 +189,15 @@ def test_chain_error_table_validation():
     assert table.get(1, 2) == -3
     assert table.get(2, 2) == 0
     assert table.nonzero() == [(CarryChain(1, 2), -3)]
+    # equal by width and entries; a zero entry is no entry
+    assert table == ChainErrorTable(4, {CarryChain(1, 2): -3})
+    assert table != ChainErrorTable(5, {CarryChain(1, 2): -3})
+    assert table != ChainErrorTable(4, {CarryChain(1, 2): -2})
+    assert table != ChainErrorTable(4, {CarryChain(1, 2): -3, CarryChain(3, 4): 1})
+    assert table != {"n": 4, "ec": [{"i": 1, "j": 2, "value": -3}]} and table != table.to_json_dict()
+    assert repr(table) == "ChainErrorTable(n=4, nonzero=1)"
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_chain_error_table_json_roundtrip():

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,8 @@ def test_malformed_netlist_json_is_refused():
         # "01" used to fold onto position 1, making s0 the carry-out
         (changed(lambda d: d["outputs"].update({"01": "s0"})), "output key '01' is not one of '0'..'1'"),
         (changed(lambda d: d["outputs"].update({" 1": "s1"})), "output key ' 1'"),
+        # too long for int(): refused by its length, with the same message
+        (changed(lambda d: d["outputs"].update({"9" * 5000: "s1"})), "output key '999"),
         (changed(lambda d: d.update(n=1.5)), "n must be an integer, got 1.5"),
         (changed(lambda d: d.update(n=True)), "n must be an integer, got True"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs="a0b0")),
@@ -186,6 +189,18 @@ def test_malformed_netlist_json_is_refused():
             Netlist.from_json_dict(data)
         assert str(exc.value).startswith(f"malformed netlist JSON: {fault}")
     assert Netlist.from_json_dict(base).outputs == {0: "s0", 1: "s1"}
+    # a claimed n costs no memory before the file is checked against it
+    n = 10**9
+    for outputs in ({}, {"0": "x"}):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                Netlist.from_json_dict({"n": n, "gates": [], "outputs": outputs})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"INPUT gates must be exactly a0..a{n - 1} and b0..b{n - 1}"
+        assert peak < 1 << 20, peak
 
 
 def test_fractional_delays_roundtrip():

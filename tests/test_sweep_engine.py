@@ -13,10 +13,13 @@ from pseudoadder import (
     all_chains,
     analyze_table,
     check_conservative,
+    computed_sum,
     extract_ec_table,
     generate_rca,
+    sae_oracle_simulate,
     simulate,
     staggered_ksa8,
+    verify_assumptions,
 )
 from pseudoadder import sweep as sweep_module
 from pseudoadder.chains import canonical_pair
@@ -109,6 +112,26 @@ def test_float_read_times_are_exact():
     full = PairSweep(net)
     assert full.lane_sums(0.3) == full.lane_sums(exact)
     assert PairSweep(net, times=[0.3]).lane_sums(exact) == full.lane_sums(exact)
+
+
+READS = {  # every library entry point that takes a read time
+    "PairSweep": lambda net, t: PairSweep(net, times=[t]),
+    "output_masks_at": lambda net, t: PairSweep(net).output_masks_at(t),
+    "extract_ec_table": extract_ec_table,
+    "check_conservative": check_conservative,
+    "sae_oracle_simulate": sae_oracle_simulate,
+    "verify_assumptions": verify_assumptions,
+    "value_at": lambda net, t: simulate(net, InputPair(net.n, 1, 1)).value_at("s0", t),
+    "computed_sum": lambda net, t: computed_sum(net, InputPair(net.n, 1, 1), t),
+}
+
+
+@pytest.mark.parametrize("name", READS)
+def test_negative_read_times_are_refused_as_read_times(name):
+    net = generate_rca(2, [1, 1], [1, 1, 1])
+    for t, shown in ((-1, "-1"), (Fraction(-1, 2), "-1/2"), (-0.5, "-0.5")):
+        with pytest.raises(ValueError, match=f"^read time must be non-negative, got {shown}$"):
+            READS[name](net, t)
 
 
 def test_sums_at_quiescence_are_correct():
