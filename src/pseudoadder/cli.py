@@ -15,7 +15,8 @@ netlist's static arrival time, after which no output changes.
 JSON output is one compact object per line; pretty-print it with
 ``python -m json.tool``.  It is written slice by slice through the C
 encoder (lists :data:`JSON_SLICE` items at a time), with bytes identical
-to one ``json.dumps``, so a large report never exists whole in memory.
+to one ``json.dumps``, so a large report never exists whole in memory;
+chain-entry lists are made slice by slice from the table's maps.
 Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
 each erring chain; divide by ``4**n`` for a probability.
 
@@ -36,10 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 from .model import ORACLE_LIMIT, ChainErrorTable, InputPair, PseudoAdderError, StatsReport, pair_word
 from .netlist import Netlist, Time, as_delay, malformed_json
@@ -88,19 +90,20 @@ JSON_SLICE = 256  # list items per call of the C encoder
 
 def _encode(obj: object, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj)`` piece by piece: a dict with str keys one
-    member at a time, a list longer than :data:`JSON_SLICE` one slice at a
-    time, anything else (a dict with other keys, which the encoder
-    converts) in one call of the C encoder."""
+    member at a time, a list or any iterator (written as a list) one slice
+    of :data:`JSON_SLICE` items at a time, anything else (a dict with other
+    keys, which the encoder converts) in one call of the C encoder."""
     if isinstance(obj, dict) and all(type(k) is str for k in obj):
         write("{")
         for k, (key, value) in enumerate(obj.items()):
             write((", " if k else "") + json.dumps(key) + ": ")
             _encode(value, write)
         write("}")
-    elif isinstance(obj, list) and len(obj) > JSON_SLICE:
+    elif isinstance(obj, (list, Iterator)):
+        items = iter(obj)
         write("[")
-        for start in range(0, len(obj), JSON_SLICE):
-            write((", " if start else "") + json.dumps(obj[start : start + JSON_SLICE])[1:-1])
+        for k, part in enumerate(iter(lambda: list(islice(items, JSON_SLICE)), [])):
+            write((", " if k else "") + json.dumps(part)[1:-1])
         write("]")
     else:
         write(json.dumps(obj))
@@ -203,8 +206,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "n": ec.n,
             "T": str(t),
             "sign_convention": "true_sum_minus_computed_sum",
-            "ec": ec.to_json_dict(),
-            "stats": analyze_table(ec).to_json_dict(),
+            "ec": ec.to_json_dict(lazy=True),
+            "stats": analyze_table(ec).to_json_dict(lazy=True),
         }
         _emit_json(payload, args.output)
     return 0
@@ -214,7 +217,7 @@ def _cmd_ec(args: argparse.Namespace) -> int:
     from .analysis import extract_ec_table
 
     ec = extract_ec_table(_load_netlist(args.netlist), _read_time(args.T, "-T"))
-    _emit_json(ec.to_json_dict(), args.output)
+    _emit_json(ec.to_json_dict(lazy=True), args.output)
     return 0
 
 

@@ -186,13 +186,20 @@ class ChainErrorTable(Record):
     def __repr__(self) -> str:
         return f"ChainErrorTable(n={self.n}, nonzero={len(self._ec)})"
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "ec": _chain_entries(self._ec)}
+    def to_json_dict(self, lazy: bool = False) -> dict:
+        """The table as JSON; ``lazy`` gives its entries as an iterator
+        instead of a list."""
+        return {"n": self.n, "ec": _chain_entries(self._ec, lazy)}
 
 
-def _chain_entries(m: dict[CarryChain, int]) -> list[dict]:
-    """A chain map's JSON: ``{"i", "j", "value"}`` objects ascending by chain."""
-    return [{"i": c.i, "j": c.j, "value": v} for c, v in sorted(m.items())]
+def _chain_entries(m: dict[CarryChain, int] | None, lazy: bool) -> Iterator[dict] | list[dict] | None:
+    """A chain map's JSON: ``{"i", "j", "value"}`` objects ascending by
+    chain, as a list, or as an iterator that makes them one at a time from
+    the map when ``lazy``; None for no map."""
+    if m is None:
+        return None
+    entries = ({"i": c.i, "j": c.j, "value": m[c]} for c in sorted(m))
+    return entries if lazy else list(entries)
 
 
 class StatsReport(Record):
@@ -218,7 +225,10 @@ class StatsReport(Record):
     def er_avg_float(self) -> float:
         return float(self.er_avg)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, lazy: bool = False) -> dict:
+        """The report as JSON; ``lazy`` gives the tally entries as
+        iterators instead of lists."""
+
         def ratio(x: Fraction) -> dict:
             return {
                 "numerator": x.numerator,
@@ -232,8 +242,8 @@ class StatsReport(Record):
             "er_avg": ratio(self.er_avg),
             "mse": None if self.mse is None else ratio(self.mse),
             "max_abs_error": self.max_abs_error,
-            "nu_plus": None if self.nu_plus is None else _chain_entries(self.nu_plus),
-            "nu_minus": None if self.nu_minus is None else _chain_entries(self.nu_minus),
+            "nu_plus": _chain_entries(self.nu_plus, lazy),
+            "nu_minus": _chain_entries(self.nu_minus, lazy),
         }
 
 

@@ -81,20 +81,24 @@ def evaluate_gate(kind: GateKind, vals: Sequence[int], full: int) -> int:
     return (x & y) | (x & z) | (y & z)
 
 
-def as_delay(value: int | float | str | Fraction) -> Delay:
-    """Normalize a delay to an exact non-negative int or Fraction."""
+def _exact(value: int | float | str | Fraction) -> Delay:
+    """A delay or read time as an exact int or Fraction (int when whole)."""
     if isinstance(value, bool):
         raise ValueError("delay must be a number")
     if isinstance(value, int):
-        d: Delay = value
-    elif isinstance(value, (Fraction, float, str)):
+        return value
+    if isinstance(value, (Fraction, float, str)):
         try:
             f = Fraction(value if isinstance(value, Fraction) else str(value))
         except ZeroDivisionError:  # "p/0"
             raise ValueError(f"cannot interpret delay {value!r}") from None
-        d = int(f) if f.denominator == 1 else f
-    else:
-        raise ValueError(f"cannot interpret delay {value!r}")
+        return int(f) if f.denominator == 1 else f
+    raise ValueError(f"cannot interpret delay {value!r}")
+
+
+def as_delay(value: int | float | str | Fraction) -> Delay:
+    """Normalize a delay to an exact non-negative int or Fraction."""
+    d = _exact(value)
     if d < 0:
         raise ValueError(f"delay must be non-negative, got {value}")
     return d
@@ -102,10 +106,11 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
 
 def as_time(t: int | float | str | Fraction) -> Time:
     """Normalize a read time exactly like a delay (:func:`as_delay`); a
-    negative number is refused as a read time."""
-    if isinstance(t, (int, float, Fraction)) and t < 0:
+    negative one is refused as a read time."""
+    d = _exact(t)
+    if d < 0:
         raise ValueError(f"read time must be non-negative, got {t}")
-    return as_delay(t)
+    return d
 
 
 @contextmanager

@@ -110,8 +110,9 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     # maps peaked at 10.9 MB; the compact, exact-only one at 5.5 MB; one
     # json.dumps of the compact line, with its encoder's chunk list, at
     # 5.0 MB; the line written slice by slice, without the netlist held,
-    # at 2.0 MB
-    assert peak < 3_000_000, f"stats peaked at {peak / 1e6:.1f} MB"
+    # at 2.02-2.07 MB; with the chain-entry lists made one slice at a time
+    # from the table's and the report's maps, at 1.36 MB
+    assert peak < 1_700_000, f"stats peaked at {peak / 1e6:.2f} MB"
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)
     stats = payload["stats"]
@@ -398,6 +399,17 @@ def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp
         assert "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: stats reports statistics at a read time "
+                   "where the chain model fails (er_avg 757/4, exit 0)")
+def test_stats_exits_1_where_verify_fails(capsys, tmp_path):
+    path = str(tmp_path / "ksa8.json")
+    assert run_cli(capsys, "gen", "ksa", "--n", "8", "-o", path)[0] == 0
+    # at T=1 every output is still 0, so the true mean |error| is 255
+    code, out, _ = run_cli(capsys, "verify", "--netlist", path, "-T", "1")
+    assert code == 1 and "FAIL  conservative" in out
+    assert run_cli(capsys, "stats", "--netlist", path, "-T", "1")[0] == 1
+
+
 def test_verify_pass_and_exit_codes(capsys, tmp_path):
     netlist = write_staggered(tmp_path)
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "7")
@@ -610,13 +622,27 @@ json_values = st.recursive(
 )
 
 
+def lists_as_iterators(obj):
+    """``obj`` with each list that the writer reaches (``obj`` itself and
+    the values of dicts) made a generator over its items."""
+    if isinstance(obj, list):
+        return (item for item in obj)
+    if isinstance(obj, dict):
+        return {key: lists_as_iterators(value) for key, value in obj.items()}
+    return obj
+
+
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 @example({"a\"\\\né😀": [1] * (JSON_SLICE + 1), "": {}, "x": []})
 @example([[10**40] * JSON_SLICE] * (JSON_SLICE + 2))
 @example([{"k": [1.5, None], "": "\u2028"}, []] * (JSON_SLICE + 3))
+@example([])
+@example({"ec": [{"i": 1, "j": k, "value": -k} for k in range(JSON_SLICE)], "n": [0] * (2 * JSON_SLICE)})
 def test_json_writer_writes_exactly_one_dumps_line(obj):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit_json(obj, None)
-    assert buf.getvalue() == json.dumps(obj) + "\n"
+    # a list and the same items as an iterator write the same bytes
+    for form in (obj, lists_as_iterators(obj)):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _emit_json(form, None)
+        assert buf.getvalue() == json.dumps(obj) + "\n"

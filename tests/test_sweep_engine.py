@@ -129,7 +129,8 @@ READS = {  # every library entry point that takes a read time
 @pytest.mark.parametrize("name", READS)
 def test_negative_read_times_are_refused_as_read_times(name):
     net = generate_rca(2, [1, 1], [1, 1, 1])
-    for t, shown in ((-1, "-1"), (Fraction(-1, 2), "-1/2"), (-0.5, "-0.5")):
+    for t, shown in ((-1, "-1"), (Fraction(-1, 2), "-1/2"), (-0.5, "-0.5"),
+                     ("-1", "-1"), ("-1/2", "-1/2"), ("-0.5", "-0.5")):
         with pytest.raises(ValueError, match=f"^read time must be non-negative, got {shown}$"):
             READS[name](net, t)
 
