@@ -90,16 +90,17 @@ JSON_SLICE = 256  # list items per call of the C encoder
 
 def _encode(obj: object, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj)`` piece by piece: a dict with str keys one
-    member at a time, a list or any iterator (written as a list) one slice
-    of :data:`JSON_SLICE` items at a time, anything else (a dict with other
-    keys, which the encoder converts) in one call of the C encoder."""
+    member at a time, any iterator (written as a list) or a list longer
+    than :data:`JSON_SLICE` one slice of that many items at a time,
+    anything else (a dict with other keys, which the encoder converts) in
+    one call of the C encoder."""
     if isinstance(obj, dict) and all(type(k) is str for k in obj):
         write("{")
         for k, (key, value) in enumerate(obj.items()):
             write((", " if k else "") + json.dumps(key) + ": ")
             _encode(value, write)
         write("}")
-    elif isinstance(obj, (list, Iterator)):
+    elif isinstance(obj, Iterator) or isinstance(obj, list) and len(obj) > JSON_SLICE:
         items = iter(obj)
         write("[")
         for k, part in enumerate(iter(lambda: list(islice(items, JSON_SLICE)), [])):
