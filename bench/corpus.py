@@ -152,6 +152,9 @@ def commands() -> list[list[str]]:
     ]
     for name in ("inverted_carry_rca2", "ignores_a0_rca2", "low_bit_gated_rca3"):
         cmds += [["verify", "--netlist", f"{{dir}}/{name}.json", "-T", t] for t in ("1000", "1")]
+        # sampled: one FAIL line for each premise
+        cmds += [["verify", "--netlist", f"{{dir}}/{name}.json", "-T", t, "--exhaustive-n-limit", "1"]
+                 for t in ("1000", "1")]
     cmds += [
         ["verify", "--fast-vs-oracle", "--n", "4", "--tables", "5"],
         ["verify", "--fast-vs-oracle", "--n", "5", "--tables", "3", "--seed", "7"],

@@ -6,8 +6,9 @@ carries (no spurious carries) and (b) the position-0 sum bit is not
 stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
 error there cannot be attributed to any chain.  Only then does the sum
 of the per-chain errors reproduce every pair's total error.  That rule
-is :func:`pseudoadder.sweep.read_carries`; every check here runs its pairs
-as one lane batch of :class:`~pseudoadder.sweep.PairSweep`.
+is :func:`pseudoadder.sweep.read_carries`.  :func:`check_conservative`
+applies it to all pairs; :func:`verify_assumptions` checks it and the two
+other premises on one seeded lane batch.
 
 Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
 ``(t, table)`` per listed read time, in the caller's order, that raises
@@ -53,13 +54,13 @@ class ConservativeReport(Record):
     def passed(self) -> bool:
         return self.violations == 0
 
-    def add(self, sweep: PairSweep) -> None:
-        """Count in the lanes of a sweep that answers at the read time: a
-        sample, or one lane block of an exhaustive check.  Counterexamples
-        stay the first 10 by position, then by lane, where lanes of
-        several blocks are ordered by :func:`~pseudoadder.model.pair_word`."""
-        _, bad = sweep.carries_at(self.read_time)
-        self.checked += sweep.pair_count
+    def add(self, sweep: PairSweep, lanes: int) -> None:
+        """Count in the ``lanes`` mask of a sweep that answers at the read
+        time: a sample's run of lanes, or a whole lane block (``sw.full``).
+        Counterexamples stay the first 10 by position, then by lane, where
+        lanes of several blocks are ordered by :func:`~pseudoadder.model.pair_word`."""
+        bad = [mask & lanes for mask in sweep.carries_at(self.read_time)[1]]
+        self.checked += lanes.bit_count()
         self.violations += sum(mask.bit_count() for mask in bad)
         found = []
         for k, mask in enumerate(bad):
@@ -73,40 +74,36 @@ class ConservativeReport(Record):
 
 
 class AssumptionReport(Record):
-    """Commutativity and lower-position-independence verdicts."""
+    """A seeded sample's verdicts on the chain model's three premises."""
 
-    __slots__ = ("read_time", "commutative", "independent",
-                 "commutativity_counterexamples", "independence_counterexamples")
+    __slots__ = ("read_time", "conservative", "commutativity_counterexamples", "independence_counterexamples")
 
-    def __init__(self, read_time: Time, commutative: bool, independent: bool):
-        self.read_time, self.commutative, self.independent = read_time, commutative, independent
+    def __init__(self, read_time: Time):
+        self.read_time = read_time
+        self.conservative = ConservativeReport(read_time)
         self.commutativity_counterexamples: list[tuple[int, int]] = []
         self.independence_counterexamples: list[tuple[CarryChain, int, int]] = []
 
     @property
+    def commutative(self) -> bool:
+        return not self.commutativity_counterexamples
+
+    @property
+    def independent(self) -> bool:
+        return not self.independence_counterexamples
+
+    @property
     def passed(self) -> bool:
-        return self.commutative and self.independent
+        return self.conservative.passed and self.commutative and self.independent
 
 
-def check_conservative(net: Netlist, t: Time, pairs: list[InputPair] | None = None) -> ConservativeReport:
-    """Verify ``c'_k <= c_k`` and a fresh position-0 bit for every pair
-    (or the given sample) at T.
-
-    With ``pairs=None`` the check is exhaustive over all 4^n pairs, one
-    lane block at a time.  Counterexamples are listed by position, then
-    by lane.  An empty sample raises ValueError.
-    """
+def check_conservative(net: Netlist, t: Time) -> ConservativeReport:
+    """Verify ``c'_k <= c_k`` and a fresh position-0 bit for all 4^n pairs
+    at T, one lane block at a time.  Counterexamples are listed by
+    position, then by lane; :func:`verify_assumptions` checks a sample."""
     report = ConservativeReport(read_time=t)
-    if pairs is None:
-        sweeps = block_sweeps(net, [t])
-    else:
-        if any(p.n != net.n for p in pairs):
-            raise ValueError(f"width mismatch: netlist n={net.n}, pairs of another width")
-        sweeps = [PairSweep(net, words=[pair_word(p.a, p.b, net.n) for p in pairs], times=[t])]
-    for sw in sweeps:
-        report.add(sw)
-    if not report.checked:
-        raise ValueError("check_conservative needs at least one pair")
+    for sw in block_sweeps(net, [t]):
+        report.add(sw, sw.full)
     return report
 
 
@@ -171,53 +168,50 @@ def verify_assumptions(
     samples: int = 64,
     seed: int = 0,
 ) -> AssumptionReport:
-    """Spot-check the two premises behind per-chain error attribution.
+    """Spot-check the three premises of per-chain error attribution on
+    one lane batch.
 
-    Commutativity: ``s'(a, b) == s'(b, a)`` for sampled pairs.
-    Independence: for sampled chains, the error restricted to the chain's
-    bit span matches the canonical probe's error on every sampled witness,
-    regardless of the bits outside the chain.  Every pair generating chain
-    (i, j) has the same true sum bits i..j (0 at i..j-1, 1 at j: the
+    Conservativeness (``report.conservative``): the ``samples`` pairs that
+    ``Random(seed)`` draws first, a then b.  Commutativity:
+    ``s'(a, b) == s'(b, a)`` for them and for (0, 1).  Independence: for
+    sampled chains, the error restricted to the chain's bit span matches
+    the canonical probe's on every sampled witness.  Every pair generating
+    chain (i, j) has the same true sum bits i..j (0 at i..j-1, 1 at j: the
     generate at i-1 always carries in), so two span errors are equal
     exactly when the read bits i..j are equal, and those are compared.
-    A failure means per-chain errors are ill-defined for this netlist and
-    the fast statistics do not apply.  ``samples`` must be at least 1.
+    A failure means the fast statistics do not apply to this netlist.
+    ``samples`` must be at least 1.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     n = net.n
-    report = AssumptionReport(read_time=t, commutative=True, independent=True)
+    report = AssumptionReport(read_time=t)
 
-    ordered = [(0, 1), (1, 0), (0, 0)]
-    ordered += [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)]
+    pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)]
     chains = all_chains(n)
     rng.shuffle(chains)
-    per_chain = max(2, samples // max(1, len(chains)))
-    witnessed = [
-        (c, [_random_witness(c, n, rng) for _ in range(per_chain)])
-        for c in chains[: max(1, min(len(chains), samples))]
-    ]
-    # one lane batch: (a, b) then (b, a) per ordered pair, then per chain
-    # its probe followed by its witnesses
-    words = [pair_word(x, y, n) for a, b in ordered for x, y in ((a, b), (b, a))]
+    per_chain = max(2, samples // len(chains))
+    witnessed = [(c, [_random_witness(c, n, rng) for _ in range(per_chain)]) for c in chains[:samples]]
+    # one lane batch: the sample as (a, b) in its first lanes, then as
+    # (b, a), then (0, 1) and (1, 0), then per chain its probe followed
+    # by its witnesses
+    words = [pair_word(a, b, n) for a, b in pairs] + [pair_word(b, a, n) for a, b in pairs]
+    words += [pair_word(0, 1, n), pair_word(1, 0, n)]
     for c, witnesses in witnessed:
         words += [canonical_word(c, n), *witnesses]
-    sums = iter(PairSweep(net, words=words, times=[t]).lane_sums(t))
+    sw = PairSweep(net, words=words, times=[t])
+    report.conservative.add(sw, (1 << samples) - 1)
+    sums = sw.lane_sums(t)
 
-    for a, b in ordered:
-        fwd, rev = next(sums), next(sums)
-        if fwd != rev:
-            report.commutative = False
-            if len(report.commutativity_counterexamples) < 10:
-                report.commutativity_counterexamples.append((a, b))
+    one, other = sums[2 * samples : 2 * samples + 2]
+    mirrored = [((0, 1), one, other), ((1, 0), other, one), *zip(pairs, sums, sums[samples:])]
+    report.commutativity_counterexamples = [ab for ab, fwd, rev in mirrored if fwd != rev][:10]
 
+    rest, found = iter(sums[2 * samples + 2 :]), []
     for c, witnesses in witnessed:
         span = (1 << (c.j + 1)) - (1 << c.i)  # bits i..j
-        expected = next(sums) & span
-        for w in witnesses:
-            if next(sums) & span != expected:
-                report.independent = False
-                if len(report.independence_counterexamples) < 10:
-                    report.independence_counterexamples.append((c, *word_pair(w, n)))
+        expected = next(rest) & span
+        found += [(c, *word_pair(w, n)) for w, s in zip(witnesses, rest) if s & span != expected]
+    report.independence_counterexamples = found[:10]
     return report

@@ -106,8 +106,11 @@ def as_delay(value: int | float | str | Fraction) -> Delay:
 
 def as_time(t: int | float | str | Fraction) -> Time:
     """Normalize a read time exactly like a delay (:func:`as_delay`); a
-    negative one is refused as a read time."""
-    d = _exact(t)
+    negative or uninterpretable one is refused as a read time."""
+    try:
+        d = _exact(t)
+    except ValueError:
+        raise ValueError(f"cannot interpret read time {t!r}") from None
     if d < 0:
         raise ValueError(f"read time must be non-negative, got {t}")
     return d

@@ -153,7 +153,7 @@ def sae_oracle_simulate(
     def blocks() -> Iterator[tuple[int, int, int]]:
         for sw in block_sweeps(net, [t]):
             if conservative is not None:
-                conservative.add(sw)
+                conservative.add(sw, sw.full)
             bit, c = sw.operand_bit_mask, sw.true_carry_masks()
             d, borrow = [], 0
             for k, y in enumerate(sw.output_masks_at(t)):

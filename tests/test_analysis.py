@@ -1,15 +1,19 @@
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     CarryChain,
+    ConservativeReport,
     ConservativenessError,
     Gate,
     GateKind,
     InputPair,
     Netlist,
+    PairSweep,
     check_conservative,
     computed_sum,
     ec_table_sweep,
@@ -20,7 +24,7 @@ from pseudoadder import (
     staggered_ksa8,
     verify_assumptions,
 )
-from pseudoadder.model import bit
+from pseudoadder.model import bit, pair_word
 from conftest import exhaustive_pairs
 
 
@@ -126,11 +130,46 @@ def test_inverted_carry_netlist_fails_with_counterexample():
 
 
 def test_sampled_mode_agrees_with_exhaustive():
+    from pseudoadder import reference_add
+
     net = staggered_ksa8()
-    pairs = [InputPair(8, a, b) for a, b in [(86, 59), (0, 0), (255, 255), (17, 4)]]
-    assert check_conservative(net, 7, pairs=pairs).passed
-    bad = check_conservative(net, 0, pairs=[InputPair(8, 1, 0)])
-    assert not bad.passed and bad.counterexamples == [(1, 0, 0)]
+    assert check_conservative(net, 7).passed
+    assert verify_assumptions(net, 7).conservative.passed
+    assert not check_conservative(net, 0).passed
+    bad = verify_assumptions(net, 0).conservative
+    assert not bad.passed and bad.checked == 64 and bad.counterexamples
+    # each sampled counterexample is a violation over all pairs too:
+    # c'_k = s'_k ^ a_k ^ b_k exceeds c_k (c_0 = 0 flags a stale s'_0)
+    for a, b, k in bad.counterexamples:
+        p = InputPair(8, a, b)
+        _, carries = reference_add(p)
+        assert bit(computed_sum(net, p, 0) ^ a ^ b, k) > bit(carries, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag"]),
+    build_seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 40),
+    seed=st.integers(0, 2**64),
+    data=st.data(),
+)
+def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, samples, seed, data):
+    from test_lane_blocks import _netlist
+
+    net = _netlist(kind, random.Random(build_seed))
+    n = net.n
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    # the reference: the sample drawn first from Random(seed), a then b,
+    # run as a batch of its own and counted lane by lane
+    rng = random.Random(seed)
+    sw = PairSweep(net, words=[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
+                               for _ in range(samples)], times=[t])
+    expected = ConservativeReport(read_time=t)
+    expected.add(sw, sw.full)
+    got = verify_assumptions(net, t, samples=samples, seed=seed).conservative
+    assert (got.checked, got.violations, got.counterexamples) == (
+        expected.checked, expected.violations, expected.counterexamples)
 
 
 def test_conservative_check_refuses_an_empty_sample():
@@ -138,8 +177,8 @@ def test_conservative_check_refuses_an_empty_sample():
     # must not report a pass
     net = generate_rca(6, [1] * 6, [1] * 7)
     assert check_conservative(net, 0).violations == 8160
-    with pytest.raises(ValueError, match="at least one pair"):
-        check_conservative(net, 0, pairs=[])
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_assumptions(net, 0, samples=0)
 
 
 def test_extract_zero_table_from_correct_adder():

@@ -460,6 +460,15 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
     ]
 
 
+def test_sampled_verify_builds_one_batch_of_pair_words(capsys, sweeps_built, tmp_path):
+    # n=10 above a limit of 4: the one seeded batch that checks
+    # commutativity and independence also answers the conservative check
+    netlist = unit_rca(tmp_path, 10)
+    _, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "3", "--exhaustive-n-limit", "4")
+    assert len(out.splitlines()) == 3, out
+    assert sweeps_built == [(None, [3])], sweeps_built
+
+
 def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
     # n=11 within a limit of 11: the 4^3 lane blocks of 4^8 pairs are
     # built once each, first, and serve the conservative check and the

@@ -133,6 +133,9 @@ def test_negative_read_times_are_refused_as_read_times(name):
                      ("-1", "-1"), ("-1/2", "-1/2"), ("-0.5", "-0.5")):
         with pytest.raises(ValueError, match=f"^read time must be non-negative, got {shown}$"):
             READS[name](net, t)
+    for t, shown in (("1/0", "'1/0'"), ("abc", "'abc'"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=f"^cannot interpret read time {shown}$"):
+            READS[name](net, t)
 
 
 def test_sums_at_quiescence_are_correct():
@@ -302,9 +305,6 @@ def test_pair_words_outside_the_width_are_refused():
     for words in ([64], [5, -1], [1 << 70]):
         with pytest.raises(ValueError, match=r"outside \[0, 4\^3\)"):
             PairSweep(net, words=words)
-    # a sampled pair of another width is refused before it is packed
-    with pytest.raises(ValueError, match="width mismatch"):
-        check_conservative(net, 1, pairs=[InputPair(2, 3, 3)])
 
 
 def test_hand_written_json_netlist_runs():
