@@ -162,6 +162,7 @@ def commands() -> list[list[str]]:
         ["verify", "--fast-vs-oracle", "--n", "12"],
         ["verify", "--fast-vs-oracle", "--n", "6", "--exhaustive-n-limit", "5"],
         ["verify", "--netlist", "{dir}/sksa8.json", "-T", "8", "--fast-vs-oracle", "--n", "3", "--tables", "2"],
+        ["verify", "--netlist", "{dir}/sksa8.json", "-T", "8", "--fast-vs-oracle"],
         ["verify", "--fast-vs-oracle", "--n", "4", "-T=-5"],
         ["verify", "--fast-vs-oracle", "--n", "4", "--tables", "0"],
         ["verify", "--netlist", "{dir}/ksa8.json", "--samples", "0"],
@@ -173,6 +174,7 @@ def commands() -> list[list[str]]:
         ["stats", "--netlist", "{dir}/rca8.json", "-T", "abc"],
         ["ec", "--netlist", "{dir}/rca8.json", "-T", "1/0"],
         ["trace", "--netlist", "{dir}/rca8.json", "-a", "1", "-b", "1", "--times", "1,-2"],
+        ["trace", "--netlist", "{dir}/rca8.json", "-a", "1", "-b", "1", "--times", ""],
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "0..x"],
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "1..5:0"],
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "7"],

@@ -23,12 +23,11 @@ from collections.abc import Iterator
 from heapq import merge
 from itertools import islice
 
-from .chains import canonical_word, chain_predicate
+from .chains import canonical_word
 from .model import (
     CarryChain,
     ChainErrorTable,
     ConservativenessError,
-    InputPair,
     Record,
     all_chains,
     pair_word,
@@ -158,7 +157,6 @@ def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
         bits = rng.randrange(4)
         a |= (bits & 1) << k
         b |= (bits >> 1) << k
-    assert chain_predicate(InputPair(n, a, b), c.i, c.j)
     return pair_word(a, b, n)
 
 
@@ -171,8 +169,10 @@ def verify_assumptions(
     """Spot-check the three premises of per-chain error attribution on
     one lane batch.
 
-    Conservativeness (``report.conservative``): the ``samples`` pairs that
-    ``Random(seed)`` draws first, a then b.  Commutativity:
+    Conservativeness (``report.conservative``): the first ``samples``
+    distinct pairs that ``Random(seed)`` draws, a then b, in the order of
+    their first draw; every pair in :func:`~pseudoadder.model.pair_word`
+    order when ``samples`` is at least 4^n.  Commutativity:
     ``s'(a, b) == s'(b, a)`` for them and for (0, 1).  Independence: for
     sampled chains, the error restricted to the chain's bit span matches
     the canonical probe's on every sampled witness.  Every pair generating
@@ -188,7 +188,11 @@ def verify_assumptions(
     n = net.n
     report = AssumptionReport(read_time=t)
 
-    pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)]
+    m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
+    drawn = dict.fromkeys(word_pair(w, n) for w in range(m)) if m == 1 << 2 * n else {}
+    while len(drawn) < m:
+        drawn[rng.randrange(1 << n), rng.randrange(1 << n)] = None
+    pairs = list(drawn)
     chains = all_chains(n)
     rng.shuffle(chains)
     per_chain = max(2, samples // len(chains))
@@ -201,14 +205,15 @@ def verify_assumptions(
     for c, witnesses in witnessed:
         words += [canonical_word(c, n), *witnesses]
     sw = PairSweep(net, words=words, times=[t])
-    report.conservative.add(sw, (1 << samples) - 1)
+    report.conservative.add(sw, (1 << m) - 1)
     sums = sw.lane_sums(t)
 
-    one, other = sums[2 * samples : 2 * samples + 2]
-    mirrored = [((0, 1), one, other), ((1, 0), other, one), *zip(pairs, sums, sums[samples:])]
-    report.commutativity_counterexamples = [ab for ab, fwd, rev in mirrored if fwd != rev][:10]
+    one, other = sums[2 * m : 2 * m + 2]
+    mirrored = [((0, 1), one, other), ((1, 0), other, one), *zip(pairs, sums, sums[m:])]
+    # (0, 1) and (1, 0) may also be in the sample
+    report.commutativity_counterexamples = list(dict.fromkeys(ab for ab, fwd, rev in mirrored if fwd != rev))[:10]
 
-    rest, found = iter(sums[2 * samples + 2 :]), []
+    rest, found = iter(sums[2 * m + 2 :]), []
     for c, witnesses in witnessed:
         span = (1 << (c.j + 1)) - (1 << c.i)  # bits i..j
         expected = next(rest) & span

@@ -31,11 +31,6 @@ def detect_chains(p: InputPair) -> ChainSet:
     return ChainSet(n, tuple(chains))
 
 
-def chain_predicate(p: InputPair, i: int, j: int) -> bool:
-    """True iff the pair generates the chain (i, j)."""
-    return CarryChain(i, j).validate(p.n) in detect_chains(p)
-
-
 def isolate_chain(c: CarryChain, witness: InputPair) -> InputPair:
     """Zero out every position irrelevant to the chain's appearance.
 
@@ -43,26 +38,17 @@ def isolate_chain(c: CarryChain, witness: InputPair) -> InputPair:
     the chain), everything else is cleared.  The result generates exactly
     ``{c}``.
     """
-    if not chain_predicate(witness, c.i, c.j):
+    if CarryChain(*c).validate(witness.n) not in detect_chains(witness):
         raise ValueError(f"witness ({witness.a}, {witness.b}) does not generate {c}")
     mask = ((1 << c.j) - 1) & ~((1 << (c.i - 1)) - 1)
     return InputPair(witness.n, witness.a & mask, witness.b & mask)
 
 
-def canonical_pair(c: CarryChain, n: int) -> InputPair:
-    """The standard probe pair for a chain: all propagate bits on operand a.
-
-    Both operands carry the generate bit at i-1; a additionally carries
-    ones at i..j-1.  Its true sum is exactly ``2**j``.
-    """
-    c.validate(n)
-    return InputPair(n, *word_pair(canonical_word(c, n), n))
-
-
 def canonical_word(c: CarryChain, n: int) -> int:
-    """The probe pair of :func:`canonical_pair` packed as a lane word
+    """The standard probe pair of a chain as a lane word
     (:func:`~pseudoadder.model.pair_word`), for a chain ``c`` already
-    known to fit width n."""
+    known to fit width n: both operands carry the generate bit at i-1,
+    a also carries ones at i..j-1, and the true sum is exactly ``2**j``."""
     gen = 1 << (c.i - 1)
     propagate = (1 << c.j) - (1 << c.i)  # bits i..j-1
     return pair_word(gen | propagate, gen, n)

@@ -25,7 +25,7 @@ verification or an error (printed as ``error: ...``) exits 1.  All
 sampling takes an explicit ``--seed`` (default 0) so reports are
 reproducible.  ``verify`` checks conservativeness over all 4^n pairs,
 and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
-(default 10); above it, the ``--samples`` pairs drawn from ``--seed`` are
+(default 10); above it, ``--samples`` distinct pairs from ``--seed`` are
 checked on the lane batch that also checks the two other premises.
 
 Importing this module loads only :mod:`~pseudoadder.model` and
@@ -237,7 +237,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
-    times = [_read_time(x, "--times") for x in args.times.split(",")] if args.times else None
+    times = None if args.times is None else [_read_time(x, "--times") for x in args.times.split(",")]
     lane = PairSweep(net, keep=set(net.by_id), words=[pair_word(p.a, p.b, net.n)], times=times)
     if times is None:
         times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
@@ -283,16 +283,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .tables import random_realizable_table
 
     # zero samples or tables, or no netlist and no tables, would check
-    # nothing and still exit 0
+    # nothing and still exit 0; fast-vs-oracle needs an n the oracle may run
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.tables < 1:
         raise ValueError(f"--tables must be at least 1, got {args.tables}")
     if not (args.netlist or args.fast_vs_oracle):
         raise ValueError("verify needs --netlist or --fast-vs-oracle")
+    limit = args.exhaustive_n_limit
+    if args.fast_vs_oracle and args.n is None:
+        raise ValueError("--n is required with --fast-vs-oracle")
+    if args.fast_vs_oracle and args.n > limit:
+        raise ValueError(f"--n {args.n} is above --exhaustive-n-limit {limit}")
     t = _read_time(args.T, "-T")
     lines: list[str] = []
-    limit = args.exhaustive_n_limit
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         lines.append(f"PASS  {name}" if ok else f"FAIL  {name}" + (f"  {detail}" if detail else ""))
@@ -320,18 +324,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                    same(fast, oracle))
 
     if args.fast_vs_oracle:
-        n = args.n
-        if n is None:
-            record("fast-vs-oracle", False, "--n is required with --fast-vs-oracle")
-        elif n > limit:
-            record("fast-vs-oracle", False, f"n={n} above --exhaustive-n-limit {limit}")
-        else:
-            rng = random.Random(args.seed)
-            ok = True
-            for _ in range(args.tables):
-                ec = random_realizable_table(n, rng)
-                ok &= same(analyze_table(ec), sae_oracle_chains(ec, force=True))
-            record(f"fast-vs-oracle on {args.tables} random tables (n={n})", ok)
+        rng = random.Random(args.seed)
+        ok = True
+        for _ in range(args.tables):
+            ec = random_realizable_table(args.n, rng)
+            ok &= same(analyze_table(ec), sae_oracle_chains(ec, force=True))
+        record(f"fast-vs-oracle on {args.tables} random tables (n={args.n})", ok)
 
     with _output(args.output) as fh:
         fh.writelines(f"{line}\n" for line in lines)

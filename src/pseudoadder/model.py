@@ -33,17 +33,6 @@ class ConservativenessError(PseudoAdderError):
         self.chain = chain
 
 
-def bit(x: int, k: int) -> int:
-    """Bit k of the unsigned integer x (0 or 1).
-
-    Positions at or above the operand width read as 0, matching the fixed
-    zero top bit of (n+1)-bit operand vectors.
-    """
-    if k < 0:
-        raise ValueError(f"bit position must be non-negative, got {k}")
-    return (x >> k) & 1
-
-
 class InputPair(namedtuple("InputPair", "n a b")):
     """Two n-bit operands ``(n, a, b)``; the unit of enumeration.
 

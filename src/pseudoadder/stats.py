@@ -67,7 +67,7 @@ def _add_masked(d: list[int], m: int, e: int) -> None:
         v >>= 1
 
 
-def _slice_sums(d: list[int], full: int) -> tuple[int, int, int]:
+def _slice_sums(d: list[int]) -> tuple[int, int, int]:
     """SAE, SSE and max |error| of the per-lane signed errors held in the
     two's-complement slices d (top slice = sign, magnitude below it)."""
     sign = c = d[-1]
@@ -83,7 +83,7 @@ def _slice_sums(d: list[int], full: int) -> tuple[int, int, int]:
         if mk:
             for l in range(k + 1, len(mag)):
                 sse += (mk & mag[l]).bit_count() << (k + l + 1)
-    top, cand = 0, full
+    top, cand = 0, -1  # cand: the lanes whose |error| has every bit of top
     for k in reversed(range(len(mag))):
         if cand & mag[k]:
             cand &= mag[k]
@@ -132,7 +132,7 @@ def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
             for c, m in _chain_masks(gen, prop):
                 nu_plus[c] = nu_plus.get(c, 0) + (m & pos).bit_count()
                 nu_minus[c] = nu_minus.get(c, 0) + (m & neg).bit_count()
-            yield _slice_sums(d, (1 << (1 << 2 * width)) - 1)
+            yield _slice_sums(d)
 
     report = _oracle_report(n, blocks())
     report.nu_plus, report.nu_minus = nu_plus, nu_minus
@@ -161,7 +161,7 @@ def sae_oracle_simulate(
                 d.append(x ^ y ^ borrow)
                 borrow = (~x & (y | borrow)) | (y & borrow)
             d.append(borrow)
-            yield _slice_sums(d, sw.full)
+            yield _slice_sums(d)
 
     return _oracle_report(n, blocks())
 

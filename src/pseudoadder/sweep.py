@@ -31,7 +31,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
 
-from .model import word_pair
 from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
 
@@ -164,11 +163,12 @@ class PairSweep:
     ``words=None`` runs the lane block ``block = (k, width)``, by default
     all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is the pair
     packed in ``words[k]`` by :func:`~pseudoadder.model.pair_word`,
-    duplicates allowed, a word outside
-    ``[0, 4^n)`` raises ValueError, and so does a ``block``.
-    Only the sum outputs and the gates in ``keep`` (default: none) keep
-    their waveforms; any other waveform is freed as soon as its last
-    fanout has read it.
+    duplicates allowed, a word outside ``[0, 4^n)`` raises ValueError,
+    and so does a ``block``.  The words are not kept: :meth:`lane_pair`
+    reads a lane's pair from the operand masks, which alone hold the
+    layout.  Only the sum outputs and the gates in ``keep`` (default:
+    none) keep their waveforms; any other waveform is freed as soon as
+    its last fanout has read it.
 
     ``times`` (default: the whole history) lists the only read times the
     sweep answers; any other read and :meth:`output_change_times` raise
@@ -200,16 +200,14 @@ class PairSweep:
             k, width = self.block
             if not (0 <= width <= n and 0 <= k < 1 << 2 * (n - width)):
                 raise ValueError(f"no lane block {block} at n={n}")
-            self._words: list[int] | None = None
             self.pair_count = 1 << (2 * width)
             self._a, self._b = operand_masks(n, k, width)
         else:
             self.block = None
-            self._words = list(words)
-            if self._words and not (min(self._words) >= 0 and max(self._words) < 1 << 2 * n):
+            if words and not (min(words) >= 0 and max(words) < 1 << 2 * n):
                 raise ValueError(f"width mismatch: a pair word is outside [0, 4^{n}) for netlist n={n}")
-            self.pair_count = len(self._words)
-            sources = _transpose(self._words, 2 * n)
+            self.pair_count = len(words)
+            sources = _transpose(words, 2 * n)
             self._a, self._b = sources[:n], sources[n:]
         self.full = (1 << self.pair_count) - 1
         self._carries: list[int] | None = None
@@ -245,12 +243,9 @@ class PairSweep:
         return self._wf[gate_id]
 
     def lane_pair(self, lane: int) -> tuple[int, int]:
-        """The operands ``(a, b)`` of one lane."""
-        if self._words is not None:
-            return word_pair(self._words[lane], self.n)
-        k, width = self.block
-        (a_low, b_low), (a_high, b_high) = word_pair(lane, width), word_pair(k, self.n - width)
-        return a_low | a_high << width, b_low | b_high << width
+        """The operands ``(a, b)`` of one lane: its bit of each operand mask."""
+        a, b = (sum((m >> lane & 1) << k for k, m in enumerate(masks)) for masks in (self._a, self._b))
+        return a, b
 
     def output_change_times(self) -> list[Time]:
         """Sorted times at which any sum bit changes in any lane."""

@@ -6,7 +6,6 @@ import pytest
 
 from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single
 from pseudoadder.model import pair_word
-from pseudoadder.model import bit
 
 
 @pytest.fixture
@@ -46,10 +45,8 @@ def chains_by_scan(p):
     found = []
     for i in range(1, p.n + 1):
         for j in range(i, p.n + 1):
-            if bit(p.a, i - 1) == 1 and bit(p.b, i - 1) == 1:
-                if all(bit(p.a, k) != bit(p.b, k) for k in range(i, j)) and bit(
-                    p.a, j
-                ) == bit(p.b, j):
+            if p.a >> i - 1 & 1 and p.b >> i - 1 & 1:
+                if all((p.a >> k & 1) != (p.b >> k & 1) for k in range(i, j)) and (p.a >> j & 1) == (p.b >> j & 1):
                     found.append(CarryChain(i, j))
     return found
 

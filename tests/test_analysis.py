@@ -16,6 +16,7 @@ from pseudoadder import (
     PairSweep,
     check_conservative,
     computed_sum,
+    detect_chains,
     ec_table_sweep,
     extract_ec_table,
     generate_ksa,
@@ -24,8 +25,10 @@ from pseudoadder import (
     staggered_ksa8,
     verify_assumptions,
 )
-from pseudoadder.model import bit, pair_word
+from pseudoadder.analysis import _random_witness
+from pseudoadder.model import all_chains, pair_word, word_pair
 from conftest import exhaustive_pairs
+from test_lane_blocks import _netlist
 
 
 def inverted_carry_rca2():
@@ -124,9 +127,9 @@ def test_inverted_carry_netlist_fails_with_counterexample():
     from pseudoadder import reference_add
 
     s_prime = computed_sum(net, p, 1000)
-    c_prime_k = bit(s_prime, k) ^ bit(a, k) ^ bit(b, k)
+    c_prime_k = (s_prime ^ a ^ b) >> k & 1
     _, carries = reference_add(p)
-    assert k >= 1 and c_prime_k > bit(carries, k)
+    assert k >= 1 and c_prime_k > carries >> k & 1
 
 
 def test_sampled_mode_agrees_with_exhaustive():
@@ -143,7 +146,7 @@ def test_sampled_mode_agrees_with_exhaustive():
     for a, b, k in bad.counterexamples:
         p = InputPair(8, a, b)
         _, carries = reference_add(p)
-        assert bit(computed_sum(net, p, 0) ^ a ^ b, k) > bit(carries, k)
+        assert (computed_sum(net, p, 0) ^ a ^ b) >> k & 1 > carries >> k & 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,21 +158,54 @@ def test_sampled_mode_agrees_with_exhaustive():
     data=st.data(),
 )
 def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, samples, seed, data):
-    from test_lane_blocks import _netlist
-
     net = _netlist(kind, random.Random(build_seed))
     n = net.n
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
-    # the reference: the sample drawn first from Random(seed), a then b,
-    # run as a batch of its own and counted lane by lane
+    # the reference: the first `samples` distinct pairs drawn from
+    # Random(seed), a then b (every pair, in word order, when samples >=
+    # 4^n), run as a batch of its own and counted lane by lane
     rng = random.Random(seed)
-    sw = PairSweep(net, words=[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
-                               for _ in range(samples)], times=[t])
+    words = list(range(4**n)) if samples >= 4**n else []
+    while len(words) < min(samples, 4**n):
+        word = pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
+        if word not in words:
+            words.append(word)
+    sw = PairSweep(net, words=words, times=[t])
     expected = ConservativeReport(read_time=t)
     expected.add(sw, sw.full)
     got = verify_assumptions(net, t, samples=samples, seed=seed).conservative
     assert (got.checked, got.violations, got.counterexamples) == (
         expected.checked, expected.violations, expected.counterexamples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag", "inverted", "ignores_a0", "gated"]),
+    build_seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 80),
+    seed=st.integers(0, 2**64),
+    t=st.sampled_from([0, 1, 2, 1000]),
+)
+def test_sampled_check_counts_each_pair_once(kind, build_seed, samples, seed, t):
+    faulty = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3}
+    net = faulty[kind]() if kind in faulty else _netlist(kind, random.Random(build_seed))
+    report = verify_assumptions(net, t, samples=samples, seed=seed)
+    found = report.conservative.counterexamples
+    assert report.conservative.checked == min(samples, 4**net.n)
+    assert len(set(found)) == len(found)
+    commuted = report.commutativity_counterexamples
+    assert len(set(commuted)) == len(commuted)
+    if samples >= 4**net.n:  # every pair, in the exhaustive check's lane order
+        assert report.conservative == check_conservative(net, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**64))
+def test_random_witness_generates_its_chain(n, seed):
+    rng = random.Random(seed)
+    for c in all_chains(n):
+        p = InputPair(n, *word_pair(_random_witness(c, n, rng), n))
+        assert c in detect_chains(p)
 
 
 def test_conservative_check_refuses_an_empty_sample():

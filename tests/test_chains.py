@@ -16,8 +16,9 @@ from pseudoadder import (
     reference_add,
     witness_for_chain_set,
 )
-from pseudoadder.chains import canonical_pair, canonical_word, chain_predicate
-from conftest import chains_by_scan, exhaustive_pairs, pair_index
+from pseudoadder.chains import canonical_word
+from pseudoadder.model import word_pair
+from conftest import chains_by_scan, exhaustive_pairs
 
 
 def test_detect_fig_pair():
@@ -65,17 +66,6 @@ def test_sum_pattern_inside_chains_exhaustive_n8():
             assert (s >> c.j) & 1 == 1
 
 
-def test_chain_predicate_examples():
-    p = InputPair(8, 86, 59)
-    assert chain_predicate(p, 2, 4)
-    assert not chain_predicate(p, 2, 3)
-    assert not chain_predicate(InputPair(8, 0, 0), 1, 1)
-    with pytest.raises(ValueError):
-        chain_predicate(p, 0, 3)
-    with pytest.raises(ValueError):
-        chain_predicate(p, 3, 9)
-
-
 def test_isolate_chain_examples():
     iso = isolate_chain(CarryChain(2, 4), InputPair(8, 86, 59))
     assert (iso.a, iso.b) == (6, 10)
@@ -88,8 +78,14 @@ def test_isolate_chain_examples():
 
 
 def test_isolate_chain_requires_generating_witness():
-    with pytest.raises(ValueError):
-        isolate_chain(CarryChain(1, 1), InputPair(8, 86, 59))
+    p = InputPair(8, 86, 59)
+    with pytest.raises(ValueError, match="does not generate"):
+        isolate_chain(CarryChain(1, 1), p)
+    with pytest.raises(ValueError, match="does not generate"):
+        isolate_chain(CarryChain(2, 3), p)  # (2, 4) is the chain there
+    for outside in (CarryChain(0, 3), CarryChain(3, 9)):
+        with pytest.raises(ValueError, match="violates"):
+            isolate_chain(outside, p)
 
 
 def test_isolation_soundness_exhaustive():
@@ -102,10 +98,9 @@ def test_isolation_soundness_exhaustive():
 def test_canonical_pair_generates_only_its_chain():
     for n in (1, 4, 8):
         for c in all_chains(n):
-            probe = canonical_pair(c, n)
+            probe = InputPair(n, *word_pair(canonical_word(c, n), n))
             assert list(detect_chains(probe)) == [c]
             assert probe.a + probe.b == 1 << c.j
-            assert canonical_word(c, n) == pair_index(probe)
 
 
 def test_decompose_fig_pair():

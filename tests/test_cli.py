@@ -380,6 +380,9 @@ def test_read_time_errors_name_their_option(capsys, tmp_path):
             (("sweep", *net, f"--t-range=0..{bad}", "--format", "json"), "--t-range"),
         ):
             assert run_cli(capsys, *argv) == (1, "", f"error: {option}: {fault}\n"), argv
+    # an empty list is refused too, not taken for the whole history
+    empty = run_cli(capsys, "trace", *net, "-a", "1", "-b", "0", "--times", "")
+    assert empty == (1, "", "error: --times: cannot interpret read time ''\n")
     for step, fault in (("0", "step must be positive"), ("x", "cannot interpret read time 'x'")):
         assert run_cli(capsys, "sweep", *net, "--t-range", f"0..1:{step}") == (1, "", f"error: --t-range: {fault}\n")
 
@@ -430,12 +433,19 @@ def test_verify_fast_vs_oracle(capsys):
     assert "PASS" in out
 
 
-def test_verify_fast_vs_oracle_respects_limit(capsys):
-    code, out, _ = run_cli(
+def test_verify_fast_vs_oracle_respects_limit(capsys, tmp_path):
+    # refused before any check runs, as every other bad argument of verify
+    code, out, err = run_cli(
         capsys, "verify", "--fast-vs-oracle", "--n", "6", "--tables", "2", "--exhaustive-n-limit", "4"
     )
-    assert code == 1
-    assert out == "FAIL  fast-vs-oracle  n=6 above --exhaustive-n-limit 4\n"
+    assert (code, out, err) == (1, "", "error: --n 6 is above --exhaustive-n-limit 4\n")
+    assert run_cli(capsys, "verify", "--fast-vs-oracle", "--n", "12") == (
+        1, "", "error: --n 12 is above --exhaustive-n-limit 10\n")
+    missing = (1, "", "error: --n is required with --fast-vs-oracle\n")
+    assert run_cli(capsys, "verify", "--fast-vs-oracle") == missing
+    # the netlist is neither read nor checked
+    absent = str(tmp_path / "absent.json")
+    assert run_cli(capsys, "verify", "--netlist", absent, "--fast-vs-oracle") == missing
 
 
 def unit_rca(tmp_path, n):
@@ -496,25 +506,27 @@ def test_verify_faulty_netlist_fails(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000")
     assert code == 1
     assert "FAIL  conservative" in out
-    # each premise check fails once; only a FAIL line shows its detail
+    # each premise check fails once; only a FAIL line shows its detail.
+    # --samples 128 is at least 4^n here, so the sample is every pair in
+    # pair_word order
     expected = {
         inverted_carry_rca2: (
             "FAIL  conservative (no spurious carries)  counterexamples=[(0, 0, 1), (2, 0, 1), (0, 1, 1), "
             "(2, 1, 1), (0, 2, 1), (2, 2, 1), (0, 3, 1), (2, 3, 1), (2, 0, 2), (2, 1, 2)]\n"
-            "FAIL  commutativity  [(0, 1), (1, 0), (2, 3)]\n"
+            "FAIL  commutativity  [(0, 1), (1, 0), (3, 0)]\n"
             "PASS  lower-position independence\n"
         ),
         ignores_a0_rca2: (
             "FAIL  conservative (no spurious carries)  counterexamples=[(1, 0, 0), (3, 0, 0), (1, 1, 0), "
             "(3, 1, 0), (1, 2, 0), (3, 2, 0), (1, 3, 0), (3, 3, 0)]\n"
-            "FAIL  commutativity  [(0, 1), (1, 0), (2, 3)]\n"
+            "FAIL  commutativity  [(0, 1), (1, 0), (3, 0)]\n"
             "PASS  lower-position independence\n"
         ),
         low_bit_gated_rca3: (
             "PASS  conservative (no spurious carries)\n"
-            "FAIL  commutativity  [(7, 6), (2, 7), (3, 2)]\n"
+            "FAIL  commutativity  [(3, 2), (7, 2), (2, 3)]\n"
             "FAIL  lower-position independence  [(CarryChain(i=2, j=3), 3, 6), "
-            "(CarryChain(i=2, j=3), 3, 6), (CarryChain(i=2, j=3), 3, 7)]\n"
+            "(CarryChain(i=2, j=3), 3, 6), (CarryChain(i=2, j=3), 3, 6)]\n"
         ),
     }
     for build, text in expected.items():

@@ -18,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 from pseudoadder import (
     ChainErrorTable,
     ConservativeReport,
+    InputPair,
     KsaDelays,
     all_chains,
     check_conservative,
+    computed_sum,
     generate_ksa,
     generate_rca,
     random_realizable_table,
@@ -29,6 +31,7 @@ from pseudoadder import (
     sweep,
 )
 from pseudoadder.cli import main
+from pseudoadder.model import word_pair
 from conftest import random_netlist
 
 
@@ -112,6 +115,35 @@ def test_simulation_oracle_counts_each_block_into_a_conservative_report(kind, se
     assert shared == sae_oracle_simulate(net, t)
     assert report == check_conservative(net, t)
     assert report.checked == 4**net.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag"]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    data=st.data(),
+)
+def test_block_lanes_hold_every_pair_once(kind, seed, width, data):
+    # block k of width w holds a's and b's top bits as k's low and high
+    # halves, and its low bits at lane a_lo + (b_lo << w)
+    rng = random.Random(seed)
+    net = _netlist(kind, rng)
+    n = net.n
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    seen = []
+    with mock.patch.object(sweep, "BLOCK_BITS", width):
+        for sw in sweep.block_sweeps(net, [t]):
+            k, w = sw.block
+            a_hi, b_hi = word_pair(k, n - w)
+            for lane in range(sw.pair_count):
+                a_lo, b_lo = word_pair(lane, w)
+                assert sw.lane_pair(lane) == (a_lo | a_hi << w, b_lo | b_hi << w)
+                seen.append(sw.lane_pair(lane))
+            # a lane reads the sum the event simulator gives its pair
+            lane = rng.randrange(sw.pair_count)
+            assert sw.lane_sums(t)[lane] == computed_sum(net, InputPair(n, *sw.lane_pair(lane)), t)
+    assert sorted(seen) == [(a, b) for a in range(1 << n) for b in range(1 << n)]
 
 
 def test_simulation_oracle_refuses_a_report_at_another_read_time():

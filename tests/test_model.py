@@ -19,19 +19,8 @@ from pseudoadder import (
     StatsReport,
     reference_add,
 )
-from pseudoadder.model import bit, pair_word, word_pair
+from pseudoadder.model import pair_word, word_pair
 from pseudoadder.sweep import read_carries
-
-
-def test_bit_examples():
-    assert bit(86, 1) == 1  # 86 = 0b1010110
-    assert bit(86, 0) == 0
-    assert bit(86, 8) == 0  # operand top bit is always 0
-
-
-def test_bit_rejects_negative_position():
-    with pytest.raises(ValueError):
-        bit(86, -1)
 
 
 def test_input_pair_validation():
@@ -42,7 +31,7 @@ def test_input_pair_validation():
     with pytest.raises(ValueError):
         InputPair(0, 0, 0)
     p = InputPair(4, 5, 9)
-    assert bit(p.a, 4) == 0 and bit(p.b, 4) == 0
+    assert p.a >> 4 == 0 and p.b >> 4 == 0  # bit n and above are 0
 
 
 VALUE_TYPES = {  # a maker of instances that differ in one field, and that field
@@ -142,10 +131,10 @@ def recover_carries(s_prime, p):
     """The validity rule on one lane: packed c' and per-position violations."""
     _, carries = reference_add(p)
     c_prime, bad = read_carries(
-        [bit(s_prime, k) for k in range(p.n + 1)],
-        [bit(p.a, k) for k in range(p.n)],
-        [bit(p.b, k) for k in range(p.n)],
-        [bit(carries, k) for k in range(p.n + 1)],
+        [s_prime >> k & 1 for k in range(p.n + 1)],
+        [p.a >> k & 1 for k in range(p.n)],
+        [p.b >> k & 1 for k in range(p.n)],
+        [carries >> k & 1 for k in range(p.n + 1)],
     )
     return sum(ck << k for k, ck in enumerate(c_prime)), bad
 

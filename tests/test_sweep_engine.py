@@ -22,7 +22,8 @@ from pseudoadder import (
     verify_assumptions,
 )
 from pseudoadder import sweep as sweep_module
-from pseudoadder.chains import canonical_pair
+from pseudoadder.chains import canonical_word
+from pseudoadder.model import word_pair
 from pseudoadder.sweep import PairSweep, _gate_steps as gate_steps, _transpose
 from conftest import (
     exhaustive_pairs,
@@ -167,14 +168,15 @@ def test_sweep_equals_event_sim_on_random_netlists():
         drawn = [InputPair(n, rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(12)]
         batches = [
             drawn + drawn[:4],
-            [canonical_pair(c, n) for c in all_chains(n)],
+            [InputPair(n, *word_pair(canonical_word(c, n), n)) for c in all_chains(n)],
             [drawn[0]],
         ]
         for pairs in batches:
-            lanes = PairSweep(net, keep=set(net.by_id), words=[pair_index(p) for p in pairs])
+            words = [pair_index(p) for p in pairs]
+            lanes = PairSweep(net, keep=set(net.by_id), words=words)
             assert lanes.pair_count == len(pairs)
-            for lane, p in enumerate(pairs):
-                assert lanes.lane_pair(lane) == (p.a, p.b)
+            for lane, (p, word) in enumerate(zip(pairs, words)):
+                assert lanes.lane_pair(lane) == word_pair(word, n) == (p.a, p.b)
                 trace = simulate(net, p)
                 for g in net.gates:
                     got = lane_transitions(lanes.waveform(g.id).steps, lane)
