@@ -60,6 +60,8 @@ COLD = (
     ("gen ksa64", ["gen", "ksa", "--n", "64", "-o", "{dir}/cold-ksa64.json"]),
     ("stats ksa64", ["stats", "--netlist", "{dir}/cold-ksa64.json", "-T", "2", "-o", "{dir}/cold-out"]),
     ("verify rca10", ["verify", "--netlist", "{dir}/cold-rca10.json", "-T", "5", "-o", "{dir}/cold-out"]),
+    ("chains n8", ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
+    ("fast-vs-oracle n10", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/cold-out"]),
 )
 COLD_PROBE = (
     "import sys, time; t = time.perf_counter(); import pseudoadder.cli; "
@@ -146,7 +148,7 @@ def cold_times(src: Path, main, workdir: Path) -> list[dict]:
     for name, argv in COLD:
         rows.append({"command": name, "argv": [Path(a).name if "{dir}" in a else a for a in argv],
                      "exit_code": int(codes[name]), **spread(runs[name])})
-        print(f"cold {name:12} {rows[-1]['median_s'] * 1e3:9.2f} ms", file=sys.stderr)
+        print(f"cold {name:18} {rows[-1]['median_s'] * 1e3:9.2f} ms", file=sys.stderr)
     return rows
 
 

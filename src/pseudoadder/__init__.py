@@ -8,10 +8,18 @@ squared error, maximum absolute error) with fast algorithms checked
 against brute-force oracles.
 
 Every name in ``__all__`` loads its home module on first use, so
-``import pseudoadder`` loads no submodule.
+``import pseudoadder`` loads no submodule.  ``PseudoAdderError`` and
+``ORACLE_LIMIT`` live here for the CLI; :mod:`~pseudoadder.model` re-exports them.
 """
 
 __version__ = "0.1.0"
+
+
+class PseudoAdderError(Exception):
+    """Base class for errors raised by this package."""
+
+
+ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
 
 _EXPORTS = {
     "analysis": (

@@ -171,8 +171,9 @@ def verify_assumptions(
 
     Conservativeness (``report.conservative``): the first ``samples``
     distinct pairs that ``Random(seed)`` draws, a then b, in the order of
-    their first draw; every pair in :func:`~pseudoadder.model.pair_word`
-    order when ``samples`` is at least 4^n.  Commutativity:
+    their first draw (above half of all 4^n pairs, one ``rng.sample`` of
+    words); every pair in :func:`~pseudoadder.model.pair_word` order when
+    ``samples`` is at least 4^n.  Commutativity:
     ``s'(a, b) == s'(b, a)`` for them and for (0, 1).  Independence: for
     sampled chains, the error restricted to the chain's bit span matches
     the canonical probe's on every sampled witness.  Every pair generating
@@ -189,7 +190,9 @@ def verify_assumptions(
     report = AssumptionReport(read_time=t)
 
     m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
-    drawn = dict.fromkeys(word_pair(w, n) for w in range(m)) if m == 1 << 2 * n else {}
+    # above half of all pairs one draw per pair, not a coupon collector's many
+    words = range(m) if m == 1 << 2 * n else rng.sample(range(1 << 2 * n), m) if 2 * m > 1 << 2 * n else ()
+    drawn = dict.fromkeys(word_pair(w, n) for w in words)
     while len(drawn) < m:
         drawn[rng.randrange(1 << n), rng.randrange(1 << n)] = None
     pairs = list(drawn)
@@ -218,5 +221,5 @@ def verify_assumptions(
         span = (1 << (c.j + 1)) - (1 << c.i)  # bits i..j
         expected = next(rest) & span
         found += [(c, *word_pair(w, n)) for w, s in zip(witnesses, rest) if s & span != expected]
-    report.independence_counterexamples = found[:10]
+    report.independence_counterexamples = list(dict.fromkeys(found))[:10]  # witnesses may repeat
     return report

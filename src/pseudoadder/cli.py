@@ -28,27 +28,29 @@ and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
 (default 10); above it, ``--samples`` distinct pairs from ``--seed`` are
 checked on the lane batch that also checks the two other premises.
 
-Importing this module loads only :mod:`~pseudoadder.model` and
-:mod:`~pseudoadder.netlist`; each command imports the modules it runs
-when it runs, so ``gen`` never loads the simulators or the statistics.
+Importing this module loads only :mod:`argparse`, not :mod:`json` or another
+package module (annotations are never evaluated); each command imports what
+it runs: ``gen`` loads ``netlist`` and ``generators``, ``chains`` ``model`` and ``chains``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from functools import cache
 from itertools import islice
 
-from .model import ORACLE_LIMIT, ChainErrorTable, InputPair, PseudoAdderError, StatsReport, pair_word
-from .netlist import Netlist, Time, as_delay, as_time, malformed_json
+from . import ORACLE_LIMIT, PseudoAdderError
 
 
 def _parse_delay_list(spec: str, count: int, what: str) -> list:
     """uniform:<d>, a comma list, or file:<path> with a JSON list."""
+    import json
+
+    from .netlist import as_delay, malformed_json
+
     if spec.startswith("uniform:"):
         return [as_delay(spec.split(":", 1)[1])] * count
     if spec.startswith("file:"):
@@ -65,6 +67,8 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
 def _read_time(text: str, option: str) -> Time:
     """A read time as :func:`~pseudoadder.netlist.as_time` reads it; a bad
     one names ``option``."""
+    from .netlist import as_time
+
     try:
         return as_time(text)
     except ValueError as exc:
@@ -72,6 +76,8 @@ def _read_time(text: str, option: str) -> Time:
 
 
 def _load_netlist(path: str) -> Netlist:
+    from .netlist import Netlist
+
     if path == "-":
         return Netlist.from_json(sys.stdin.read())
     with open(path) as fh:
@@ -86,33 +92,35 @@ def _output(path: str | None):
 JSON_SLICE = 256  # list items per call of the C encoder
 
 
-def _encode(obj: object, write: Callable[[str], object]) -> None:
-    """Write ``json.dumps(obj)`` piece by piece: a dict with str keys one
-    member at a time, any iterator (written as a list) or a list longer
-    than :data:`JSON_SLICE` one slice of that many items at a time,
-    anything else (a dict with other keys, which the encoder converts) in
-    one call of the C encoder."""
+def _encode(obj: object, write: Callable[[str], object], dumps: Callable[[object], str]) -> None:
+    """Write ``dumps(obj)`` (that is, ``json.dumps``) piece by piece: a
+    dict with str keys one member at a time, any iterator (written as a
+    list) or a list longer than :data:`JSON_SLICE` one slice of that many
+    items at a time, anything else (a dict with other keys, which the
+    encoder converts) in one call of the C encoder."""
     if isinstance(obj, dict) and all(type(k) is str for k in obj):
         write("{")
         for k, (key, value) in enumerate(obj.items()):
-            write((", " if k else "") + json.dumps(key) + ": ")
-            _encode(value, write)
+            write((", " if k else "") + dumps(key) + ": ")
+            _encode(value, write, dumps)
         write("}")
     elif isinstance(obj, Iterator) or isinstance(obj, list) and len(obj) > JSON_SLICE:
         items = iter(obj)
         write("[")
         for k, part in enumerate(iter(lambda: list(islice(items, JSON_SLICE)), [])):
-            write((", " if k else "") + json.dumps(part)[1:-1])
+            write((", " if k else "") + dumps(part)[1:-1])
         write("]")
     else:
-        write(json.dumps(obj))
+        write(dumps(obj))
 
 
 def _emit_json(obj: object, output: str | None) -> None:
     """Write ``json.dumps(obj)`` and a newline to stdout or ``output``
     without ever holding the whole line or its encoder's chunk list."""
+    import json
+
     with _output(output) as fh:
-        _encode(obj, fh.write)
+        _encode(obj, fh.write, json.dumps)
         fh.write("\n")
 
 
@@ -166,7 +174,10 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     """Unset delay options are uniform:1; the other kind's are refused."""
+    import json
+
     from .generators import KsaDelays, generate_ksa, generate_rca
+    from .netlist import as_delay
 
     own = {"rca": ("carry_delays", "sum_delays"), "ksa": ("delay",)}[args.kind]
     for name in ("carry_delays", "sum_delays", "delay"):
@@ -222,6 +233,7 @@ def _cmd_ec(args: argparse.Namespace) -> int:
 
 def _cmd_chains(args: argparse.Namespace) -> int:
     from .chains import detect_chains
+    from .model import InputPair
 
     p = InputPair(args.n, args.a, args.b)
     found = [[c.i, c.j] for c in detect_chains(p)]
@@ -233,6 +245,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .model import InputPair, pair_word
     from .sweep import PairSweep
 
     net = _load_netlist(args.netlist)

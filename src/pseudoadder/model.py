@@ -13,12 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-
-class PseudoAdderError(Exception):
-    """Base class for errors raised by this package."""
-
-
-ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
+from . import ORACLE_LIMIT, PseudoAdderError
 
 
 class OracleLimitError(PseudoAdderError):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from pseudoadder import (
     staggered_ksa8,
     verify_assumptions,
 )
+from pseudoadder import analysis
 from pseudoadder.analysis import _random_witness
 from pseudoadder.model import all_chains, pair_word, word_pair
 from conftest import exhaustive_pairs
@@ -163,9 +165,15 @@ def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, s
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
     # the reference: the first `samples` distinct pairs drawn from
     # Random(seed), a then b (every pair, in word order, when samples >=
-    # 4^n), run as a batch of its own and counted lane by lane
+    # 4^n; one rng.sample of words above half of them), run as a batch of
+    # its own and counted lane by lane
     rng = random.Random(seed)
-    words = list(range(4**n)) if samples >= 4**n else []
+    if samples >= 4**n:
+        words = list(range(4**n))
+    elif 2 * samples > 4**n:
+        words = rng.sample(range(4**n), samples)
+    else:
+        words = []
     while len(words) < min(samples, 4**n):
         word = pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
         if word not in words:
@@ -176,6 +184,34 @@ def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, s
     got = verify_assumptions(net, t, samples=samples, seed=seed).conservative
     assert (got.checked, got.violations, got.counterexamples) == (
         expected.checked, expected.violations, expected.counterexamples)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dense_sample_takes_one_draw_per_pair(n, monkeypatch):
+    # a distinct sample above half of the 4^n pairs is one rng.sample; a
+    # draw-until-distinct loop would need a coupon collector's ~4^n ln 4^n
+    # pair draws just below 4^n.  Random words are counted up to the
+    # chain shuffle, which follows the pair sample
+    drawn_before_shuffle = []
+
+    class Counting(random.Random):
+        words = 0
+
+        def getrandbits(self, k):
+            self.words += 1
+            return super().getrandbits(k)
+
+        def shuffle(self, x):
+            drawn_before_shuffle.append(self.words)
+            super().shuffle(x)
+
+    monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=Counting))
+    net = generate_rca(n, [1] * n, [1] * (n + 1))
+    for samples in (4**n // 2 + 1, 4**n - 1):
+        for seed in range(3):
+            report = verify_assumptions(net, 2 * n, samples=samples, seed=seed)
+            assert report.conservative.checked == samples and report.passed
+            assert drawn_before_shuffle.pop() <= 2 * samples
 
 
 @settings(max_examples=60, deadline=None)

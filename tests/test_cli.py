@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pseudoadder import Netlist, generate_rca, staggered_ksa8
+from pseudoadder import Netlist, generate_rca, staggered_ksa8, verify_assumptions
 from pseudoadder.cli import JSON_SLICE, _emit_json, main
 
 
@@ -526,12 +526,16 @@ def test_verify_faulty_netlist_fails(capsys, tmp_path):
             "PASS  conservative (no spurious carries)\n"
             "FAIL  commutativity  [(3, 2), (7, 2), (2, 3)]\n"
             "FAIL  lower-position independence  [(CarryChain(i=2, j=3), 3, 6), "
-            "(CarryChain(i=2, j=3), 3, 6), (CarryChain(i=2, j=3), 3, 6)]\n"
+            "(CarryChain(i=2, j=3), 3, 7), (CarryChain(i=2, j=3), 7, 3)]\n"
         ),
     }
     for build, text in expected.items():
         path.write_text(build().to_json())
         assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, ""), build.__name__
+        # no counterexample repeats, also past the three that are printed
+        report = verify_assumptions(build(), 1000, samples=128, seed=0)
+        for found in (report.independence_counterexamples, report.commutativity_counterexamples):
+            assert len(set(found)) == len(found), build.__name__
 
 
 def test_gen_with_file_delay_specs(capsys, tmp_path):

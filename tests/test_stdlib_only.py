@@ -43,8 +43,9 @@ def test_library_reads_no_environment_variables():
 
 def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     # dataclasses pulls in inspect, ast, dis and tokenize, and every CLI
-    # run pays its package import first; each command loads only the
-    # package modules it runs.  This checks modules, not time
+    # run pays its package import first; the import loads no other package
+    # module and neither json nor fractions, and each command loads only
+    # the package modules it runs.  This checks modules, not time
     netlist = tmp_path / "ksa8.json"
     code = (
         "import sys\n"
@@ -54,6 +55,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
         "step()\n"
         f"assert cli.main(['gen', 'ksa', '--n', '8', '-o', {str(netlist)!r}]) == 0\n"
         "step()\n"
+        f"assert cli.main(['chains', '--n', '8', '-a', '5', '-b', '3', '-o', {str(tmp_path / 'chains')!r}]) == 0\n"
+        "step()\n"
         f"assert cli.main(['stats', '--netlist', {str(netlist)!r}, '-T', '2', '-o', {str(tmp_path / 'out')!r}]) == 0\n"
         "step()\n"
     )
@@ -61,14 +64,16 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    imported, generated, analysed = (set(line.split()) for line in done.stdout.splitlines())
+    imported, generated, chained, analysed = (set(line.split()) for line in done.stdout.splitlines())
     assert imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert imported & {"json", "fractions", "decimal"} == set()
 
     def package(added):
         return {m.removeprefix("pseudoadder.") for m in added if m.startswith("pseudoadder.")}
 
-    assert package(imported) == {"cli", "model", "netlist"}
-    assert package(generated) == {"generators"}
+    assert package(imported) == {"cli"}
+    assert package(generated) == {"netlist", "generators"}
+    assert package(chained) == {"model", "chains"}
     assert package(analysed) & {"sim", "generators", "tables", "maxerror"} == set()
     assert "stats" in package(analysed)
 
