@@ -111,6 +111,7 @@ def commands() -> list[list[str]]:
         ["gen", "ksa", "--n", "4", "--carry-delays", "uniform:1"],
         ["gen", "ksa", "--n", "4", "--sum-delays", "1,1,1,1,1"],
         ["gen", "rca", "--n", "4", "--carry-delays", "1,2"],
+        ["gen", "rca", "--n", "4", "--sum-delays", "file:{dir}/sums.json"],
         ["gen", "rca", "--n", "4", "--sum-delays", "uniform:-1"],
         ["gen", "rca", "--n", "0"],
         ["gen", "ksa", "--n", "4", "--delay", "uniform:abc"],
@@ -135,6 +136,7 @@ def commands() -> list[list[str]]:
         ["sweep", "--netlist", "{dir}/rca10s.json", "--t-range", "3..quiescence:2/7", "-o", "{dir}/out.csv"],
         ["trace", "--netlist", "{dir}/rca8.json", "-a", "255", "-b", "1"],
         ["trace", "--netlist", "{dir}/rca10s.json", "-a", "1000", "-b", "23", "--format", "csv"],
+        ["trace", "--netlist", "{dir}/sksa8.json", "-a", "86", "-b", "59"],
         ["trace", "--netlist", "{dir}/sksa8.json", "-a", "200", "-b", "77", "--times", "0,1,3/7,5,0.5"],
         ["trace", "--netlist", "{dir}/rca8.json", "-a", "256", "-b", "1"],
         ["chains", "--n", "8", "-a", "0b10110110", "-b", "0"],

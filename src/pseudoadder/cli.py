@@ -1,15 +1,20 @@
 """Command-line front end.
 
-Subcommands: ``gen`` (emit RCA/KSA netlist JSON), ``stats`` (chain-error
-table and exact statistics at a read time),
+Subcommands: ``gen rca`` and ``gen ksa`` (emit netlist JSON; each owns
+its delay options, default ``uniform:1``), ``stats`` (chain-error table
+and exact statistics at a read time),
 ``verify`` (conservativeness, model assumptions, fast-vs-oracle
 equality), ``trace`` (time table of one addition), ``chains`` (carry
 chains of a pair), ``ec`` (chain-error table only) and ``sweep``
-(statistics over a range of read times, CSV-friendly).
+(statistics over a range of read times, CSV-friendly).  An option the
+commands share is declared once, in a parent parser; ``--netlist -``
+reads the netlist from stdin.
 
 Every simulation runs on the lane-parallel engine
 (:class:`~pseudoadder.sweep.PairSweep`): all chain probes as one batch, a
-sample as one batch, a trace as one lane.  ``0..quiescence`` stops at the
+sample as one batch, a trace as one lane.  A trace has a row at each
+``--times`` entry, by default at 0 and at every time a sum bit changes:
+every column is a function of the sums.  ``0..quiescence`` stops at the
 netlist's static arrival time, after which no output changes.
 
 JSON output is one compact object per line; pretty-print it with
@@ -21,7 +26,9 @@ Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
 each erring chain; divide by ``4**n`` for a probability.
 
 Exit code 0 means no errors and no failed verification; a failed
-verification or an error (printed as ``error: ...``) exits 1.  All
+verification or an error (printed as ``error: ...``) exits 1, and an
+argument argparse refuses, such as another kind's delay option
+(``gen rca --delay``), exits 2.  All
 sampling takes an explicit ``--seed`` (default 0) so reports are
 reproducible.  ``verify`` checks conservativeness over all 4^n pairs,
 and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
@@ -30,7 +37,8 @@ checked on the lane batch that also checks the two other premises.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
-it runs: ``gen`` loads ``netlist`` and ``generators``, ``chains`` ``model`` and ``chains``.
+it runs: ``gen`` loads ``netlist`` and ``generators``, ``chains`` ``model`` and ``chains``,
+and ``verify --fast-vs-oracle`` without a netlist neither ``analysis`` nor ``chains``.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ from . import ORACLE_LIMIT, PseudoAdderError
 
 
 def _parse_delay_list(spec: str, count: int, what: str) -> list:
-    """uniform:<d>, a comma list, or file:<path> with a JSON list."""
+    """uniform:<d>, or ``count`` delays as a comma list or file:<path> with
+    a JSON list; a list of another length is refused naming ``what``."""
     import json
 
     from .netlist import as_delay, malformed_json
@@ -57,8 +66,9 @@ def _parse_delay_list(spec: str, count: int, what: str) -> list:
         with open(spec.split(":", 1)[1]) as fh:
             values = json.load(fh)
         with malformed_json("delay list"):
-            return [as_delay(v) for v in values]
-    values = [as_delay(part) for part in spec.split(",")]
+            values = [as_delay(v) for v in values]
+    else:
+        values = [as_delay(part) for part in spec.split(",")]
     if len(values) != count:
         raise ValueError(f"{what}: expected {count} delays, got {len(values)}")
     return values
@@ -124,21 +134,21 @@ def _emit_json(obj: object, output: str | None) -> None:
         fh.write("\n")
 
 
-def _emit_csv(rows: list[dict], output: str | None) -> None:
-    """Write rows as CSV under their keys; no rows write nothing."""
+def _emit(args: argparse.Namespace, obj: object, rows: list[dict]) -> None:
+    """Write ``obj`` as :func:`_emit_json` does or, with ``--format csv``,
+    ``rows`` as CSV under their keys (no rows write nothing)."""
+    if args.format == "json":
+        return _emit_json(obj, args.output)
     import csv
 
-    with _output(output) as fh:
+    with _output(args.output) as fh:
         if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
 
 
-def _stats_row(t: Time, ec: ChainErrorTable) -> dict:
-    from .stats import analyze_table
-
-    report = analyze_table(ec)
+def _stats_row(t: Time, report: StatsReport) -> dict:
     return {
         "T": str(t),
         "sae": report.sae,
@@ -173,18 +183,11 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    """Unset delay options are uniform:1; the other kind's are refused."""
     import json
 
     from .generators import KsaDelays, generate_ksa, generate_rca
     from .netlist import as_delay
 
-    own = {"rca": ("carry_delays", "sum_delays"), "ksa": ("delay",)}[args.kind]
-    for name in ("carry_delays", "sum_delays", "delay"):
-        if getattr(args, name) is None:
-            setattr(args, name, "uniform:1")
-        elif name not in own:
-            raise ValueError(f"gen {args.kind} does not take --{name.replace('_', '-')}")
     if args.kind == "rca":
         carry = _parse_delay_list(args.carry_delays, args.n, "--carry-delays")
         sums = _parse_delay_list(args.sum_delays, args.n + 1, "--sum-delays")
@@ -209,17 +212,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     t = _read_time(args.T, "-T")
     ec = extract_ec_table(net, t)
     del net  # the report is built and written without the netlist held
-    if args.format == "csv":
-        _emit_csv([{"n": ec.n, **_stats_row(t, ec)}], args.output)
-    else:
-        payload = {
-            "n": ec.n,
-            "T": str(t),
-            "sign_convention": "true_sum_minus_computed_sum",
-            "ec": ec.to_json_dict(lazy=True),
-            "stats": analyze_table(ec).to_json_dict(lazy=True),
-        }
-        _emit_json(payload, args.output)
+    report = analyze_table(ec)
+    payload = {
+        "n": ec.n,
+        "T": str(t),
+        "sign_convention": "true_sum_minus_computed_sum",
+        "ec": ec.to_json_dict(lazy=True),
+        "stats": report.to_json_dict(lazy=True),
+    }
+    _emit(args, payload, [{"n": ec.n, **_stats_row(t, report)}])
     return 0
 
 
@@ -235,12 +236,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     from .chains import detect_chains
     from .model import InputPair
 
-    p = InputPair(args.n, args.a, args.b)
-    found = [[c.i, c.j] for c in detect_chains(p)]
-    if args.format == "csv":
-        _emit_csv([{"i": i, "j": j} for i, j in found], args.output)
-    else:
-        _emit_json({"n": args.n, "a": args.a, "b": args.b, "chains": found}, args.output)
+    found = [[c.i, c.j] for c in detect_chains(InputPair(args.n, args.a, args.b))]
+    _emit(args, {"n": args.n, "a": args.a, "b": args.b, "chains": found}, [{"i": i, "j": j} for i, j in found])
     return 0
 
 
@@ -251,12 +248,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = None if args.times is None else [_read_time(x, "--times") for x in args.times.split(",")]
-    lane = PairSweep(net, keep=set(net.by_id), words=[pair_word(p.a, p.b, net.n)], times=times)
-    if times is None:
-        times = sorted({0}.union(*(lane.waveform(g.id).times for g in net.gates)))
+    lane = PairSweep(net, words=[pair_word(p.a, p.b, net.n)], times=times)
     s_true = p.a + p.b
     rows = []
-    for t in times:
+    for t in lane.output_change_times() if times is None else times:
         s_prime = lane.lane_sums(t)[0]
         c_prime = sum(ck << k for k, ck in enumerate(lane.carries_at(t)[0]))
         rows.append(
@@ -267,31 +262,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 "c_prime": format(c_prime, f"0{net.n + 1}b"),
             }
         )
-    if args.format == "csv":
-        _emit_csv(rows, args.output)
-    else:
-        _emit_json({"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}, args.output)
+    _emit(args, {"n": net.n, "a": p.a, "b": p.b, "s": s_true, "rows": rows}, rows)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import ec_table_sweep
+    from .stats import analyze_table
 
     net = _load_netlist(args.netlist)
     times = _parse_t_range(args.t_range, net)
     # one table at a time becomes its row; a later T outside the model still writes nothing
-    rows = [_stats_row(t, ec) for t, ec in ec_table_sweep(net, times)]
-    if args.format == "json":
-        _emit_json({"n": net.n, "rows": rows}, args.output)
-    else:
-        _emit_csv(rows, args.output)
+    rows = [_stats_row(t, analyze_table(ec)) for t, ec in ec_table_sweep(net, times)]
+    _emit(args, {"n": net.n, "rows": rows}, rows)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     import random
 
-    from .analysis import ConservativeReport, extract_ec_table, verify_assumptions
     from .stats import analyze_table, sae_oracle_chains, sae_oracle_simulate
     from .tables import random_realizable_table
 
@@ -318,6 +307,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return (fast.sae, fast.mse, fast.max_abs_error) == (oracle.sae, oracle.mse, oracle.max_abs_error)
 
     if args.netlist:
+        from .analysis import ConservativeReport, extract_ec_table, verify_assumptions
+
         net = _load_netlist(args.netlist)
         # one exhaustive pass: the oracle counts each block in as well
         exhaustive = ConservativeReport(read_time=t)
@@ -356,59 +347,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
-        p.add_argument("-o", "--output", help="write to a file instead of stdout")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+    def option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring one option for every command that takes it."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
+
+    out = option("-o", "--output", help="write to a file instead of stdout")
+    fmt = option("--format", choices=("json", "csv"), default="json")
+    width = option("--n", type=int, required=True)
+    read = option("-T", default="0", help="read time")
+    pair = option("-a", type=int, required=True)
+    pair.add_argument("-b", type=int, required=True)
+    # verify may check random tables alone, so its netlist is optional
+    netlist, netlist_or_none = (
+        option("--netlist", required=required, help="netlist JSON path, or - for stdin") for required in (True, False)
+    )
 
     p_gen = sub.add_parser("gen", help="generate a netlist")
-    p_gen.add_argument("kind", choices=("rca", "ksa"))
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--carry-delays",
-                       help="rca only: uniform:<d>, comma list, or file:<path> (default uniform:1)")
-    p_gen.add_argument("--sum-delays",
-                       help="rca only: uniform:<d>, comma list, or file:<path> (default uniform:1)")
-    p_gen.add_argument("--delay",
-                       help="ksa only: uniform:<d> or file:<path> (per-module JSON; default uniform:1)")
-    add_common(p_gen, fmt=False)
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    delays = "uniform:<d>, comma list, or file:<path> (default %(default)s)"
+    p_rca = kinds.add_parser("rca", parents=[width, out], help="ripple-carry adder")
+    p_rca.add_argument("--carry-delays", default="uniform:1", help=delays)
+    p_rca.add_argument("--sum-delays", default="uniform:1", help=delays)
+    p_ksa = kinds.add_parser("ksa", parents=[width, out], help="Kogge-Stone adder")
+    p_ksa.add_argument("--delay", default="uniform:1",
+                       help="uniform:<d> or file:<path> (per-module JSON; default %(default)s)")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_stats = sub.add_parser("stats", help="chain errors and exact statistics")
-    p_stats.add_argument("--netlist", required=True, help="netlist JSON path or -")
-    p_stats.add_argument("-T", default="0", help="read time")
-    add_common(p_stats)
+    p_stats = sub.add_parser("stats", parents=[netlist, read, out, fmt], help="chain errors and exact statistics")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_ec = sub.add_parser("ec", help="chain-error table only")
-    p_ec.add_argument("--netlist", required=True)
-    p_ec.add_argument("-T", default="0")
-    add_common(p_ec, fmt=False)
+    p_ec = sub.add_parser("ec", parents=[netlist, read, out], help="chain-error table only")
     p_ec.set_defaults(func=_cmd_ec)
 
-    p_chains = sub.add_parser("chains", help="carry chains of one pair")
-    p_chains.add_argument("--n", type=int, required=True)
-    p_chains.add_argument("-a", type=int, required=True)
-    p_chains.add_argument("-b", type=int, required=True)
-    add_common(p_chains)
+    p_chains = sub.add_parser("chains", parents=[width, pair, out, fmt], help="carry chains of one pair")
     p_chains.set_defaults(func=_cmd_chains)
 
-    p_trace = sub.add_parser("trace", help="time table of one addition")
-    p_trace.add_argument("--netlist", required=True)
-    p_trace.add_argument("-a", type=int, required=True)
-    p_trace.add_argument("-b", type=int, required=True)
-    p_trace.add_argument("--times", default=None, help="comma list; default: all transition times")
-    add_common(p_trace)
+    p_trace = sub.add_parser("trace", parents=[netlist, pair, out, fmt], help="time table of one addition")
+    p_trace.add_argument("--times", default=None, help="comma list; default: 0 and every sum change")
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_sweep = sub.add_parser("sweep", help="statistics over a range of read times")
-    p_sweep.add_argument("--netlist", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[netlist, out, fmt], help="statistics over a range of read times")
     p_sweep.add_argument("--t-range", required=True, help="start..stop[:step]; stop may be 'quiescence'")
-    add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="model checks and oracle comparisons")
-    p_verify.add_argument("--netlist", default=None)
-    p_verify.add_argument("-T", default="0")
+    p_verify = sub.add_parser("verify", parents=[netlist_or_none, read, out], help="model checks and oracle comparisons")
     p_verify.add_argument("--exhaustive-n-limit", type=int, default=ORACLE_LIMIT,
                           help="check all 4^n pairs and run the oracles iff n is at most "
                           "this (default: %(default)s); wider netlists are sampled")
@@ -417,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fast-vs-oracle", action="store_true")
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--tables", type=int, default=20)
-    add_common(p_verify, fmt=False)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -27,7 +27,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Delay = int | Fraction
 Time = Delay  # a read time: exact like every delay
@@ -221,12 +221,14 @@ class Netlist:
         """Operand ('a' or 'b') and bit position bound to an INPUT gate."""
         return gate_id[0], int(gate_id[1:])
 
-    def source_value(self, gate: Gate, a: int, b: int) -> int:
+    def source_value(self, gate: Gate, bit: Callable[[str, int], int], full: int = 1) -> int:
+        """The stimulus of a source gate, the one rule of both simulators:
+        ``bit(operand, k)`` for the operand bit an INPUT is bound to,
+        ``full`` (every lane; one pair is the one-lane case) for CONST1
+        and 0 for CONST0."""
         if gate.kind is GateKind.INPUT:
-            operand, k = self.input_bit(gate.id)
-            word = a if operand == "a" else b
-            return (word >> k) & 1
-        return 1 if gate.kind is GateKind.CONST1 else 0
+            return bit(*self.input_bit(gate.id))
+        return full if gate.kind is GateKind.CONST1 else 0
 
     def arrival_time(self) -> Delay:
         """Latest static arrival time of any sum output: the longest delay

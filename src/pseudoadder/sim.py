@@ -70,7 +70,7 @@ def simulate(net: Netlist, p: InputPair) -> SignalTrace:
     # once against the all-zero initial state.
     for g in net.gates:
         if g.kind in SOURCE_KINDS:
-            schedule(0, g.id, net.source_value(g, p.a, p.b))
+            schedule(0, g.id, net.source_value(g, lambda x, k: (p.a if x == "a" else p.b) >> k & 1))
         else:
             v = evaluate_gate(g.kind, [0] * len(g.inputs), 1)
             if v:

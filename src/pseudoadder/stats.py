@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import ORACLE_LIMIT
-from .analysis import ConservativeReport
 from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
 from .netlist import Netlist, Time
 from .sweep import block_sweeps, lane_blocks, operand_masks

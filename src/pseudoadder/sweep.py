@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
 
-from .netlist import Gate, GateKind, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
+from .netlist import Gate, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
 
 def _doubling_masks(bits: int) -> tuple[int, ...]:
@@ -219,10 +219,7 @@ class PairSweep:
         for gid in net.order:
             gate = net.by_id[gid]
             if gate.kind in SOURCE_KINDS:
-                if gate.kind is GateKind.INPUT:
-                    mask = self.operand_bit_mask(*net.input_bit(gid))
-                else:
-                    mask = self.full if gate.kind is GateKind.CONST1 else 0
+                mask = net.source_value(gate, self.operand_bit_mask, self.full)
                 steps = [(0, mask)] if mask else []
             else:
                 steps = _gate_steps(gate, [live[s] for s in gate.inputs], self.full, horizon)

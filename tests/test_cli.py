@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pseudoadder import Netlist, generate_rca, staggered_ksa8, verify_assumptions
+from pseudoadder import InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, verify_assumptions
 from pseudoadder.cli import JSON_SLICE, _emit_json, main
+
+from conftest import traced_sum
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +47,7 @@ def test_gen_ksa_rejects_non_power_of_two(capsys):
     assert "power of two" in err
 
 
-def test_gen_rca_rejects_bad_delay_count(capsys):
+def test_gen_rca_rejects_bad_delay_count(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
         "gen", "rca", "--n", "4",
@@ -54,6 +56,11 @@ def test_gen_rca_rejects_bad_delay_count(capsys):
     )
     assert code == 1
     assert "expected 4" in err
+    # a file list is counted like a comma list, naming its option
+    path = tmp_path / "sums.json"
+    path.write_text("[1, 1, 1, 1]")
+    code, out, err = run_cli(capsys, "gen", "rca", "--n", "4", "--sum-delays", f"file:{path}")
+    assert (code, out, err) == (1, "", "error: --sum-delays: expected 5 delays, got 4\n")
 
 
 def test_gen_refuses_the_other_kinds_delay_options(capsys):
@@ -62,9 +69,12 @@ def test_gen_refuses_the_other_kinds_delay_options(capsys):
         (("ksa", "--n", "2", "--carry-delays", "9,9"), "--carry-delays"),
         (("ksa", "--n", "2", "--sum-delays", "9,9,9"), "--sum-delays"),
     ):
-        code, out, err = run_cli(capsys, "gen", *argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: gen {argv[0]} does not take {option}\n"
+        # each kind is a subcommand owning its options; argparse refuses the rest
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", *argv])
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {option} {argv[-1]}\n")
 
 
 def write_staggered(tmp_path):
@@ -265,6 +275,32 @@ def test_trace_command_rows(capsys, tmp_path):
         ("10", "145", "0"),
     ]
     assert rows[2]["c_prime"] == "010001100"
+
+
+def test_trace_default_times_are_the_sum_changes(capsys, tmp_path):
+    # every column is a function of the sums, so a row at any other time
+    # would repeat its predecessor; the event oracle gives the times
+    for net, a, b in ((staggered_ksa8(), 86, 59), (generate_ksa(64, 1), 2**63 - 1, 1)):
+        path = tmp_path / "net.json"
+        path.write_text(net.to_json())
+        code, out, _ = run_cli(capsys, "trace", "--netlist", str(path), "-a", str(a), "-b", str(b))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        trace = simulate(net, InputPair(net.n, a, b))
+        changes = {0}.union(*({t for t, _ in trace.transitions[gid]} for gid in net.outputs.values()))
+        assert [Fraction(r["time"]) for r in rows] == sorted(changes)
+        assert [int(r["s_prime"]) for r in rows] == [traced_sum(trace, net, t) for t in sorted(changes)]
+        assert all((r["s_prime"], r["c_prime"]) != (q["s_prime"], q["c_prime"]) for q, r in zip(rows, rows[1:]))
+
+
+def test_netlist_from_stdin_prints_what_the_path_prints(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "ksa8.json"
+    path.write_text(staggered_ksa8().to_json())
+    for argv in (("stats", "-T", "2"), ("verify", "-T", "5")):
+        by_path = run_cli(capsys, *argv, "--netlist", str(path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        assert run_cli(capsys, *argv, "--netlist", "-") == by_path, argv
+        assert by_path[0] == 0 and by_path[1], argv
 
 
 def test_sweep_reaches_zero_at_quiescence(capsys, tmp_path):

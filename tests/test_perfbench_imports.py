@@ -52,11 +52,13 @@ def test_benchmark_flags_are_cli_options():
         and re.fullmatch(r"--?[A-Za-z][\w-]*", node.value)
     }
     assert "--exhaustive-n-limit" in flags
-    options = set()
-    for action in build_parser()._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                options.update(sub._option_string_actions)
+    # every parser's options, nested subcommands (gen rca, gen ksa) included
+    options, parsers = set(), [build_parser()]
+    for parser in parsers:
+        options.update(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
     assert sorted(flags - options) == []
 
 

@@ -47,24 +47,28 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     # module and neither json nor fractions, and each command loads only
     # the package modules it runs.  This checks modules, not time
     netlist = tmp_path / "ksa8.json"
-    code = (
-        "import sys\n"
-        "def step(): global seen; added = set(sys.modules) - seen; seen |= added; print(*sorted(added))\n"
-        "seen = set(sys.modules)\n"
-        "import pseudoadder.cli as cli\n"
-        "step()\n"
-        f"assert cli.main(['gen', 'ksa', '--n', '8', '-o', {str(netlist)!r}]) == 0\n"
-        "step()\n"
-        f"assert cli.main(['chains', '--n', '8', '-a', '5', '-b', '3', '-o', {str(tmp_path / 'chains')!r}]) == 0\n"
-        "step()\n"
-        f"assert cli.main(['stats', '--netlist', {str(netlist)!r}, '-T', '2', '-o', {str(tmp_path / 'out')!r}]) == 0\n"
-        "step()\n"
+
+    def steps(*commands):
+        """The modules added by importing the CLI, then by each command in
+        turn, in one fresh interpreter."""
+        code = (
+            "import sys\n"
+            "def step(): global seen; added = set(sys.modules) - seen; seen |= added; print(*sorted(added))\n"
+            "seen = set(sys.modules)\n"
+            "import pseudoadder.cli as cli\n"
+            "step()\n"
+        ) + "".join(f"assert cli.main({argv!r}) == 0\nstep()\n" for argv in commands)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        return [set(line.split()) for line in done.stdout.splitlines()]
+
+    imported, generated, chained, analysed = steps(
+        ["gen", "ksa", "--n", "8", "-o", str(netlist)],
+        ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", str(tmp_path / "chains")],
+        ["stats", "--netlist", str(netlist), "-T", "2", "-o", str(tmp_path / "out")],
     )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    imported, generated, chained, analysed = (set(line.split()) for line in done.stdout.splitlines())
     assert imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
     assert imported & {"json", "fractions", "decimal"} == set()
 
@@ -76,6 +80,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     assert package(chained) == {"model", "chains"}
     assert package(analysed) & {"sim", "generators", "tables", "maxerror"} == set()
     assert "stats" in package(analysed)
+    # fast-vs-oracle alone runs neither the netlist analysis nor chain detection
+    _, verified = steps(["verify", "--fast-vs-oracle", "--n", "4", "--tables", "1", "-o", str(tmp_path / "v")])
+    assert package(verified) == {"model", "netlist", "stats", "sweep", "tables"}
 
 
 def test_package_api_resolves_every_name_lazily():
