@@ -18,9 +18,10 @@ stderr and output file, and the argv with the work directory shown as
 the same lines iff every command gave the same bytes and exit code, so
 a ``diff`` of two runs is the check.  It covers ``gen``, ``stats`` and
 ``ec`` at several read times on five netlists, ``sweep``, ``trace``,
-``chains``, exhaustive and sampled ``verify`` with its refusals, and
-the error paths of bad read times, missing files and malformed
-netlists.  It uses only the standard library.
+``chains``, exhaustive and sampled ``verify`` with its refusals, the
+``validity`` verdict of ``stats`` and ``ec`` (failed reads written to
+a file too), and the error paths of bad read times, missing files and
+malformed netlists.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def commands() -> list[list[str]]:
         ]
     cmds += [
         ["stats", "--netlist", "{dir}/rca8.json", "-T", "4", "-o", "{dir}/out.json"],
+        # a failed verdict still writes its report, and exits 1
+        ["stats", "--netlist", "{dir}/ksa8.json", "-T", "1", "--format", "csv", "-o", "{dir}/failed.csv"],
+        ["ec", "--netlist", "{dir}/ksa64.json", "-T", "1", "-o", "{dir}/failed.json"],
         ["sweep", "--netlist", "{dir}/rca10s.json", "--t-range", "3..quiescence:2/7", "-o", "{dir}/out.csv"],
         ["trace", "--netlist", "{dir}/rca8.json", "-a", "255", "-b", "1"],
         ["trace", "--netlist", "{dir}/rca10s.json", "-a", "1000", "-b", "23", "--format", "csv"],

@@ -8,8 +8,8 @@ squared error, maximum absolute error) with fast algorithms checked
 against brute-force oracles.
 
 Every name in ``__all__`` loads its home module on first use, so
-``import pseudoadder`` loads no submodule.  ``PseudoAdderError`` and
-``ORACLE_LIMIT`` live here for the CLI; :mod:`~pseudoadder.model` re-exports them.
+``import pseudoadder`` loads no submodule.  ``PseudoAdderError``, ``ORACLE_LIMIT``
+and ``SAMPLES`` live here for the CLI; :mod:`~pseudoadder.model` re-exports the first two.
 """
 
 __version__ = "0.1.0"
@@ -20,11 +20,12 @@ class PseudoAdderError(Exception):
 
 
 ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
+SAMPLES = 128  # pairs a sampled check draws unless told otherwise
 
 _EXPORTS = {
     "analysis": (
         "AssumptionReport", "ConservativeReport", "check_conservative", "ec_table_sweep",
-        "extract_ec_table", "verify_assumptions",
+        "extract_ec_table", "validity", "verify_assumptions",
     ),
     "chains": ("decompose_error", "detect_chains", "dominating_chain", "isolate_chain", "witness_for_chain_set"),
     "generators": ("KsaDelays", "generate_ksa", "generate_rca", "staggered_ksa8", "staggered_ksa8_delays"),

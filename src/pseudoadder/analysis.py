@@ -7,8 +7,8 @@ stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
 error there cannot be attributed to any chain.  Only then does the sum
 of the per-chain errors reproduce every pair's total error.  That rule
 is :func:`pseudoadder.sweep.read_carries`.  :func:`check_conservative`
-applies it to all pairs; :func:`verify_assumptions` checks it and the two
-other premises on one seeded lane batch.
+applies it to all pairs, :func:`verify_assumptions` it and the two other
+premises on one seeded lane batch, and :func:`validity` gives the verdict.
 
 Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
 ``(t, table)`` per listed read time, in the caller's order, that raises
@@ -23,6 +23,7 @@ from collections.abc import Iterator
 from heapq import merge
 from itertools import islice
 
+from . import ORACLE_LIMIT, SAMPLES
 from .chains import canonical_word
 from .model import (
     CarryChain,
@@ -34,6 +35,7 @@ from .model import (
     word_pair,
 )
 from .netlist import Netlist, Time
+from .stats import sae_oracle_simulate
 from .sweep import PairSweep, block_sweeps
 
 
@@ -75,13 +77,14 @@ class ConservativeReport(Record):
 class AssumptionReport(Record):
     """A seeded sample's verdicts on the chain model's three premises."""
 
-    __slots__ = ("read_time", "conservative", "commutativity_counterexamples", "independence_counterexamples")
+    __slots__ = ("read_time", "conservative", "commutativity_counterexamples", "independence_counterexamples", "oracle")
 
     def __init__(self, read_time: Time):
         self.read_time = read_time
         self.conservative = ConservativeReport(read_time)
         self.commutativity_counterexamples: list[tuple[int, int]] = []
         self.independence_counterexamples: list[tuple[CarryChain, int, int]] = []
+        self.oracle = None  # the StatsReport of validity's exhaustive pass, when it ran one
 
     @property
     def commutative(self) -> bool:
@@ -163,7 +166,7 @@ def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
 def verify_assumptions(
     net: Netlist,
     t: Time,
-    samples: int = 64,
+    samples: int = SAMPLES,
     seed: int = 0,
 ) -> AssumptionReport:
     """Spot-check the three premises of per-chain error attribution on
@@ -222,4 +225,17 @@ def verify_assumptions(
         expected = next(rest) & span
         found += [(c, *word_pair(w, n)) for w, s in zip(witnesses, rest) if s & span != expected]
     report.independence_counterexamples = list(dict.fromkeys(found))[:10]  # witnesses may repeat
+    return report
+
+
+def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SAMPLES,
+             seed: int = 0) -> AssumptionReport:
+    """:func:`verify_assumptions`'s report, whose conservative check covers all 4^n pairs iff n <= ``limit``:
+    then :func:`~pseudoadder.stats.sae_oracle_simulate`'s exhaustive pass runs first, counts it, and is kept
+    as ``.oracle``.  Above the limit the seeded sample is the verdict."""
+    exhaustive = ConservativeReport(read_time=t)
+    oracle = sae_oracle_simulate(net, t, force=True, conservative=exhaustive) if net.n <= limit else None
+    report = verify_assumptions(net, t, samples, seed)
+    if oracle is not None:
+        report.conservative, report.oracle = exhaustive, oracle
     return report

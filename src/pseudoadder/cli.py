@@ -25,15 +25,15 @@ chain-entry lists are made slice by slice from the table's maps.
 Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
 each erring chain; divide by ``4**n`` for a probability.
 
-Exit code 0 means no errors and no failed verification; a failed
-verification or an error (printed as ``error: ...``) exits 1, and an
-argument argparse refuses, such as another kind's delay option
-(``gen rca --delay``), exits 2.  All
-sampling takes an explicit ``--seed`` (default 0) so reports are
-reproducible.  ``verify`` checks conservativeness over all 4^n pairs,
-and runs the exhaustive oracles, iff n <= ``--exhaustive-n-limit``
-(default 10); above it, ``--samples`` distinct pairs from ``--seed`` are
-checked on the lane batch that also checks the two other premises.
+Exit code 0 means no errors and no failed verdict; a failed verdict or an error (printed as
+``error: ...``) exits 1, and an argument a subcommand refuses (``gen rca --delay``) exits 2
+under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` take their verdict on the
+three premises from :func:`~pseudoadder.analysis.validity`: conservativeness over all 4^n pairs,
+with the exhaustive oracle, iff n <= ``--exhaustive-n-limit`` (default 10), else over ``--samples``
+distinct pairs from ``--seed`` (128 and 0).  ``stats`` and ``ec`` use the defaults and add a
+``validity`` block (``passed``, ``method``: ``exhaustive`` or the unproven ``sampled``, ``pairs``,
+``seed``, ``violations``, ``counterexamples``), and the stats CSV a ``validity`` column (the
+method or ``failed``); ``sweep`` gives no verdict yet.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
@@ -50,7 +50,7 @@ from contextlib import nullcontext
 from functools import cache
 from itertools import islice
 
-from . import ORACLE_LIMIT, PseudoAdderError
+from . import ORACLE_LIMIT, SAMPLES, PseudoAdderError
 
 
 def _parse_delay_list(spec: str, count: int, what: str) -> list:
@@ -148,6 +148,17 @@ def _emit(args: argparse.Namespace, obj: object, rows: list[dict]) -> None:
             writer.writerows(rows)
 
 
+def _validity(net: Netlist, t: Time) -> dict:
+    """The ``validity`` block of ``stats`` and ``ec``: the verdict of
+    :func:`~pseudoadder.analysis.validity` with its defaults, and how it was reached."""
+    from .analysis import validity
+
+    report = validity(net, t)
+    c, exhaustive = report.conservative, report.conservative.checked == 4**net.n
+    return {"passed": report.passed, "method": "exhaustive" if exhaustive else "sampled", "pairs": c.checked,
+            "seed": None if exhaustive else 0, "violations": c.violations, "counterexamples": c.counterexamples}
+
+
 def _stats_row(t: Time, report: StatsReport) -> dict:
     return {
         "T": str(t),
@@ -210,6 +221,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     net = _load_netlist(args.netlist)
     t = _read_time(args.T, "-T")
+    validity = _validity(net, t)
     ec = extract_ec_table(net, t)
     del net  # the report is built and written without the netlist held
     report = analyze_table(ec)
@@ -219,17 +231,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "sign_convention": "true_sum_minus_computed_sum",
         "ec": ec.to_json_dict(lazy=True),
         "stats": report.to_json_dict(lazy=True),
+        "validity": validity,
     }
-    _emit(args, payload, [{"n": ec.n, **_stats_row(t, report)}])
-    return 0
+    verdict = validity["method"] if validity["passed"] else "failed"
+    _emit(args, payload, [{"n": ec.n, **_stats_row(t, report), "validity": verdict}])
+    return 0 if validity["passed"] else 1
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
     from .analysis import extract_ec_table
 
-    ec = extract_ec_table(_load_netlist(args.netlist), _read_time(args.T, "-T"))
-    _emit_json(ec.to_json_dict(lazy=True), args.output)
-    return 0
+    net, t = _load_netlist(args.netlist), _read_time(args.T, "-T")
+    validity = _validity(net, t)
+    _emit_json({**extract_ec_table(net, t).to_json_dict(lazy=True), "validity": validity}, args.output)
+    return 0 if validity["passed"] else 1
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
@@ -281,7 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import random
 
-    from .stats import analyze_table, sae_oracle_chains, sae_oracle_simulate
+    from .stats import analyze_table, sae_oracle_chains
     from .tables import random_realizable_table
 
     # zero samples or tables, or no netlist and no tables, would check
@@ -307,25 +322,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return (fast.sae, fast.mse, fast.max_abs_error) == (oracle.sae, oracle.mse, oracle.max_abs_error)
 
     if args.netlist:
-        from .analysis import ConservativeReport, extract_ec_table, verify_assumptions
+        from .analysis import extract_ec_table, validity
 
         net = _load_netlist(args.netlist)
-        # one exhaustive pass: the oracle counts each block in as well
-        exhaustive = ConservativeReport(read_time=t)
-        oracle = sae_oracle_simulate(net, t, force=True, conservative=exhaustive) if net.n <= limit else None
-        # one seeded batch answers all three premises on the sample
-        assumptions = verify_assumptions(net, t, samples=args.samples, seed=args.seed)
-        conservative = assumptions.conservative if oracle is None else exhaustive
-        record("conservative (no spurious carries)", conservative.passed,
-               f"counterexamples={conservative.counterexamples}")
-        record("commutativity", assumptions.commutative, str(assumptions.commutativity_counterexamples[:3]))
-        record("lower-position independence", assumptions.independent,
-               str(assumptions.independence_counterexamples[:3]))
-        if oracle is not None and conservative.passed and assumptions.passed:
+        report = validity(net, t, limit, args.samples, args.seed)
+        record("conservative (no spurious carries)", report.conservative.passed,
+               f"counterexamples={report.conservative.counterexamples}")
+        record("commutativity", report.commutative, str(report.commutativity_counterexamples[:3]))
+        record("lower-position independence", report.independent, str(report.independence_counterexamples[:3]))
+        if report.oracle is not None and report.passed:
             fast = analyze_table(extract_ec_table(net, t))
             # the sums are part of the name, so a PASS shows them too
-            record(f"fast statistics equal exhaustive simulation  fast sae={fast.sae} oracle sae={oracle.sae}",
-                   same(fast, oracle))
+            record(f"fast statistics equal exhaustive simulation  fast sae={fast.sae} oracle sae={report.oracle.sae}",
+                   same(fast, report.oracle))
 
     if args.fast_vs_oracle:
         rng = random.Random(args.seed)
@@ -340,12 +349,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand refuses what it does not take itself, under its own usage line
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudoadder",
         description="Exact error statistics for inaccurate binary adders.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def option(*flags: str, **kwargs) -> argparse.ArgumentParser:
         """A parent parser declaring one option for every command that takes it."""
@@ -396,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exhaustive-n-limit", type=int, default=ORACLE_LIMIT,
                           help="check all 4^n pairs and run the oracles iff n is at most "
                           "this (default: %(default)s); wider netlists are sampled")
-    p_verify.add_argument("--samples", type=int, default=128)
+    p_verify.add_argument("--samples", type=int, default=SAMPLES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fast-vs-oracle", action="store_true")
     p_verify.add_argument("--n", type=int, default=None)

@@ -24,6 +24,7 @@ from pseudoadder import (
     generate_rca,
     simulate,
     staggered_ksa8,
+    validity,
     verify_assumptions,
 )
 from pseudoadder import analysis
@@ -135,20 +136,36 @@ def test_inverted_carry_netlist_fails_with_counterexample():
 
 
 def test_sampled_mode_agrees_with_exhaustive():
-    from pseudoadder import reference_add
+    from pseudoadder import SAMPLES, reference_add
 
     net = staggered_ksa8()
     assert check_conservative(net, 7).passed
     assert verify_assumptions(net, 7).conservative.passed
     assert not check_conservative(net, 0).passed
     bad = verify_assumptions(net, 0).conservative
-    assert not bad.passed and bad.checked == 64 and bad.counterexamples
+    assert not bad.passed and bad.checked == SAMPLES == 128 and bad.counterexamples
     # each sampled counterexample is a violation over all pairs too:
     # c'_k = s'_k ^ a_k ^ b_k exceeds c_k (c_0 = 0 flags a stale s'_0)
     for a, b, k in bad.counterexamples:
         p = InputPair(8, a, b)
         _, carries = reference_add(p)
         assert (computed_sum(net, p, 0) ^ a ^ b) >> k & 1 > carries >> k & 1
+
+
+def test_validity_is_all_pairs_within_the_limit_and_the_sample_above():
+    from pseudoadder import sae_oracle_simulate
+
+    net = staggered_ksa8()
+    for t in (0, 7):
+        report = validity(net, t)
+        assert report.conservative == check_conservative(net, t)
+        assert report.oracle == sae_oracle_simulate(net, t)
+        sampled = verify_assumptions(net, t)
+        # the other two premises are the sample's either way
+        assert report.commutativity_counterexamples == sampled.commutativity_counterexamples
+        assert report.independence_counterexamples == sampled.independence_counterexamples
+        assert validity(net, t, limit=7, samples=32, seed=1) == verify_assumptions(net, t, 32, 1)
+        assert verify_assumptions(net, t, 32, 1).oracle is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -69,12 +69,14 @@ def test_gen_refuses_the_other_kinds_delay_options(capsys):
         (("ksa", "--n", "2", "--carry-delays", "9,9"), "--carry-delays"),
         (("ksa", "--n", "2", "--sum-delays", "9,9,9"), "--sum-delays"),
     ):
-        # each kind is a subcommand owning its options; argparse refuses the rest
+        # each kind is a subcommand owning its options; it refuses the
+        # rest itself, under its own usage line
         with pytest.raises(SystemExit) as exit_:
             main(["gen", *argv])
         out, err = capsys.readouterr()
         assert (exit_.value.code, out) == (2, "")
-        assert err.endswith(f"error: unrecognized arguments: {option} {argv[-1]}\n")
+        assert err.startswith(f"usage: pseudoadder gen {argv[0]} [-h] --n N [-o OUTPUT]"), err
+        assert err.endswith(f"\npseudoadder gen {argv[0]}: error: unrecognized arguments: {option} {argv[-1]}\n")
 
 
 def write_staggered(tmp_path):
@@ -438,8 +440,6 @@ def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp
         assert "Traceback" not in err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: stats reports statistics at a read time "
-                   "where the chain model fails (er_avg 757/4, exit 0)")
 def test_stats_exits_1_where_verify_fails(capsys, tmp_path):
     path = str(tmp_path / "ksa8.json")
     assert run_cli(capsys, "gen", "ksa", "--n", "8", "-o", path)[0] == 0
@@ -447,6 +447,69 @@ def test_stats_exits_1_where_verify_fails(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--netlist", path, "-T", "1")
     assert code == 1 and "FAIL  conservative" in out
     assert run_cli(capsys, "stats", "--netlist", path, "-T", "1")[0] == 1
+
+
+def test_stats_and_ec_carry_the_exhaustive_verdict(capsys, tmp_path):
+    from pseudoadder import check_conservative
+
+    path, seen = tmp_path / "ksa8.json", set()
+    for net in (staggered_ksa8(), generate_ksa(8, 1)):
+        path.write_text(net.to_json())
+        for t in range(12):
+            exact = check_conservative(net, t)
+            seen.add(exact.passed)
+            expected = {
+                "passed": exact.passed, "method": "exhaustive", "pairs": 4**8, "seed": None,
+                "violations": exact.violations, "counterexamples": [list(c) for c in exact.counterexamples],
+            }
+            for command in ("stats", "ec"):
+                code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", str(t))
+                assert (code, err) == (0 if exact.passed else 1, ""), (command, t)
+                assert json.loads(out)["validity"] == expected, (command, t)
+            code, out, _ = run_cli(capsys, "stats", "--netlist", str(path), "-T", str(t), "--format", "csv")
+            assert code == (0 if exact.passed else 1)
+            assert next(csv.DictReader(io.StringIO(out)))["validity"] == ("exhaustive" if exact.passed else "failed")
+    assert seen == {False, True}
+
+
+def test_stats_and_ec_above_the_limit_carry_the_sampled_verdict(capsys, tmp_path):
+    path = tmp_path / "ksa64.json"
+    net = generate_ksa(64, 1)
+    path.write_text(net.to_json())
+    sampled = verify_assumptions(net, 1, 128, 0).conservative
+    assert not sampled.passed
+    expected = {
+        "passed": False, "method": "sampled", "pairs": 128, "seed": 0,
+        "violations": sampled.violations, "counterexamples": [list(c) for c in sampled.counterexamples],
+    }
+    for command in ("stats", "ec"):
+        code, out, _ = run_cli(capsys, command, "--netlist", str(path), "-T", "1")
+        assert (code, json.loads(out)["validity"]) == (1, expected), command
+        code, out, _ = run_cli(capsys, command, "--netlist", str(path), "-T", "2")
+        assert code == 0, command
+        assert json.loads(out)["validity"] == {**expected, "passed": True, "violations": 0, "counterexamples": []}
+
+
+def test_stats_at_a_passing_read_adds_only_the_validity_block(capsys, tmp_path):
+    from pseudoadder import analyze_table, extract_ec_table
+
+    path = tmp_path / "ksa64.json"
+    net = generate_ksa(64, 1)
+    path.write_text(net.to_json())
+    code, out, _ = run_cli(capsys, "stats", "--netlist", str(path), "-T", "2")
+    assert code == 0
+    ec = extract_ec_table(net, 2)
+    before = {
+        "n": 64, "T": "2", "sign_convention": "true_sum_minus_computed_sum",
+        "ec": ec.to_json_dict(), "stats": analyze_table(ec).to_json_dict(),
+    }
+    # the report without the block is the one written before the verdict,
+    # byte for byte, and the block is its last member
+    block = json.dumps(json.loads(out)["validity"])
+    assert out == json.dumps(before)[:-1] + f", \"validity\": {block}}}\n"
+    code, out, _ = run_cli(capsys, "stats", "--netlist", str(path), "-T", "2", "--format", "csv")
+    header, row = out.splitlines()
+    assert header.endswith(",max_abs_error,validity") and row.endswith(",sampled")
 
 
 def test_verify_pass_and_exit_codes(capsys, tmp_path):
