@@ -20,8 +20,9 @@ a ``diff`` of two runs is the check.  It covers ``gen``, ``stats`` and
 ``ec`` at several read times on five netlists, ``sweep``, ``trace``,
 ``chains``, exhaustive and sampled ``verify`` with its refusals, the
 ``validity`` verdict of ``stats`` and ``ec`` (failed reads written to
-a file too), and the error paths of bad read times, missing files and
-malformed netlists.  It uses only the standard library.
+a file too, and reads of the three faulty netlists), and the error
+paths of bad read times, missing files and malformed netlists.  It
+uses only the standard library.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ def commands() -> list[list[str]]:
         # sampled: one FAIL line for each premise
         cmds += [["verify", "--netlist", f"{{dir}}/{name}.json", "-T", t, "--exhaustive-n-limit", "1"]
                  for t in ("1000", "1")]
+        # the verdict names each failing premise, unless a probe leaves the model first
+        cmds += [[command, "--netlist", f"{{dir}}/{name}.json", "-T", "1000"] for command in ("stats", "ec")]
     cmds += [
         ["verify", "--fast-vs-oracle", "--n", "4", "--tables", "5"],
         ["verify", "--fast-vs-oracle", "--n", "5", "--tables", "3", "--seed", "7"],

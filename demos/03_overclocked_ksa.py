@@ -46,6 +46,6 @@ for t in (0, 1, T):
     report = pa.check_conservative(net, t)
     print(f"conservative at T={t}: {report.passed}"
           + (f"  (first counterexamples {report.counterexamples[:2]})" if not report.passed else ""))
-assumptions = pa.verify_assumptions(net, T, samples=64, seed=1)
+assumptions = pa.validity(net, T, samples=64, seed=1)
 print("commutative:", assumptions.commutative,
       "| independent of lower bits:", assumptions.independent)

@@ -25,7 +25,7 @@ SAMPLES = 128  # pairs a sampled check draws unless told otherwise
 _EXPORTS = {
     "analysis": (
         "AssumptionReport", "ConservativeReport", "check_conservative", "ec_table_sweep",
-        "extract_ec_table", "validity", "verify_assumptions",
+        "extract_ec_table", "validity",
     ),
     "chains": ("decompose_error", "detect_chains", "dominating_chain", "isolate_chain", "witness_for_chain_set"),
     "generators": ("KsaDelays", "generate_ksa", "generate_rca", "staggered_ksa8", "staggered_ksa8_delays"),

@@ -7,8 +7,8 @@ stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
 error there cannot be attributed to any chain.  Only then does the sum
 of the per-chain errors reproduce every pair's total error.  That rule
 is :func:`pseudoadder.sweep.read_carries`.  :func:`check_conservative`
-applies it to all pairs, :func:`verify_assumptions` it and the two other
-premises on one seeded lane batch, and :func:`validity` gives the verdict.
+applies it to all pairs; :func:`validity` gives the verdict on it and the
+two other premises, and says how it was reached.
 
 Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
 ``(t, table)`` per listed read time, in the caller's order, that raises
@@ -75,16 +75,18 @@ class ConservativeReport(Record):
 
 
 class AssumptionReport(Record):
-    """A seeded sample's verdicts on the chain model's three premises."""
+    """The verdict of :func:`validity` on the chain model's three premises
+    at one read time, and how it was reached."""
 
-    __slots__ = ("read_time", "conservative", "commutativity_counterexamples", "independence_counterexamples", "oracle")
+    __slots__ = ("n", "read_time", "seed", "conservative", "commutativity_counterexamples",
+                 "independence_counterexamples", "oracle")
 
-    def __init__(self, read_time: Time):
-        self.read_time = read_time
+    def __init__(self, n: int, read_time: Time, seed: int):
+        self.n, self.read_time, self.seed = n, read_time, seed
         self.conservative = ConservativeReport(read_time)
         self.commutativity_counterexamples: list[tuple[int, int]] = []
         self.independence_counterexamples: list[tuple[CarryChain, int, int]] = []
-        self.oracle = None  # the StatsReport of validity's exhaustive pass, when it ran one
+        self.oracle = None  # the StatsReport of the exhaustive pass, when one ran
 
     @property
     def commutative(self) -> bool:
@@ -98,11 +100,24 @@ class AssumptionReport(Record):
     def passed(self) -> bool:
         return self.conservative.passed and self.commutative and self.independent
 
+    @property
+    def method(self) -> str:
+        """``exhaustive`` iff conservativeness was checked on all 4^n pairs, else the unproven ``sampled``."""
+        return "exhaustive" if self.conservative.checked == 1 << 2 * self.n else "sampled"
+
+    def to_json_dict(self) -> dict:
+        """The ``validity`` block of ``stats`` and ``ec``: each premise's counterexamples, at most 10."""
+        c = self.conservative
+        return {"passed": self.passed, "method": self.method, "pairs": c.checked, "seed": self.seed,
+                "violations": c.violations, "counterexamples": c.counterexamples,
+                "commutativity_counterexamples": self.commutativity_counterexamples,
+                "independence_counterexamples": self.independence_counterexamples}
+
 
 def check_conservative(net: Netlist, t: Time) -> ConservativeReport:
     """Verify ``c'_k <= c_k`` and a fresh position-0 bit for all 4^n pairs
     at T, one lane block at a time.  Counterexamples are listed by
-    position, then by lane; :func:`verify_assumptions` checks a sample."""
+    position, then by lane; :func:`validity` gives the verdict."""
     report = ConservativeReport(read_time=t)
     for sw in block_sweeps(net, [t]):
         report.add(sw, sw.full)
@@ -163,34 +178,30 @@ def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
     return pair_word(a, b, n)
 
 
-def verify_assumptions(
-    net: Netlist,
-    t: Time,
-    samples: int = SAMPLES,
-    seed: int = 0,
-) -> AssumptionReport:
-    """Spot-check the three premises of per-chain error attribution on
-    one lane batch.
+def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SAMPLES,
+             seed: int = 0) -> AssumptionReport:
+    """The verdict on the three premises of per-chain error attribution at T.
 
-    Conservativeness (``report.conservative``): the first ``samples``
-    distinct pairs that ``Random(seed)`` draws, a then b, in the order of
-    their first draw (above half of all 4^n pairs, one ``rng.sample`` of
-    words); every pair in :func:`~pseudoadder.model.pair_word` order when
-    ``samples`` is at least 4^n.  Commutativity:
-    ``s'(a, b) == s'(b, a)`` for them and for (0, 1).  Independence: for
-    sampled chains, the error restricted to the chain's bit span matches
-    the canonical probe's on every sampled witness.  Every pair generating
-    chain (i, j) has the same true sum bits i..j (0 at i..j-1, 1 at j: the
-    generate at i-1 always carries in), so two span errors are equal
-    exactly when the read bits i..j are equal, and those are compared.
-    A failure means the fast statistics do not apply to this netlist.
-    ``samples`` must be at least 1.
+    Conservativeness (``.conservative``) covers all 4^n pairs iff n <= ``limit``, counted
+    in :func:`~pseudoadder.stats.sae_oracle_simulate`'s exhaustive pass, which runs first and
+    is kept as ``.oracle``.  Otherwise it covers the first ``samples`` distinct pairs that
+    ``Random(seed)`` draws, a then b, in the order of their first draw (above half of all
+    4^n pairs, one ``rng.sample`` of words; every pair in
+    :func:`~pseudoadder.model.pair_word` order when ``samples`` is at least 4^n).  At every n
+    that sample and (0, 1) check commutativity, ``s'(a, b) == s'(b, a)``, and sampled chains
+    independence: the error restricted to a chain's bit span matches the canonical probe's
+    on every sampled witness.  Every pair generating chain (i, j) has the same true sum bits
+    i..j (0 at i..j-1, 1 at j: the generate at i-1 always carries in), so two span errors are
+    equal exactly when the read bits i..j are equal, and those are compared.  One lane batch
+    answers every sampled check.  ``samples`` must be at least 1.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
     n = net.n
-    report = AssumptionReport(read_time=t)
+    report = AssumptionReport(n, t, seed)
+    if n <= limit:
+        report.oracle = sae_oracle_simulate(net, t, force=True, conservative=report.conservative)
+    rng = random.Random(seed)
 
     m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
     # above half of all pairs one draw per pair, not a coupon collector's many
@@ -211,7 +222,8 @@ def verify_assumptions(
     for c, witnesses in witnessed:
         words += [canonical_word(c, n), *witnesses]
     sw = PairSweep(net, words=words, times=[t])
-    report.conservative.add(sw, (1 << m) - 1)
+    if report.oracle is None:
+        report.conservative.add(sw, (1 << m) - 1)
     sums = sw.lane_sums(t)
 
     one, other = sums[2 * m : 2 * m + 2]
@@ -225,17 +237,4 @@ def verify_assumptions(
         expected = next(rest) & span
         found += [(c, *word_pair(w, n)) for w, s in zip(witnesses, rest) if s & span != expected]
     report.independence_counterexamples = list(dict.fromkeys(found))[:10]  # witnesses may repeat
-    return report
-
-
-def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SAMPLES,
-             seed: int = 0) -> AssumptionReport:
-    """:func:`verify_assumptions`'s report, whose conservative check covers all 4^n pairs iff n <= ``limit``:
-    then :func:`~pseudoadder.stats.sae_oracle_simulate`'s exhaustive pass runs first, counts it, and is kept
-    as ``.oracle``.  Above the limit the seeded sample is the verdict."""
-    exhaustive = ConservativeReport(read_time=t)
-    oracle = sae_oracle_simulate(net, t, force=True, conservative=exhaustive) if net.n <= limit else None
-    report = verify_assumptions(net, t, samples, seed)
-    if oracle is not None:
-        report.conservative, report.oracle = exhaustive, oracle
     return report

@@ -23,17 +23,14 @@ encoder (lists :data:`JSON_SLICE` items at a time), with bytes identical
 to one ``json.dumps``, so a large report never exists whole in memory;
 chain-entry lists are made slice by slice from the table's maps.
 Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
-each erring chain; divide by ``4**n`` for a probability.
+each erring chain; divide by 4^n for a probability.
 
 Exit code 0 means no errors and no failed verdict; a failed verdict or an error (printed as
 ``error: ...``) exits 1, and an argument a subcommand refuses (``gen rca --delay``) exits 2
 under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` take their verdict on the
-three premises from :func:`~pseudoadder.analysis.validity`: conservativeness over all 4^n pairs,
-with the exhaustive oracle, iff n <= ``--exhaustive-n-limit`` (default 10), else over ``--samples``
-distinct pairs from ``--seed`` (128 and 0).  ``stats`` and ``ec`` use the defaults and add a
-``validity`` block (``passed``, ``method``: ``exhaustive`` or the unproven ``sampled``, ``pairs``,
-``seed``, ``violations``, ``counterexamples``), and the stats CSV a ``validity`` column (the
-method or ``failed``); ``sweep`` gives no verdict yet.
+three premises from :func:`~pseudoadder.analysis.validity`.  ``verify`` passes it its options;
+``stats`` and ``ec`` take its defaults and write its ``validity`` block, and the stats CSV a
+``validity`` column (the method or ``failed``).  ``sweep`` gives no verdict yet.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
@@ -148,17 +145,6 @@ def _emit(args: argparse.Namespace, obj: object, rows: list[dict]) -> None:
             writer.writerows(rows)
 
 
-def _validity(net: Netlist, t: Time) -> dict:
-    """The ``validity`` block of ``stats`` and ``ec``: the verdict of
-    :func:`~pseudoadder.analysis.validity` with its defaults, and how it was reached."""
-    from .analysis import validity
-
-    report = validity(net, t)
-    c, exhaustive = report.conservative, report.conservative.checked == 4**net.n
-    return {"passed": report.passed, "method": "exhaustive" if exhaustive else "sampled", "pairs": c.checked,
-            "seed": None if exhaustive else 0, "violations": c.violations, "counterexamples": c.counterexamples}
-
-
 def _stats_row(t: Time, report: StatsReport) -> dict:
     return {
         "T": str(t),
@@ -216,12 +202,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .analysis import extract_ec_table
+    from .analysis import extract_ec_table, validity
     from .stats import analyze_table
 
     net = _load_netlist(args.netlist)
     t = _read_time(args.T, "-T")
-    validity = _validity(net, t)
+    verdict = validity(net, t)
     ec = extract_ec_table(net, t)
     del net  # the report is built and written without the netlist held
     report = analyze_table(ec)
@@ -231,20 +217,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "sign_convention": "true_sum_minus_computed_sum",
         "ec": ec.to_json_dict(lazy=True),
         "stats": report.to_json_dict(lazy=True),
-        "validity": validity,
+        "validity": verdict.to_json_dict(),
     }
-    verdict = validity["method"] if validity["passed"] else "failed"
-    _emit(args, payload, [{"n": ec.n, **_stats_row(t, report), "validity": verdict}])
-    return 0 if validity["passed"] else 1
+    row = {"n": ec.n, **_stats_row(t, report), "validity": verdict.method if verdict.passed else "failed"}
+    _emit(args, payload, [row])
+    return 0 if verdict.passed else 1
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
-    from .analysis import extract_ec_table
+    from .analysis import extract_ec_table, validity
 
     net, t = _load_netlist(args.netlist), _read_time(args.T, "-T")
-    validity = _validity(net, t)
-    _emit_json({**extract_ec_table(net, t).to_json_dict(lazy=True), "validity": validity}, args.output)
-    return 0 if validity["passed"] else 1
+    verdict = validity(net, t)
+    _emit_json({**extract_ec_table(net, t).to_json_dict(lazy=True), "validity": verdict.to_json_dict()}, args.output)
+    return 0 if verdict.passed else 1
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:

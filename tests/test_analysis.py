@@ -25,7 +25,6 @@ from pseudoadder import (
     simulate,
     staggered_ksa8,
     validity,
-    verify_assumptions,
 )
 from pseudoadder import analysis
 from pseudoadder.analysis import _random_witness
@@ -140,9 +139,9 @@ def test_sampled_mode_agrees_with_exhaustive():
 
     net = staggered_ksa8()
     assert check_conservative(net, 7).passed
-    assert verify_assumptions(net, 7).conservative.passed
+    assert validity(net, 7, limit=0).conservative.passed
     assert not check_conservative(net, 0).passed
-    bad = verify_assumptions(net, 0).conservative
+    bad = validity(net, 0, limit=0).conservative
     assert not bad.passed and bad.checked == SAMPLES == 128 and bad.counterexamples
     # each sampled counterexample is a violation over all pairs too:
     # c'_k = s'_k ^ a_k ^ b_k exceeds c_k (c_0 = 0 flags a stale s'_0)
@@ -160,12 +159,22 @@ def test_validity_is_all_pairs_within_the_limit_and_the_sample_above():
         report = validity(net, t)
         assert report.conservative == check_conservative(net, t)
         assert report.oracle == sae_oracle_simulate(net, t)
-        sampled = verify_assumptions(net, t)
+        assert (report.method, report.seed) == ("exhaustive", 0)
+        drawn = validity(net, t, limit=7, samples=32, seed=1)
+        assert (drawn.method, drawn.seed, drawn.conservative.checked, drawn.oracle) == ("sampled", 1, 32, None)
         # the other two premises are the sample's either way
+        sampled = validity(net, t, limit=7)
         assert report.commutativity_counterexamples == sampled.commutativity_counterexamples
         assert report.independence_counterexamples == sampled.independence_counterexamples
-        assert validity(net, t, limit=7, samples=32, seed=1) == verify_assumptions(net, t, 32, 1)
-        assert verify_assumptions(net, t, 32, 1).oracle is None
+
+
+def test_a_sample_of_every_pair_is_exhaustive():
+    n = 4
+    net = generate_rca(n, [1] * n, [1] * (n + 1))
+    for t in (0, 2 * n):
+        report = validity(net, t, limit=0, samples=4**n, seed=5)
+        assert (report.method, report.seed, report.oracle) == ("exhaustive", 5, None)
+        assert report.conservative == check_conservative(net, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +207,7 @@ def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, s
     sw = PairSweep(net, words=words, times=[t])
     expected = ConservativeReport(read_time=t)
     expected.add(sw, sw.full)
-    got = verify_assumptions(net, t, samples=samples, seed=seed).conservative
+    got = validity(net, t, limit=0, samples=samples, seed=seed).conservative
     assert (got.checked, got.violations, got.counterexamples) == (
         expected.checked, expected.violations, expected.counterexamples)
 
@@ -226,7 +235,7 @@ def test_dense_sample_takes_one_draw_per_pair(n, monkeypatch):
     net = generate_rca(n, [1] * n, [1] * (n + 1))
     for samples in (4**n // 2 + 1, 4**n - 1):
         for seed in range(3):
-            report = verify_assumptions(net, 2 * n, samples=samples, seed=seed)
+            report = validity(net, 2 * n, limit=0, samples=samples, seed=seed)
             assert report.conservative.checked == samples and report.passed
             assert drawn_before_shuffle.pop() <= 2 * samples
 
@@ -242,7 +251,7 @@ def test_dense_sample_takes_one_draw_per_pair(n, monkeypatch):
 def test_sampled_check_counts_each_pair_once(kind, build_seed, samples, seed, t):
     faulty = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3}
     net = faulty[kind]() if kind in faulty else _netlist(kind, random.Random(build_seed))
-    report = verify_assumptions(net, t, samples=samples, seed=seed)
+    report = validity(net, t, limit=0, samples=samples, seed=seed)
     found = report.conservative.counterexamples
     assert report.conservative.checked == min(samples, 4**net.n)
     assert len(set(found)) == len(found)
@@ -267,7 +276,7 @@ def test_conservative_check_refuses_an_empty_sample():
     net = generate_rca(6, [1] * 6, [1] * 7)
     assert check_conservative(net, 0).violations == 8160
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        verify_assumptions(net, 0, samples=0)
+        validity(net, 0, limit=0, samples=0)
 
 
 def test_extract_zero_table_from_correct_adder():
@@ -340,7 +349,7 @@ def test_decoupled_sum_delays_can_break_nonnegativity():
 def test_generators_pass_assumption_checks():
     for net in (generate_rca(4, [1, 2, 1, 1], [1] * 5), generate_ksa(8, 1), staggered_ksa8()):
         q = 64
-        report = verify_assumptions(net, q, samples=48, seed=1)
+        report = validity(net, q, limit=0, samples=48, seed=1)
         assert report.passed, (
             report.commutativity_counterexamples,
             report.independence_counterexamples,
@@ -349,15 +358,15 @@ def test_generators_pass_assumption_checks():
 
 def test_assumption_check_refuses_fewer_than_one_sample():
     net = ignores_a0_rca2()
-    assert not verify_assumptions(net, 1000, samples=1).commutative
+    assert not validity(net, 1000, limit=0, samples=1).commutative
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be at least 1"):
-            verify_assumptions(net, 1000, samples=samples)
+            validity(net, 1000, limit=0, samples=samples)
 
 
 def test_ignored_input_fails_commutativity():
     net = ignores_a0_rca2()
-    report = verify_assumptions(net, 1000, samples=16, seed=0)
+    report = validity(net, 1000, limit=0, samples=16, seed=0)
     assert not report.commutative
     assert (0, 1) in report.commutativity_counterexamples or (
         1,
@@ -367,5 +376,5 @@ def test_ignored_input_fails_commutativity():
 
 def test_low_bit_gating_fails_independence():
     net = low_bit_gated_rca3()
-    report = verify_assumptions(net, 1000, samples=64, seed=0)
+    report = validity(net, 1000, limit=0, samples=64, seed=0)
     assert not report.independent

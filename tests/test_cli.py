@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pseudoadder import InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, verify_assumptions
+from pseudoadder import InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, validity
 from pseudoadder.cli import JSON_SLICE, _emit_json, main
 
 from conftest import traced_sum
@@ -458,9 +458,11 @@ def test_stats_and_ec_carry_the_exhaustive_verdict(capsys, tmp_path):
         for t in range(12):
             exact = check_conservative(net, t)
             seen.add(exact.passed)
+            # commutativity and independence are sampled, from seed 0, at every n
             expected = {
-                "passed": exact.passed, "method": "exhaustive", "pairs": 4**8, "seed": None,
+                "passed": exact.passed, "method": "exhaustive", "pairs": 4**8, "seed": 0,
                 "violations": exact.violations, "counterexamples": [list(c) for c in exact.counterexamples],
+                "commutativity_counterexamples": [], "independence_counterexamples": [],
             }
             for command in ("stats", "ec"):
                 code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", str(t))
@@ -476,11 +478,12 @@ def test_stats_and_ec_above_the_limit_carry_the_sampled_verdict(capsys, tmp_path
     path = tmp_path / "ksa64.json"
     net = generate_ksa(64, 1)
     path.write_text(net.to_json())
-    sampled = verify_assumptions(net, 1, 128, 0).conservative
+    sampled = validity(net, 1, limit=0, samples=128, seed=0).conservative
     assert not sampled.passed
     expected = {
         "passed": False, "method": "sampled", "pairs": 128, "seed": 0,
         "violations": sampled.violations, "counterexamples": [list(c) for c in sampled.counterexamples],
+        "commutativity_counterexamples": [], "independence_counterexamples": [],
     }
     for command in ("stats", "ec"):
         code, out, _ = run_cli(capsys, command, "--netlist", str(path), "-T", "1")
@@ -488,6 +491,25 @@ def test_stats_and_ec_above_the_limit_carry_the_sampled_verdict(capsys, tmp_path
         code, out, _ = run_cli(capsys, command, "--netlist", str(path), "-T", "2")
         assert code == 0, command
         assert json.loads(out)["validity"] == {**expected, "passed": True, "violations": 0, "counterexamples": []}
+
+
+def test_stats_and_ec_name_the_premise_that_fails(capsys, tmp_path):
+    from test_analysis import low_bit_gated_rca3
+
+    # conservative at every pair, yet the verdict fails on the other two
+    # premises, and the block names their counterexamples
+    net, path = low_bit_gated_rca3(), tmp_path / "gated.json"
+    path.write_text(net.to_json())
+    report = validity(net, 1000)
+    commuted = [list(ab) for ab in report.commutativity_counterexamples]
+    dependent = [[list(c), a, b] for c, a, b in report.independence_counterexamples]
+    assert commuted and dependent
+    for command in ("stats", "ec"):
+        code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", "1000")
+        block = json.loads(out)["validity"]
+        assert (code, err, block["passed"], block["violations"], block["counterexamples"]) == (1, "", False, 0, [])
+        assert block["commutativity_counterexamples"] == commuted, command
+        assert block["independence_counterexamples"] == dependent, command
 
 
 def test_stats_at_a_passing_read_adds_only_the_validity_block(capsys, tmp_path):
@@ -632,7 +654,7 @@ def test_verify_faulty_netlist_fails(capsys, tmp_path):
         path.write_text(build().to_json())
         assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, ""), build.__name__
         # no counterexample repeats, also past the three that are printed
-        report = verify_assumptions(build(), 1000, samples=128, seed=0)
+        report = validity(build(), 1000, limit=0, samples=128, seed=0)
         for found in (report.independence_counterexamples, report.commutativity_counterexamples):
             assert len(set(found)) == len(found), build.__name__
 

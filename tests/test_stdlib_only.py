@@ -103,7 +103,6 @@ def test_package_api_resolves_every_name_lazily():
     assert sweep is sys.modules["pseudoadder.sweep"]
     assert stats.ORACLE_LIMIT is model.ORACLE_LIMIT
     assert cli.build_parser().parse_args(["verify"]).exhaustive_n_limit == model.ORACLE_LIMIT
-    # one default sample count, for the CLI and both library checks
+    # one default sample count, for the CLI and the library's verdict
     assert cli.build_parser().parse_args(["verify"]).samples == pseudoadder.SAMPLES
-    for check in (pseudoadder.verify_assumptions, pseudoadder.validity):
-        assert inspect.signature(check).parameters["samples"].default is pseudoadder.SAMPLES, check
+    assert inspect.signature(pseudoadder.validity).parameters["samples"].default is pseudoadder.SAMPLES

@@ -19,7 +19,7 @@ from pseudoadder import (
     sae_oracle_simulate,
     simulate,
     staggered_ksa8,
-    verify_assumptions,
+    validity,
 )
 from pseudoadder import sweep as sweep_module
 from pseudoadder.chains import canonical_word
@@ -121,7 +121,7 @@ READS = {  # every library entry point that takes a read time
     "extract_ec_table": extract_ec_table,
     "check_conservative": check_conservative,
     "sae_oracle_simulate": sae_oracle_simulate,
-    "verify_assumptions": verify_assumptions,
+    "validity": lambda net, t: validity(net, t, limit=0),  # the sample's batch, not the oracle's blocks
     "value_at": lambda net, t: simulate(net, InputPair(net.n, 1, 1)).value_at("s0", t),
     "computed_sum": lambda net, t: computed_sum(net, InputPair(net.n, 1, 1), t),
 }
