@@ -20,9 +20,9 @@ a ``diff`` of two runs is the check.  It covers ``gen``, ``stats`` and
 ``ec`` at several read times on five netlists, ``sweep``, ``trace``,
 ``chains``, exhaustive and sampled ``verify`` with its refusals, the
 ``validity`` verdict of ``stats`` and ``ec`` (failed reads written to
-a file too, and reads of the three faulty netlists), and the error
-paths of bad read times, missing files and malformed netlists.  It
-uses only the standard library.
+a file too, and reads of the three faulty netlists, where some probes
+leave the model), and the error paths of bad read times, missing files
+and malformed netlists.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -162,14 +162,21 @@ def commands() -> list[list[str]]:
         # sampled: one FAIL line for each premise
         cmds += [["verify", "--netlist", f"{{dir}}/{name}.json", "-T", t, "--exhaustive-n-limit", "1"]
                  for t in ("1000", "1")]
-        # the verdict names each failing premise, unless a probe leaves the model first
+        # the verdict names each failing premise, also where a probe leaves the model
         cmds += [[command, "--netlist", f"{{dir}}/{name}.json", "-T", "1000"] for command in ("stats", "ec")]
+    # a probe outside the model: no CSV row, and the report file still holds the verdict
+    cmds += [
+        ["stats", "--netlist", "{dir}/inverted_carry_rca2.json", "-T", "1000", "--format", "csv"],
+        ["stats", "--netlist", "{dir}/inverted_carry_rca2.json", "-T", "1000", "-o", "{dir}/probe.json"],
+    ]
     cmds += [
         ["verify", "--fast-vs-oracle", "--n", "4", "--tables", "5"],
         ["verify", "--fast-vs-oracle", "--n", "5", "--tables", "3", "--seed", "7"],
         ["verify", "--fast-vs-oracle"],
         ["verify", "--fast-vs-oracle", "--n", "12"],
         ["verify", "--fast-vs-oracle", "--n", "6", "--exhaustive-n-limit", "5"],
+        # the chain oracle runs above 10 on the option alone
+        ["verify", "--fast-vs-oracle", "--n", "11", "--tables", "1", "--exhaustive-n-limit", "11"],
         ["verify", "--netlist", "{dir}/sksa8.json", "-T", "8", "--fast-vs-oracle", "--n", "3", "--tables", "2"],
         ["verify", "--netlist", "{dir}/sksa8.json", "-T", "8", "--fast-vs-oracle"],
         ["verify", "--fast-vs-oracle", "--n", "4", "-T=-5"],

@@ -9,7 +9,7 @@ against brute-force oracles.
 
 Every name in ``__all__`` loads its home module on first use, so
 ``import pseudoadder`` loads no submodule.  ``PseudoAdderError``, ``ORACLE_LIMIT``
-and ``SAMPLES`` live here for the CLI; :mod:`~pseudoadder.model` re-exports the first two.
+and ``SAMPLES`` live here for the CLI; :mod:`~pseudoadder.model` re-exports the first.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ class PseudoAdderError(Exception):
     """Base class for errors raised by this package."""
 
 
-ORACLE_LIMIT = 10  # widest n an oracle enumerates unless forced
+ORACLE_LIMIT = 10  # widest n validity and verify enumerate by default
 SAMPLES = 128  # pairs a sampled check draws unless told otherwise
 
 _EXPORTS = {
@@ -31,7 +31,7 @@ _EXPORTS = {
     "generators": ("KsaDelays", "generate_ksa", "generate_rca", "staggered_ksa8", "staggered_ksa8_delays"),
     "maxerror": ("iter_chain_sets", "max_abs_error"),
     "model": (
-        "CarryChain", "ChainErrorTable", "ChainSet", "ConservativenessError", "InputPair", "OracleLimitError",
+        "CarryChain", "ChainErrorTable", "ChainSet", "ConservativenessError", "InputPair",
         "PseudoAdderError", "StatsReport", "all_chains", "reference_add",
     ),
     "netlist": ("Gate", "GateKind", "Netlist"),

@@ -200,7 +200,7 @@ def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SA
     n = net.n
     report = AssumptionReport(n, t, seed)
     if n <= limit:
-        report.oracle = sae_oracle_simulate(net, t, force=True, conservative=report.conservative)
+        report.oracle = sae_oracle_simulate(net, t, conservative=report.conservative)
     rng = random.Random(seed)
 
     m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped

@@ -30,7 +30,9 @@ Exit code 0 means no errors and no failed verdict; a failed verdict or an error 
 under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` take their verdict on the
 three premises from :func:`~pseudoadder.analysis.validity`.  ``verify`` passes it its options;
 ``stats`` and ``ec`` take its defaults and write its ``validity`` block, and the stats CSV a
-``validity`` column (the method or ``failed``).  ``sweep`` gives no verdict yet.
+``validity`` column (the method or ``failed``).  When a chain probe leaves the model,
+they print its ``error:`` line and still write that block, with ``"ec": null`` (and
+``"stats": null``) and no CSV row, and exit 1.  ``sweep`` gives no verdict yet.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
@@ -201,36 +203,47 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _read(args: argparse.Namespace) -> tuple[Time, AssumptionReport, ChainErrorTable | None]:
+    """The ``-T`` read of ``--netlist``: its verdict, then its chain-error
+    table, or None after printing the error when a probe leaves the model.
+    The netlist is released on return."""
     from .analysis import extract_ec_table, validity
-    from .stats import analyze_table
-
-    net = _load_netlist(args.netlist)
-    t = _read_time(args.T, "-T")
-    verdict = validity(net, t)
-    ec = extract_ec_table(net, t)
-    del net  # the report is built and written without the netlist held
-    report = analyze_table(ec)
-    payload = {
-        "n": ec.n,
-        "T": str(t),
-        "sign_convention": "true_sum_minus_computed_sum",
-        "ec": ec.to_json_dict(lazy=True),
-        "stats": report.to_json_dict(lazy=True),
-        "validity": verdict.to_json_dict(),
-    }
-    row = {"n": ec.n, **_stats_row(t, report), "validity": verdict.method if verdict.passed else "failed"}
-    _emit(args, payload, [row])
-    return 0 if verdict.passed else 1
-
-
-def _cmd_ec(args: argparse.Namespace) -> int:
-    from .analysis import extract_ec_table, validity
+    from .model import ConservativenessError
 
     net, t = _load_netlist(args.netlist), _read_time(args.T, "-T")
     verdict = validity(net, t)
-    _emit_json({**extract_ec_table(net, t).to_json_dict(lazy=True), "validity": verdict.to_json_dict()}, args.output)
-    return 0 if verdict.passed else 1
+    try:
+        return t, verdict, extract_ec_table(net, t)
+    except ConservativenessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return t, verdict, None
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import analyze_table
+
+    t, verdict, ec = _read(args)
+    report = None if ec is None else analyze_table(ec)
+    payload = {
+        "n": verdict.n,
+        "T": str(t),
+        "sign_convention": "true_sum_minus_computed_sum",
+        "ec": None if ec is None else ec.to_json_dict(lazy=True),
+        "stats": None if report is None else report.to_json_dict(lazy=True),
+        "validity": verdict.to_json_dict(),
+    }
+    rows = [] if report is None else [
+        {"n": verdict.n, **_stats_row(t, report), "validity": verdict.method if verdict.passed else "failed"}
+    ]
+    _emit(args, payload, rows)
+    return 0 if verdict.passed and ec is not None else 1
+
+
+def _cmd_ec(args: argparse.Namespace) -> int:
+    _, verdict, ec = _read(args)
+    table = {"n": verdict.n, "ec": None} if ec is None else ec.to_json_dict(lazy=True)
+    _emit_json({**table, "validity": verdict.to_json_dict()}, args.output)
+    return 0 if verdict.passed and ec is not None else 1
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
@@ -286,7 +299,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .tables import random_realizable_table
 
     # zero samples or tables, or no netlist and no tables, would check
-    # nothing and still exit 0; fast-vs-oracle needs an n the oracle may run
+    # nothing and still exit 0; the limit is the chain oracle's only width rule
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.tables < 1:
@@ -327,7 +340,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = True
         for _ in range(args.tables):
             ec = random_realizable_table(args.n, rng)
-            ok &= same(analyze_table(ec), sae_oracle_chains(ec, force=True))
+            ok &= same(analyze_table(ec), sae_oracle_chains(ec))
         record(f"fast-vs-oracle on {args.tables} random tables (n={args.n})", ok)
 
     with _output(args.output) as fh:

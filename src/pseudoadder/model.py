@@ -13,11 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from . import ORACLE_LIMIT, PseudoAdderError
-
-
-class OracleLimitError(PseudoAdderError):
-    """Raised when a brute-force enumeration would exceed ``ORACLE_LIMIT``."""
+from . import PseudoAdderError
 
 
 class ConservativenessError(PseudoAdderError):

@@ -4,8 +4,9 @@ The oracles enumerate all 2^(2n) input pairs, bit-sliced over the lanes
 of one lane block at a time (:func:`~pseudoadder.sweep.lane_blocks`):
 every pair's signed error is a bit of each of a few two's-complement
 slice masks, O(n) masks of 8 KB per block, which each block reduces to
-its SAE, SSE and max |error| before the next is built; above
-``ORACLE_LIMIT`` bits they run only with ``force=True``.  The simulation
+its SAE, SSE and max |error| before the next is built.  They run at any
+n, 4^(n-8) blocks above n = 8; the caller chooses the width
+(``validity(limit=)``, ``verify --exhaustive-n-limit``).  The simulation
 oracle also counts each block into a conservative check when given one,
 so ``verify`` simulates every block once.  The fast path,
 :func:`analyze_table`, works from a chain-error table: one scan over bit
@@ -22,18 +23,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from . import ORACLE_LIMIT
-from .model import CarryChain, ChainErrorTable, ChainSet, OracleLimitError, StatsReport
+from .model import CarryChain, ChainErrorTable, ChainSet, StatsReport
 from .netlist import Netlist, Time
 from .sweep import block_sweeps, lane_blocks, operand_masks
-
-
-def _check_oracle_width(n: int, force: bool) -> None:
-    if n > ORACLE_LIMIT and not force:
-        raise OracleLimitError(
-            f"exhaustive enumeration over 4^{n} pairs exceeds the width "
-            f"limit {ORACLE_LIMIT}; pass force=True to run it anyway"
-        )
 
 
 def _chain_masks(gen: list[int], prop: list[int]) -> Iterator[tuple[CarryChain, int]]:
@@ -101,15 +93,15 @@ def _oracle_report(n: int, blocks: Iterable[tuple[int, int, int]]) -> StatsRepor
     return StatsReport(n, sae, Fraction(sae, pairs), Fraction(sse, pairs), top)
 
 
-def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
+def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
     """Ground truth by enumerating pairs through chain detection.
 
     Every pair's error is the sum of its chains' table entries; the
     report also tallies, per chain, how many generating pairs fall under
-    a positive or negative dominating chain.
+    a positive or negative dominating chain.  It runs 4^(n-8) lane
+    blocks at n > 8.
     """
     n = ec.n
-    _check_oracle_width(n, force)
     # a pair's chains end at distinct positions j, so this bounds |error|
     bound = sum(max(abs(ec.get(i, j)) for i in range(1, j + 1)) for j in range(1, n + 1))
     nu_plus: dict[CarryChain, int] = {}
@@ -139,16 +131,13 @@ def sae_oracle_chains(ec: ChainErrorTable, force: bool = False) -> StatsReport:
     return report
 
 
-def sae_oracle_simulate(
-    net: Netlist, t: Time, force: bool = False, conservative: ConservativeReport | None = None
-) -> StatsReport:
-    """Ground truth by simulating every pair, one lane block at a time;
-    independent of the chain model (no per-chain tallies).  A
-    ``conservative`` report at T also counts in each block, so one
-    exhaustive pass serves both checks; a report at another T raises
-    ValueError."""
+def sae_oracle_simulate(net: Netlist, t: Time, conservative: ConservativeReport | None = None) -> StatsReport:
+    """Ground truth by simulating every pair, one lane block at a time
+    (4^(n-8) blocks at n > 8); independent of the chain model (no
+    per-chain tallies).  A ``conservative`` report at T also counts in
+    each block, so one exhaustive pass serves both checks; a report at
+    another T raises ValueError."""
     n = net.n
-    _check_oracle_width(n, force)
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for sw in block_sweeps(net, [t]):

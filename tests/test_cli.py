@@ -354,7 +354,7 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
     for command in ("stats", "ec"):
         code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", "1000")
         assert code == 1
-        assert out == ""
+        assert json.loads(out)["ec"] is None  # the verdict is still written
         assert err.startswith("error: probe for chain") and "Traceback" not in err
 
     # malformed netlist and delay files name the fault, without a traceback
@@ -617,6 +617,30 @@ def test_verify_force_is_gone(capsys):
         main(["verify", "--fast-vs-oracle", "--n", "4", "--tables", "1", "--force"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_failed_probe_still_writes_the_verdict(capsys, tmp_path):
+    """A probe outside the model leaves no table or statistics, but the
+    validity block computed before it is written, exit 1."""
+    from test_analysis import ignores_a0_rca2, inverted_carry_rca2
+
+    path = tmp_path / "bad.json"
+    for build in (inverted_carry_rca2, ignores_a0_rca2):
+        net = build()
+        path.write_text(net.to_json())
+        verdict = json.loads(json.dumps(validity(net, 1000).to_json_dict()))
+        assert verdict["passed"] is False and verdict["method"] == "exhaustive"
+        read = ("--netlist", str(path), "-T", "1000")
+        code, out, err = run_cli(capsys, "stats", *read)
+        assert (code, err.count("error: probe for chain")) == (1, 1)
+        assert json.loads(out) == {"n": 2, "T": "1000", "sign_convention": "true_sum_minus_computed_sum",
+                                   "ec": None, "stats": None, "validity": verdict}
+        code, out, _ = run_cli(capsys, "ec", *read)
+        assert (code, json.loads(out)) == (1, {"n": 2, "ec": None, "validity": verdict})
+        out_file = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "stats", *read, "-o", str(out_file))
+        assert (code, out, json.loads(out_file.read_text())["validity"]) == (1, "", verdict)
+        assert run_cli(capsys, "stats", *read, "--format", "csv")[:2] == (1, "")  # no row
 
 
 def test_verify_faulty_netlist_fails(capsys, tmp_path):

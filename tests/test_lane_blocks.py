@@ -224,7 +224,7 @@ def test_exhaustive_checks_peak_at_one_block(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "PASS  fast statistics equal exhaustive simulation" in out
-    _, chains_peak = _peak(sae_oracle_chains, random_realizable_table(11, random.Random(11)), True)
+    _, chains_peak = _peak(sae_oracle_chains, random_realizable_table(11, random.Random(11)))
     # over all 4^11 pairs at once these peaked at 35 MB and 26 MB
     assert verify_peak < 2_000_000, f"verify peaked at {verify_peak / 1e6:.1f} MB"
     assert chains_peak < 1_000_000, f"sae_oracle_chains peaked at {chains_peak / 1e6:.1f} MB"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from pseudoadder import (
     CarryChain,
     ChainErrorTable,
-    OracleLimitError,
     analyze_table,
     decompose_error,
     er_avg_fast,
@@ -22,7 +21,6 @@ from pseudoadder import (
     staggered_ksa8,
     witness_for_chain_set,
 )
-from pseudoadder.stats import ORACLE_LIMIT
 from pseudoadder.tables import random_realizable_error
 from conftest import (
     er_avg_nonnegative,
@@ -129,16 +127,11 @@ def test_staggered_ksa8_is_correct_from_t11():
     assert sae_oracle_simulate(net, 11).sae == 0
 
 
-def test_oracle_limit_gate():
-    # the oracles refuse widths above 10 unless forced
-    assert ORACLE_LIMIT == 10
-    big = ChainErrorTable(11)
-    with pytest.raises(OracleLimitError, match="width limit 10; pass force=True"):
-        sae_oracle_chains(big)
-    with pytest.raises(OracleLimitError):
-        sae_oracle_simulate(generate_rca(11, [1] * 11, [1] * 12), 0)
-    sae_oracle_chains(ChainErrorTable(3))  # still fine
-    assert sae_oracle_chains(big, force=True).sae == 0
+def test_oracles_enumerate_above_ten_with_no_flag():
+    # the width is the caller's choice: no flag and no refusal at n = 11
+    assert sae_oracle_chains(ChainErrorTable(11)).sae == 0
+    net = generate_rca(11, [1] * 11, [1] * 12)
+    assert sae_oracle_simulate(net, net.arrival_time()).sae == 0
 
 
 def test_er_avg_rca_equals_fast_on_nonnegative(rng):

@@ -88,7 +88,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
 
 def test_package_api_resolves_every_name_lazily():
     import pseudoadder
-    from pseudoadder import _HOME, cli, model, stats
+    from pseudoadder import _HOME, cli
 
     for name in pseudoadder.__all__:
         home = importlib.import_module(f"pseudoadder.{_HOME[name]}")
@@ -101,8 +101,9 @@ def test_package_api_resolves_every_name_lazily():
     from pseudoadder import sweep
 
     assert sweep is sys.modules["pseudoadder.sweep"]
-    assert stats.ORACLE_LIMIT is model.ORACLE_LIMIT
-    assert cli.build_parser().parse_args(["verify"]).exhaustive_n_limit == model.ORACLE_LIMIT
+    # one default exhaustive width, for the CLI and the library's verdict
+    assert cli.build_parser().parse_args(["verify"]).exhaustive_n_limit is pseudoadder.ORACLE_LIMIT
+    assert inspect.signature(pseudoadder.validity).parameters["limit"].default is pseudoadder.ORACLE_LIMIT
     # one default sample count, for the CLI and the library's verdict
     assert cli.build_parser().parse_args(["verify"]).samples == pseudoadder.SAMPLES
     assert inspect.signature(pseudoadder.validity).parameters["samples"].default is pseudoadder.SAMPLES
