@@ -20,7 +20,7 @@ a ``diff`` of two runs is the check.  It covers ``gen``, ``stats`` and
 ``ec`` at several read times on five netlists, ``sweep``, ``trace``,
 ``chains``, exhaustive and sampled ``verify`` with its refusals, the
 ``validity`` verdict of ``stats`` and ``ec`` (failed reads written to
-a file too, and reads of the three faulty netlists, where some probes
+a file too, and reads of the four faulty netlists, where some probes
 leave the model), and the error paths of bad read times, missing files
 and malformed netlists.  It uses only the standard library.
 """
@@ -54,13 +54,13 @@ HUGE_N = 100_000
 
 
 def write_inputs(workdir: Path) -> None:
-    """The staggered KSA-8 delay file, the three faulty netlists of the
+    """The staggered KSA-8 delay file, the four faulty netlists of the
     test suite and the malformed files, edited from unit-delay RCAs."""
     from pseudoadder import generate_rca, staggered_ksa8_delays
 
     (workdir / "staggered.json").write_text(json.dumps(staggered_ksa8_delays().to_json_dict()))
     (workdir / "sums.json").write_text("[0, 1, 0, 1]")
-    rca2, rca3 = (generate_rca(n, [1] * n, [1] * (n + 1)).to_json() for n in (2, 3))
+    rca2, rca3, rca11 = (generate_rca(n, [1] * n, [1] * (n + 1)).to_json() for n in (2, 3, 11))
 
     def edited(text: str, edit) -> str:
         data = json.loads(text)
@@ -80,6 +80,16 @@ def write_inputs(workdir: Path) -> None:
         data["gates"] += [{"id": "na0", "kind": "NOT", "inputs": ["a0"], "delay": 0},
                           {"id": "c2k", "kind": "AND2", "inputs": ["c2", "na0"], "delay": 0}]
 
+    def probe_fault(data, by_id):  # sum bit 10 also fires on (254 | 255, 2 | 3), chain (2, 8)'s probe among them
+        low = ["b2", "b3", "b4", "b5", "b6", "b7", *(f"{x}{k}" for x in "ab" for k in (8, 9, 10))]
+        data["gates"] += [{"id": f"n{s}", "kind": "NOT", "inputs": [s], "delay": 0} for s in low]
+        detector = "a1"
+        for k, s in enumerate(["b1", *(f"a{k}" for k in range(2, 8)), *(f"n{s}" for s in low)]):
+            data["gates"].append({"id": f"d{k}", "kind": "AND2", "inputs": [detector, s], "delay": 0})
+            detector = f"d{k}"
+        data["gates"].append({"id": "s10f", "kind": "OR2", "inputs": ["s10", detector], "delay": 0})
+        data["outputs"]["10"] = "s10f"
+
     def bad_key(data, by_id):
         data["outputs"]["01"] = data["outputs"].pop("1")
 
@@ -87,6 +97,7 @@ def write_inputs(workdir: Path) -> None:
         "inverted_carry_rca2": edited(rca2, inverted_carry),
         "ignores_a0_rca2": edited(rca2, ignores_a0),
         "low_bit_gated_rca3": edited(rca3, low_bit_gated),
+        "probe_fault_rca11": edited(rca11, probe_fault),
         "bad_key": edited(rca2, bad_key),
         "no_gates": '{"n": 2, "outputs": {}}',
         "not_json": "{",
@@ -169,6 +180,9 @@ def commands() -> list[list[str]]:
         ["stats", "--netlist", "{dir}/inverted_carry_rca2.json", "-T", "1000", "--format", "csv"],
         ["stats", "--netlist", "{dir}/inverted_carry_rca2.json", "-T", "1000", "-o", "{dir}/probe.json"],
     ]
+    # one probe outside the model, missed by the sample: it alone fails the sampled verdict
+    fault = ["--netlist", "{dir}/probe_fault_rca11.json", "-T", "1000"]
+    cmds += [["stats", *fault], ["ec", *fault], ["verify", *fault], ["verify", *fault, "--exhaustive-n-limit", "11"]]
     cmds += [
         ["verify", "--fast-vs-oracle", "--n", "4", "--tables", "5"],
         ["verify", "--fast-vs-oracle", "--n", "5", "--tables", "3", "--seed", "7"],

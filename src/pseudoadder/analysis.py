@@ -40,7 +40,8 @@ from .sweep import PairSweep, block_sweeps
 
 
 class ConservativeReport(Record):
-    """Outcome of a no-spurious-carries check at one read time."""
+    """Outcome of a no-spurious-carries check at one read time: ``checked`` counts pairs, and
+    ``violations`` counts each pair once per position where its read leaves the model."""
 
     __slots__ = ("read_time", "checked", "violations", "counterexamples")
 
@@ -56,8 +57,8 @@ class ConservativeReport(Record):
         return self.violations == 0
 
     def add(self, sweep: PairSweep, lanes: int) -> None:
-        """Count in the ``lanes`` mask of a sweep that answers at the read
-        time: a sample's run of lanes, or a whole lane block (``sw.full``).
+        """Count in the ``lanes`` mask of a sweep that answers at the read time: a sample's
+        run of lanes, a whole lane block (``sw.full``) or the one lane of a failing chain probe.
         Counterexamples stay the first 10 by position, then by lane, where
         lanes of several blocks are ordered by :func:`~pseudoadder.model.pair_word`."""
         bad = [mask & lanes for mask in sweep.carries_at(self.read_time)[1]]

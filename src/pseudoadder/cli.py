@@ -27,12 +27,12 @@ each erring chain; divide by 4^n for a probability.
 
 Exit code 0 means no errors and no failed verdict; a failed verdict or an error (printed as
 ``error: ...``) exits 1, and an argument a subcommand refuses (``gen rca --delay``) exits 2
-under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` take their verdict on the
-three premises from :func:`~pseudoadder.analysis.validity`.  ``verify`` passes it its options;
-``stats`` and ``ec`` take its defaults and write its ``validity`` block, and the stats CSV a
-``validity`` column (the method or ``failed``).  When a chain probe leaves the model,
-they print its ``error:`` line and still write that block, with ``"ec": null`` (and
-``"stats": null``) and no CSV row, and exit 1.  ``sweep`` gives no verdict yet.
+under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` read through one reader:
+:func:`~pseudoadder.analysis.validity`'s verdict (with ``verify``'s options), then the chain-error
+table.  A chain probe outside the model prints its ``error:`` line and fails the verdict; ``stats``
+and ``ec`` still write the ``validity`` block (``violations`` counts a pair once per faulty
+position), with ``"ec": null`` (and ``"stats": null``) and no row of the stats CSV, whose
+``validity`` column holds the method or ``failed``.  ``sweep`` gives no verdict yet.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
@@ -203,19 +203,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read(args: argparse.Namespace) -> tuple[Time, AssumptionReport, ChainErrorTable | None]:
-    """The ``-T`` read of ``--netlist``: its verdict, then its chain-error
-    table, or None after printing the error when a probe leaves the model.
-    The netlist is released on return."""
+def _read(args: argparse.Namespace, *options: int) -> tuple[Time, AssumptionReport, ChainErrorTable | None]:
+    """The ``-T`` read of ``--netlist`` (released on return): the verdict of ``validity(net, t,
+    *options)``, then the chain-error table, or None after printing the error when a probe leaves the
+    model; a conservative check that passed then counts that probe, so the verdict fails."""
     from .analysis import extract_ec_table, validity
+    from .chains import canonical_word
     from .model import ConservativenessError
+    from .sweep import PairSweep
 
     net, t = _load_netlist(args.netlist), _read_time(args.T, "-T")
-    verdict = validity(net, t)
+    verdict = validity(net, t, *options)
     try:
         return t, verdict, extract_ec_table(net, t)
     except ConservativenessError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if verdict.conservative.passed:
+            verdict.conservative.add(PairSweep(net, words=[canonical_word(exc.chain, net.n)], times=[t]), 1)
         return t, verdict, None
 
 
@@ -236,14 +240,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         {"n": verdict.n, **_stats_row(t, report), "validity": verdict.method if verdict.passed else "failed"}
     ]
     _emit(args, payload, rows)
-    return 0 if verdict.passed and ec is not None else 1
+    return 0 if verdict.passed else 1
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
     _, verdict, ec = _read(args)
     table = {"n": verdict.n, "ec": None} if ec is None else ec.to_json_dict(lazy=True)
     _emit_json({**table, "validity": verdict.to_json_dict()}, args.output)
-    return 0 if verdict.passed and ec is not None else 1
+    return 0 if verdict.passed else 1
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
@@ -311,7 +315,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n is required with --fast-vs-oracle")
     if args.fast_vs_oracle and args.n > limit:
         raise ValueError(f"--n {args.n} is above --exhaustive-n-limit {limit}")
-    t = _read_time(args.T, "-T")
+    _read_time(args.T, "-T")  # refused also without a netlist
     lines: list[str] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -321,16 +325,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return (fast.sae, fast.mse, fast.max_abs_error) == (oracle.sae, oracle.mse, oracle.max_abs_error)
 
     if args.netlist:
-        from .analysis import extract_ec_table, validity
-
-        net = _load_netlist(args.netlist)
-        report = validity(net, t, limit, args.samples, args.seed)
+        _, report, ec = _read(args, limit, args.samples, args.seed)
         record("conservative (no spurious carries)", report.conservative.passed,
                f"counterexamples={report.conservative.counterexamples}")
         record("commutativity", report.commutative, str(report.commutativity_counterexamples[:3]))
         record("lower-position independence", report.independent, str(report.independence_counterexamples[:3]))
         if report.oracle is not None and report.passed:
-            fast = analyze_table(extract_ec_table(net, t))
+            fast = analyze_table(ec)
             # the sums are part of the name, so a PASS shows them too
             record(f"fast statistics equal exhaustive simulation  fast sae={fast.sae} oracle sae={report.oracle.sae}",
                    same(fast, report.oracle))

@@ -60,6 +60,21 @@ def ignores_a0_rca2():
     return Netlist(2, gates, base.outputs)
 
 
+def probe_fault_rca11():
+    """A detector ORed into sum bit 10 of the unit-delay RCA-11 fires only
+    on (254 | 255, 2 | 3): of all chain probes, only chain (2, 8)'s,
+    (254, 2), reads a spurious carry, and a 128-pair sample misses it."""
+    base = generate_rca(11, [1] * 11, [1] * 12)
+    low = ["b2", "b3", "b4", "b5", "b6", "b7", *(f"{x}{k}" for x in "ab" for k in (8, 9, 10))]
+    gates = [*base.gates, *(Gate(f"n{s}", GateKind.NOT, (s,), 0) for s in low)]
+    detector = "a1"
+    for k, s in enumerate(["b1", *(f"a{k}" for k in range(2, 8)), *(f"n{s}" for s in low)]):
+        gates.append(Gate(f"d{k}", GateKind.AND2, (detector, s), 0))
+        detector = f"d{k}"
+    gates.append(Gate("s10f", GateKind.OR2, ("s10", detector), 0))
+    return Netlist(11, gates, {**base.outputs, 10: "s10f"})
+
+
 def low_bit_gated_rca3():
     """A gate reads a0 into a high carry path: when a0 is set, the carry
     into stage 2 is killed.  Conservative, but chain behavior now depends

@@ -591,13 +591,14 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
     ]
 
 
-def test_sampled_verify_builds_one_batch_of_pair_words(capsys, sweeps_built, tmp_path):
+def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(capsys, sweeps_built, tmp_path):
     # n=10 above a limit of 4: the one seeded batch that checks
-    # commutativity and independence also answers the conservative check
+    # commutativity and independence also answers the conservative check,
+    # then the one batch of all chain probes is read, as stats reads it
     netlist = unit_rca(tmp_path, 10)
     _, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "3", "--exhaustive-n-limit", "4")
     assert len(out.splitlines()) == 3, out
-    assert sweeps_built == [(None, [3])], sweeps_built
+    assert sweeps_built == [(None, [3]), (None, [3])], sweeps_built
 
 
 def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
@@ -674,13 +675,42 @@ def test_verify_faulty_netlist_fails(capsys, tmp_path):
             "(CarryChain(i=2, j=3), 3, 7), (CarryChain(i=2, j=3), 7, 3)]\n"
         ),
     }
+    # a probe outside the model prints its error, as stats and ec print it
+    probe = "error: probe for chain CarryChain(i={0}, j={0}) reads a spurious carry at T=1000\n"
+    errors = {inverted_carry_rca2: probe.format(2), ignores_a0_rca2: probe.format(1), low_bit_gated_rca3: ""}
     for build, text in expected.items():
         path.write_text(build().to_json())
-        assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, ""), build.__name__
+        assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, errors[build]), build.__name__
         # no counterexample repeats, also past the three that are printed
         report = validity(build(), 1000, limit=0, samples=128, seed=0)
         for found in (report.independence_counterexamples, report.commutativity_counterexamples):
             assert len(set(found)) == len(found), build.__name__
+
+
+def test_a_probe_outside_the_model_fails_the_verdict(capsys, tmp_path):
+    """Only chain (2, 8)'s probe leaves the model, and the 128-pair sample
+    misses the four pairs that do: the failing probe alone fails the
+    sampled verdict, counted once into it."""
+    from test_analysis import probe_fault_rca11
+
+    path = tmp_path / "probe_fault.json"
+    path.write_text(probe_fault_rca11().to_json())
+    read = ("--netlist", str(path), "-T", "1000")
+    error = "error: probe for chain CarryChain(i=2, j=8) reads a spurious carry at T=1000\n"
+    verdict = {"passed": False, "method": "sampled", "pairs": 129, "seed": 0, "violations": 1,
+               "counterexamples": [[254, 2, 10]], "commutativity_counterexamples": [],
+               "independence_counterexamples": []}
+    for command in ("stats", "ec"):
+        code, out, err = run_cli(capsys, command, *read)
+        report = json.loads(out)
+        assert (code, err, report["ec"], report["validity"]) == (1, error, None, verdict), command
+    rest = "PASS  commutativity\nPASS  lower-position independence\n"
+    assert run_cli(capsys, "verify", *read) == (
+        1, f"FAIL  conservative (no spurious carries)  counterexamples=[(254, 2, 10)]\n{rest}", error)
+    # all pairs: the probe is among the four the detector fires on, and not counted again
+    assert run_cli(capsys, "verify", *read, "--exhaustive-n-limit", "11") == (
+        1, "FAIL  conservative (no spurious carries)  counterexamples=[(254, 2, 10), (255, 2, 10), "
+        f"(254, 3, 10), (255, 3, 10)]\n{rest}", error)
 
 
 def test_gen_with_file_delay_specs(capsys, tmp_path):
