@@ -4,11 +4,12 @@ A netlist read at time T fits the carry-chain error model when (a) the
 recovered carries ``c'_k = s'_k ^ a_k ^ b_k`` never exceed the true
 carries (no spurious carries) and (b) the position-0 sum bit is not
 stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
-error there cannot be attributed to any chain.  Only then does the sum
-of the per-chain errors reproduce every pair's total error.  That rule
-is :func:`pseudoadder.sweep.read_carries`.  :func:`check_conservative`
-applies it to all pairs; :func:`validity` gives the verdict on it and the
-two other premises, and says how it was reached.
+error there cannot be attributed to any chain.  That rule is
+:func:`pseudoadder.sweep.read_carries`, and :func:`check_conservative`
+applies it to all pairs.  :func:`validity` gives the verdict on the
+whole attribution with one per-pair rule: each pair's read equals the
+chain model's prediction from the chain-error table.  It says how the
+verdict was reached.
 
 Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
 ``(t, table)`` per listed read time, in the caller's order, that raises
@@ -20,23 +21,29 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from functools import reduce
 from heapq import merge
 from itertools import islice
+from operator import or_
 
 from . import ORACLE_LIMIT, SAMPLES
 from .chains import canonical_word
-from .model import (
-    CarryChain,
-    ChainErrorTable,
-    ConservativenessError,
-    Record,
-    all_chains,
-    pair_word,
-    word_pair,
-)
+from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, all_chains, pair_word
 from .netlist import Netlist, Time
-from .stats import sae_oracle_simulate
+from .stats import _chain_masks, _error_slices, _table_errors, sae_oracle_simulate
 from .sweep import PairSweep, block_sweeps
+
+
+def _first_ten(found: list, sweep: PairSweep, masks: list[int]) -> list[tuple[int, int, int]]:
+    """``found`` and the lanes of ``masks`` (one per position) as ``(a, b, position)``: the first
+    10 by position, then by lane, lanes of several blocks ordered by :func:`~pseudoadder.model.pair_word`."""
+    new = []
+    for k, mask in enumerate(masks):
+        while mask and len(new) < 10:
+            lane = (mask & -mask).bit_length() - 1
+            new.append((*sweep.lane_pair(lane), k))
+            mask &= mask - 1
+    return list(islice(merge(found, new, key=lambda c: (c[2], pair_word(c[0], c[1], sweep.n))), 10))
 
 
 class ConservativeReport(Record):
@@ -56,63 +63,71 @@ class ConservativeReport(Record):
     def passed(self) -> bool:
         return self.violations == 0
 
-    def add(self, sweep: PairSweep, lanes: int) -> None:
-        """Count in the ``lanes`` mask of a sweep that answers at the read time: a sample's
-        run of lanes, a whole lane block (``sw.full``) or the one lane of a failing chain probe.
-        Counterexamples stay the first 10 by position, then by lane, where
-        lanes of several blocks are ordered by :func:`~pseudoadder.model.pair_word`."""
-        bad = [mask & lanes for mask in sweep.carries_at(self.read_time)[1]]
-        self.checked += lanes.bit_count()
+    def add(self, sweep: PairSweep) -> int:
+        """Count in every lane of a sweep that answers at the read time (a sample, a lane block or
+        a failing chain probe), keeping :func:`_first_ten`; return the lanes that leave the model."""
+        bad = sweep.carries_at(self.read_time)[1]
+        self.checked += sweep.pair_count
         self.violations += sum(mask.bit_count() for mask in bad)
-        found = []
-        for k, mask in enumerate(bad):
-            while mask and len(found) < 10:
-                lane = (mask & -mask).bit_length() - 1
-                found.append((*sweep.lane_pair(lane), k))
-                mask &= mask - 1
-        n = sweep.n
-        merged = merge(self.counterexamples, found, key=lambda c: (c[2], pair_word(c[0], c[1], n)))
-        self.counterexamples = list(islice(merged, 10))
+        self.counterexamples = _first_ten(self.counterexamples, sweep, bad)
+        return reduce(or_, bad)
 
 
 class AssumptionReport(Record):
-    """The verdict of :func:`validity` on the chain model's three premises
-    at one read time, and how it was reached."""
+    """The verdict of :func:`validity` on per-chain error attribution at one
+    read time, how it was reached, and the chain-error table it judged."""
 
-    __slots__ = ("n", "read_time", "seed", "conservative", "commutativity_counterexamples",
-                 "independence_counterexamples", "oracle")
+    __slots__ = ("n", "read_time", "seed", "conservative", "independence_counterexamples",
+                 "table", "probe_error", "oracle")
 
-    def __init__(self, n: int, read_time: Time, seed: int):
-        self.n, self.read_time, self.seed = n, read_time, seed
+    def __init__(self, n: int, read_time: Time, seed: int | None):
+        self.n, self.read_time, self.seed = n, read_time, seed  # seed: None when no sample was drawn
         self.conservative = ConservativeReport(read_time)
-        self.commutativity_counterexamples: list[tuple[int, int]] = []
-        self.independence_counterexamples: list[tuple[CarryChain, int, int]] = []
+        #: conservative pairs read otherwise than predicted, as (a, b, lowest differing bit)
+        self.independence_counterexamples: list[tuple[int, int, int]] = []
+        self.table: ChainErrorTable | None = None  # None when a chain probe leaves the model
+        self.probe_error: str | None = None  # then why
         self.oracle = None  # the StatsReport of the exhaustive pass, when one ran
 
     @property
-    def commutative(self) -> bool:
-        return not self.commutativity_counterexamples
-
-    @property
     def independent(self) -> bool:
-        return not self.independence_counterexamples
+        """The rule held on every conservative pair checked; False unchecked (no table)."""
+        return self.table is not None and not self.independence_counterexamples
 
     @property
     def passed(self) -> bool:
-        return self.conservative.passed and self.commutative and self.independent
+        return self.conservative.passed and self.independent
 
     @property
     def method(self) -> str:
-        """``exhaustive`` iff conservativeness was checked on all 4^n pairs, else the unproven ``sampled``."""
+        """``exhaustive`` iff the checks covered all 4^n pairs, else the unproven ``sampled``."""
         return "exhaustive" if self.conservative.checked == 1 << 2 * self.n else "sampled"
 
+    def add(self, sweep: PairSweep, errors: list[int]) -> None:
+        """Count in a sweep's lanes: their conservativeness, then the rule on the conservative
+        ones, whose simulated errors (``errors``, :func:`~pseudoadder.stats._error_slices`) must
+        equal their chains' summed table entries, built as slices of the same width."""
+        fits = sweep.full & ~self.conservative.add(sweep)
+        if self.table is None:
+            return
+        a, b = ([sweep.operand_bit_mask(x, k) for k in range(self.n)] for x in "ab")
+        lowest, seen = [], 0  # per bit, the lanes that first differ there
+        for x, y in zip(errors, _table_errors(self.table, _chain_masks(a, b), len(errors))):
+            lowest.append((x ^ y) & fits & ~seen)
+            seen |= x ^ y
+        self.independence_counterexamples = _first_ten(self.independence_counterexamples, sweep, lowest)
+
     def to_json_dict(self) -> dict:
-        """The ``validity`` block of ``stats`` and ``ec``: each premise's counterexamples, at most 10."""
+        """The ``validity`` block of ``stats`` and ``ec``; a failed verdict with an exhaustive
+        pass also carries that pass's true statistics."""
         c = self.conservative
-        return {"passed": self.passed, "method": self.method, "pairs": c.checked, "seed": self.seed,
-                "violations": c.violations, "counterexamples": c.counterexamples,
-                "commutativity_counterexamples": self.commutativity_counterexamples,
-                "independence_counterexamples": self.independence_counterexamples}
+        block = {"passed": self.passed, "method": self.method, "pairs": c.checked, "seed": self.seed,
+                 "violations": c.violations, "counterexamples": c.counterexamples,
+                 "independence_counterexamples": None if self.table is None else self.independence_counterexamples}
+        if self.oracle is not None and not self.passed:
+            stats = self.oracle.to_json_dict()
+            block["stats"] = {"path": "oracle", **{k: stats[k] for k in ("sae", "er_avg", "mse", "max_abs_error")}}
+        return block
 
 
 def check_conservative(net: Netlist, t: Time) -> ConservativeReport:
@@ -121,7 +136,7 @@ def check_conservative(net: Netlist, t: Time) -> ConservativeReport:
     position, then by lane; :func:`validity` gives the verdict."""
     report = ConservativeReport(read_time=t)
     for sw in block_sweeps(net, [t]):
-        report.add(sw, sw.full)
+        report.add(sw)
     return report
 
 
@@ -151,9 +166,7 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
     chains = all_chains(net.n)
     sw = PairSweep(net, words=[canonical_word(c, net.n) for c in chains], times=times)
     for t in times:
-        failing = 0
-        for mask in sw.carries_at(t)[1]:
-            failing |= mask
+        failing = reduce(or_, sw.carries_at(t)[1])
         if failing:
             c = chains[(failing & -failing).bit_length() - 1]
             raise ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
@@ -161,81 +174,51 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
 
 
 def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
-    """A random pair generating chain c (free positions randomized), as a
-    lane word (:func:`~pseudoadder.model.pair_word`)."""
-    a = b = 1 << (c.i - 1)
-    for k in range(c.i, c.j):
-        if rng.random() < 0.5:
-            a |= 1 << k
-        else:
-            b |= 1 << k
-    if c.j < n and rng.random() < 0.5:
-        a |= 1 << c.j
-        b |= 1 << c.j
-    for k in (*range(c.i - 1), *range(c.j + 1, n)):
-        bits = rng.randrange(4)
-        a |= (bits & 1) << k
-        b |= (bits >> 1) << k
-    return pair_word(a, b, n)
+    """A uniformly random pair generating chain c, as a lane word: both bits at i-1, one bit at
+    each of i..j-1, equal bits at j and any bits elsewhere."""
+    gen, span, end = 1 << (c.i - 1), (1 << c.j) - (1 << c.i), (1 << c.j) % (1 << n)
+    a = rng.getrandbits(n) | gen
+    return pair_word(a, (rng.getrandbits(n) | gen) & ~(span | end) | ~a & span | a & end, n)
 
 
 def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SAMPLES,
              seed: int = 0) -> AssumptionReport:
-    """The verdict on the three premises of per-chain error attribution at T.
+    """The verdict on per-chain error attribution at T: each checked pair's read must equal the
+    chain model's prediction, its true sum minus the table entries of its chains.
 
-    Conservativeness (``.conservative``) covers all 4^n pairs iff n <= ``limit``, counted
-    in :func:`~pseudoadder.stats.sae_oracle_simulate`'s exhaustive pass, which runs first and
-    is kept as ``.oracle``.  Otherwise it covers the first ``samples`` distinct pairs that
-    ``Random(seed)`` draws, a then b, in the order of their first draw (above half of all
-    4^n pairs, one ``rng.sample`` of words; every pair in
-    :func:`~pseudoadder.model.pair_word` order when ``samples`` is at least 4^n).  At every n
-    that sample and (0, 1) check commutativity, ``s'(a, b) == s'(b, a)``, and sampled chains
-    independence: the error restricted to a chain's bit span matches the canonical probe's
-    on every sampled witness.  Every pair generating chain (i, j) has the same true sum bits
-    i..j (0 at i..j-1, 1 at j: the generate at i-1 always carries in), so two span errors are
-    equal exactly when the read bits i..j are equal, and those are compared.  One lane batch
-    answers every sampled check.  ``samples`` must be at least 1.
+    The table comes first (``.table``; None, with ``.probe_error``, when a probe leaves the
+    model, which fails the verdict).  With conservative probes, a read equals its prediction iff
+    it is conservative and independent of the bits below each chain, and then (a, b) and (b, a)
+    read alike.  ``.conservative`` counts the pairs leaving the model, and
+    ``.independence_counterexamples`` lists the others read otherwise.  Both cover all 4^n pairs
+    iff n <= ``limit``, in :func:`~pseudoadder.stats.sae_oracle_simulate`'s pass (``.oracle``).
+    Otherwise they cover one batch: the first ``samples`` distinct pairs ``Random(seed)`` draws,
+    a then b (every pair in word order from 4^n on), then two random witnesses each of
+    ``samples`` shuffled chains, as a uniform pair rarely holds a long chain.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n = net.n
-    report = AssumptionReport(n, t, seed)
+    report = AssumptionReport(n, t, None if n <= limit else seed)
+    try:
+        report.table = extract_ec_table(net, t)  # the probe batch is freed here
+    except ConservativenessError as exc:
+        report.probe_error, failing = str(exc), exc.chain
     if n <= limit:
-        report.oracle = sae_oracle_simulate(net, t, conservative=report.conservative)
-    rng = random.Random(seed)
-
-    m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
-    # above half of all pairs one draw per pair, not a coupon collector's many
-    words = range(m) if m == 1 << 2 * n else rng.sample(range(1 << 2 * n), m) if 2 * m > 1 << 2 * n else ()
-    drawn = dict.fromkeys(word_pair(w, n) for w in words)
-    while len(drawn) < m:
-        drawn[rng.randrange(1 << n), rng.randrange(1 << n)] = None
-    pairs = list(drawn)
-    chains = all_chains(n)
-    rng.shuffle(chains)
-    per_chain = max(2, samples // len(chains))
-    witnessed = [(c, [_random_witness(c, n, rng) for _ in range(per_chain)]) for c in chains[:samples]]
-    # one lane batch: the sample as (a, b) in its first lanes, then as
-    # (b, a), then (0, 1) and (1, 0), then per chain its probe followed
-    # by its witnesses
-    words = [pair_word(a, b, n) for a, b in pairs] + [pair_word(b, a, n) for a, b in pairs]
-    words += [pair_word(0, 1, n), pair_word(1, 0, n)]
-    for c, witnesses in witnessed:
-        words += [canonical_word(c, n), *witnesses]
-    sw = PairSweep(net, words=words, times=[t])
-    if report.oracle is None:
-        report.conservative.add(sw, (1 << m) - 1)
-    sums = sw.lane_sums(t)
-
-    one, other = sums[2 * m : 2 * m + 2]
-    mirrored = [((0, 1), one, other), ((1, 0), other, one), *zip(pairs, sums, sums[m:])]
-    # (0, 1) and (1, 0) may also be in the sample
-    report.commutativity_counterexamples = list(dict.fromkeys(ab for ab, fwd, rev in mirrored if fwd != rev))[:10]
-
-    rest, found = iter(sums[2 * m + 2 :]), []
-    for c, witnesses in witnessed:
-        span = (1 << (c.j + 1)) - (1 << c.i)  # bits i..j
-        expected = next(rest) & span
-        found += [(c, *word_pair(w, n)) for w, s in zip(witnesses, rest) if s & span != expected]
-    report.independence_counterexamples = list(dict.fromkeys(found))[:10]  # witnesses may repeat
+        report.oracle = sae_oracle_simulate(net, t, check=report.add)
+    else:
+        rng = random.Random(seed)
+        m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
+        # above half of all pairs one draw per pair, not a coupon collector's many
+        words = range(m) if m == 1 << 2 * n else rng.sample(range(1 << 2 * n), m) if 2 * m > 1 << 2 * n else ()
+        drawn = dict.fromkeys(words)
+        while len(drawn) < m:
+            drawn[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)] = None
+        chains = all_chains(n)
+        rng.shuffle(chains)
+        drawn.update(dict.fromkeys(_random_witness(c, n, rng) for c in 2 * chains[:samples]))
+        sw = PairSweep(net, words=list(drawn), times=[t])
+        report.add(sw, _error_slices(sw, t))
+    if report.table is None and report.conservative.passed:
+        report.conservative.add(PairSweep(net, words=[canonical_word(failing, n)], times=[t]))
     return report

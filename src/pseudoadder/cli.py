@@ -27,12 +27,11 @@ each erring chain; divide by 4^n for a probability.
 
 Exit code 0 means no errors and no failed verdict; a failed verdict or an error (printed as
 ``error: ...``) exits 1, and an argument a subcommand refuses (``gen rca --delay``) exits 2
-under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` read through one reader:
-:func:`~pseudoadder.analysis.validity`'s verdict (with ``verify``'s options), then the chain-error
-table.  A chain probe outside the model prints its ``error:`` line and fails the verdict; ``stats``
-and ``ec`` still write the ``validity`` block (``violations`` counts a pair once per faulty
-position), with ``"ec": null`` (and ``"stats": null``) and no row of the stats CSV, whose
-``validity`` column holds the method or ``failed``.  ``sweep`` gives no verdict yet.
+under that subcommand's usage line.  ``verify``, ``stats`` and ``ec`` read through one reader,
+:func:`~pseudoadder.analysis.validity` (with ``verify``'s options), whose report also holds the
+chain-error table.  A chain probe outside the model prints its ``error:`` line and fails the
+verdict; ``stats`` and ``ec`` then write ``"ec": null`` (and ``"stats": null``), no stats CSV row,
+and the ``validity`` block, which always ends their JSON.  ``sweep`` gives no verdict yet.
 
 Importing this module loads only :mod:`argparse`, not :mod:`json` or another
 package module (annotations are never evaluated); each command imports what
@@ -45,31 +44,41 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import cache
 from itertools import islice
 
 from . import ORACLE_LIMIT, SAMPLES, PseudoAdderError
 
 
-def _parse_delay_list(spec: str, count: int, what: str) -> list:
+@contextmanager
+def _named(option: str) -> Iterator[None]:
+    """Raise a ValueError as one that names ``option``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _parse_delay_list(spec: str, count: int, option: str) -> list:
     """uniform:<d>, or ``count`` delays as a comma list or file:<path> with
-    a JSON list; a list of another length is refused naming ``what``."""
+    a JSON list; anything else is refused naming ``option``."""
     import json
 
-    from .netlist import as_delay, malformed_json
+    from .netlist import as_delay, json_list, malformed_json
 
-    if spec.startswith("uniform:"):
-        return [as_delay(spec.split(":", 1)[1])] * count
-    if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            values = json.load(fh)
-        with malformed_json("delay list"):
-            values = [as_delay(v) for v in values]
-    else:
-        values = [as_delay(part) for part in spec.split(",")]
-    if len(values) != count:
-        raise ValueError(f"{what}: expected {count} delays, got {len(values)}")
+    with _named(option):
+        if spec.startswith("uniform:"):
+            return [as_delay(spec.split(":", 1)[1])] * count
+        if spec.startswith("file:"):
+            with open(spec.split(":", 1)[1]) as fh:
+                values = json.load(fh)
+            with malformed_json("delay list"):
+                values = [as_delay(v) for v in json_list(values, "delays")]
+        else:
+            values = [as_delay(part) for part in spec.split(",")]
+        if len(values) != count:
+            raise ValueError(f"expected {count} delays, got {len(values)}")
     return values
 
 
@@ -78,10 +87,8 @@ def _read_time(text: str, option: str) -> Time:
     one names ``option``."""
     from .netlist import as_time
 
-    try:
+    with _named(option):
         return as_time(text)
-    except ValueError as exc:
-        raise ValueError(f"{option}: {exc}") from None
 
 
 def _load_netlist(path: str) -> Netlist:
@@ -192,41 +199,34 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sums = _parse_delay_list(args.sum_delays, args.n + 1, "--sum-delays")
         net = generate_rca(args.n, carry, sums)
     else:
-        spec = args.delay
-        if spec.startswith("file:"):
-            with open(spec.split(":", 1)[1]) as fh:
-                delays: KsaDelays | int = KsaDelays.from_json_dict(json.load(fh))
-        else:
-            delays = as_delay(spec.removeprefix("uniform:"))
+        with _named("--delay"):
+            if args.delay.startswith("file:"):
+                with open(args.delay.split(":", 1)[1]) as fh:
+                    delays: KsaDelays | int = KsaDelays.from_json_dict(json.load(fh))
+            else:
+                delays = as_delay(args.delay.removeprefix("uniform:"))
         net = generate_ksa(args.n, delays)
     _emit_json(net.to_json_dict(), args.output)
     return 0
 
 
-def _read(args: argparse.Namespace, *options: int) -> tuple[Time, AssumptionReport, ChainErrorTable | None]:
-    """The ``-T`` read of ``--netlist`` (released on return): the verdict of ``validity(net, t,
-    *options)``, then the chain-error table, or None after printing the error when a probe leaves the
-    model; a conservative check that passed then counts that probe, so the verdict fails."""
-    from .analysis import extract_ec_table, validity
-    from .chains import canonical_word
-    from .model import ConservativenessError
-    from .sweep import PairSweep
+def _read(args: argparse.Namespace, *options: int) -> AssumptionReport:
+    """The ``-T`` read of ``--netlist`` (released on return): ``validity(net, t, *options)``, whose
+    table is None, after its error is printed, when a chain probe leaves the model."""
+    from .analysis import validity
 
     net, t = _load_netlist(args.netlist), _read_time(args.T, "-T")
     verdict = validity(net, t, *options)
-    try:
-        return t, verdict, extract_ec_table(net, t)
-    except ConservativenessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if verdict.conservative.passed:
-            verdict.conservative.add(PairSweep(net, words=[canonical_word(exc.chain, net.n)], times=[t]), 1)
-        return t, verdict, None
+    if verdict.probe_error:
+        print(f"error: {verdict.probe_error}", file=sys.stderr)
+    return verdict
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .stats import analyze_table
 
-    t, verdict, ec = _read(args)
+    verdict = _read(args)
+    t, ec = verdict.read_time, verdict.table
     report = None if ec is None else analyze_table(ec)
     payload = {
         "n": verdict.n,
@@ -244,7 +244,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_ec(args: argparse.Namespace) -> int:
-    _, verdict, ec = _read(args)
+    verdict = _read(args)
+    ec = verdict.table
     table = {"n": verdict.n, "ec": None} if ec is None else ec.to_json_dict(lazy=True)
     _emit_json({**table, "validity": verdict.to_json_dict()}, args.output)
     return 0 if verdict.passed else 1
@@ -318,20 +319,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _read_time(args.T, "-T")  # refused also without a netlist
     lines: list[str] = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
+    def record(name: str, ok: bool, detail: str | None = None) -> None:
         lines.append(f"PASS  {name}" if ok else f"FAIL  {name}" + (f"  {detail}" if detail else ""))
 
     def same(fast: StatsReport, oracle: StatsReport) -> bool:
         return (fast.sae, fast.mse, fast.max_abs_error) == (oracle.sae, oracle.mse, oracle.max_abs_error)
 
     if args.netlist:
-        _, report, ec = _read(args, limit, args.samples, args.seed)
+        report = _read(args, limit, args.samples, args.seed)
         record("conservative (no spurious carries)", report.conservative.passed,
                f"counterexamples={report.conservative.counterexamples}")
-        record("commutativity", report.commutative, str(report.commutativity_counterexamples[:3]))
-        record("lower-position independence", report.independent, str(report.independence_counterexamples[:3]))
+        record("lower-position independence", report.independent, "unchecked: no chain-error table"
+               if report.table is None else str(report.independence_counterexamples[:3]))
+        record("chain probes in the model", report.table is not None, report.probe_error)
         if report.oracle is not None and report.passed:
-            fast = analyze_table(ec)
+            fast = analyze_table(report.table)
             # the sums are part of the name, so a PASS shows them too
             record(f"fast statistics equal exhaustive simulation  fast sae={fast.sae} oracle sae={report.oracle.sae}",
                    same(fast, report.oracle))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
-from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json, malformed_json
+from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json, json_list, malformed_json
 
 
 def _input_gates(n: int) -> list[Gate]:
@@ -92,9 +92,11 @@ class KsaDelays(namedtuple("KsaDelays", "pg prefix sums")):
     def from_json_dict(cls, data: dict) -> "KsaDelays":
         with malformed_json("KSA delay"):
             return cls(
-                pg=tuple(as_delay(d) for d in data["pg"]),
-                prefix=tuple(tuple(as_delay(d) for d in row) for row in data["prefix"]),
-                sums=tuple(as_delay(d) for d in data["sum"]),
+                pg=tuple(map(as_delay, json_list(data["pg"], "pg"))),
+                prefix=tuple(
+                    tuple(map(as_delay, json_list(row, "prefix row"))) for row in json_list(data["prefix"], "prefix")
+                ),
+                sums=tuple(map(as_delay, json_list(data["sum"], "sum"))),
             )
 
 

@@ -90,7 +90,7 @@ def _exact(value: int | float | str | Fraction) -> Delay:
     if isinstance(value, (Fraction, float, str)):
         try:
             f = Fraction(value if isinstance(value, Fraction) else str(value))
-        except ZeroDivisionError:  # "p/0"
+        except (ValueError, ZeroDivisionError):  # "x", "p/0", "nan"
             raise ValueError(f"cannot interpret delay {value!r}") from None
         return int(f) if f.denominator == 1 else f
     raise ValueError(f"cannot interpret delay {value!r}")
@@ -125,6 +125,13 @@ def malformed_json(what: str) -> Iterator[None]:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed {what} JSON: {fault}") from exc
+
+
+def json_list(value: object, what: str) -> list:
+    """``value`` when decoded JSON holds a list there, else a TypeError naming ``what``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def delay_to_json(d: Delay) -> int | str:
@@ -266,9 +273,7 @@ class Netlist:
         with malformed_json("netlist"):
             gates = []
             for g in data["gates"]:
-                inputs = g.get("inputs", [])
-                if not isinstance(inputs, list):
-                    raise TypeError(f"gate {g['id']!r}: inputs must be a list, got {inputs!r}")
+                inputs = json_list(g.get("inputs", []), f"gate {g['id']!r}: inputs")
                 gates.append(Gate(str(g["id"]), g["kind"], tuple(map(str, inputs)), g.get("delay", 0)))
             n = data["n"]
             if type(n) is not int:

@@ -7,8 +7,8 @@ slice masks, O(n) masks of 8 KB per block, which each block reduces to
 its SAE, SSE and max |error| before the next is built.  They run at any
 n, 4^(n-8) blocks above n = 8; the caller chooses the width
 (``validity(limit=)``, ``verify --exhaustive-n-limit``).  The simulation
-oracle also counts each block into a conservative check when given one,
-so ``verify`` simulates every block once.  The fast path,
+oracle also hands each block to a check when given one, so ``validity``
+simulates every block once.  The fast path,
 :func:`analyze_table`, works from a chain-error table: one scan over bit
 positions yields SAE/Er_avg, MSE, max |error| with a witness, and the
 per-chain tallies of every erring chain, in quadratic time.  It is exact
@@ -20,7 +20,7 @@ of the same scan.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .model import CarryChain, ChainErrorTable, ChainSet, StatsReport
@@ -28,35 +28,40 @@ from .netlist import Netlist, Time
 from .sweep import block_sweeps, lane_blocks, operand_masks
 
 
-def _chain_masks(gen: list[int], prop: list[int]) -> Iterator[tuple[CarryChain, int]]:
-    """Every chain with its lane mask, ascending (i, j): the generate
-    mask at i-1, narrowed by one running propagate prefix per start and
-    cut by an equal-bits end (none at j = n)."""
-    n = len(gen)
+def _chain_masks(a: list[int], b: list[int]) -> Iterator[tuple[CarryChain, int]]:
+    """Every chain with its lane mask, from the lane masks of a's and b's bits, ascending (i, j):
+    the generate mask at i-1, narrowed by one running propagate prefix per start and cut by an
+    equal-bits end (none at j = n)."""
+    n, prop = len(a), [x ^ y for x, y in zip(a, b)]
     for i in range(1, n + 1):
-        run = gen[i - 1]
+        run = a[i - 1] & b[i - 1]
         for j in range(i, n):
             yield CarryChain(i, j), run & ~prop[j]
             run &= prop[j]
         yield CarryChain(i, n), run
 
 
-def _add_masked(d: list[int], m: int, e: int) -> None:
-    """Add the constant e to the two's-complement slices d in the lanes
-    of m, by a ripple carry (e > 0) or borrow (e < 0) that stops once
-    it dies out; overflow past the top slice wraps."""
-    v, c = abs(e), 0
-    for k, x in enumerate(d):
-        if not (v or c):
-            break
-        y = x if e > 0 else ~x
-        if v & 1:
-            d[k] = x ^ m ^ c
-            c = m & (y | c)
-        else:
-            d[k] = x ^ c
-            c &= y
-        v >>= 1
+def _table_errors(ec: ChainErrorTable, masks: Iterable[tuple[CarryChain, int]], width: int) -> list[int]:
+    """Every lane's table error, the sum of its chains' entries, as ``width`` two's-complement
+    slices (sign on top), from :func:`_chain_masks`: each entry e is added in its chain's lanes by
+    a ripple carry (e > 0) or borrow (e < 0) that stops once it dies out; overflow past the top
+    slice wraps."""
+    d = [0] * width
+    for (i, j), m in masks:
+        e = ec.get(i, j)
+        v, c = abs(e), 0
+        for k, x in enumerate(d):
+            if not (m and (v or c)):
+                break
+            y = x if e > 0 else ~x
+            if v & 1:
+                d[k] = x ^ m ^ c
+                c = m & (y | c)
+            else:
+                d[k] = x ^ c
+                c &= y
+            v >>= 1
+    return d
 
 
 def _slice_sums(d: list[int]) -> tuple[int, int, int]:
@@ -109,19 +114,16 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for block, width in lane_blocks(n):
-            a, b = operand_masks(n, block, width)
-            gen = [x & y for x, y in zip(a, b)]
-            prop = [x ^ y for x, y in zip(a, b)]
-            d = [0] * (bound.bit_length() + 1)
+            masks = list(_chain_masks(*operand_masks(n, block, width)))
+            d = _table_errors(ec, masks, bound.bit_length() + 1)
             # dominating sign per pair: chains by ascending start, so the
             # last error-contributing hit (largest start = leftmost) wins
             pos = neg = 0
-            for c, m in _chain_masks(gen, prop):
+            for c, m in masks:
                 e = ec.get(c.i, c.j)
                 if e:
-                    _add_masked(d, m, e)
                     pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
-            for c, m in _chain_masks(gen, prop):
+            for c, m in masks:
                 nu_plus[c] = nu_plus.get(c, 0) + (m & pos).bit_count()
                 nu_minus[c] = nu_minus.get(c, 0) + (m & neg).bit_count()
             yield _slice_sums(d)
@@ -131,28 +133,33 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
     return report
 
 
-def sae_oracle_simulate(net: Netlist, t: Time, conservative: ConservativeReport | None = None) -> StatsReport:
-    """Ground truth by simulating every pair, one lane block at a time
-    (4^(n-8) blocks at n > 8); independent of the chain model (no
-    per-chain tallies).  A ``conservative`` report at T also counts in
-    each block, so one exhaustive pass serves both checks; a report at
-    another T raises ValueError."""
-    n = net.n
+def _error_slices(sw: PairSweep, t: Time) -> list[int]:
+    """Every lane's signed error at T, true sum minus read, as n + 2 two's-complement slices."""
+    n, bit, c = sw.n, sw.operand_bit_mask, sw.true_carry_masks()
+    d, borrow = [], 0
+    for k, y in enumerate(sw.output_masks_at(t)):
+        x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
+        d.append(x ^ y ^ borrow)
+        borrow = (~x & (y | borrow)) | (y & borrow)
+    d.append(borrow)
+    return d
+
+
+def sae_oracle_simulate(net: Netlist, t: Time,
+                        check: Callable[[PairSweep, list[int]], None] | None = None) -> StatsReport:
+    """Ground truth by simulating every pair, one lane block at a time (4^(n-8) blocks at n > 8);
+    independent of the chain model (no per-chain tallies).  ``check(sweep, errors)`` is called on
+    each block with its :func:`_error_slices` before the block is reduced, so one exhaustive pass
+    also serves :func:`~pseudoadder.analysis.validity`."""
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for sw in block_sweeps(net, [t]):
-            if conservative is not None:
-                conservative.add(sw, sw.full)
-            bit, c = sw.operand_bit_mask, sw.true_carry_masks()
-            d, borrow = [], 0
-            for k, y in enumerate(sw.output_masks_at(t)):
-                x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
-                d.append(x ^ y ^ borrow)
-                borrow = (~x & (y | borrow)) | (y & borrow)
-            d.append(borrow)
+            d = _error_slices(sw, t)
+            if check is not None:
+                check(sw, d)
             yield _slice_sums(d)
 
-    return _oracle_report(n, blocks())
+    return _oracle_report(net.n, blocks())
 
 
 def nu_single(n: int, c: CarryChain) -> int:

@@ -465,3 +465,77 @@ def reference_oracle_simulate(net, t):
     a, b = operand_arrays(net.n)
     sweep = PairSweep(net, keep=set(net.outputs.values()))
     return oracle_report(net.n, (a + b) - sums_at(sweep, t))
+
+
+def reference_rule(net, t):
+    """Per-pair reference for ``validity``'s rule at T: ``(leaving,
+    mispredicted)`` over all pairs, or ``None`` when a chain probe leaves
+    the model.  ``leaving`` counts the pairs whose read implies a carry
+    above the true one or a stale bit 0.  ``mispredicted`` lists every
+    other pair whose read differs from its true sum minus the table
+    entries of its chains (``chains_by_scan``) as ``(a, b, k)``, k the
+    lowest differing bit, ordered by k, then by pair word."""
+    from pseudoadder import ConservativenessError, extract_ec_table
+
+    try:
+        ec = extract_ec_table(net, t)
+    except ConservativenessError:
+        return None
+    n = net.n
+    sums = sums_at(PairSweep(net, times=[t]), t)
+    leaving, mispredicted = 0, []
+    for word in range(1 << 2 * n):
+        a, b = word & ((1 << n) - 1), word >> n
+        s = int(sums[word])
+        if (s ^ a ^ b) & ~((a + b) ^ a ^ b):  # the true carries; a stale bit 0 reads as a carry into 0
+            leaving += 1
+            continue
+        diff = s ^ (a + b - sum(ec.get(*c) for c in chains_by_scan(InputPair(n, a, b))))
+        if diff:
+            mispredicted.append((a, b, (diff & -diff).bit_length() - 1))
+    return leaving, sorted(mispredicted, key=lambda c: (c[2], pair_word(c[0], c[1], n)))
+
+
+def reference_sample_words(n, samples, seed):
+    """Reference for ``validity``'s sampled batch: the first ``samples``
+    distinct pairs drawn from Random(seed), a then b (every pair, in word
+    order, when samples >= 4^n; one rng.sample of words above half of
+    them), then the new pairs among two witnesses each of ``samples``
+    shuffled chains, as lane words in batch order."""
+    from pseudoadder.analysis import _random_witness
+
+    rng = random.Random(seed)
+    if samples >= 4**n:
+        words = list(range(4**n))
+    elif 2 * samples > 4**n:
+        words = rng.sample(range(4**n), samples)
+    else:
+        words = []
+    while len(words) < min(samples, 4**n):
+        word = pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
+        if word not in words:
+            words.append(word)
+    chains = all_chains(n)
+    rng.shuffle(chains)
+    for c in 2 * chains[:samples]:
+        word = _random_witness(c, n, rng)
+        if word not in words:
+            words.append(word)
+    return words
+
+
+def reference_sampled_conservative(net, t, samples, seed):
+    """Reference for ``validity(net, t, limit=0, samples, seed).conservative``:
+    the sampled batch counted lane by lane, then a chain probe outside the
+    model that the batch missed, counted after it."""
+    from pseudoadder import ConservativeReport, ConservativenessError, extract_ec_table
+    from pseudoadder.chains import canonical_word
+
+    expected = ConservativeReport(read_time=t)
+    expected.add(PairSweep(net, words=reference_sample_words(net.n, samples, seed), times=[t]))
+    try:
+        extract_ec_table(net, t)
+    except ConservativenessError as exc:
+        if expected.passed:
+            expected.add(PairSweep(net, words=[canonical_word(exc.chain, net.n)], times=[t]))
+    return expected

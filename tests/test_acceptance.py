@@ -189,7 +189,7 @@ def test_dominating_sign_law_on_ksa():
         valid_reads = 0
         for t in times:
             check = ConservativeReport(read_time=t)
-            check.add(sweep, sweep.full)  # the whole-history sweep answers at every t
+            check.add(sweep)  # the whole-history sweep answers at every t
             conservative = check.passed
             if t >= settle:
                 # once every sum gate reflects its propagate bit, reads

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
     CarryChain,
-    ConservativeReport,
     ConservativenessError,
     Gate,
     GateKind,
@@ -29,7 +28,7 @@ from pseudoadder import (
 from pseudoadder import analysis
 from pseudoadder.analysis import _random_witness
 from pseudoadder.model import all_chains, pair_word, word_pair
-from conftest import exhaustive_pairs
+from conftest import exhaustive_pairs, reference_rule, reference_sample_words, reference_sampled_conservative
 from test_lane_blocks import _netlist
 
 
@@ -63,7 +62,7 @@ def ignores_a0_rca2():
 def probe_fault_rca11():
     """A detector ORed into sum bit 10 of the unit-delay RCA-11 fires only
     on (254 | 255, 2 | 3): of all chain probes, only chain (2, 8)'s,
-    (254, 2), reads a spurious carry, and a 128-pair sample misses it."""
+    (254, 2), reads a spurious carry, and the seed-0 sample misses it."""
     base = generate_rca(11, [1] * 11, [1] * 12)
     low = ["b2", "b3", "b4", "b5", "b6", "b7", *(f"{x}{k}" for x in "ab" for k in (8, 9, 10))]
     gates = [*base.gates, *(Gate(f"n{s}", GateKind.NOT, (s,), 0) for s in low)]
@@ -73,6 +72,22 @@ def probe_fault_rca11():
         detector = f"d{k}"
     gates.append(Gate("s10f", GateKind.OR2, ("s10", detector), 0))
     return Netlist(11, gates, {**base.outputs, 10: "s10f"})
+
+
+def long_gated_rca16():
+    """The unit-delay RCA-16 with its carry into stage 13 killed when a0
+    is set and positions 5..12 propagate: conservative, and not
+    independent, but only on pairs holding a long propagate run, which
+    a uniform 128-pair sample rarely draws."""
+    base = generate_rca(16, [1] * 16, [1] * 17)
+    gates = [Gate(g.id, g.kind, tuple("c13k" if s == "c13" else s for s in g.inputs), g.delay)
+             if g.id in ("s13", "c14") else g for g in base.gates]
+    trigger = "a0"
+    for k in range(5, 13):
+        gates.append(Gate(f"t{k}", GateKind.AND2, (trigger, f"p{k}"), 0))
+        trigger = f"t{k}"
+    gates += [Gate("nt", GateKind.NOT, (trigger,), 0), Gate("c13k", GateKind.AND2, ("c13", "nt"), 0)]
+    return Netlist(16, gates, base.outputs)
 
 
 def low_bit_gated_rca3():
@@ -157,7 +172,8 @@ def test_sampled_mode_agrees_with_exhaustive():
     assert validity(net, 7, limit=0).conservative.passed
     assert not check_conservative(net, 0).passed
     bad = validity(net, 0, limit=0).conservative
-    assert not bad.passed and bad.checked == SAMPLES == 128 and bad.counterexamples
+    # 128 distinct pairs, then the new pairs among 2 witnesses of each of the 36 chains
+    assert not bad.passed and bad.checked == 200 and SAMPLES == 128 and bad.counterexamples
     # each sampled counterexample is a violation over all pairs too:
     # c'_k = s'_k ^ a_k ^ b_k exceeds c_k (c_0 = 0 flags a stale s'_0)
     for a, b, k in bad.counterexamples:
@@ -174,13 +190,12 @@ def test_validity_is_all_pairs_within_the_limit_and_the_sample_above():
         report = validity(net, t)
         assert report.conservative == check_conservative(net, t)
         assert report.oracle == sae_oracle_simulate(net, t)
-        assert (report.method, report.seed) == ("exhaustive", 0)
+        assert report.table == extract_ec_table(net, t)
+        # no sample is drawn, so no seed is reported
+        assert (report.method, report.seed) == ("exhaustive", None)
         drawn = validity(net, t, limit=7, samples=32, seed=1)
-        assert (drawn.method, drawn.seed, drawn.conservative.checked, drawn.oracle) == ("sampled", 1, 32, None)
-        # the other two premises are the sample's either way
-        sampled = validity(net, t, limit=7)
-        assert report.commutativity_counterexamples == sampled.commutativity_counterexamples
-        assert report.independence_counterexamples == sampled.independence_counterexamples
+        # 32 distinct pairs, then the new pairs among 2 witnesses of each of 32 chains
+        assert (drawn.method, drawn.seed, drawn.conservative.checked, drawn.oracle) == ("sampled", 1, 96, None)
 
 
 def test_a_sample_of_every_pair_is_exhaustive():
@@ -202,26 +217,8 @@ def test_a_sample_of_every_pair_is_exhaustive():
 )
 def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, samples, seed, data):
     net = _netlist(kind, random.Random(build_seed))
-    n = net.n
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
-    # the reference: the first `samples` distinct pairs drawn from
-    # Random(seed), a then b (every pair, in word order, when samples >=
-    # 4^n; one rng.sample of words above half of them), run as a batch of
-    # its own and counted lane by lane
-    rng = random.Random(seed)
-    if samples >= 4**n:
-        words = list(range(4**n))
-    elif 2 * samples > 4**n:
-        words = rng.sample(range(4**n), samples)
-    else:
-        words = []
-    while len(words) < min(samples, 4**n):
-        word = pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
-        if word not in words:
-            words.append(word)
-    sw = PairSweep(net, words=words, times=[t])
-    expected = ConservativeReport(read_time=t)
-    expected.add(sw, sw.full)
+    expected = reference_sampled_conservative(net, t, samples, seed)
     got = validity(net, t, limit=0, samples=samples, seed=seed).conservative
     assert (got.checked, got.violations, got.counterexamples) == (
         expected.checked, expected.violations, expected.counterexamples)
@@ -251,7 +248,8 @@ def test_dense_sample_takes_one_draw_per_pair(n, monkeypatch):
     for samples in (4**n // 2 + 1, 4**n - 1):
         for seed in range(3):
             report = validity(net, 2 * n, limit=0, samples=samples, seed=seed)
-            assert report.conservative.checked == samples and report.passed
+            expected = len(reference_sample_words(n, samples, seed))
+            assert report.conservative.checked == expected and report.passed
             assert drawn_before_shuffle.pop() <= 2 * samples
 
 
@@ -267,11 +265,11 @@ def test_sampled_check_counts_each_pair_once(kind, build_seed, samples, seed, t)
     faulty = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3}
     net = faulty[kind]() if kind in faulty else _netlist(kind, random.Random(build_seed))
     report = validity(net, t, limit=0, samples=samples, seed=seed)
-    found = report.conservative.counterexamples
-    assert report.conservative.checked == min(samples, 4**net.n)
-    assert len(set(found)) == len(found)
-    commuted = report.commutativity_counterexamples
-    assert len(set(commuted)) == len(commuted)
+    # the sample's distinct pairs and witnesses, and a failing chain probe
+    # that they missed, each counted once
+    assert report.conservative.checked == reference_sampled_conservative(net, t, samples, seed).checked
+    for found in (report.conservative.counterexamples, report.independence_counterexamples):
+        assert len(set(found)) == len(found)
     if samples >= 4**net.n:  # every pair, in the exhaustive check's lane order
         assert report.conservative == check_conservative(net, t)
 
@@ -365,31 +363,99 @@ def test_generators_pass_assumption_checks():
     for net in (generate_rca(4, [1, 2, 1, 1], [1] * 5), generate_ksa(8, 1), staggered_ksa8()):
         q = 64
         report = validity(net, q, limit=0, samples=48, seed=1)
-        assert report.passed, (
-            report.commutativity_counterexamples,
-            report.independence_counterexamples,
-        )
+        assert report.passed, report.independence_counterexamples
 
 
 def test_assumption_check_refuses_fewer_than_one_sample():
     net = ignores_a0_rca2()
-    assert not validity(net, 1000, limit=0, samples=1).commutative
+    assert not validity(net, 1000, limit=0, samples=1).passed
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             validity(net, 1000, limit=0, samples=samples)
 
 
 def test_ignored_input_fails_commutativity():
+    # reading a0 as 0 breaks s'(0, 1) == s'(1, 0); the verdict fails on
+    # the probe of chain (1, 1), whose read (1, 1) is (0, 1)'s
     net = ignores_a0_rca2()
-    report = validity(net, 1000, limit=0, samples=16, seed=0)
-    assert not report.commutative
-    assert (0, 1) in report.commutativity_counterexamples or (
-        1,
-        0,
-    ) in report.commutativity_counterexamples
+    assert computed_sum(net, InputPair(2, 0, 1), 1000) != computed_sum(net, InputPair(2, 1, 0), 1000)
+    for limit in (0, 2):
+        report = validity(net, 1000, limit=limit, samples=16, seed=0)
+        assert not report.passed and report.table is None
+        assert report.probe_error == "probe for chain CarryChain(i=1, j=1) reads a spurious carry at T=1000"
+
+
+def test_witnesses_catch_a_fault_confined_to_long_chains():
+    # the random witnesses of long chains find the fault on every seed;
+    # 128 uniform pairs alone found it on 3 of 20 seeds
+    net = long_gated_rca16()
+    for seed in range(5):
+        report = validity(net, 1000, samples=128, seed=seed)
+        assert report.conservative.passed and not report.passed, seed
+        assert all(k == 13 for _, _, k in report.independence_counterexamples)
 
 
 def test_low_bit_gating_fails_independence():
     net = low_bit_gated_rca3()
     report = validity(net, 1000, limit=0, samples=64, seed=0)
     assert not report.independent
+
+
+FIXTURES = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3}
+
+
+def _any_netlist(kind, build_seed):
+    return FIXTURES[kind]() if kind in FIXTURES else _netlist(kind, random.Random(build_seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag", *FIXTURES]),
+    build_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_rule_equals_the_per_pair_reference(kind, build_seed, data):
+    net = _any_netlist(kind, build_seed)
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    expected = reference_rule(net, t)
+    # the exhaustive block pass, and a sample of every pair, predicted pair by pair
+    for report in (validity(net, t), validity(net, t, limit=0, samples=4**net.n)):
+        if expected is None:
+            assert report.table is None and not report.passed
+            continue
+        leaving, mispredicted = expected
+        assert report.independence_counterexamples == mispredicted[:10]
+        assert report.passed == (leaving == 0 and not mispredicted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["rca", "ksa", "dag", *FIXTURES]),
+    build_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_passing_rule_implies_commutativity(kind, build_seed, data):
+    # a pair's prediction depends on its chains and true sum alone, both
+    # symmetric in a and b, so a read that passes on every pair commutes
+    net = _any_netlist(kind, build_seed)
+    n = net.n
+    t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    if validity(net, t).passed:
+        sums = PairSweep(net, times=[t]).lane_sums(t)
+        assert all(sums[pair_word(a, b, n)] == sums[pair_word(b, a, n)] for a in range(1 << n) for b in range(a))
+
+
+def test_the_verdict_is_the_three_premise_verdict_on_the_fixtures():
+    # the read times that passed before the one rule, when conservativeness,
+    # commutativity and per-chain witness independence were three checks
+    # (the last two on a seeded sample) and a failing probe failed the read
+    passed_before = {
+        staggered_ksa8: (range(12), [*range(1, 12)]),
+        lambda: generate_ksa(8, 1): (range(12), [*range(2, 12)]),
+        inverted_carry_rca2: ([*range(8), 1000], [1]),
+        ignores_a0_rca2: ([*range(8), 1000], []),
+        low_bit_gated_rca3: ([*range(8), 1000], [1]),
+    }
+    for build, (times, passed) in passed_before.items():
+        net = build()
+        assert [t for t in times if validity(net, t).passed] == passed

@@ -366,7 +366,7 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
         ("[1]", "list indices must be integers"),
         (rca1.replace('"kind": "MAJ3"', '"kind": "FOO"'), "gate 'c1': 'FOO' is not a valid GateKind"),
         (rca1.replace('"kind": "MAJ3"', '"kind": ["MAJ3"]'), "gate 'c1': ['MAJ3'] is not a valid GateKind"),
-        (rca1.replace('"delay": 2', '"delay": "abc"'), "gate 'c1': Invalid literal for Fraction: 'abc'"),
+        (rca1.replace('"delay": 2', '"delay": "abc"'), "gate 'c1': cannot interpret delay 'abc'"),
         (rca1.replace('"delay": 2', '"delay": "1/0"'), "gate 'c1': cannot interpret delay '1/0'"),
         (rca1.replace('"inputs": ["a0", "b0", "zero"]', '"inputs": ["a0"]'),
          "gate 'c1': kind MAJ3 takes 3 inputs, got 1"),
@@ -378,23 +378,59 @@ def test_model_errors_exit_cleanly(capsys, tmp_path):
     path.write_text('{"pg": [1, 1], "prefix": 3, "sum": [1, 1, 1]}')
     code, out, err = run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}")
     assert (code, out) == (1, "")
-    assert err.startswith("error: malformed KSA delay JSON: 'int' object is not iterable")
+    assert err == "error: --delay: malformed KSA delay JSON: prefix must be a list, got 3\n"
     path.write_text('{"pg": [1, "abc"], "prefix": [[1, 1]], "sum": [1, 1, 1]}')
     code, out, err = run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}")
     assert (code, out) == (1, "")
-    assert err.startswith("error: malformed KSA delay JSON: Invalid literal for Fraction: 'abc'")
-    for text, fault in (("5", "'int' object is not iterable"), ("[1, -2]", "delay must be non-negative")):
+    assert err == "error: --delay: malformed KSA delay JSON: cannot interpret delay 'abc'\n"
+    for text, fault in (("5", "delays must be a list, got 5"), ("[1, -2]", "delay must be non-negative")):
         path.write_text(text)
         code, out, err = run_cli(capsys, "gen", "rca", "--n", "2", "--carry-delays", f"file:{path}")
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: malformed delay list JSON: {fault}")
+        assert err.startswith(f"error: --carry-delays: malformed delay list JSON: {fault}")
     # a zero denominator is refused like any other bad number
     path.write_text(rca1)
     for argv in (
         ("gen", "ksa", "--n", "2", "--delay", "uniform:1/0"),
         ("gen", "rca", "--n", "1", "--carry-delays", "1/0"),
     ):
-        assert run_cli(capsys, *argv) == (1, "", "error: cannot interpret delay '1/0'\n"), argv
+        assert run_cli(capsys, *argv) == (1, "", f"error: {argv[-2]}: cannot interpret delay '1/0'\n"), argv
+
+
+def test_a_delay_file_holding_a_string_is_refused(capsys, tmp_path):
+    # a JSON string is iterable, but it is not a list of delays
+    path = tmp_path / "sums.json"
+    path.write_text('"12"')
+    assert run_cli(capsys, "gen", "rca", "--n", "1", "--sum-delays", f"file:{path}") == (
+        1, "", "error: --sum-delays: malformed delay list JSON: delays must be a list, got '12'\n")
+
+
+def test_a_ksa_delay_file_with_a_string_row_is_refused(capsys, tmp_path):
+    path = tmp_path / "ksa.json"
+    for text, row in (('{"pg": "11", "prefix": [[1, 1]], "sum": [1, 1, 1]}', "pg must be a list, got '11'"),
+                      ('{"pg": [1, 1], "prefix": ["11"], "sum": [1, 1, 1]}', "prefix row must be a list, got '11'"),
+                      ('{"pg": [1, 1], "prefix": [[1, 1]], "sum": "111"}', "sum must be a list, got '111'")):
+        path.write_text(text)
+        assert run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}") == (
+            1, "", f"error: --delay: malformed KSA delay JSON: {row}\n")
+
+
+def test_bad_delay_text_names_its_option(capsys):
+    # as a bad read time names -T (test_read_time_errors_name_their_option)
+    for argv in (("ksa", "--n", "8", "--delay", "uniform:x"), ("rca", "--n", "1", "--carry-delays", "x"),
+                 ("rca", "--n", "1", "--sum-delays", "1,x"), ("rca", "--n", "1", "--sum-delays", "uniform:x")):
+        assert run_cli(capsys, "gen", *argv) == (1, "", f"error: {argv[-2]}: cannot interpret delay 'x'\n"), argv
+
+
+def test_unparseable_delay_text_is_refused_as_a_delay():
+    from pseudoadder import Gate, GateKind
+    from pseudoadder.netlist import as_delay
+
+    for text in ("x", "1/0", "nan", "inf", ""):
+        with pytest.raises(ValueError, match=f"^cannot interpret delay {text!r}$"):
+            as_delay(text)
+    with pytest.raises(ValueError, match="^gate 'g': cannot interpret delay 'abc'$"):
+        Gate("g", GateKind.BUF, ("a0",), "abc")
 
 
 def test_read_time_errors_name_their_option(capsys, tmp_path):
@@ -446,24 +482,36 @@ def test_stats_exits_1_where_verify_fails(capsys, tmp_path):
     # at T=1 every output is still 0, so the true mean |error| is 255
     code, out, _ = run_cli(capsys, "verify", "--netlist", path, "-T", "1")
     assert code == 1 and "FAIL  conservative" in out
-    assert run_cli(capsys, "stats", "--netlist", path, "-T", "1")[0] == 1
+    code, out, _ = run_cli(capsys, "stats", "--netlist", path, "-T", "1")
+    # the chain model's er_avg is 757/4; the verdict carries the true numbers
+    report = json.loads(out)
+    assert (code, report["stats"]["er_avg"]["numerator"], report["stats"]["er_avg"]["denominator"]) == (1, 757, 4)
+    truth = report["validity"]["stats"]
+    assert (truth["path"], truth["sae"], truth["er_avg"]["numerator"], truth["max_abs_error"]) == ("oracle", 255 << 16, 255, 510)
+    assert (truth["mse"]["numerator"], truth["mse"]["denominator"]) == (151895, 2)
 
 
 def test_stats_and_ec_carry_the_exhaustive_verdict(capsys, tmp_path):
-    from pseudoadder import check_conservative
+    from pseudoadder import PairSweep, check_conservative
+    from conftest import operand_arrays, oracle_report, sums_at
 
     path, seen = tmp_path / "ksa8.json", set()
+    a, b = operand_arrays(8)
     for net in (staggered_ksa8(), generate_ksa(8, 1)):
         path.write_text(net.to_json())
+        sweep = PairSweep(net, keep=set(net.outputs.values()))
         for t in range(12):
             exact = check_conservative(net, t)
             seen.add(exact.passed)
-            # commutativity and independence are sampled, from seed 0, at every n
+            # every premise covers all pairs, and no sample is drawn
             expected = {
-                "passed": exact.passed, "method": "exhaustive", "pairs": 4**8, "seed": 0,
+                "passed": exact.passed, "method": "exhaustive", "pairs": 4**8, "seed": None,
                 "violations": exact.violations, "counterexamples": [list(c) for c in exact.counterexamples],
-                "commutativity_counterexamples": [], "independence_counterexamples": [],
+                "independence_counterexamples": [],
             }
+            if not exact.passed:  # the true numbers, where the chain model's are not
+                truth = oracle_report(8, (a + b) - sums_at(sweep, t)).to_json_dict()
+                expected["stats"] = {"path": "oracle", **{k: truth[k] for k in ("sae", "er_avg", "mse", "max_abs_error")}}
             for command in ("stats", "ec"):
                 code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", str(t))
                 assert (code, err) == (0 if exact.passed else 1, ""), (command, t)
@@ -480,10 +528,11 @@ def test_stats_and_ec_above_the_limit_carry_the_sampled_verdict(capsys, tmp_path
     path.write_text(net.to_json())
     sampled = validity(net, 1, limit=0, samples=128, seed=0).conservative
     assert not sampled.passed
+    # 128 distinct pairs and 256 witnesses, 2 of each of 128 chains
     expected = {
-        "passed": False, "method": "sampled", "pairs": 128, "seed": 0,
+        "passed": False, "method": "sampled", "pairs": 384, "seed": 0,
         "violations": sampled.violations, "counterexamples": [list(c) for c in sampled.counterexamples],
-        "commutativity_counterexamples": [], "independence_counterexamples": [],
+        "independence_counterexamples": [],
     }
     for command in ("stats", "ec"):
         code, out, _ = run_cli(capsys, command, "--netlist", str(path), "-T", "1")
@@ -496,19 +545,16 @@ def test_stats_and_ec_above_the_limit_carry_the_sampled_verdict(capsys, tmp_path
 def test_stats_and_ec_name_the_premise_that_fails(capsys, tmp_path):
     from test_analysis import low_bit_gated_rca3
 
-    # conservative at every pair, yet the verdict fails on the other two
-    # premises, and the block names their counterexamples
+    # conservative at every pair, yet some reads are not the chain model's,
+    # and the block names them with their lowest differing bit
     net, path = low_bit_gated_rca3(), tmp_path / "gated.json"
     path.write_text(net.to_json())
-    report = validity(net, 1000)
-    commuted = [list(ab) for ab in report.commutativity_counterexamples]
-    dependent = [[list(c), a, b] for c, a, b in report.independence_counterexamples]
-    assert commuted and dependent
+    dependent = [list(c) for c in validity(net, 1000).independence_counterexamples]
+    assert dependent
     for command in ("stats", "ec"):
         code, out, err = run_cli(capsys, command, "--netlist", str(path), "-T", "1000")
         block = json.loads(out)["validity"]
         assert (code, err, block["passed"], block["violations"], block["counterexamples"]) == (1, "", False, 0, [])
-        assert block["commutativity_counterexamples"] == commuted, command
         assert block["independence_counterexamples"] == dependent, command
 
 
@@ -586,15 +632,14 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
     assert all(block is None for block, _ in sweeps_built), sweeps_built
     assert out.splitlines() == [
         "PASS  conservative (no spurious carries)",
-        "PASS  commutativity",
         "PASS  lower-position independence",
+        "PASS  chain probes in the model",
     ]
 
 
 def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(capsys, sweeps_built, tmp_path):
-    # n=10 above a limit of 4: the one seeded batch that checks
-    # commutativity and independence also answers the conservative check,
-    # then the one batch of all chain probes is read, as stats reads it
+    # n=10 above a limit of 4: the one batch of all chain probes is read,
+    # as stats reads it, then the one seeded batch answers both checks
     netlist = unit_rca(tmp_path, 10)
     _, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "3", "--exhaustive-n-limit", "4")
     assert len(out.splitlines()) == 3, out
@@ -602,15 +647,14 @@ def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(ca
 
 
 def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
-    # n=11 within a limit of 11: the 4^3 lane blocks of 4^8 pairs are
-    # built once each, first, and serve the conservative check and the
-    # oracle
+    # n=11 within a limit of 11: after the probe batch, the 4^3 lane
+    # blocks of 4^8 pairs are built once each, and serve both checks and
+    # the oracle; no sample is drawn
     netlist = unit_rca(tmp_path, 11)
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "12", "--exhaustive-n-limit", "11")
     assert code == 0, out
     assert "PASS  fast statistics equal exhaustive simulation  fast sae=0 oracle sae=0" in out
-    assert sweeps_built[:64] == [((k, 8), [12]) for k in range(64)], sweeps_built
-    assert all(block is None for block, _ in sweeps_built[64:]), sweeps_built
+    assert sweeps_built == [(None, [12]), *(((k, 8), [12]) for k in range(64))], sweeps_built
 
 
 def test_verify_force_is_gone(capsys):
@@ -652,59 +696,57 @@ def test_verify_faulty_netlist_fails(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000")
     assert code == 1
     assert "FAIL  conservative" in out
-    # each premise check fails once; only a FAIL line shows its detail.
-    # --samples 128 is at least 4^n here, so the sample is every pair in
-    # pair_word order
+    # each check fails once; only a FAIL line shows its detail.  n <= 10,
+    # so every check covers all pairs, in pair_word order
+    unchecked = "FAIL  lower-position independence  unchecked: no chain-error table\n"
+    probe = "probe for chain CarryChain(i={0}, j={0}) reads a spurious carry at T=1000"
     expected = {
         inverted_carry_rca2: (
             "FAIL  conservative (no spurious carries)  counterexamples=[(0, 0, 1), (2, 0, 1), (0, 1, 1), "
             "(2, 1, 1), (0, 2, 1), (2, 2, 1), (0, 3, 1), (2, 3, 1), (2, 0, 2), (2, 1, 2)]\n"
-            "FAIL  commutativity  [(0, 1), (1, 0), (3, 0)]\n"
-            "PASS  lower-position independence\n"
+            f"{unchecked}FAIL  chain probes in the model  {probe.format(2)}\n"
         ),
         ignores_a0_rca2: (
             "FAIL  conservative (no spurious carries)  counterexamples=[(1, 0, 0), (3, 0, 0), (1, 1, 0), "
             "(3, 1, 0), (1, 2, 0), (3, 2, 0), (1, 3, 0), (3, 3, 0)]\n"
-            "FAIL  commutativity  [(0, 1), (1, 0), (3, 0)]\n"
-            "PASS  lower-position independence\n"
+            f"{unchecked}FAIL  chain probes in the model  {probe.format(1)}\n"
         ),
         low_bit_gated_rca3: (
             "PASS  conservative (no spurious carries)\n"
-            "FAIL  commutativity  [(3, 2), (7, 2), (2, 3)]\n"
-            "FAIL  lower-position independence  [(CarryChain(i=2, j=3), 3, 6), "
-            "(CarryChain(i=2, j=3), 3, 7), (CarryChain(i=2, j=3), 7, 3)]\n"
+            "FAIL  lower-position independence  [(3, 2, 2), (7, 2, 2), (3, 3, 2)]\n"
+            "PASS  chain probes in the model\n"
         ),
     }
     # a probe outside the model prints its error, as stats and ec print it
-    probe = "error: probe for chain CarryChain(i={0}, j={0}) reads a spurious carry at T=1000\n"
-    errors = {inverted_carry_rca2: probe.format(2), ignores_a0_rca2: probe.format(1), low_bit_gated_rca3: ""}
+    errors = {inverted_carry_rca2: probe.format(2), ignores_a0_rca2: probe.format(1)}
     for build, text in expected.items():
         path.write_text(build().to_json())
-        assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, errors[build]), build.__name__
+        error = f"error: {errors[build]}\n" if build in errors else ""
+        assert run_cli(capsys, "verify", "--netlist", str(path), "-T", "1000") == (1, text, error), build.__name__
         # no counterexample repeats, also past the three that are printed
         report = validity(build(), 1000, limit=0, samples=128, seed=0)
-        for found in (report.independence_counterexamples, report.commutativity_counterexamples):
-            assert len(set(found)) == len(found), build.__name__
+        found = report.independence_counterexamples
+        assert len(set(found)) == len(found), build.__name__
 
 
 def test_a_probe_outside_the_model_fails_the_verdict(capsys, tmp_path):
-    """Only chain (2, 8)'s probe leaves the model, and the 128-pair sample
-    misses the four pairs that do: the failing probe alone fails the
-    sampled verdict, counted once into it."""
+    """Only chain (2, 8)'s probe leaves the model, and the sample (128
+    pairs and 132 witnesses of 66 chains) misses the four pairs that do:
+    the failing probe alone fails the sampled verdict, counted once into it."""
     from test_analysis import probe_fault_rca11
 
     path = tmp_path / "probe_fault.json"
     path.write_text(probe_fault_rca11().to_json())
     read = ("--netlist", str(path), "-T", "1000")
     error = "error: probe for chain CarryChain(i=2, j=8) reads a spurious carry at T=1000\n"
-    verdict = {"passed": False, "method": "sampled", "pairs": 129, "seed": 0, "violations": 1,
-               "counterexamples": [[254, 2, 10]], "commutativity_counterexamples": [],
-               "independence_counterexamples": []}
+    verdict = {"passed": False, "method": "sampled", "pairs": 261, "seed": 0, "violations": 1,
+               "counterexamples": [[254, 2, 10]], "independence_counterexamples": None}
     for command in ("stats", "ec"):
         code, out, err = run_cli(capsys, command, *read)
         report = json.loads(out)
         assert (code, err, report["ec"], report["validity"]) == (1, error, None, verdict), command
-    rest = "PASS  commutativity\nPASS  lower-position independence\n"
+    rest = ("FAIL  lower-position independence  unchecked: no chain-error table\n"
+            f"FAIL  chain probes in the model  {error[7:]}")
     assert run_cli(capsys, "verify", *read) == (
         1, f"FAIL  conservative (no spurious carries)  counterexamples=[(254, 2, 10)]\n{rest}", error)
     # all pairs: the probe is among the four the detector fires on, and not counted again

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoadder import (
+    AssumptionReport,
     ChainErrorTable,
-    ConservativeReport,
     InputPair,
     KsaDelays,
     all_chains,
@@ -29,6 +29,7 @@ from pseudoadder import (
     sae_oracle_chains,
     sae_oracle_simulate,
     sweep,
+    validity,
 )
 from pseudoadder.cli import main
 from pseudoadder.model import word_pair
@@ -107,14 +108,19 @@ def test_blocked_checks_equal_the_single_block_run(kind, seed, width, realizable
     data=st.data(),
 )
 def test_simulation_oracle_counts_each_block_into_a_conservative_report(kind, seed, width, data):
-    # verify's one exhaustive pass: the oracle's blocks also feed the check
+    # validity's one exhaustive pass: the oracle's blocks also feed both
+    # checks, whose counterexamples keep the order of one block of all pairs
     net = _netlist(kind, random.Random(seed))
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
-    report = ConservativeReport(read_time=t)
-    shared = _in_blocks(width, sae_oracle_simulate, net, t, conservative=report)
-    assert shared == sae_oracle_simulate(net, t)
-    assert report == check_conservative(net, t)
-    assert report.checked == 4**net.n
+    whole = validity(net, t, limit=net.n)
+    report = AssumptionReport(net.n, t, None)
+    report.table = whole.table
+    shared = _in_blocks(width, sae_oracle_simulate, net, t, check=report.add)
+    assert shared == sae_oracle_simulate(net, t) == whole.oracle
+    assert report.conservative == check_conservative(net, t)
+    assert report.conservative.checked == 4**net.n
+    if whole.table is not None:
+        assert report.independence_counterexamples == whole.independence_counterexamples
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,7 +155,7 @@ def test_block_lanes_hold_every_pair_once(kind, seed, width, data):
 def test_simulation_oracle_refuses_a_report_at_another_read_time():
     net = generate_rca(4, [1, 2, 1, 2], [2, 1, 0, 1, 2])
     with pytest.raises(ValueError, match="not one of this sweep's read times"):
-        sae_oracle_simulate(net, 3, conservative=ConservativeReport(read_time=2))
+        sae_oracle_simulate(net, 3, check=AssumptionReport(4, 2, None).add)
 
 
 def test_default_width_blocks_equal_one_block_at_n10():
@@ -174,8 +180,8 @@ def test_failing_rca10_read_prints_the_unblocked_lines(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines() == [
         "FAIL  conservative (no spurious carries)  counterexamples=[(1, 0, 0), (3, 0, 0), (5, 0, 0), "
         "(7, 0, 0), (9, 0, 0), (11, 0, 0), (13, 0, 0), (15, 0, 0), (17, 0, 0), (19, 0, 0)]",
-        "PASS  commutativity",
         "PASS  lower-position independence",
+        "PASS  chain probes in the model",
     ]
 
 
@@ -186,7 +192,7 @@ def test_verify_builds_the_doubling_masks_once(capsys, sweeps_built, tmp_path):
     sweep._index_bit_masks.cache_clear()
     code = main(["verify", "--netlist", str(path), "-T", "5", "--exhaustive-n-limit", "10"])
     assert code == 0, capsys.readouterr().out
-    assert [block for block, _ in sweeps_built[:16]] == [(k, 8) for k in range(16)]
+    assert [block for block, _ in sweeps_built if block is not None] == [(k, 8) for k in range(16)]
     info = sweep._index_bit_masks.cache_info()
     assert (info.misses, info.hits) == (1, 15)
 

@@ -177,7 +177,7 @@ def test_malformed_netlist_json_is_refused():
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(kind=["XOR2"])),
          "gate 's0': ['XOR2'] is not a valid GateKind"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="abc")),
-         "gate 's0': Invalid literal for Fraction: 'abc'"),
+         "gate 's0': cannot interpret delay 'abc'"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="1/0")),
          "gate 's0': cannot interpret delay '1/0'"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay=-1)),

@@ -131,9 +131,8 @@ def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS  fast statistics equal exhaustive simulation" in out
-        # the lane blocks come first, once each: they also serve the
-        # conservative check, so no sampled batch is built for it; each
-        # is simulated only up to the one read time it answers
+        # the probe batch, then the lane blocks once each: they serve
+        # every check, so no sampled batch is built; each is simulated
+        # only up to the one read time it answers
         blocks = [((k, min(n, 8)), [4]) for k in range(1 << 2 * max(0, n - 8))]
-        assert sweeps_built[: len(blocks)] == blocks, (n, sweeps_built)
-        assert all(block is None for block, _ in sweeps_built[len(blocks):]), (n, sweeps_built)
+        assert sweeps_built == [(None, [4]), *blocks], (n, sweeps_built)
