@@ -4,6 +4,7 @@ Usage, from the repository root::
 
     python3 bench/layers.py --out BENCH_17.json
     python3 bench/layers.py --src /path/to/other/checkout/src --out BENCH_16.json
+    python3 bench/layers.py --against /path/to/parent/checkout/src --out BENCH_32.json
 
 For a unit-delay ripple-carry adder (RCA) and a uniform-delay
 Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
@@ -31,8 +32,16 @@ moves into the first command shows there.  The report is one JSON file
 with the Python version, the CPU count, the git commit of the measured
 sources and any uncommitted changes to them.  The peaks of one command
 repeat to within 1% between runs; the times of unchanged code can
-differ by 2x between runs, so compare times only within one report, or
-over several runs taken alternately.  It uses only the standard library.
+differ by 2x between runs, so compare times only within one report.
+
+``--against DIR`` measures a second copy of the package, in ``DIR``,
+in the same loops: each repetition of a command, an import or a cold
+run is taken for both sources in turn, the order flipped every time,
+so both see the same machine load.  Its records go under the report's
+``against`` key, in the same shape.  Cold runs on a shared machine are
+bimodal, so two separate reports can order two sources by a mode they
+happened to catch; one alternating report cannot.  It uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("rca", "ksa")
-SIZES = (8, 16, 32, 64)
+SIZES = (8, 16, 32, 64, 128)
 REPEATS = 5
 #: cold commands: name, argv with ``{dir}`` for the work directory
 COLD = (
@@ -85,28 +94,76 @@ def git(path: Path, *args: str) -> str | None:
     return done.stdout.rstrip()
 
 
-def measure(main, argv: list[str], output: Path) -> dict:
-    """Median and quartile times of ``REPEATS`` runs, then the peak of one
-    traced run."""
-    times = []
-    for _ in range(REPEATS):
-        start = perf_counter()
-        code = main(argv)
-        times.append(perf_counter() - start)
-    gc.collect()  # no earlier run's garbage is collected inside the traced one
-    tracemalloc.start()
-    try:
-        main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {
-        "exit_code": code,
-        "output_bytes": output.stat().st_size if output.exists() else 0,
-        "median_s": statistics.median(times),
-        "quartiles_s": statistics.quantiles(times, n=4)[::2],
-        "peak_bytes": peak,
-    }
+def in_turn(count: int, repeat: int) -> range:
+    """The sources' order in one repetition: flipped every other one."""
+    return range(count) if repeat % 2 == 0 else range(count - 1, -1, -1)
+
+
+class Source:
+    """One copy of the pseudoadder package, every module imported from
+    ``src`` once and then kept out of ``sys.modules``, so two copies live
+    in one process; ``with source:`` puts its modules back in for a run."""
+
+    def __init__(self, src: Path):
+        self.src = src
+        before = self._take()
+        sys.path.insert(0, str(src))
+        try:
+            import pseudoadder
+
+            for module in sorted(p.stem for p in Path(pseudoadder.__file__).parent.glob("*.py")):
+                if module != "__init__":
+                    importlib.import_module(f"pseudoadder.{module}")
+        finally:
+            sys.path.remove(str(src))
+            self.modules = self._take()
+            sys.modules.update(before)
+        self.main = self.modules["pseudoadder.cli"].main
+
+    @staticmethod
+    def _take() -> dict:
+        names = [name for name in sys.modules if name.partition(".")[0] == "pseudoadder"]
+        return {name: sys.modules.pop(name) for name in names}
+
+    def __enter__(self) -> Source:
+        self.before = self._take()
+        sys.modules.update(self.modules)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._take()
+        sys.modules.update(self.before)
+
+
+def measure(sources: list[Source], argvs: list[list[str]], outputs: list[Path]) -> list[dict]:
+    """Per source: the median and quartile times of ``REPEATS`` runs,
+    taken in turn with the other sources', then the peak of one traced
+    run."""
+    times: list[list[float]] = [[] for _ in sources]
+    codes = [0] * len(sources)
+    for repeat in range(REPEATS):
+        for x in in_turn(len(sources), repeat):
+            with sources[x]:
+                start = perf_counter()
+                codes[x] = sources[x].main(argvs[x])
+                times[x].append(perf_counter() - start)
+    results = []
+    for source, argv, output, code, seconds in zip(sources, argvs, outputs, codes, times):
+        with source:
+            gc.collect()  # no earlier run's garbage is collected inside the traced one
+            tracemalloc.start()
+            try:
+                source.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        results.append({
+            "exit_code": code,
+            "output_bytes": output.stat().st_size if output.exists() else 0,
+            **spread(seconds),
+            "peak_bytes": peak,
+        })
+    return results
 
 
 def probe(src: Path, code: str, *argv: str) -> list[str]:
@@ -121,55 +178,72 @@ def spread(times: list[float]) -> dict:
     return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2]}
 
 
-def import_time(src: Path) -> dict:
-    """Median and quartile seconds of ``import pseudoadder.cli`` from
-    ``src`` in each of ``REPEATS`` fresh interpreters, timed by the
-    benchmark's own import probe."""
+def import_times(sources: list[Source]) -> list[dict]:
+    """Per source: the median and quartile seconds of ``import
+    pseudoadder.cli`` in each of ``REPEATS`` fresh interpreters, taken in
+    turn, timed by the benchmark's own import probe."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     perfbench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perfbench)  # stdlib imports and its one-thread BLAS variables only
-    result = spread([float(probe(src, perfbench.IMPORT_PROBE)[0]) for _ in range(REPEATS)])
-    print(f"import      {result['median_s'] * 1e3:9.2f} ms", file=sys.stderr)
-    return result
+    runs: list[list[float]] = [[] for _ in sources]
+    for repeat in range(REPEATS):
+        for x in in_turn(len(sources), repeat):
+            runs[x].append(float(probe(sources[x].src, perfbench.IMPORT_PROBE)[0]))
+    results = [spread(seconds) for seconds in runs]
+    print("import      " + "".join(f"{r['median_s'] * 1e3:9.2f} ms" for r in results), file=sys.stderr)
+    return results
 
 
-def cold_times(src: Path, main, workdir: Path) -> list[dict]:
-    """Per command in ``COLD``: its exit code and the median and quartile
-    seconds of ``import pseudoadder.cli`` plus ``main(argv)`` in each of
-    ``REPEATS`` fresh interpreters, the commands taken in turn."""
-    main(["gen", "rca", "--n", "10", "-o", str(workdir / "cold-rca10.json")])
-    runs: dict[str, list[float]] = {name: [] for name, _ in COLD}
-    codes = {}
-    for _ in range(REPEATS):
+def cold_times(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
+    """Per source, per command in ``COLD``: its exit code and the median
+    and quartile seconds of ``import pseudoadder.cli`` plus ``main(argv)``
+    in each of ``REPEATS`` fresh interpreters, the commands and then the
+    sources taken in turn, each source in its own work directory."""
+    runs: list[dict[str, list[float]]] = []
+    for source, workdir in zip(sources, workdirs):
+        with source:
+            source.main(["gen", "rca", "--n", "10", "-o", str(workdir / "cold-rca10.json")])
+        runs.append({name: [] for name, _ in COLD})
+    codes: list[dict[str, str]] = [{} for _ in sources]
+    for repeat in range(REPEATS):
         for name, argv in COLD:
-            seconds, codes[name] = probe(src, COLD_PROBE, *(a.format(dir=workdir) for a in argv))
-            runs[name].append(float(seconds))
-    rows = []
+            for x in in_turn(len(sources), repeat):
+                seconds, codes[x][name] = probe(sources[x].src, COLD_PROBE, *(a.format(dir=workdirs[x]) for a in argv))
+                runs[x][name].append(float(seconds))
+    results: list[list[dict]] = [[] for _ in sources]
     for name, argv in COLD:
-        rows.append({"command": name, "argv": [Path(a).name if "{dir}" in a else a for a in argv],
-                     "exit_code": int(codes[name]), **spread(runs[name])})
-        print(f"cold {name:18} {rows[-1]['median_s'] * 1e3:9.2f} ms", file=sys.stderr)
-    return rows
+        for x in range(len(sources)):
+            results[x].append({"command": name, "argv": [Path(a).name if "{dir}" in a else a for a in argv],
+                               "exit_code": int(codes[x][name]), **spread(runs[x][name])})
+        shown = "".join(f"{rows[-1]['median_s'] * 1e3:9.2f} ms" for rows in results)
+        print(f"cold {name:18}{shown}", file=sys.stderr)
+    return results
 
 
-def run(main, workdir: Path) -> list[dict]:
-    rows = []
+def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
+    """Per source, the records of every command in ``SIZES`` and ``KINDS``."""
+    rows: list[list[dict]] = [[] for _ in sources]
     for kind in KINDS:
         for n in SIZES:
-            netlist = workdir / f"{kind}{n}.json"
-            out = workdir / "out"
-            commands = {
-                "gen": ["gen", kind, "--n", str(n), "-o", str(netlist)],
-                "stats": ["stats", "--netlist", str(netlist), "-T", str(read_time(kind, n)), "-o", str(out)],
-                "sweep": ["sweep", "--netlist", str(netlist), "--t-range", "0..quiescence",
-                          "--format", "json", "-o", str(out)],
-            }
-            for name, argv in commands.items():
-                result = measure(main, argv, netlist if name == "gen" else out)
-                shown = [a if a not in (str(netlist), str(out)) else Path(a).name for a in argv]
-                rows.append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
-                print(f"{kind}{n:<3} {name:6} {result['median_s'] * 1e3:9.2f} ms "
-                      f"{result['peak_bytes'] / 1e6:7.2f} MB", file=sys.stderr)
+            netlists = [workdir / f"{kind}{n}.json" for workdir in workdirs]
+            outs = [workdir / "out" for workdir in workdirs]
+
+            def commands(netlist: Path, out: Path) -> dict[str, list[str]]:
+                return {
+                    "gen": ["gen", kind, "--n", str(n), "-o", str(netlist)],
+                    "stats": ["stats", "--netlist", str(netlist), "-T", str(read_time(kind, n)), "-o", str(out)],
+                    "sweep": ["sweep", "--netlist", str(netlist), "--t-range", "0..quiescence",
+                              "--format", "json", "-o", str(out)],
+                }
+
+            argvs = [commands(netlist, out) for netlist, out in zip(netlists, outs)]
+            for name in argvs[0]:
+                results = measure(sources, [a[name] for a in argvs], netlists if name == "gen" else outs)
+                shown = [a if a not in (str(netlists[0]), str(outs[0])) else Path(a).name for a in argvs[0][name]]
+                for x, result in enumerate(results):
+                    rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
+                print(f"{kind}{n:<3} {name:6}" + "".join(
+                    f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results), file=sys.stderr)
     return rows
 
 
@@ -177,28 +251,34 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON report to write")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the pseudoadder package")
+    parser.add_argument("--against", help="directory holding a second pseudoadder package, measured in turn")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    from pseudoadder import cli
-
-    if Path(cli.__file__).resolve().parent != src / "pseudoadder":
-        print(f"error: imported pseudoadder from {cli.__file__}, not {src}", file=sys.stderr)
-        return 2
+    sources = []
+    for src in [args.src] + ([args.against] if args.against else []):
+        source = Source(Path(src).resolve())
+        if Path(source.modules["pseudoadder"].__file__).resolve().parent != source.src / "pseudoadder":
+            print(f"error: imported pseudoadder from {source.modules['pseudoadder'].__file__}, not {src}",
+                  file=sys.stderr)
+            return 2
+        sources.append(source)
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
-        rows = run(cli.main, Path(tmp))
-        cold = cold_times(src, cli.main, Path(tmp))
-    report = {
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "git_sha": git(src, "rev-parse", "HEAD"),
+        workdirs = [Path(tmp) / str(x) for x in range(len(sources))]
+        for workdir in workdirs:
+            workdir.mkdir()
+        rows = run(sources, workdirs)
+        cold = cold_times(sources, workdirs)
+    imports = import_times(sources)
+    records = [{
+        "git_sha": git(source.src, "rev-parse", "HEAD"),
         # sources that differ from that commit, as git status lists them
-        "src_changes": (git(src, "status", "--porcelain", "--", ".") or "").splitlines(),
-        "repeats": REPEATS,
-        "import": import_time(src),
-        "cold": cold,
-        "commands": rows,
-    }
+        "src_changes": (git(source.src, "status", "--porcelain", "--", ".") or "").splitlines(),
+        "import": imports[x],
+        "cold": cold[x],
+        "commands": rows[x],
+    } for x, source in enumerate(sources)]
+    report = {"python": platform.python_version(), "cpus": os.cpu_count(), "repeats": REPEATS, **records[0]}
+    if args.against:
+        report["against"] = records[1]
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

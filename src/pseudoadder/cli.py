@@ -206,7 +206,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             else:
                 delays = as_delay(args.delay.removeprefix("uniform:"))
         net = generate_ksa(args.n, delays)
-    _emit_json(net.to_json_dict(), args.output)
+    _emit_json(net.to_json_dict(lazy=True), args.output)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Netlist generators for ripple-carry and Kogge-Stone adders.
 
 Every generator emits plain :class:`~pseudoadder.netlist.Netlist` objects,
-so the generated adders round-trip through JSON and run on the same
-simulators as hand-written netlists.
+each gate input the ``str`` of the id it names, so the generated adders
+round-trip through JSON and run on the same simulators as hand-written
+netlists.
 
 Delay conventions: the ripple-carry generator takes one delay per carry
 (majority) gate and one per sum XOR; the Kogge-Stone generator takes one
@@ -19,11 +20,18 @@ from typing import Sequence
 from .netlist import Delay, Gate, GateKind, Netlist, as_delay, delay_to_json, json_list, malformed_json
 
 
-def _input_gates(n: int) -> list[Gate]:
-    gates = [Gate(f"a{k}", GateKind.INPUT) for k in range(n)]
-    gates += [Gate(f"b{k}", GateKind.INPUT) for k in range(n)]
+def _input_gates(n: int) -> tuple[list[Gate], list[str], list[str]]:
+    """The INPUT gates a0.., b0.. and the CONST0 ``zero``, with the ids of a's and of b's bits."""
+    a, b = ([f"{x}{k}" for k in range(n)] for x in "ab")
+    gates = [Gate(gid, GateKind.INPUT) for gid in (*a, *b)]
     gates.append(Gate("zero", GateKind.CONST0))
-    return gates
+    return gates, a, b
+
+
+def _add(gates: list[Gate], gid: str, kind: GateKind, inputs: tuple[str, ...], delay: Delay) -> str:
+    """Append one gate and return its id, for later gates to read."""
+    gates.append(Gate(gid, kind, inputs, delay))
+    return gid
 
 
 def generate_rca(
@@ -42,20 +50,17 @@ def generate_rca(
         raise ValueError(f"need {n} carry delays, got {len(carry_delays)}")
     if len(sum_delays) != n + 1:
         raise ValueError(f"need {n + 1} sum delays, got {len(sum_delays)}")
-    gates = _input_gates(n)
+    gates, a, b = _input_gates(n)
+    zero = carry = gates[-1].id
     outputs: dict[int, str] = {}
-    carry = "zero"
     for k in range(n):
         if k == 0:
-            gates.append(Gate("s0", GateKind.XOR2, ("a0", "b0"), sum_delays[0]))
+            outputs[0] = _add(gates, "s0", GateKind.XOR2, (a[0], b[0]), sum_delays[0])
         else:
-            gates.append(Gate(f"p{k}", GateKind.XOR2, (f"a{k}", f"b{k}"), 0))
-            gates.append(Gate(f"s{k}", GateKind.XOR2, (f"p{k}", carry), sum_delays[k]))
-        gates.append(Gate(f"c{k + 1}", GateKind.MAJ3, (f"a{k}", f"b{k}", carry), carry_delays[k]))
-        outputs[k] = f"s{k}"
-        carry = f"c{k + 1}"
-    gates.append(Gate(f"s{n}", GateKind.XOR2, (carry, "zero"), sum_delays[n]))
-    outputs[n] = f"s{n}"
+            p = _add(gates, f"p{k}", GateKind.XOR2, (a[k], b[k]), 0)
+            outputs[k] = _add(gates, f"s{k}", GateKind.XOR2, (p, carry), sum_delays[k])
+        carry = _add(gates, f"c{k + 1}", GateKind.MAJ3, (a[k], b[k], carry), carry_delays[k])
+    outputs[n] = _add(gates, f"s{n}", GateKind.XOR2, (carry, zero), sum_delays[n])
     return Netlist(n, gates, outputs)
 
 
@@ -123,15 +128,15 @@ def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:
         if len(row) != n:
             raise ValueError(f"each prefix level needs {n} entries, got {len(row)}")
 
-    gates = _input_gates(n)
+    gates, a, b = _input_gates(n)
+    zero = gates[-1].id
     g_net: list[str] = []
     p_net: list[str] = []
     for k in range(n):
         d = delays.pg[k]
-        gates.append(Gate(f"p{k}", GateKind.XOR2, (f"a{k}", f"b{k}"), d))
-        gates.append(Gate(f"g{k}", GateKind.AND2, (f"a{k}", f"b{k}"), d))
-        g_net.append(f"g{k}")
-        p_net.append(f"p{k}")
+        p_net.append(_add(gates, f"p{k}", GateKind.XOR2, (a[k], b[k]), d))
+        g_net.append(_add(gates, f"g{k}", GateKind.AND2, (a[k], b[k]), d))
+    p = p_net  # the PG row's propagates, which the sums read; each level makes a new p_net
 
     for level in range(1, levels + 1):
         span = 1 << (level - 1)
@@ -140,30 +145,16 @@ def generate_ksa(n: int, delays: KsaDelays | Delay) -> Netlist:
         for k in range(span, n):
             d = delays.prefix[level - 1][k]
             tag = f"l{level}k{k}"
-            gates.append(
-                Gate(f"gp_{tag}", GateKind.AND2, (p_net[k], g_net[k - span]), 0)
-            )
-            gates.append(Gate(f"G_{tag}", GateKind.OR2, (g_net[k], f"gp_{tag}"), d))
-            g_next[k] = f"G_{tag}"
+            gp = _add(gates, f"gp_{tag}", GateKind.AND2, (p_net[k], g_net[k - span]), 0)
+            g_next[k] = _add(gates, f"G_{tag}", GateKind.OR2, (g_net[k], gp), d)
             if k >= 1 << level:  # span does not reach bit 0: P still needed
-                gates.append(
-                    Gate(f"P_{tag}", GateKind.AND2, (p_net[k], p_net[k - span]), d)
-                )
-                p_next[k] = f"P_{tag}"
+                p_next[k] = _add(gates, f"P_{tag}", GateKind.AND2, (p_net[k], p_net[k - span]), d)
         g_net, p_net = g_next, p_next
 
-    outputs: dict[int, str] = {}
-    gates.append(Gate("s0", GateKind.XOR2, ("p0", "zero"), delays.sums[0]))
-    outputs[0] = "s0"
+    outputs = {0: _add(gates, "s0", GateKind.XOR2, (p[0], zero), delays.sums[0])}
     for k in range(1, n):
-        gates.append(
-            Gate(f"s{k}", GateKind.XOR2, (f"p{k}", g_net[k - 1]), delays.sums[k])
-        )
-        outputs[k] = f"s{k}"
-    gates.append(
-        Gate(f"s{n}", GateKind.XOR2, (g_net[n - 1], "zero"), delays.sums[n])
-    )
-    outputs[n] = f"s{n}"
+        outputs[k] = _add(gates, f"s{k}", GateKind.XOR2, (p[k], g_net[k - 1]), delays.sums[k])
+    outputs[n] = _add(gates, f"s{n}", GateKind.XOR2, (g_net[n - 1], zero), delays.sums[n])
     return Netlist(n, gates, outputs)
 
 

@@ -15,9 +15,13 @@ JSON schema::
     }
 
 INPUT gates take no ``inputs`` and are bound to operand bits through
-their ids.  A delay is written as an integer or, when it is not one, as
-an exact ``"p/q"`` string; floats are read but never written.  A
-:class:`Gate` is an immutable named tuple, checked once when built.
+their ids; a source gate (INPUT, CONST0, CONST1) takes no delay, as both
+simulators apply it at t=0.  A delay is written as an integer or, when it
+is not one, as an exact ``"p/q"`` string; floats are read but never
+written.  A :class:`Gate` is an immutable named tuple, checked once when
+built.  Each name is held once: every input and output is the ``str`` of
+the id it names.  :meth:`Netlist.from_json` turns each decoded gate into
+its Gate in place, and ``gen`` streams them out (``to_json_dict(lazy=True)``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 from collections import namedtuple
 from contextlib import contextmanager
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -146,7 +151,8 @@ class Gate(namedtuple("Gate", "id kind inputs delay")):
     """One gate ``(id, kind, inputs=(), delay=0)``: an immutable named tuple
     with no ``__dict__``, equal to the plain tuple of its fields, and checked
     once when built (``_make`` and ``_replace`` too).  Its kind is stored as
-    a :class:`GateKind` and its delay exactly (:func:`as_delay`)."""
+    a :class:`GateKind` and its delay exactly (:func:`as_delay`); a source
+    gate's delay must be 0."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -160,10 +166,11 @@ class Gate(namedtuple("Gate", "id kind inputs delay")):
             delay = as_delay(delay)
         except ValueError as exc:
             raise ValueError(f"gate {id!r}: {exc}") from exc
-        if len(inputs) != ARITY[kind]:
-            raise ValueError(
-                f"gate {id!r}: kind {kind.value} takes {ARITY[kind]} inputs, got {len(inputs)}"
-            )
+        arity = ARITY[kind]
+        if len(inputs) != arity:
+            raise ValueError(f"gate {id!r}: kind {kind.value} takes {arity} inputs, got {len(inputs)}")
+        if delay and not arity:  # the sources are the kinds without inputs
+            raise ValueError(f"gate {id!r}: source gate {kind.value} takes no delay, got {delay}")
         return tuple.__new__(cls, (id, kind, inputs, delay))
 
 
@@ -171,8 +178,9 @@ class Netlist:
     """Immutable gate DAG with designated sum outputs.
 
     Construction validates acyclicity, the input-id convention, output
-    completeness and gate arities, and precomputes a topological order
-    and fanout lists for the simulators.
+    completeness and gate arities, and precomputes a topological order.
+    The readers of each gate (:attr:`fanout`) are built on first read,
+    which only the event-driven oracle makes.
     """
 
     def __init__(self, n: int, gates: list[Gate] | tuple[Gate, ...], outputs: dict[int, str]):
@@ -194,10 +202,7 @@ class Netlist:
                 "INPUT gates must be exactly a0..a%d and b0..b%d" % (n - 1, n - 1)
             )
 
-        for g in self.gates:
-            for src in g.inputs:
-                if src not in self.by_id:
-                    raise ValueError(f"gate {g.id}: unknown input {src!r}")
+        fan = self._readers()
 
         if len(self.outputs) != n + 1 or set(self.outputs) != set(range(n + 1)):
             raise ValueError(f"outputs must map every position 0..{n}")
@@ -205,13 +210,7 @@ class Netlist:
             if gid not in self.by_id:
                 raise ValueError(f"output {pos}: unknown gate {gid!r}")
 
-        fan: dict[str, list[str]] = {g.id: [] for g in self.gates}
-        for g in self.gates:
-            for src in g.inputs:
-                fan[src].append(g.id)
-        self.fanout: dict[str, tuple[str, ...]] = {gid: tuple(v) for gid, v in fan.items()}
-
-        # Kahn's algorithm over the fanout; a duplicate input is two edges
+        # Kahn's algorithm over the readers; a duplicate input is two edges
         waiting = {g.id: len(g.inputs) for g in self.gates}
         order = [g.id for g in self.gates if not g.inputs]  # grows as gates become ready
         for gid in order:
@@ -223,6 +222,20 @@ class Netlist:
             stuck = ", ".join(g.id for g in self.gates if waiting[g.id])
             raise ValueError(f"gate graph is not acyclic: gates on or behind a cycle: {stuck}")
         self.order: tuple[str, ...] = tuple(order)
+
+    def _readers(self) -> dict[str, list[str]]:
+        """The ids of the gates reading each gate, in gate order; an unknown input raises."""
+        fan: dict[str, list[str]] = {g.id: [] for g in self.gates}
+        for g in self.gates:
+            for src in g.inputs:
+                if src not in fan:
+                    raise ValueError(f"gate {g.id}: unknown input {src!r}")
+                fan[src].append(g.id)
+        return fan
+
+    @cached_property
+    def fanout(self) -> dict[str, tuple[str, ...]]:
+        return {gid: tuple(v) for gid, v in self._readers().items()}
 
     def input_bit(self, gate_id: str) -> tuple[str, int]:
         """Operand ('a' or 'b') and bit position bound to an INPUT gate."""
@@ -247,18 +260,13 @@ class Netlist:
             arrival[gid] = gate.delay + max((arrival[s] for s in gate.inputs), default=0)
         return max(arrival[gid] for gid in self.outputs.values())
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, lazy: bool = False) -> dict:
+        """The netlist as JSON; ``lazy`` gives its gate dicts as an iterator, made as read."""
+        gates = ({"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs), "delay": delay_to_json(g.delay)}
+                 for g in self.gates)
         return {
             "n": self.n,
-            "gates": [
-                {
-                    "id": g.id,
-                    "kind": g.kind.value,
-                    "inputs": list(g.inputs),
-                    "delay": delay_to_json(g.delay),
-                }
-                for g in self.gates
-            ],
+            "gates": gates if lazy else list(gates),
             "outputs": {str(pos): gid for pos, gid in sorted(self.outputs.items())},
         }
 
@@ -269,12 +277,27 @@ class Netlist:
     def from_json_dict(cls, data: dict) -> "Netlist":
         """Parse the JSON schema; ``n`` must be an integer, ``inputs`` a
         list and every output key a canonical decimal ``"0"``..``"n"``.
-        A bad kind, delay or arity names its gate."""
+        A bad kind, delay or arity names its gate.  ``data`` is left as
+        it was."""
+        return cls._parse(data, copy=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Netlist":
+        """:meth:`from_json_dict` of decoded text, each gate dict replaced by its Gate as it is read."""
+        return cls._parse(json.loads(text), copy=False)
+
+    @classmethod
+    def _parse(cls, data: dict, copy: bool) -> "Netlist":
+        names: dict[str, str] = {}  # each name's first str
         with malformed_json("netlist"):
-            gates = []
-            for g in data["gates"]:
-                inputs = json_list(g.get("inputs", []), f"gate {g['id']!r}: inputs")
-                gates.append(Gate(str(g["id"]), g["kind"], tuple(map(str, inputs)), g.get("delay", 0)))
+            gates = list(data["gates"]) if copy else data["gates"]
+            for k, g in enumerate(gates):
+                inputs = g.get("inputs", [])
+                if type(inputs) is not list:  # its message, naming the gate, is made only here
+                    json_list(inputs, f"gate {g['id']!r}: inputs")
+                gid = str(g["id"])
+                ids = tuple([names.setdefault(s, s) for s in map(str, inputs)])
+                gates[k] = Gate(names.setdefault(gid, gid), g["kind"], ids, g.get("delay", 0))
             n = data["n"]
             if type(n) is not int:
                 raise TypeError(f"n must be an integer, got {n!r}")
@@ -282,9 +305,6 @@ class Netlist:
             for key, gid in data["outputs"].items():
                 if not (key.isdecimal() and len(key) <= len(str(n)) and str(int(key)) == key and int(key) <= n):
                     raise TypeError(f"output key {key!r} is not one of '0'..'{n}'")
-                outputs[int(key)] = str(gid)
+                gid = str(gid)
+                outputs[int(key)] = names.setdefault(gid, gid)
         return cls(n, gates, outputs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Netlist":
-        return cls.from_json_dict(json.loads(text))

@@ -5,8 +5,8 @@ this simulator runs one input pair at a time and exists so that tests can
 check the engine against an independent implementation.
 
 Semantics: every gate output is 0 at t=0; operand and constant values are
-applied at t=0; whenever a gate's inputs change at time t it re-evaluates
-and, if the result differs from its current output, the new value commits
+applied at t=0 (sources take no delay); whenever a gate's inputs change at
+time t it re-evaluates and, if the result differs from its output, the new value commits
 at ``t + delay`` (transport delay, no pulse swallowing).  Reads at time T
 take the value of the last transition at or before T.  Acyclicity
 guarantees quiescence.

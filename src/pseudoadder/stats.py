@@ -189,9 +189,9 @@ def _scan(ec: ChainErrorTable) -> tuple[StatsReport, ChainSet]:
     sign law), or the summed s*error is not the SAE.
     """
     n = ec.n
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), w in ec.nonzero():
-        rows.setdefault(i - 1, []).append((j, w))
+    rows: dict[int, list[tuple[CarryChain, int, int]]] = {}
+    for chain, w in ec.nonzero():
+        rows.setdefault(chain.i - 1, []).append((chain, chain.j, w))
     # made[e][s] = [count, sum s*error, sum error^2, max s*error, min s*error, back-pointer]
     made: list[dict[int, list]] = [{} for _ in range(n)] + [{0: [1, 0, 0, 0, 0, None]}]
     tot = {0: [1, 0, 0]}  # per sign: the first three fields of all made states, read at k
@@ -202,8 +202,8 @@ def _scan(ec: ChainErrorTable) -> tuple[StatsReport, ChainSet]:
     for k in range(n - 1, -1, -1):
         # a 00 at k, or a generate closing an error-free chain, keeps the sign
         step = {s: [2 * x for x in tot[s]] + [far[s][0], near[s], (far[s][1], s, None)] for s in tot}
-        for j, w in rows.get(k, ()):
-            chain, sh, tally = CarryChain(k + 1, j), j - 1 - k, {1: 0, -1: 0}
+        for chain, j, w in rows.get(k, ()):
+            sh, tally = j - 1 - k, {1: 0, -1: 0}
             for s, (c, a, q, hi, lo, _) in made[j].items():
                 c, a, q = c << sh, a << sh, q << sh
                 kept = step[s]  # these pairs close an erring chain instead

@@ -28,8 +28,10 @@ waveforms.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from functools import cache
+from itertools import chain
 
 from .netlist import Gate, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
@@ -81,17 +83,24 @@ def block_sweeps(net: Netlist, times: list[Time]) -> Iterator[PairSweep]:
     return (PairSweep(net, times=times, block=block) for block in lane_blocks(net.n))
 
 
+TRANSPOSE_ROWS = 512  # rows per string of _transpose
+
+
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of ``rows[i]`` becomes bit i of the
     j-th result, for j < width.  Every row must be below ``2**width``.
 
-    The rows, last first, are written as one string of ``width``-digit
-    binary numerals; column j is then every width-th digit from offset
-    ``width - 1 - j``, read as a base-2 numeral."""
-    if not rows:
-        return [0] * width
-    digits = "".join(format(r, f"0{width}b") for r in reversed(rows))
-    return [int(digits[k::width], 2) for k in reversed(range(width))]
+    The rows are taken in bounded chunks of :data:`TRANSPOSE_ROWS`, last
+    chunk first: many short rows (pair words) are never one string, a few
+    wide ones (output masks) are.  A chunk, last row first, is written as
+    one string of ``width``-digit binary numerals; column j's part is
+    every width-th digit from offset ``width - 1 - j``, read in base 2."""
+    cols = [0] * width
+    for start in reversed(range(0, len(rows), TRANSPOSE_ROWS)):
+        chunk = rows[start : start + TRANSPOSE_ROWS]
+        digits = "".join(format(r, f"0{width}b") for r in reversed(chunk))
+        cols = [c << len(chunk) | int(digits[k::width], 2) for c, k in zip(cols, reversed(range(width)))]
+    return cols
 
 
 def _gate_steps(
@@ -213,7 +222,7 @@ class PairSweep:
         self._carries: list[int] | None = None
         wanted = set(net.outputs.values()).union(keep or ())
 
-        unread = {gid: len(fan) for gid, fan in net.fanout.items()}
+        unread = Counter(chain.from_iterable(g.inputs for g in net.gates))  # a duplicate input twice
         live: dict[str, list[tuple[Time, int]]] = {}
         self._wf: dict[str, Waveform] = {}
         for gid in net.order:

@@ -292,6 +292,24 @@ def test_conservative_check_refuses_an_empty_sample():
         validity(net, 0, limit=0, samples=0)
 
 
+def test_extract_ksa128_in_bounded_memory():
+    import tracemalloc
+
+    net = generate_ksa(128, 1)
+    extract_ec_table(net, 2)  # warm
+    tracemalloc.start()
+    try:
+        ec = extract_ec_table(net, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ec.n == 128 and ec.nonzero()
+    # the 8,256 probe words transposed as one string peaked at 5.77 MB;
+    # transposed TRANSPOSE_ROWS at a time, at 3.24-3.35 MB, most of it the
+    # one-string transpose of the 129 output masks into the probes' sums
+    assert peak < 4_000_000, f"extract_ec_table peaked at {peak / 1e6:.2f} MB"
+
+
 def test_extract_zero_table_from_correct_adder():
     net = generate_ksa(4, 1)
     ec = extract_ec_table(net, 1000)

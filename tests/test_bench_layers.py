@@ -43,6 +43,31 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
         assert low <= row["median_s"] <= high
 
 
+def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for name, value in (("SIZES", (8,)), ("KINDS", ("rca",)), ("REPEATS", 2), ("COLD", layers.COLD[:1])):
+        monkeypatch.setattr(layers, name, value)
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    before = {name: module for name, module in sys.modules.items() if name.startswith("pseudoadder")}
+    out = tmp_path / "BENCH.json"
+    assert layers.main(["--out", str(out), "--against", str(LAYERS.parents[1] / "src")]) == 0
+    # each source's modules are put back out of the way after every run
+    assert {name: module for name, module in sys.modules.items() if name.startswith("pseudoadder")} == before
+    report = json.loads(out.read_text())
+    against = report.pop("against")
+    assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "import", "cold", "commands"}
+    assert set(against) == {"git_sha", "src_changes", "import", "cold", "commands"}
+    for record in (report, against):
+        assert [(r["command"], r["exit_code"]) for r in record["cold"]] == [(layers.COLD[0][0], 0)]
+        assert [(r["kind"], r["n"], r["command"], r["exit_code"]) for r in record["commands"]] == [
+            ("rca", 8, command, 0) for command in ("gen", "stats", "sweep")
+        ]
+    # the same sources give the same output bytes
+    assert [r["output_bytes"] for r in report["commands"]] == [r["output_bytes"] for r in against["commands"]]
+
+
 def test_layers_imports_only_the_standard_library_and_the_package():
     for script in (LAYERS, CORPUS):
         tree = ast.parse(script.read_text())

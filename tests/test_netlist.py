@@ -1,8 +1,13 @@
+import copy
 import json
 import random
 import re
+import tempfile
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +22,13 @@ from pseudoadder import (
     generate_ksa,
     generate_rca,
 )
+from pseudoadder import sweep as sweep_module
+from pseudoadder.cli import main
 from pseudoadder.netlist import as_delay
 from conftest import random_netlist
+
+
+rationals = st.fractions(min_value=0, max_value=4, max_denominator=12)
 
 
 def inputs_for(n):
@@ -58,6 +68,10 @@ def test_gate_normalizes_kind_and_delay():
         (("XOR3", ("a0", "b0")), "'XOR3' is not a valid GateKind"),
         ((["XOR2"], ("a0", "b0")), "['XOR2'] is not a valid GateKind"),  # unhashable, as JSON gives it
         ((GateKind.XOR2, ("a0", "b0"), -1), "delay must be non-negative, got -1"),
+        # both simulators apply a source at t=0, so a source delay would
+        # only push arrival_time (and sweep's quiescence) past the last change
+        ((GateKind.INPUT, (), 5), "source gate INPUT takes no delay, got 5"),
+        ((GateKind.CONST1, (), "1/2"), "source gate CONST1 takes no delay, got 1/2"),
     ):
         with pytest.raises(ValueError, match=f"^gate 'x': {re.escape(fault)}$"):
             Gate("x", *args)
@@ -123,6 +137,102 @@ def test_duplicate_input_gate_builds():
     net = Netlist(1, gates, {0: "s0", 1: "s1"})
     assert net.order[-2:] == ("s0", "s1")
     assert net.fanout["a0"] == ("s0", "s0")
+    assert sweep_reader_counts(net) == {"a0": 2, "b0": 1, "s0": 2}
+
+
+def sweep_reader_counts(net):
+    """The reader count of each read gate that a PairSweep of ``net`` starts
+    from, after checking that the sweep reads each count down to 0."""
+    made = []
+
+    class Readers(Counter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((dict(self), self))
+
+    with mock.patch.object(sweep_module, "Counter", Readers):
+        PairSweep(net, times=[net.arrival_time()])
+    ((counts, left),) = made
+    assert set(left.values()) <= {0}, left
+    return counts
+
+
+@st.composite
+def listed_netlists(draw):
+    """``(kind, net)``: an RCA or a KSA with fractional delays, or a
+    ``random_netlist``, its gates as generated."""
+    kind = draw(st.sampled_from(("rca", "ksa", "random")))
+    delays = lambda count: tuple(draw(st.lists(rationals, min_size=count, max_size=count)))
+    if kind == "rca":
+        n = draw(st.integers(1, 5))
+        return kind, generate_rca(n, delays(n), delays(n + 1))
+    if kind == "ksa":
+        n = draw(st.sampled_from((2, 4, 8)))
+        return kind, generate_ksa(n, KsaDelays(delays(n), tuple(delays(n) for _ in range(n.bit_length() - 1)),
+                                               delays(n + 1)))
+    return kind, random_netlist(draw(st.integers(1, 3)), random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def names_are_held_once(net):
+    return all(net.by_id[s].id is s for g in net.gates for s in g.inputs) and all(
+        net.by_id[s].id is s for s in net.outputs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(listed_netlists(), st.booleans(), st.data())
+def test_each_name_is_held_once_through_json(drawn, shuffle, data):
+    kind, net = drawn
+    if shuffle:
+        net = Netlist(net.n, data.draw(st.permutations(net.gates)), net.outputs)
+    text = net.to_json()
+    again = Netlist.from_json(text)
+    assert (again.gates, again.outputs, again.to_json(), again.order) == (net.gates, net.outputs, text, net.order)
+    position = {gid: k for k, gid in enumerate(again.order)}
+    assert all(position[s] < position[g.id] for g in again.gates for s in g.inputs)
+    assert names_are_held_once(net) and names_are_held_once(again)
+    decoded = json.loads(text)
+    before = copy.deepcopy(decoded)
+    assert Netlist.from_json_dict(decoded).to_json() == text
+    assert decoded == before
+    assert sweep_reader_counts(net) == {gid: len(readers) for gid, readers in net.fanout.items() if readers}
+    if kind != "random" and not shuffle:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            if kind == "rca":
+                carry = [str(g.delay) for g in net.gates if g.kind is GateKind.MAJ3]
+                sums = [str(net.by_id[net.outputs[k]].delay) for k in range(net.n + 1)]
+                argv = ["rca", "--carry-delays", ",".join(carry), "--sum-delays", ",".join(sums)]
+            else:
+                delays = Path(tmp) / "delays.json"
+                delays.write_text(json.dumps(ksa_delays(net).to_json_dict()))
+                argv = ["ksa", "--delay", f"file:{delays}"]
+            assert main(["gen", *argv, "--n", str(net.n), "-o", str(path)]) == 0
+            assert path.read_text() == text + "\n"
+
+
+def ksa_delays(net):
+    """The module delays a generated KSA was built from (0 where no cell is)."""
+    levels = net.n.bit_length() - 1
+    delay = lambda gid: net.by_id[gid].delay if gid in net.by_id else 0
+    return KsaDelays(tuple(delay(f"p{k}") for k in range(net.n)),
+                     tuple(tuple(delay(f"G_l{level}k{k}") for k in range(net.n)) for level in range(1, levels + 1)),
+                     tuple(delay(f"s{k}") for k in range(net.n + 1)))
+
+
+def test_from_json_of_the_ksa128_in_bounded_memory():
+    text = generate_ksa(128, 1).to_json()
+    Netlist.from_json(text)  # warm
+    tracemalloc.start()
+    try:
+        net = Netlist.from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n == 128
+    # the decoded JSON beside the gates, every name twice and a fanout
+    # tuple per gate peaked at 2.68 MB; each gate in place of its dict,
+    # each name once and the fanout on demand, at 1.40 MB
+    assert peak < 1_600_000, f"from_json peaked at {peak / 1e6:.2f} MB"
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,6 +294,7 @@ def test_malformed_netlist_json_is_refused():
          "gate 's0': delay must be non-negative, got -1"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs=["a0"])),
          "gate 's0': kind XOR2 takes 2 inputs, got 1"),
+        (changed(lambda d: d["gates"][0].update(delay=5)), "gate 'a0': source gate INPUT takes no delay, got 5"),
     ):
         with pytest.raises(ValueError) as exc:
             Netlist.from_json_dict(data)
@@ -218,9 +329,6 @@ def test_sevenths_survive_json_and_keep_the_table():
     again = Netlist.from_json(text)
     for t in (Fraction(5, 7), Fraction(10, 7), Fraction(15, 7)):
         assert extract_ec_table(again, t) == extract_ec_table(net, t)
-
-
-rationals = st.fractions(min_value=0, max_value=4, max_denominator=12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -24,7 +24,7 @@ from pseudoadder import (
 from pseudoadder import sweep as sweep_module
 from pseudoadder.chains import canonical_word
 from pseudoadder.model import word_pair
-from pseudoadder.sweep import PairSweep, _gate_steps as gate_steps, _transpose
+from pseudoadder.sweep import TRANSPOSE_ROWS, PairSweep, _gate_steps as gate_steps, _transpose
 from conftest import (
     exhaustive_pairs,
     lane_transitions,
@@ -284,6 +284,23 @@ def test_transpose_equals_numpy_reference(matrix):
     cols = _transpose(rows, width)
     assert cols == reference_transpose(rows, width)
     assert _transpose(cols, len(rows)) == rows
+
+
+def one_string_transpose(rows, width):
+    """``_transpose`` as one string of every row, the form it takes in chunks."""
+    if not rows:
+        return [0] * width
+    digits = "".join(format(r, f"0{width}b") for r in reversed(rows))
+    return [int(digits[k::width], 2) for k in reversed(range(width))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 130), count=st.sampled_from((0, 1, TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_transpose_in_chunks_equals_one_string(width, count, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(width) for _ in range(count)]
+    assert _transpose(rows, width) == one_string_transpose(rows, width)
 
 
 def test_empty_pair_batch_has_no_lanes():
