@@ -40,8 +40,9 @@ run is taken for both sources in turn, the order flipped every time,
 so both see the same machine load.  Its records go under the report's
 ``against`` key, in the same shape.  Cold runs on a shared machine are
 bimodal, so two separate reports can order two sources by a mode they
-happened to catch; one alternating report cannot.  It uses only the
-standard library.
+happened to catch; in one alternating report both sources meet the same
+modes.  With ``REPEATS`` runs, read an ordering only where the two
+sources' quartiles do not overlap.  It uses only the standard library.
 """
 
 from __future__ import annotations
