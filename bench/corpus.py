@@ -208,6 +208,8 @@ def commands() -> list[list[str]]:
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "0..x"],
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "1..5:0"],
         ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "7"],
+        # one read time too many; kept small enough that code listing every read time still finishes
+        ["sweep", "--netlist", "{dir}/rca8.json", "--t-range", "0..10000"],
         ["chains", "--n", "4", "-a", "16", "-b", "-1"],
         ["stats", "--netlist", "{dir}/missing.json"],
         ["verify", "--netlist", "{dir}/missing.json"],

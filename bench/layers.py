@@ -42,7 +42,10 @@ so both see the same machine load.  Its records go under the report's
 bimodal, so two separate reports can order two sources by a mode they
 happened to catch; in one alternating report both sources meet the same
 modes.  With ``REPEATS`` runs, read an ordering only where the two
-sources' quartiles do not overlap.  It uses only the standard library.
+sources' quartiles do not overlap: each command and cold record of
+both sources says so in its ``faster`` key, ``"src"`` or ``"against"``
+for the source whose upper time quartile lies below the other's lower
+one, and null where they overlap.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -175,6 +178,13 @@ def probe(src: Path, code: str, *argv: str) -> list[str]:
                           text=True, timeout=60, check=True).stdout.split()
 
 
+def faster(mine: dict, theirs: dict) -> str | None:
+    """``"src"`` or ``"against"``, whichever of the two records' time
+    quartiles lie wholly below the other's; None where they overlap."""
+    (low, high), (their_low, their_high) = mine["quartiles_s"], theirs["quartiles_s"]
+    return "src" if high < their_low else "against" if their_high < low else None
+
+
 def spread(times: list[float]) -> dict:
     return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2]}
 
@@ -279,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     } for x, source in enumerate(sources)]
     report = {"python": platform.python_version(), "cpus": os.cpu_count(), "repeats": REPEATS, **records[0]}
     if args.against:
+        for key in ("cold", "commands"):
+            for mine, theirs in zip(records[0][key], records[1][key]):
+                mine["faster"] = theirs["faster"] = faster(mine, theirs)
         report["against"] = records[1]
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

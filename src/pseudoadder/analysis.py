@@ -28,7 +28,7 @@ from operator import or_
 
 from . import ORACLE_LIMIT, SAMPLES
 from .chains import canonical_word
-from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, all_chains, pair_word
+from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, _spans, pair_word
 from .netlist import Netlist, Time
 from .stats import _chain_masks, _error_slices, _table_errors, sae_oracle_simulate
 from .sweep import PairSweep, block_sweeps
@@ -163,14 +163,14 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
     read is not conservative, :class:`ConservativenessError` is raised
     naming the failing chain, after the pairs before it were yielded.
     """
-    chains = all_chains(net.n)
-    sw = PairSweep(net, words=[canonical_word(c, net.n) for c in chains], times=times)
+    sw = PairSweep(net, words=[canonical_word(c, net.n) for c in _spans(net.n)], times=times)
+    ends = [j for _, j in _spans(net.n)]  # probe (i, j) reads 2^j when it adds correctly
     for t in times:
         failing = reduce(or_, sw.carries_at(t)[1])
         if failing:
-            c = chains[(failing & -failing).bit_length() - 1]
+            c = CarryChain(*next(islice(_spans(net.n), (failing & -failing).bit_length() - 1, None)))
             raise ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
-        yield t, ChainErrorTable(net.n, {c: (1 << c.j) - s for c, s in zip(chains, sw.lane_sums(t))})
+        yield t, ChainErrorTable._of(net.n, [(1 << j) - s for j, s in zip(ends, sw.lane_sums(t))])
 
 
 def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
@@ -214,9 +214,9 @@ def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SA
         drawn = dict.fromkeys(words)
         while len(drawn) < m:
             drawn[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)] = None
-        chains = all_chains(n)
-        rng.shuffle(chains)
-        drawn.update(dict.fromkeys(_random_witness(c, n, rng) for c in 2 * chains[:samples]))
+        spans = list(_spans(n))  # one (i, j) per chain: the shuffle draws as for all_chains(n)
+        rng.shuffle(spans)
+        drawn.update(dict.fromkeys(_random_witness(CarryChain(*c), n, rng) for c in 2 * spans[:samples]))
         sw = PairSweep(net, words=list(drawn), times=[t])
         report.add(sw, _error_slices(sw, t))
     if report.table is None and report.conservative.passed:

@@ -49,8 +49,9 @@ def canonical_word(c: CarryChain, n: int) -> int:
     (:func:`~pseudoadder.model.pair_word`), for a chain ``c`` already
     known to fit width n: both operands carry the generate bit at i-1,
     a also carries ones at i..j-1, and the true sum is exactly ``2**j``."""
-    gen = 1 << (c.i - 1)
-    propagate = (1 << c.j) - (1 << c.i)  # bits i..j-1
+    i, j = c  # a chain or its (i, j)
+    gen = 1 << (i - 1)
+    propagate = (1 << j) - (1 << i)  # bits i..j-1
     return pair_word(gen | propagate, gen, n)
 
 

@@ -168,9 +168,13 @@ def _stats_row(t: Time, report: StatsReport) -> dict:
     }
 
 
+SWEEP_ROWS = 10_000  # most read times one --t-range may list
+
+
 def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     """``<start>..<stop>[:<step>]``; a ``quiescence`` stop is the static
-    arrival time of the outputs."""
+    arrival time of the outputs.  A range of more than :data:`SWEEP_ROWS`
+    read times is refused from its exact count, before any is listed."""
     body, _, step_text = spec.partition(":")
     start_text, sep, stop_text = body.partition("..")
     if not sep:
@@ -180,12 +184,10 @@ def _parse_t_range(spec: str, net: Netlist) -> list[Time]:
     step = _read_time(step_text, "--t-range") if step_text else 1
     if step <= 0:
         raise ValueError("--t-range: step must be positive")
-    times: list[Time] = []
-    t = start
-    while t <= stop:
-        times.append(t)
-        t = t + step
-    return times
+    count = max(0, (stop - start) // step + 1)  # exact: each part is an int or a Fraction
+    if count > SWEEP_ROWS:
+        raise ValueError(f"--t-range: more than {SWEEP_ROWS} read times")
+    return [start + k * step for k in range(count)]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -409,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_sweep = sub.add_parser("sweep", parents=[netlist, out, fmt], help="statistics over a range of read times")
-    p_sweep.add_argument("--t-range", required=True, help="start..stop[:step]; stop may be 'quiescence'")
+    p_sweep.add_argument("--t-range", required=True,
+                         help=f"start..stop[:step]; stop may be 'quiescence'; at most {SWEEP_ROWS} read times")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", parents=[netlist_or_none, read, out], help="model checks and oracle comparisons")

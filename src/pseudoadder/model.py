@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from . import PseudoAdderError
 
@@ -123,17 +123,26 @@ class ChainSet(Record):
 
 
 def all_chains(n: int) -> list[CarryChain]:
-    """All n(n+1)/2 possible chains for width n, ascending (i, j)."""
-    return [CarryChain(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    """All n(n+1)/2 possible chains for width n, ascending (i, j): rank order."""
+    return [CarryChain(i, j) for i, j in _spans(n)]
+
+
+def _spans(n: int) -> Iterator[tuple[int, int]]:
+    """``(i, j)`` of every chain of width n in rank order."""
+    return ((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+
+
+def _rank(n: int, i: int, j: int) -> int:
+    """The place of chain (i, j) of width n in rank order."""
+    return (i - 1) * (2 * n + 2 - i) // 2 + j - i
 
 
 class ChainErrorTable(Record):
     """Total map from every chain (i, j) to its signed integer error.
 
-    Missing entries are zero.  Every entry is bounded by ``2**(n+1)`` in
-    magnitude since an error is a difference of two (n+1)-bit sums.  The
-    sign convention is *true sum minus computed sum*, so a dropped carry
-    at the chain end yields a positive entry.
+    The entries, zeros too, are one list in :func:`all_chains` order: (i, j) at (i-1)(2n+2-i)/2 + j-i.
+    Each is below ``2**(n+1)`` in magnitude, since an error is a difference of two (n+1)-bit sums.
+    The sign convention is *true sum minus computed sum*: a dropped carry at the chain end is positive.
     """
 
     __slots__ = ("n", "_ec")
@@ -141,44 +150,77 @@ class ChainErrorTable(Record):
     def __init__(self, n: int, entries: dict[CarryChain, int] | None = None):
         if n < 1:
             raise ValueError(f"width must be positive, got {n}")
-        self.n = n
-        ec: dict[CarryChain, int] = {}
-        bound = 1 << (n + 1)
+        ec, bound = [0] * (n * (n + 1) // 2), 1 << (n + 1)
         for key, value in (entries or {}).items():
             chain = CarryChain(*key).validate(n)
             if type(value) is not int:
                 raise ValueError(f"error for chain {chain} must be an int, got {value!r}")
             if abs(value) >= bound:
-                raise ValueError(
-                    f"error {value} for chain {chain} exceeds +/-2^{n + 1}"
-                )
-            if value:
-                ec[chain] = value
-        self._ec = ec
+                raise ValueError(f"error {value} for chain {chain} exceeds +/-2^{n + 1}")
+            ec[_rank(n, *chain)] = value
+        self.n, self._ec = n, ec
+
+    @classmethod
+    def _of(cls, n: int, ec: list[int]) -> ChainErrorTable:
+        """Unchecked: the library's entries in rank order, each 2^j - s' of an (n+1)-bit read s', in bounds."""
+        table = cls.__new__(cls)
+        table.n, table._ec = n, ec
+        return table
 
     def get(self, i: int, j: int) -> int:
-        return self._ec.get((i, j), 0)
+        return self._ec[_rank(self.n, i, j)] if 1 <= i <= j <= self.n else 0
+
+    def row(self, i: int) -> list[int]:
+        """The entries of chains (i, i..n), j ascending, as one slice."""
+        return self._ec[(r := _rank(self.n, i, i)):r + self.n - i + 1]
 
     def nonzero(self) -> list[tuple[CarryChain, int]]:
         """Chains with a nonzero error, ascending by (i, j)."""
-        return sorted(self._ec.items())
+        return [(CarryChain(i, j), v) for i, j, v in ChainTally(self, self._ec)._triples()]
 
     def __repr__(self) -> str:
-        return f"ChainErrorTable(n={self.n}, nonzero={len(self._ec)})"
+        return f"ChainErrorTable(n={self.n}, nonzero={len(ChainTally(self, self._ec))})"
 
     def to_json_dict(self, lazy: bool = False) -> dict:
         """The table as JSON; ``lazy`` gives its entries as an iterator
         instead of a list."""
-        return {"n": self.n, "ec": _chain_entries(self._ec, lazy)}
+        return {"n": self.n, "ec": _chain_entries(ChainTally(self, self._ec), lazy)}
 
 
-def _chain_entries(m: dict[CarryChain, int] | None, lazy: bool) -> Iterator[dict] | list[dict] | None:
+class ChainTally(Mapping):
+    """Read-only map from each erring chain of a table to a value: a list in rank order, read
+    through the table's.  Keys are chains or ``(i, j)``, iterated ascending; others raise ``KeyError``."""
+
+    __slots__ = ("_table", "_values")
+
+    def __init__(self, table: ChainErrorTable, values: list[int]):
+        self._table, self._values = table, values
+
+    def __getitem__(self, chain: tuple[int, int]) -> int:
+        if isinstance(chain, tuple) and len(chain) == 2 and self._table.get(*chain):
+            return self._values[_rank(self._table.n, *chain)]
+        raise KeyError(chain)
+
+    def __iter__(self) -> Iterator[CarryChain]:
+        return (CarryChain(i, j) for i, j, _ in self._triples())
+
+    def __len__(self) -> int:
+        return len(self._values) - self._table._ec.count(0)
+
+    __repr__ = lambda self: repr(dict(self))
+
+    def _triples(self) -> Iterator[tuple[int, int, int]]:
+        return ((i, j, v) for (i, j), e, v in zip(_spans(self._table.n), self._table._ec, self._values) if e)
+
+
+def _chain_entries(m: Mapping[CarryChain, int] | None, lazy: bool) -> Iterator[dict] | list[dict] | None:
     """A chain map's JSON: ``{"i", "j", "value"}`` objects ascending by
     chain, as a list, or as an iterator that makes them one at a time from
-    the map when ``lazy``; None for no map."""
+    the map (a :class:`ChainTally`'s lists) when ``lazy``; None for no map."""
     if m is None:
         return None
-    entries = ({"i": c.i, "j": c.j, "value": m[c]} for c in sorted(m))
+    triples = m._triples() if isinstance(m, ChainTally) else ((c.i, c.j, m[c]) for c in sorted(m))
+    entries = ({"i": i, "j": j, "value": v} for i, j, v in triples)
     return entries if lazy else list(entries)
 
 
@@ -189,15 +231,15 @@ class StatsReport(Record):
     per-chain maps count a chain's generating input pairs by the sign of
     their dominating (leftmost error-contributing) chain.  The fast path
     tallies exactly the erring chains (nonzero entries; the others enter
-    no statistic), the chain oracle every chain, and oracles that never
-    look at chains leave them ``None``.
+    no statistic) in read-only :class:`ChainTally` maps over lists in the table's order, the chain
+    oracle every chain in dicts, and oracles that never look at chains leave them ``None``.
     """
 
     __slots__ = ("n", "sae", "er_avg", "mse", "max_abs_error", "nu_plus", "nu_minus")
 
     def __init__(self, n: int, sae: int, er_avg: Fraction, mse: Fraction | None = None,
-                 max_abs_error: int | None = None, nu_plus: dict[CarryChain, int] | None = None,
-                 nu_minus: dict[CarryChain, int] | None = None):
+                 max_abs_error: int | None = None, nu_plus: Mapping[CarryChain, int] | None = None,
+                 nu_minus: Mapping[CarryChain, int] | None = None):
         self.n, self.sae, self.er_avg, self.mse = n, sae, er_avg, mse
         self.max_abs_error, self.nu_plus, self.nu_minus = max_abs_error, nu_plus, nu_minus
 

@@ -23,32 +23,31 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
-from .model import CarryChain, ChainErrorTable, ChainSet, StatsReport
+from .model import CarryChain, ChainErrorTable, ChainSet, ChainTally, StatsReport, _rank, all_chains
 from .netlist import Netlist, Time
 from .sweep import block_sweeps, lane_blocks, operand_masks
 
 
-def _chain_masks(a: list[int], b: list[int]) -> Iterator[tuple[CarryChain, int]]:
-    """Every chain with its lane mask, from the lane masks of a's and b's bits, ascending (i, j):
+def _chain_masks(a: list[int], b: list[int]) -> Iterator[int]:
+    """Every chain's lane mask, from the lane masks of a's and b's bits, in the tables' rank order:
     the generate mask at i-1, narrowed by one running propagate prefix per start and cut by an
     equal-bits end (none at j = n)."""
     n, prop = len(a), [x ^ y for x, y in zip(a, b)]
     for i in range(1, n + 1):
         run = a[i - 1] & b[i - 1]
         for j in range(i, n):
-            yield CarryChain(i, j), run & ~prop[j]
+            yield run & ~prop[j]
             run &= prop[j]
-        yield CarryChain(i, n), run
+        yield run
 
 
-def _table_errors(ec: ChainErrorTable, masks: Iterable[tuple[CarryChain, int]], width: int) -> list[int]:
+def _table_errors(ec: ChainErrorTable, masks: Iterable[int], width: int) -> list[int]:
     """Every lane's table error, the sum of its chains' entries, as ``width`` two's-complement
     slices (sign on top), from :func:`_chain_masks`: each entry e is added in its chain's lanes by
     a ripple carry (e > 0) or borrow (e < 0) that stops once it dies out; overflow past the top
     slice wraps."""
     d = [0] * width
-    for (i, j), m in masks:
-        e = ec.get(i, j)
+    for e, m in zip(ec._ec, masks):
         v, c = abs(e), 0
         for k, x in enumerate(d):
             if not (m and (v or c)):
@@ -109,8 +108,7 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
     n = ec.n
     # a pair's chains end at distinct positions j, so this bounds |error|
     bound = sum(max(abs(ec.get(i, j)) for i in range(1, j + 1)) for j in range(1, n + 1))
-    nu_plus: dict[CarryChain, int] = {}
-    nu_minus: dict[CarryChain, int] = {}
+    nu_plus, nu_minus = [0] * len(ec._ec), [0] * len(ec._ec)  # in rank order
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for block, width in lane_blocks(n):
@@ -119,17 +117,16 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
             # dominating sign per pair: chains by ascending start, so the
             # last error-contributing hit (largest start = leftmost) wins
             pos = neg = 0
-            for c, m in masks:
-                e = ec.get(c.i, c.j)
+            for e, m in zip(ec._ec, masks):
                 if e:
                     pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
-            for c, m in masks:
-                nu_plus[c] = nu_plus.get(c, 0) + (m & pos).bit_count()
-                nu_minus[c] = nu_minus.get(c, 0) + (m & neg).bit_count()
+            for r, m in enumerate(masks):
+                nu_plus[r] += (m & pos).bit_count()
+                nu_minus[r] += (m & neg).bit_count()
             yield _slice_sums(d)
 
     report = _oracle_report(n, blocks())
-    report.nu_plus, report.nu_minus = nu_plus, nu_minus
+    report.nu_plus, report.nu_minus = (dict(zip(all_chains(n), x)) for x in (nu_plus, nu_minus))
     return report
 
 
@@ -183,45 +180,43 @@ def _scan(ec: ChainErrorTable) -> tuple[StatsReport, ChainSet]:
     end k, so each state is made once, at its end, and read at a lower k
     scaled by 2^(e-1-k); running sums of those reads leave a step only
     the chains that close there.  A generate at k closes chain (k+1, e)
-    and adds its error w.  A state carries its pair count, the sums of
-    s*error and error^2, the extremes of s*error, and a back-pointer to
-    the largest.  The smallest s*error must not fall below zero (the
-    sign law), or the summed s*error is not the SAE.
+    and adds its error w, read from the table's row of start k+1.  A state
+    carries its pair count, the sums of s*error and error^2, the extremes
+    of s*error, and a back-pointer to the largest (end, sign, and start i
+    of the chain closed there or None).  The smallest s*error must not
+    fall below zero (the sign law), or the summed s*error is not the SAE.
     """
     n = ec.n
-    rows: dict[int, list[tuple[CarryChain, int, int]]] = {}
-    for chain, w in ec.nonzero():
-        rows.setdefault(chain.i - 1, []).append((chain, chain.j, w))
     # made[e][s] = [count, sum s*error, sum error^2, max s*error, min s*error, back-pointer]
     made: list[dict[int, list]] = [{} for _ in range(n)] + [{0: [1, 0, 0, 0, 0, None]}]
     tot = {0: [1, 0, 0]}  # per sign: the first three fields of all made states, read at k
     far = {0: (0, n)}  # per sign: the largest s*error of a made state, and its end
     near = {0: 0}  # per sign: the smallest s*error of a made state
-    nu_plus: dict[CarryChain, int] = {}
-    nu_minus: dict[CarryChain, int] = {}
+    nu_plus, nu_minus = [0] * len(ec._ec), [0] * len(ec._ec)  # in the table's rank order
     for k in range(n - 1, -1, -1):
         # a 00 at k, or a generate closing an error-free chain, keeps the sign
         step = {s: [2 * x for x in tot[s]] + [far[s][0], near[s], (far[s][1], s, None)] for s in tot}
-        for chain, j, w in rows.get(k, ()):
-            sh, tally = j - 1 - k, {1: 0, -1: 0}
+        base = _rank(n, k + 1, k + 1) - k - 1  # chain (k + 1, j) has rank base + j
+        for j, w in enumerate(ec.row(k + 1), k + 1):
+            if not w:
+                continue
+            sh, tally = j - 1 - k, [0, 0, 0]  # pairs per new sign, at [1] and [-1]
             for s, (c, a, q, hi, lo, _) in made[j].items():
                 c, a, q = c << sh, a << sh, q << sh
                 kept = step[s]  # these pairs close an erring chain instead
-                kept[0] -= c
-                kept[1] -= a
-                kept[2] -= q
+                kept[0], kept[1], kept[2] = kept[0] - c, kept[1] - a, kept[2] - q
                 s2 = s or (1 if w > 0 else -1)
                 v = s2 * w
                 tally[s2] += c
-                new = [c, a + v * c, q + 2 * w * s * a + w * w * c, hi + v, lo + v, (j, s, chain)]
+                new = [c, a + v * c, q + 2 * w * s * a + w * w * c, hi + v, lo + v, (j, s, k + 1)]
                 cur = step.setdefault(s2, new)
                 if cur is not new:
-                    for x in range(3):
-                        cur[x] += new[x]
+                    cur[0], cur[1], cur[2] = cur[0] + c, cur[1] + new[1], cur[2] + new[2]
                     if new[3] > cur[3]:
                         cur[3], cur[5] = new[3], new[5]
-                    cur[4] = min(cur[4], new[4])
-            nu_plus[chain], nu_minus[chain] = tally[1] << 2 * k, tally[-1] << 2 * k
+                    if new[4] < cur[4]:
+                        cur[4] = new[4]
+            nu_plus[base + j], nu_minus[base + j] = tally[1] << 2 * k, tally[-1] << 2 * k
         made[k] = step
         for s, st in step.items():
             tot[s] = [2 * x + y for x, y in zip(tot.get(s, (0, 0, 0)), st)]
@@ -236,13 +231,13 @@ def _scan(ec: ChainErrorTable) -> tuple[StatsReport, ChainSet]:
     top, s = max((v, s) for s, (v, _) in far.items())  # ties prefer the positive side
     e, chains = far[s][1], []
     while s:
-        e, s, chain = made[e][s][5]
-        if chain is not None:
-            chains.append(chain)
+        e, s, i = made[e][s][5]  # a chain (i, e) closed there, or none
+        if i is not None:
+            chains.append(CarryChain(i, e))
     sae, sq = (sum(t[x] for t in tot.values()) for x in (1, 2))
     pairs = 1 << (2 * n)
     report = StatsReport(
-        n, sae, Fraction(sae, pairs), Fraction(sq, pairs), top, nu_plus, nu_minus
+        n, sae, Fraction(sae, pairs), Fraction(sq, pairs), top, ChainTally(ec, nu_plus), ChainTally(ec, nu_minus)
     )
     return report, ChainSet(n, tuple(chains))
 

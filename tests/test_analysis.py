@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -477,3 +478,51 @@ def test_the_verdict_is_the_three_premise_verdict_on_the_fixtures():
     for build, (times, passed) in passed_before.items():
         net = build()
         assert [t for t in times if validity(net, t).passed] == passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["rca", "ksa", "dag"]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sweep_tables_and_tallies_equal_their_checked_dict_forms(kind, seed, data):
+    from pseudoadder import ChainErrorTable, analyze_table, sae_oracle_chains
+    from pseudoadder.chains import canonical_word
+
+    net = _netlist(kind, random.Random(seed))
+    n = net.n
+    halves = st.integers(0, 2 * int(net.arrival_time()) + 2).map(lambda x: Fraction(x, 2))
+    times = data.draw(st.lists(halves, min_size=1, max_size=4), label="times")
+    tables = []
+    with contextlib.suppress(ConservativenessError):  # a DAG's probe may leave the model
+        tables.extend(ec_table_sweep(net, times))
+    # each probe read by the event-driven simulator, the library's independent oracle
+    probes = {c: simulate(net, InputPair(n, *word_pair(canonical_word(c, n), n))) for c in all_chains(n)}
+    for t, table in tables:
+        checked = ChainErrorTable(n, dict(table.nonzero()))
+        assert table == checked and repr(table) == repr(checked)
+        assert table.to_json_dict() == checked.to_json_dict()
+        for c, trace in probes.items():
+            read = sum(trace.value_at(gid, t) << k for k, gid in net.outputs.items())
+            assert table.get(*c) == checked.get(*c) == (1 << c.j) - read, (t, c)
+        for i, j in ((0, 1), (0, 0), (1, n + 1), (n + 1, n + 1), (2, 1), (n, n - 1)):
+            assert table.get(i, j) == 0
+        # the public constructor still checks every entry
+        c = data.draw(st.sampled_from(all_chains(n)), label="chain")
+        for bad in ({c: 1.0}, {c: Fraction(1)}, {c: 1 << n + 1}, {c: -(1 << n + 1)}, {(0, c.j): 1},
+                    {(c.i, n + 1): 1}, {(c.j + 1, c.j): 1}):
+            with pytest.raises(ValueError):
+                ChainErrorTable(n, bad)
+        try:
+            fast = analyze_table(table)
+        except ValueError:  # a table that breaks the sign law has no tallies
+            continue
+        oracle, erring = sae_oracle_chains(table), [c for c, _ in table.nonzero()]
+        for tally, every in ((fast.nu_plus, oracle.nu_plus), (fast.nu_minus, oracle.nu_minus)):
+            assert tally == {c: every[c] for c in erring} and {c: every[c] for c in erring} == tally
+            assert list(tally) == erring and len(tally) == len(erring)
+            for c in all_chains(n):
+                if c in erring:
+                    assert tally[c] == tally[c.i, c.j] == every[c]
+                else:
+                    with pytest.raises(KeyError):
+                        tally[c.i, c.j]
+            for off in ((0, 1), (1, n + 1), (2, 1), "x"):
+                assert off not in tally

@@ -4,6 +4,7 @@ prints one repeatable line per command.  No time is bounded here."""
 
 import ast
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -66,6 +67,13 @@ def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, mo
         ]
     # the same sources give the same output bytes
     assert [r["output_bytes"] for r in report["commands"]] == [r["output_bytes"] for r in against["commands"]]
+    # both records of a command name the faster source, or none where the quartiles overlap
+    for key in ("cold", "commands"):
+        for mine, theirs in zip(report[key], against[key]):
+            assert mine["faster"] == theirs["faster"] == layers.faster(mine, theirs)
+    quartiles = [{"quartiles_s": q} for q in ([1.0, 2.0], [2.5, 3.0], [1.5, 2.6])]
+    assert [layers.faster(x, y) for x, y in itertools.permutations(quartiles, 2)] == [
+        "src", None, "against", None, None, None]
 
 
 def test_layers_imports_only_the_standard_library_and_the_package():

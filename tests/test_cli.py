@@ -110,6 +110,8 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
 
     path = tmp_path / "ksa64.json"
     run_cli(capsys, "gen", "ksa", "--n", "64", "-o", str(path))
+    main(["stats", "--netlist", str(path), "-T", "2"])  # warm: imports are not the command's
+    capsys.readouterr()
     tracemalloc.start()
     try:
         code = main(["stats", "--netlist", str(path), "-T", "2"])
@@ -125,8 +127,9 @@ def test_stats_ksa64_is_one_exact_line_in_bounded_memory(capsys, tmp_path):
     # at 2.02-2.07 MB; with the chain-entry lists made one slice at a time
     # from the table's and the report's maps, at 1.35 MB; with each name
     # held once, no fanout tuples and the probe words transposed in
-    # chunks, at 1.12 MB
-    assert peak < 1_250_000, f"stats peaked at {peak / 1e6:.2f} MB"
+    # chunks, at 1.12 MB; warm, at 1.03-1.06 MB; with the table and the
+    # tallies as lists in chain order, at 0.71-0.74 MB
+    assert peak < 850_000, f"stats peaked at {peak / 1e6:.3f} MB"
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)
     stats = payload["stats"]
@@ -187,6 +190,7 @@ def test_sweep_rca32_in_bounded_memory(capsys, tmp_path):
 
     path, out = tmp_path / "rca32.json", tmp_path / "sweep.json"
     path.write_text(generate_rca(32, [1] * 32, [1] * 33).to_json())
+    main(["sweep", "--netlist", str(path), "--t-range", "0..quiescence", "-o", str(out)])  # warm
     tracemalloc.start()
     try:
         code = main(["sweep", "--netlist", str(path), "--t-range", "0..quiescence", "-o", str(out)])
@@ -196,8 +200,9 @@ def test_sweep_rca32_in_bounded_memory(capsys, tmp_path):
     assert code == 0, capsys.readouterr().err
     assert len(json.loads(out.read_text())["rows"]) == 34
     # holding the table of every read time at once peaked at 1.35 MB;
-    # one table at a time, at 0.68 MB
-    assert peak < 1_000_000, f"sweep peaked at {peak / 1e6:.2f} MB"
+    # one table at a time, at 0.68 MB; warm, at 0.30 MB; each table one
+    # list in chain order, built unchecked from the probe sums, at 0.18 MB
+    assert peak < 250_000, f"sweep peaked at {peak / 1e6:.3f} MB"
 
 
 class RecordingStdout(io.StringIO):
@@ -474,6 +479,37 @@ def test_read_time_errors_name_their_option(capsys, tmp_path):
     assert empty == (1, "", "error: --times: cannot interpret read time ''\n")
     for step, fault in (("0", "step must be positive"), ("x", "cannot interpret read time 'x'")):
         assert run_cli(capsys, "sweep", *net, "--t-range", f"0..1:{step}") == (1, "", f"error: --t-range: {fault}\n")
+
+
+def test_sweep_refuses_too_many_read_times_before_listing_them(tmp_path):
+    import os
+    import resource
+    import subprocess
+    from pathlib import Path
+
+    from pseudoadder.cli import SWEEP_ROWS, _parse_t_range
+
+    net = generate_rca(4, [1] * 4, [1] * 5)
+    path = tmp_path / "rca4.json"
+    path.write_text(net.to_json())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def bounded():  # a range listed before its count is checked fails here, not on the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # listing 0..quiescence:1e-400 first once grew to about 6 GB, and 0..1e6 ran past 20 s
+    for spec in ("0..quiescence:1e-400", "0..1e6", f"0..{SWEEP_ROWS}"):
+        done = subprocess.run(
+            [sys.executable, "-m", "pseudoadder.cli", "sweep", "--netlist", str(path), "--t-range", spec],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=bounded,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", f"error: --t-range: more than {SWEEP_ROWS} read times\n"), spec
+    # the count is exact: the limit itself, an empty range and a step past the stop
+    assert len(_parse_t_range(f"0..{SWEEP_ROWS - 1}", net)) == SWEEP_ROWS
+    assert _parse_t_range("1/2..2:1/2", net) == [Fraction(1, 2), 1, Fraction(3, 2), 2]
+    assert _parse_t_range("3..2", net) == [] and _parse_t_range("1..2:5", net) == [1]
 
 
 def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp_path):
