@@ -15,6 +15,10 @@ Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
   t = 2 on the KSA
 * ``sweep --netlist <netlist> --t-range 0..quiescence --format json``
 
+and then each command in ``WARM``: the exhaustive ``verify -T 5`` of the
+unit-delay RCA-10 and ``verify --fast-vs-oracle --n 10 --tables 1``
+(kind null).
+
 Every command writes to a file (``-o``), so no captured output counts
 as its memory.  Per command the report holds the median and the lower
 and upper quartiles of ``time.perf_counter`` seconds over ``REPEATS``
@@ -75,6 +79,12 @@ COLD = (
     ("verify rca10", ["verify", "--netlist", "{dir}/cold-rca10.json", "-T", "5", "-o", "{dir}/cold-out"]),
     ("chains n8", ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
     ("fast-vs-oracle n10", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/cold-out"]),
+)
+#: warm commands beside the per-size ones: kind, n, name, argv with ``{dir}``
+#: for the work directory, where ``rca10.json`` is the unit-delay RCA-10
+WARM = (
+    ("rca", 10, "verify", ["verify", "--netlist", "{dir}/rca10.json", "-T", "5", "-o", "{dir}/out"]),
+    (None, 10, "fast-vs-oracle", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/out"]),
 )
 COLD_PROBE = (
     "import sys, time; t = time.perf_counter(); import pseudoadder.cli; "
@@ -232,7 +242,8 @@ def cold_times(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
 
 
 def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
-    """Per source, the records of every command in ``SIZES`` and ``KINDS``."""
+    """Per source, the records of every command in ``SIZES`` and ``KINDS``,
+    then of every command in ``WARM``."""
     rows: list[list[dict]] = [[] for _ in sources]
     for kind in KINDS:
         for n in SIZES:
@@ -255,6 +266,16 @@ def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
                     rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
                 print(f"{kind}{n:<3} {name:6}" + "".join(
                     f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results), file=sys.stderr)
+    for source, workdir in zip(sources, workdirs):
+        with source:
+            source.main(["gen", "rca", "--n", "10", "-o", str(workdir / "rca10.json")])
+    for kind, n, name, argv in WARM:
+        results = measure(sources, [[a.format(dir=w) for a in argv] for w in workdirs], [w / "out" for w in workdirs])
+        shown = [Path(a).name if "{dir}" in a else a for a in argv]
+        for x, result in enumerate(results):
+            rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
+        print(f"{kind or '':3}{n:<3} {name:6}" + "".join(
+            f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results), file=sys.stderr)
     return rows
 
 

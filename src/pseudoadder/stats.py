@@ -3,10 +3,11 @@
 The oracles enumerate all 2^(2n) input pairs, bit-sliced over the lanes
 of one lane block at a time (:func:`~pseudoadder.sweep.lane_blocks`):
 every pair's signed error is a bit of each of a few two's-complement
-slice masks, O(n) masks of 8 KB per block, which each block reduces to
-its SAE, SSE and max |error| before the next is built.  They run at any
-n, 4^(n-8) blocks above n = 8; the caller chooses the width
-(``validity(limit=)``, ``verify --exhaustive-n-limit``).  The simulation
+slice masks.  A block holds O(n) masks of 8 KB, as no list of chain
+masks is kept, and is reduced to its SAE, SSE and max |error| before
+the next is built.  They run at any n, 4^(n-8) blocks above n = 8; the
+caller chooses the width (``validity(limit=)``, ``verify
+--exhaustive-n-limit``).  The simulation
 oracle also hands each block to a check when given one, so ``validity``
 simulates every block once.  The fast path,
 :func:`analyze_table`, works from a chain-error table: one scan over bit
@@ -36,8 +37,9 @@ def _chain_masks(a: list[int], b: list[int]) -> Iterator[int]:
     for i in range(1, n + 1):
         run = a[i - 1] & b[i - 1]
         for j in range(i, n):
-            yield run & ~prop[j]
-            run &= prop[j]
+            rest = run & prop[j]
+            yield run ^ rest  # run & ~prop[j], without a negative mask
+            run = rest
         yield run
 
 
@@ -103,7 +105,8 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
     Every pair's error is the sum of its chains' table entries; the
     report also tallies, per chain, how many generating pairs fall under
     a positive or negative dominating chain.  It runs 4^(n-8) lane
-    blocks at n > 8.
+    blocks at n > 8 and makes each block's chain masks twice, as streams
+    (errors and signs, then tallies), so it holds O(n) masks, not n(n+1)/2.
     """
     n = ec.n
     # a pair's chains end at distinct positions j, so this bounds |error|
@@ -112,15 +115,20 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for block, width in lane_blocks(n):
-            masks = list(_chain_masks(*operand_masks(n, block, width)))
-            d = _table_errors(ec, masks, bound.bit_length() + 1)
-            # dominating sign per pair: chains by ascending start, so the
-            # last error-contributing hit (largest start = leftmost) wins
+            a, b = operand_masks(n, block, width)
             pos = neg = 0
-            for e, m in zip(ec._ec, masks):
-                if e:
-                    pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
-            for r, m in enumerate(masks):
+
+            def signed(masks: Iterator[int]) -> Iterator[int]:
+                # dominating sign per pair: chains by ascending start, so the
+                # last error-contributing hit (largest start = leftmost) wins
+                nonlocal pos, neg
+                for e, m in zip(ec._ec, masks):
+                    if e:
+                        pos, neg = (pos | m, neg & ~m) if e > 0 else (pos & ~m, neg | m)
+                    yield m
+
+            d = _table_errors(ec, signed(_chain_masks(a, b)), bound.bit_length() + 1)
+            for r, m in enumerate(_chain_masks(a, b)):
                 nu_plus[r] += (m & pos).bit_count()
                 nu_minus[r] += (m & neg).bit_count()
             yield _slice_sums(d)

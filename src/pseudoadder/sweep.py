@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .netlist import Gate, Netlist, SOURCE_KINDS, Time, as_time, evaluate_gate
 
@@ -83,23 +83,30 @@ def block_sweeps(net: Netlist, times: list[Time]) -> Iterator[PairSweep]:
     return (PairSweep(net, times=times, block=block) for block in lane_blocks(net.n))
 
 
-TRANSPOSE_ROWS = 512  # rows per string of _transpose
+TRANSPOSE_ROWS = 512  # rows, and columns, per string of _transpose
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of ``rows[i]`` becomes bit i of the
     j-th result, for j < width.  Every row must be below ``2**width``.
 
-    The rows are taken in bounded chunks of :data:`TRANSPOSE_ROWS`, last
-    chunk first: many short rows (pair words) are never one string, a few
-    wide ones (output masks) are.  A chunk, last row first, is written as
-    one string of ``width``-digit binary numerals; column j's part is
-    every width-th digit from offset ``width - 1 - j``, read in base 2."""
-    cols = [0] * width
+    No string exceeds ``TRANSPOSE_ROWS ** 2`` digits, however many rows
+    (pair words) or columns (output masks): wider rows are cut into
+    column bands, ``r >> lo & part``, whose columns are joined in order,
+    and a band's rows are taken in chunks, last chunk first.  A chunk,
+    last row first, is written as one string of ``width``-digit binary
+    numerals; column j's part is every width-th digit from offset
+    ``width - 1 - j``, read in base 2."""
+    if width > TRANSPOSE_ROWS:
+        part = (1 << TRANSPOSE_ROWS) - 1
+        return list(chain.from_iterable(
+            _transpose([r >> lo & part for r in rows], min(TRANSPOSE_ROWS, width - lo))
+            for lo in range(0, width, TRANSPOSE_ROWS)))
+    spec, cols = f"0{width}b", [0] * width
     for start in reversed(range(0, len(rows), TRANSPOSE_ROWS)):
-        chunk = rows[start : start + TRANSPOSE_ROWS]
-        digits = "".join(format(r, f"0{width}b") for r in reversed(chunk))
-        cols = [c << len(chunk) | int(digits[k::width], 2) for c, k in zip(cols, reversed(range(width)))]
+        digits = "".join(map(format, reversed(rows[start : start + TRANSPOSE_ROWS]), repeat(spec)))
+        low = [int(digits[k::width], 2) for k in reversed(range(width))]
+        cols = low if start + TRANSPOSE_ROWS >= len(rows) else [c << TRANSPOSE_ROWS | x for c, x in zip(cols, low)]
     return cols
 
 

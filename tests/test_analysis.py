@@ -305,10 +305,11 @@ def test_extract_ksa128_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert ec.n == 128 and ec.nonzero()
-    # the 8,256 probe words transposed as one string peaked at 5.77 MB;
-    # transposed TRANSPOSE_ROWS at a time, at 3.24-3.35 MB, most of it the
-    # one-string transpose of the 129 output masks into the probes' sums
-    assert peak < 4_000_000, f"extract_ec_table peaked at {peak / 1e6:.2f} MB"
+    # the 8,256 probe words and the 129 output masks each transposed as one
+    # string peaked at 5.77 MB, with the words in chunks at 2.83 MB; with the
+    # masks in column bands too, no string passes TRANSPOSE_ROWS^2 digits and
+    # the peak is 1.27-1.39 MB
+    assert peak < 1_600_000, f"extract_ec_table peaked at {peak / 1e6:.2f} MB"
 
 
 def test_extract_zero_table_from_correct_adder():

@@ -36,7 +36,7 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
     rows = report["commands"]
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
         (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep")
-    ]
+    ] + [warm[:3] for warm in layers.WARM]
     for row in rows:
         assert set(row) == {"kind", "n", "command", "argv", "exit_code", "output_bytes", "median_s", "quartiles_s", "peak_bytes"}
         assert row["exit_code"] == 0 and row["output_bytes"] > 0 and row["peak_bytes"] > 0
@@ -64,7 +64,7 @@ def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, mo
         assert [(r["command"], r["exit_code"]) for r in record["cold"]] == [(layers.COLD[0][0], 0)]
         assert [(r["kind"], r["n"], r["command"], r["exit_code"]) for r in record["commands"]] == [
             ("rca", 8, command, 0) for command in ("gen", "stats", "sweep")
-        ]
+        ] + [(*warm[:3], 0) for warm in layers.WARM]
     # the same sources give the same output bytes
     assert [r["output_bytes"] for r in report["commands"]] == [r["output_bytes"] for r in against["commands"]]
     # both records of a command name the faster source, or none where the quartiles overlap

@@ -295,12 +295,23 @@ def one_string_transpose(rows, width):
 
 
 @settings(max_examples=60, deadline=None)
-@given(width=st.integers(1, 130), count=st.sampled_from((0, 1, TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1)),
+@given(width=st.one_of(st.integers(1, 130), st.sampled_from((511, 512, 513, 1025, 2080))),
+       count=st.sampled_from((0, 1, 3, TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1)),
        seed=st.integers(0, 2**32 - 1))
 def test_transpose_in_chunks_equals_one_string(width, count, seed):
+    # rows wider than TRANSPOSE_ROWS (output masks) are cut into column bands
     rng = random.Random(seed)
     rows = [rng.getrandbits(width) for _ in range(count)]
     assert _transpose(rows, width) == one_string_transpose(rows, width)
+
+
+def test_transpose_in_tiles_equals_one_string():
+    # more rows and more columns than TRANSPOSE_ROWS: chunks within bands
+    rng = random.Random(34)
+    rows = [rng.getrandbits(TRANSPOSE_ROWS + 77) for _ in range(TRANSPOSE_ROWS + 3)]
+    cols = _transpose(rows, TRANSPOSE_ROWS + 77)
+    assert cols == one_string_transpose(rows, TRANSPOSE_ROWS + 77)
+    assert _transpose(cols, len(rows)) == rows
 
 
 def test_empty_pair_batch_has_no_lanes():
