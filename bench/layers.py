@@ -1,4 +1,4 @@
-"""Per-command time and memory of the pseudoadder CLI, run in-process.
+"""Per-command time and memory of the pseudoadder CLI and library, run in-process.
 
 Usage, from the repository root::
 
@@ -15,9 +15,13 @@ Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
   t = 2 on the KSA
 * ``sweep --netlist <netlist> --t-range 0..quiescence --format json``
 
-and then each command in ``WARM``: the exhaustive ``verify -T 5`` of the
-unit-delay RCA-10 and ``verify --fast-vs-oracle --n 10 --tables 1``
-(kind null).
+then each library call in ``LIBRARY`` on that netlist, loaded beforehand,
+at the ``stats`` read time: ``validity(net, t)`` with its defaults (the
+block pass at n <= 10, the sampled batch above) and
+``extract_ec_table(net, t)``, recorded with ``call`` in place of
+``argv``, exit code and output size.  Last come the commands in
+``WARM``: the exhaustive ``verify -T 5`` of the unit-delay RCA-10 and
+``verify --fast-vs-oracle --n 10 --tables 1`` (kind null).
 
 Every command writes to a file (``-o``), so no captured output counts
 as its memory.  Per command the report holds the median and the lower
@@ -65,6 +69,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -80,6 +86,9 @@ COLD = (
     ("chains n8", ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
     ("fast-vs-oracle n10", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/cold-out"]),
 )
+#: library calls of ``pseudoadder.analysis`` beside the per-size commands,
+#: each given the netlist and the ``stats`` read time
+LIBRARY = ("validity", "extract_ec_table")
 #: warm commands beside the per-size ones: kind, n, name, argv with ``{dir}``
 #: for the work directory, where ``rca10.json`` is the unit-delay RCA-10
 WARM = (
@@ -149,35 +158,50 @@ class Source:
         sys.modules.update(self.before)
 
 
-def measure(sources: list[Source], argvs: list[list[str]], outputs: list[Path]) -> list[dict]:
-    """Per source: the median and quartile times of ``REPEATS`` runs,
-    taken in turn with the other sources', then the peak of one traced
-    run."""
+def measure(sources: list[Source], calls: list[Callable[[], object]]) -> list[tuple[object, dict]]:
+    """Per source: what its call returned the last time, and the median
+    and quartile times of ``REPEATS`` calls, taken in turn with the other
+    sources', then the peak of one traced call."""
     times: list[list[float]] = [[] for _ in sources]
-    codes = [0] * len(sources)
+    returned: list[object] = [None] * len(sources)
     for repeat in range(REPEATS):
         for x in in_turn(len(sources), repeat):
             with sources[x]:
                 start = perf_counter()
-                codes[x] = sources[x].main(argvs[x])
+                returned[x] = calls[x]()
                 times[x].append(perf_counter() - start)
     results = []
-    for source, argv, output, code, seconds in zip(sources, argvs, outputs, codes, times):
+    for source, call, value, seconds in zip(sources, calls, returned, times):
         with source:
             gc.collect()  # no earlier run's garbage is collected inside the traced one
             tracemalloc.start()
             try:
-                source.main(argv)
+                call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        results.append({
-            "exit_code": code,
-            "output_bytes": output.stat().st_size if output.exists() else 0,
-            **spread(seconds),
-            "peak_bytes": peak,
-        })
+        results.append((value, {**spread(seconds), "peak_bytes": peak}))
     return results
+
+
+def measure_cli(sources: list[Source], argvs: list[list[str]], outputs: list[Path]) -> list[dict]:
+    """:func:`measure` of one ``main(argv)`` per source, with its exit
+    code and the size of its output file."""
+    results = measure(sources, [partial(source.main, argv) for source, argv in zip(sources, argvs)])
+    return [{"exit_code": code, "output_bytes": output.stat().st_size if output.exists() else 0, **timing}
+            for (code, timing), output in zip(results, outputs)]
+
+
+def library_call(source: Source, name: str, netlist: Path, t: int) -> Callable[[], None]:
+    """``name(net, t)`` of the source's ``pseudoadder.analysis``, on the
+    netlist loaded now, its result dropped on return."""
+    function = getattr(source.modules["pseudoadder.analysis"], name)
+    net = source.modules["pseudoadder.netlist"].Netlist.from_json(netlist.read_text())
+
+    def call() -> None:
+        function(net, t)
+
+    return call
 
 
 def probe(src: Path, code: str, *argv: str) -> list[str]:
@@ -242,8 +266,8 @@ def cold_times(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
 
 
 def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
-    """Per source, the records of every command in ``SIZES`` and ``KINDS``,
-    then of every command in ``WARM``."""
+    """Per source, the records of every command and ``LIBRARY`` call in
+    ``SIZES`` and ``KINDS``, then of every command in ``WARM``."""
     rows: list[list[dict]] = [[] for _ in sources]
     for kind in KINDS:
         for n in SIZES:
@@ -260,23 +284,34 @@ def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
 
             argvs = [commands(netlist, out) for netlist, out in zip(netlists, outs)]
             for name in argvs[0]:
-                results = measure(sources, [a[name] for a in argvs], netlists if name == "gen" else outs)
+                results = measure_cli(sources, [a[name] for a in argvs], netlists if name == "gen" else outs)
                 shown = [a if a not in (str(netlists[0]), str(outs[0])) else Path(a).name for a in argvs[0][name]]
                 for x, result in enumerate(results):
                     rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
-                print(f"{kind}{n:<3} {name:6}" + "".join(
-                    f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results), file=sys.stderr)
+                show(f"{kind}{n:<3} {name:6}", results)
+            t = read_time(kind, n)
+            for name in LIBRARY:
+                calls = [library_call(source, name, netlist, t) for source, netlist in zip(sources, netlists)]
+                results = [timing for _, timing in measure(sources, calls)]
+                del calls  # each source's netlist
+                for x, result in enumerate(results):
+                    rows[x].append({"kind": kind, "n": n, "command": name, "call": f"{name}(net, {t})", **result})
+                show(f"{kind}{n:<3} {name}", results)
     for source, workdir in zip(sources, workdirs):
         with source:
             source.main(["gen", "rca", "--n", "10", "-o", str(workdir / "rca10.json")])
     for kind, n, name, argv in WARM:
-        results = measure(sources, [[a.format(dir=w) for a in argv] for w in workdirs], [w / "out" for w in workdirs])
+        results = measure_cli(sources, [[a.format(dir=w) for a in argv] for w in workdirs], [w / "out" for w in workdirs])
         shown = [Path(a).name if "{dir}" in a else a for a in argv]
         for x, result in enumerate(results):
             rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
-        print(f"{kind or '':3}{n:<3} {name:6}" + "".join(
-            f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results), file=sys.stderr)
+        show(f"{kind or '':3}{n:<3} {name:6}", results)
     return rows
+
+
+def show(label: str, results: list[dict]) -> None:
+    print(label + "".join(f"{r['median_s'] * 1e3:9.2f} ms {r['peak_bytes'] / 1e6:7.2f} MB" for r in results),
+          file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,10 +11,10 @@ whole attribution with one per-pair rule: each pair's read equals the
 chain model's prediction from the chain-error table.  It says how the
 verdict was reached.
 
-Chain-error tables stream from :func:`ec_table_sweep`: an iterator of
-``(t, table)`` per listed read time, in the caller's order, that raises
-at the first T whose probes leave the model; :func:`extract_ec_table`
-is its one-time case.
+Chain-error tables stream from :func:`ec_table_sweep`, an iterator of
+``(t, table)`` per listed read time that raises at the first T whose
+probes leave the model; :func:`extract_ec_table` is its one-time case,
+and :func:`validity` reads its table off the same probe lanes.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import random
 from collections.abc import Iterator
 from functools import reduce
 from heapq import merge
-from itertools import islice
+from itertools import chain, islice
 from operator import or_
 
 from . import ORACLE_LIMIT, SAMPLES
 from .chains import canonical_word
-from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, _spans, pair_word
+from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, _rank, _spans, all_chains, pair_word
 from .netlist import Netlist, Time
 from .stats import _chain_masks, _error_slices, _table_errors, sae_oracle_simulate
 from .sweep import PairSweep, block_sweeps
@@ -100,8 +100,8 @@ class AssumptionReport(Record):
 
     @property
     def method(self) -> str:
-        """``exhaustive`` iff the checks covered all 4^n pairs, else the unproven ``sampled``."""
-        return "exhaustive" if self.conservative.checked == 1 << 2 * self.n else "sampled"
+        """``exhaustive`` iff the block pass over all 4^n pairs ran, else the unproven ``sampled``."""
+        return "exhaustive" if self.oracle is not None else "sampled"
 
     def add(self, sweep: PairSweep, errors: list[int]) -> None:
         """Count in a sweep's lanes: their conservativeness, then the rule on the conservative
@@ -152,6 +152,17 @@ def extract_ec_table(net: Netlist, t: Time) -> ChainErrorTable:
     return next(ec_table_sweep(net, [t]))[1]
 
 
+def _read_probes(sw: PairSweep, t: Time) -> ChainErrorTable | ConservativenessError:
+    """The table at T from the probes, a sweep's last n(n+1)/2 lanes in rank order, or the first failing one's error."""
+    first = sw.pair_count - sw.n * (sw.n + 1) // 2
+    failing = reduce(or_, sw.carries_at(t)[1]) >> first
+    if failing:
+        c = CarryChain(*next(islice(_spans(sw.n), (failing & -failing).bit_length() - 1, None)))
+        return ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
+    ends = chain.from_iterable(range(i, sw.n + 1) for i in range(1, sw.n + 1))  # probe (i, j) adds up to 2^j
+    return ChainErrorTable._of(sw.n, [(1 << j) - s for j, s in zip(ends, sw.lane_sums(t)[first:])])
+
+
 def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, ChainErrorTable]]:
     """Iterate ``(t, table)`` over ``times`` in the caller's order, from
     one lane-parallel run of all n(n+1)/2 probes that answers at every
@@ -164,13 +175,10 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
     naming the failing chain, after the pairs before it were yielded.
     """
     sw = PairSweep(net, words=[canonical_word(c, net.n) for c in _spans(net.n)], times=times)
-    ends = [j for _, j in _spans(net.n)]  # probe (i, j) reads 2^j when it adds correctly
     for t in times:
-        failing = reduce(or_, sw.carries_at(t)[1])
-        if failing:
-            c = CarryChain(*next(islice(_spans(net.n), (failing & -failing).bit_length() - 1, None)))
-            raise ConservativenessError(f"probe for chain {c} reads a spurious carry at T={t}", c)
-        yield t, ChainErrorTable._of(net.n, [(1 << j) - s for j, s in zip(ends, sw.lane_sums(t))])
+        if isinstance(read := _read_probes(sw, t), ConservativenessError):
+            raise read
+        yield t, read
 
 
 def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
@@ -179,6 +187,20 @@ def _random_witness(c: CarryChain, n: int, rng: random.Random) -> int:
     gen, span, end = 1 << (c.i - 1), (1 << c.j) - (1 << c.i), (1 << c.j) % (1 << n)
     a = rng.getrandbits(n) | gen
     return pair_word(a, (rng.getrandbits(n) | gen) & ~(span | end) | ~a & span | a & end, n)
+
+
+def _sample_words(n: int, samples: int, seed: int) -> list[int]:
+    """The first ``samples`` (< 4^n) distinct pairs ``Random(seed)`` draws, a then b, then two random
+    witnesses each of ``samples`` shuffled chains (a uniform pair rarely holds a long chain), as lane words."""
+    rng = random.Random(seed)
+    # above half of all pairs one draw per pair, not a coupon collector's many
+    drawn = dict.fromkeys(rng.sample(range(1 << 2 * n), samples) if 2 * samples > 1 << 2 * n else ())
+    while len(drawn) < samples:  # a repeated draw is skipped
+        drawn[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)] = None
+    chains = all_chains(n)  # not plain tuples, which CPython keeps on a free list once freed
+    rng.shuffle(chains)
+    drawn.update(dict.fromkeys(_random_witness(c, n, rng) for c in 2 * chains[:samples]))
+    return list(drawn)
 
 
 def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SAMPLES,
@@ -191,34 +213,25 @@ def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SA
     it is conservative and independent of the bits below each chain, and then (a, b) and (b, a)
     read alike.  ``.conservative`` counts the pairs leaving the model, and
     ``.independence_counterexamples`` lists the others read otherwise.  Both cover all 4^n pairs
-    iff n <= ``limit``, in :func:`~pseudoadder.stats.sae_oracle_simulate`'s pass (``.oracle``).
-    Otherwise they cover one batch: the first ``samples`` distinct pairs ``Random(seed)`` draws,
-    a then b (every pair in word order from 4^n on), then two random witnesses each of
-    ``samples`` shuffled chains, as a uniform pair rarely holds a long chain.
+    iff n <= ``limit`` or ``samples`` >= 4^n, in :func:`~pseudoadder.stats.sae_oracle_simulate`'s
+    pass (``.oracle``).  Otherwise one batch holds the :func:`_sample_words` of ``seed``, whose
+    lanes the checks cover, then the chain probes, whose lanes give the table; a probe outside the
+    model that the sample missed counts from its own lane.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n = net.n
-    report = AssumptionReport(n, t, None if n <= limit else seed)
-    try:
-        report.table = extract_ec_table(net, t)  # the probe batch is freed here
-    except ConservativenessError as exc:
-        report.probe_error, failing = str(exc), exc.chain
-    if n <= limit:
+    exhaustive = n <= limit or samples >= 1 << 2 * n
+    report = AssumptionReport(n, t, None if exhaustive else seed)
+    sw = PairSweep(net, times=[t], words=([] if exhaustive else _sample_words(n, samples, seed))
+                   + [canonical_word(c, n) for c in _spans(n)])  # probes last: low bits' masks end at the first probes
+    read = _read_probes(sw, t)
+    report.table, report.probe_error = (None, str(read)) if isinstance(read, ConservativenessError) else (read, None)
+    if exhaustive:
         report.oracle = sae_oracle_simulate(net, t, check=report.add)
-    else:
-        rng = random.Random(seed)
-        m = min(samples, 1 << 2 * n)  # distinct pairs: a repeated draw is skipped
-        # above half of all pairs one draw per pair, not a coupon collector's many
-        words = range(m) if m == 1 << 2 * n else rng.sample(range(1 << 2 * n), m) if 2 * m > 1 << 2 * n else ()
-        drawn = dict.fromkeys(words)
-        while len(drawn) < m:
-            drawn[pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)] = None
-        spans = list(_spans(n))  # one (i, j) per chain: the shuffle draws as for all_chains(n)
-        rng.shuffle(spans)
-        drawn.update(dict.fromkeys(_random_witness(CarryChain(*c), n, rng) for c in 2 * spans[:samples]))
-        sw = PairSweep(net, words=list(drawn), times=[t])
-        report.add(sw, _error_slices(sw, t))
+        return report
+    sample = sw.lanes(0, sw.pair_count - n * (n + 1) // 2)
+    report.add(sample, _error_slices(sample, t))
     if report.table is None and report.conservative.passed:
-        report.conservative.add(PairSweep(net, words=[canonical_word(failing, n)], times=[t]))
+        report.conservative.add(sw.lanes(k := sample.pair_count + _rank(n, *read.chain), k + 1))
     return report

@@ -11,8 +11,8 @@ commands share is declared once, in a parent parser; ``--netlist -``
 reads the netlist from stdin.
 
 Every simulation runs on the lane-parallel engine
-(:class:`~pseudoadder.sweep.PairSweep`): all chain probes as one batch, a
-sample as one batch, a trace as one lane.  A trace has a row at each
+(:class:`~pseudoadder.sweep.PairSweep`): all chain probes as one batch,
+with any sample in it, a trace as one lane.  A trace has a row at each
 ``--times`` entry, by default at 0 and at every time a sum bit changes:
 every column is a function of the sums.  ``0..quiescence`` stops at the
 netlist's static arrival time, after which no output changes.

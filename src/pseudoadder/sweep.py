@@ -9,7 +9,7 @@ of what the event-driven simulator :func:`pseudoadder.sim.simulate`
 produces pair by pair (the test suite checks that, gate by gate).
 
 The lanes are either one *lane block* of pairs or any given batch of
-pairs: the n(n+1)/2 chain probes, a sample, or a single pair.  Block k of
+pairs: the chain probes after any sample, or a single pair.  Block k of
 width w holds the 4^w pairs whose top n - w bits of a and b are k's low
 and high halves, at lane ``a_lo + (b_lo << w)`` for their low w bits;
 the one block of width n is all 4^n pairs at lane ``a + (b << n)``.
@@ -160,13 +160,13 @@ def read_carries(
 
 
 class Waveform:
-    """Piecewise-constant mask over time: ``(time, mask)`` changes, 0 start."""
+    """Piecewise-constant mask over time: ``(time, mask)`` changes (a step keeping the mask is dropped), 0 start."""
 
     __slots__ = ("steps", "times")
 
     def __init__(self, steps: list[tuple[Time, int]]):
-        self.steps = steps
-        self.times = [t for t, _ in steps]
+        self.steps = [step for step, before in zip(steps, [(0, 0), *steps]) if step[1] != before[1]]
+        self.times = [t for t, _ in self.steps]
 
     def at(self, t: Time) -> int:
         k = bisect_right(self.times, t)
@@ -247,13 +247,20 @@ class PairSweep:
                 live[gid] = steps
             if gid in wanted:
                 wf = Waveform(steps)
-                if times is not None:
-                    values = [wf.at(t) for t in reads]
-                    wf = Waveform([(t, v) for t, v, before in zip(reads, values, [0, *values]) if v != before])
-                self._wf[gid] = wf
+                self._wf[gid] = wf if times is None else Waveform([(t, wf.at(t)) for t in reads])
 
     def waveform(self, gate_id: str) -> Waveform:
         return self._wf[gate_id]
+
+    def lanes(self, lo: int, hi: int) -> PairSweep:
+        """Lanes lo..hi-1 as a sweep of their own at the same read times, cut without simulating again."""
+        if not 0 <= lo <= hi <= self.pair_count:
+            raise ValueError(f"no lanes {lo}..{hi} in a sweep of {self.pair_count}")
+        part, sub = (1 << hi - lo) - 1, PairSweep.__new__(PairSweep)
+        cut = {gid: Waveform([(t, v >> lo & part) for t, v in wf.steps]) for gid, wf in self._wf.items()}
+        sub.__dict__.update(vars(self), block=None, pair_count=hi - lo, full=part, _carries=None, _wf=cut)
+        sub._a, sub._b = ([m >> lo & part for m in masks] for masks in (self._a, self._b))
+        return sub
 
     def lane_pair(self, lane: int) -> tuple[int, int]:
         """The operands ``(a, b)`` of one lane: its bit of each operand mask."""

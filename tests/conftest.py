@@ -497,21 +497,16 @@ def reference_rule(net, t):
 
 
 def reference_sample_words(n, samples, seed):
-    """Reference for ``validity``'s sampled batch: the first ``samples``
-    distinct pairs drawn from Random(seed), a then b (every pair, in word
-    order, when samples >= 4^n; one rng.sample of words above half of
-    them), then the new pairs among two witnesses each of ``samples``
-    shuffled chains, as lane words in batch order."""
+    """Reference for ``validity``'s sample below 4^n pairs: the first
+    ``samples`` distinct pairs drawn from Random(seed), a then b (one
+    rng.sample of words above half of them), then the new pairs among
+    two witnesses each of ``samples`` shuffled chains, as lane words in
+    batch order."""
     from pseudoadder.analysis import _random_witness
 
     rng = random.Random(seed)
-    if samples >= 4**n:
-        words = list(range(4**n))
-    elif 2 * samples > 4**n:
-        words = rng.sample(range(4**n), samples)
-    else:
-        words = []
-    while len(words) < min(samples, 4**n):
+    words = rng.sample(range(4**n), samples) if 2 * samples > 4**n else []
+    while len(words) < samples:
         word = pair_word(rng.randrange(1 << n), rng.randrange(1 << n), n)
         if word not in words:
             words.append(word)
@@ -524,18 +519,23 @@ def reference_sample_words(n, samples, seed):
     return words
 
 
-def reference_sampled_conservative(net, t, samples, seed):
-    """Reference for ``validity(net, t, limit=0, samples, seed).conservative``:
-    the sampled batch counted lane by lane, then a chain probe outside the
-    model that the batch missed, counted after it."""
-    from pseudoadder import ConservativeReport, ConservativenessError, extract_ec_table
+def reference_sampled_validity(net, t, samples, seed):
+    """Reference for ``validity(net, t, limit=0, samples, seed)`` below
+    4^n samples, with the chain probes, the sample and a failing probe
+    that the sample missed each simulated in a batch of its own: the
+    table from ``extract_ec_table``, the sample's lanes counted in, then
+    that probe's lane."""
+    from pseudoadder import AssumptionReport, ConservativenessError, extract_ec_table
     from pseudoadder.chains import canonical_word
+    from pseudoadder.stats import _error_slices
 
-    expected = ConservativeReport(read_time=t)
-    expected.add(PairSweep(net, words=reference_sample_words(net.n, samples, seed), times=[t]))
+    report = AssumptionReport(net.n, t, seed)
     try:
-        extract_ec_table(net, t)
+        report.table = extract_ec_table(net, t)
     except ConservativenessError as exc:
-        if expected.passed:
-            expected.add(PairSweep(net, words=[canonical_word(exc.chain, net.n)], times=[t]))
-    return expected
+        report.probe_error, failing = str(exc), exc.chain
+    sample = PairSweep(net, words=reference_sample_words(net.n, samples, seed), times=[t])
+    report.add(sample, _error_slices(sample, t))
+    if report.table is None and report.conservative.passed:
+        report.conservative.add(PairSweep(net, words=[canonical_word(failing, net.n)], times=[t]))
+    return report

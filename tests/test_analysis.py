@@ -29,7 +29,7 @@ from pseudoadder import (
 from pseudoadder import analysis
 from pseudoadder.analysis import _random_witness
 from pseudoadder.model import all_chains, pair_word, word_pair
-from conftest import exhaustive_pairs, reference_rule, reference_sample_words, reference_sampled_conservative
+from conftest import exhaustive_pairs, reference_rule, reference_sample_words, reference_sampled_validity
 from test_lane_blocks import _netlist
 
 
@@ -200,12 +200,20 @@ def test_validity_is_all_pairs_within_the_limit_and_the_sample_above():
 
 
 def test_a_sample_of_every_pair_is_exhaustive():
+    # samples >= 4^n run the block pass, as n <= limit does: no seed and
+    # an oracle; a smaller sample stays sampled, even where its witnesses
+    # add back every pair it missed
     n = 4
     net = generate_rca(n, [1] * n, [1] * (n + 1))
     for t in (0, 2 * n):
-        report = validity(net, t, limit=0, samples=4**n, seed=5)
-        assert (report.method, report.seed, report.oracle) == ("exhaustive", 5, None)
-        assert report.conservative == check_conservative(net, t)
+        every = validity(net, t, limit=n)
+        for samples in (4**n, 4**n + 1):
+            report = validity(net, t, limit=0, samples=samples, seed=5)
+            assert report == every and (report.method, report.seed) == ("exhaustive", None)
+        drawn = validity(net, t, limit=0, samples=4**n - 1, seed=5)
+        assert (drawn.method, drawn.seed, drawn.oracle) == ("sampled", 5, None)
+    filled = validity(generate_rca(3, [1] * 3, [1] * 4), 6, limit=0, samples=63, seed=0)
+    assert (filled.method, filled.conservative.checked) == ("sampled", 64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,10 +227,11 @@ def test_a_sample_of_every_pair_is_exhaustive():
 def test_sampled_conservative_check_counts_the_seeded_sample(kind, build_seed, samples, seed, data):
     net = _netlist(kind, random.Random(build_seed))
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
-    expected = reference_sampled_conservative(net, t, samples, seed)
-    got = validity(net, t, limit=0, samples=samples, seed=seed).conservative
-    assert (got.checked, got.violations, got.counterexamples) == (
-        expected.checked, expected.violations, expected.counterexamples)
+    got = validity(net, t, limit=0, samples=samples, seed=seed)
+    if samples >= 4**net.n:  # the block pass checks every pair
+        assert got.conservative == check_conservative(net, t)
+    else:  # the reference simulates the probes and the sample in batches of their own
+        assert got == reference_sampled_validity(net, t, samples, seed)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -268,11 +277,12 @@ def test_sampled_check_counts_each_pair_once(kind, build_seed, samples, seed, t)
     report = validity(net, t, limit=0, samples=samples, seed=seed)
     # the sample's distinct pairs and witnesses, and a failing chain probe
     # that they missed, each counted once
-    assert report.conservative.checked == reference_sampled_conservative(net, t, samples, seed).checked
     for found in (report.conservative.counterexamples, report.independence_counterexamples):
         assert len(set(found)) == len(found)
     if samples >= 4**net.n:  # every pair, in the exhaustive check's lane order
         assert report.conservative == check_conservative(net, t)
+    else:  # one batch of the sample and the probes, as in separate batches
+        assert report == reference_sampled_validity(net, t, samples, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,15 +447,26 @@ def _any_netlist(kind, build_seed):
 def test_the_rule_equals_the_per_pair_reference(kind, build_seed, data):
     net = _any_netlist(kind, build_seed)
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
+    n = net.n
     expected = reference_rule(net, t)
-    # the exhaustive block pass, and a sample of every pair, predicted pair by pair
-    for report in (validity(net, t), validity(net, t, limit=0, samples=4**net.n)):
-        if expected is None:
-            assert report.table is None and not report.passed
-            continue
-        leaving, mispredicted = expected
+    # the exhaustive block pass, reached within the limit or by a sample
+    # of every pair, and a sample of all pairs but one, pair by pair
+    every = [validity(net, t), validity(net, t, limit=0, samples=4**n)]
+    sampled = validity(net, t, limit=0, samples=4**n - 1)
+    if expected is None:
+        assert all(report.table is None and not report.passed for report in (*every, sampled))
+        return
+    leaving, mispredicted = expected
+    for report in every:
         assert report.independence_counterexamples == mispredicted[:10]
         assert report.passed == (leaving == 0 and not mispredicted)
+    # the sample's mispredicted pairs (a witness may add back the one
+    # missed pair), by lowest bit, then by lane
+    lane = {word: k for k, word in enumerate(reference_sample_words(n, 4**n - 1, 0))}
+    among = [c for c in mispredicted if pair_word(c[0], c[1], n) in lane]
+    among.sort(key=lambda c: (c[2], lane[pair_word(c[0], c[1], n)]))
+    assert sampled.independence_counterexamples == among[:10]
+    assert sampled.passed == (sampled.conservative.passed and not among)
 
 
 @settings(max_examples=80, deadline=None)
@@ -527,3 +548,14 @@ def test_sweep_tables_and_tallies_equal_their_checked_dict_forms(kind, seed, dat
                         tally[c.i, c.j]
             for off in ((0, 1), (1, n + 1), (2, 1), "x"):
                 assert off not in tally
+
+
+def test_a_probe_the_sample_missed_counts_from_its_own_lane():
+    # one pair and two witnesses of one chain miss the failing probe here
+    # (the last in rank order, then the first); its own lane of the batch
+    # is counted after the sample
+    for build, seed, probe in ((inverted_carry_rca2, 0, (2, 2, 1)), (ignores_a0_rca2, 6, (1, 1, 0))):
+        net = build()
+        report = validity(net, 1000, limit=0, samples=1, seed=seed)
+        assert report.table is None and report.conservative.counterexamples == [probe]
+        assert report == reference_sampled_validity(net, 1000, 1, seed)

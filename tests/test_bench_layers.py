@@ -35,13 +35,19 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
         assert 0 < low <= row["median_s"] <= high
     rows = report["commands"]
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
-        (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep")
+        (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep", *layers.LIBRARY)
     ] + [warm[:3] for warm in layers.WARM]
+    timing = {"median_s", "quartiles_s", "peak_bytes"}
     for row in rows:
-        assert set(row) == {"kind", "n", "command", "argv", "exit_code", "output_bytes", "median_s", "quartiles_s", "peak_bytes"}
-        assert row["exit_code"] == 0 and row["output_bytes"] > 0 and row["peak_bytes"] > 0
         low, high = row["quartiles_s"]
-        assert low <= row["median_s"] <= high
+        assert low <= row["median_s"] <= high and row["peak_bytes"] > 0
+        if row["command"] in layers.LIBRARY:  # a library call at the stats read time
+            t = layers.read_time(row["kind"], 8)
+            assert set(row) == {"kind", "n", "command", "call", *timing}
+            assert row["call"] == f"{row['command']}(net, {t})"
+            continue
+        assert set(row) == {"kind", "n", "command", "argv", "exit_code", "output_bytes", *timing}
+        assert row["exit_code"] == 0 and row["output_bytes"] > 0
 
 
 def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, monkeypatch):
@@ -62,11 +68,12 @@ def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, mo
     assert set(against) == {"git_sha", "src_changes", "import", "cold", "commands"}
     for record in (report, against):
         assert [(r["command"], r["exit_code"]) for r in record["cold"]] == [(layers.COLD[0][0], 0)]
-        assert [(r["kind"], r["n"], r["command"], r["exit_code"]) for r in record["commands"]] == [
-            ("rca", 8, command, 0) for command in ("gen", "stats", "sweep")
+        assert [(r["kind"], r["n"], r["command"], r.get("exit_code", 0)) for r in record["commands"]] == [
+            ("rca", 8, command, 0) for command in ("gen", "stats", "sweep", *layers.LIBRARY)
         ] + [(*warm[:3], 0) for warm in layers.WARM]
-    # the same sources give the same output bytes
-    assert [r["output_bytes"] for r in report["commands"]] == [r["output_bytes"] for r in against["commands"]]
+    # the same sources give the same output bytes and make the same calls
+    for key in ("output_bytes", "call"):
+        assert [r.get(key) for r in report["commands"]] == [r.get(key) for r in against["commands"]]
     # both records of a command name the faster source, or none where the quartiles overlap
     for key in ("cold", "commands"):
         for mine, theirs in zip(report[key], against[key]):

@@ -518,7 +518,7 @@ def test_stats_refuses_a_table_that_breaks_the_sign_law(capsys, monkeypatch, tmp
     # pairs generating both chains err by +1 under a negative leftmost
     # chain: no conservative adder realizes this table
     bad = ChainErrorTable(2, {CarryChain(1, 1): 2, CarryChain(2, 2): -1})
-    monkeypatch.setattr("pseudoadder.analysis.extract_ec_table", lambda net, t: bad)
+    monkeypatch.setattr("pseudoadder.analysis._read_probes", lambda sweep, t: bad)
     netlist = write_staggered(tmp_path)
     for fmt in ("json", "csv"):
         code, out, err = run_cli(capsys, "stats", "--netlist", netlist, "-T", "7", "--format", fmt)
@@ -689,12 +689,28 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
 
 
 def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(capsys, sweeps_built, tmp_path):
-    # n=10 above a limit of 4: the one batch of all chain probes is read,
-    # as stats reads it, then the one seeded batch answers both checks
+    # n=10 above a limit of 4: one batch holds the seeded sample, then all
+    # chain probes; the table is read off its probe lanes and both checks
+    # off its sample lanes, with no second simulation
     netlist = unit_rca(tmp_path, 10)
     _, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "3", "--exhaustive-n-limit", "4")
     assert len(out.splitlines()) == 3, out
-    assert sweeps_built == [(None, [3]), (None, [3])], sweeps_built
+    assert sweeps_built == [(None, [3])], sweeps_built
+
+
+def test_a_sample_of_every_pair_runs_the_exhaustive_pass(capsys, sweeps_built, tmp_path):
+    # n=3 above a limit of 0: 64 samples cover the 4^3 pairs, so the block
+    # pass runs after the probe batch and verify prints its oracle line;
+    # 63 stay one sampled batch, though its witnesses fill it to 64 pairs
+    netlist = unit_rca(tmp_path, 3)
+    argv = ["verify", "--netlist", netlist, "-T", "2", "--exhaustive-n-limit", "0", "--samples"]
+    code, out, _ = run_cli(capsys, *argv, "64")
+    assert code == 0 and out.splitlines()[3].startswith("PASS  fast statistics equal exhaustive simulation"), out
+    assert sweeps_built == [(None, [2]), ((0, 3), [2])], sweeps_built
+    sweeps_built.clear()
+    code, out, _ = run_cli(capsys, *argv, "63")
+    assert code == 0 and len(out.splitlines()) == 3, out
+    assert sweeps_built == [(None, [2])], sweeps_built
 
 
 def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):

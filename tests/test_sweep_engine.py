@@ -362,3 +362,31 @@ def test_hand_written_json_netlist_runs():
     assert computed_sum(net, InputPair(1, 1, 1), 10) == 3
     # before the NOT fires its initial evaluation, everything reads 0
     assert computed_sum(net, InputPair(1, 0, 0), 1) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_sweep_cases(), st.data())
+def test_a_range_of_lanes_equals_a_sweep_of_its_pairs(case, data):
+    # a cut is read off the kept waveforms and operand masks; it must
+    # answer as a sweep simulated over just those pairs would
+    net, words, reads, _ = case
+    times = data.draw(st.sampled_from([None, [0, *reads]]), label="times")
+    sweep = PairSweep(net, words=words, times=times)
+    words = list(range(1 << 2 * net.n)) if words is None else words  # all pairs: lane a + (b << n)
+    lo = data.draw(st.integers(0, len(words)), label="lo")
+    hi = data.draw(st.integers(lo, len(words)), label="hi")
+    cut, alone = sweep.lanes(lo, hi), PairSweep(net, words=words[lo:hi], times=times)
+    assert (cut.pair_count, cut.full, cut.block) == (alone.pair_count, alone.full, None)
+    for t in [0, *reads]:
+        assert cut.output_masks_at(t) == alone.output_masks_at(t), t
+        assert cut.carries_at(t) == alone.carries_at(t), t
+        assert cut.lane_sums(t) == alone.lane_sums(t), t
+    assert cut.true_carry_masks() == alone.true_carry_masks()
+    assert [cut.lane_pair(k) for k in range(hi - lo)] == [alone.lane_pair(k) for k in range(hi - lo)]
+    if times is None:
+        assert cut.output_change_times() == alone.output_change_times()
+        for gid in net.outputs.values():
+            assert cut.waveform(gid).steps == alone.waveform(gid).steps
+    for bad in ((-1, hi), (lo, len(words) + 1), (hi + 1, hi)):
+        with pytest.raises(ValueError, match="no lanes"):
+            sweep.lanes(*bad)
