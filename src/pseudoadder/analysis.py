@@ -7,9 +7,9 @@ stale (``s'_0 = a_0 ^ b_0``), since position 0 receives no carry and an
 error there cannot be attributed to any chain.  That rule is
 :func:`pseudoadder.sweep.read_carries`, and :func:`check_conservative`
 applies it to all pairs.  :func:`validity` gives the verdict on the
-whole attribution with one per-pair rule: each pair's read equals the
-chain model's prediction from the chain-error table.  It says how the
-verdict was reached.
+whole attribution with one per-pair rule on the same carries: each
+pair's missed carries are those its chains' probes missed, so its read
+equals the chain model's prediction.  It says how it was reached.
 
 Chain-error tables stream from :func:`ec_table_sweep`, an iterator of
 ``(t, table)`` per listed read time that raises at the first T whose
@@ -30,7 +30,7 @@ from . import ORACLE_LIMIT, SAMPLES
 from .chains import canonical_word
 from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, _rank, _spans, all_chains, pair_word
 from .netlist import Netlist, Time
-from .stats import _chain_masks, _error_slices, _table_errors, sae_oracle_simulate
+from .stats import _chain_masks, sae_oracle_simulate
 from .sweep import PairSweep, block_sweeps
 
 
@@ -103,19 +103,23 @@ class AssumptionReport(Record):
         """``exhaustive`` iff the block pass over all 4^n pairs ran, else the unproven ``sampled``."""
         return "exhaustive" if self.oracle is not None else "sampled"
 
-    def add(self, sweep: PairSweep, errors: list[int]) -> None:
-        """Count in a sweep's lanes: their conservativeness, then the rule on the conservative
-        ones, whose simulated errors (``errors``, :func:`~pseudoadder.stats._error_slices`) must
-        equal their chains' summed table entries, built as slices of the same width."""
-        fits = sweep.full & ~self.conservative.add(sweep)
+    def add(self, sweep: PairSweep) -> None:
+        """Count in a sweep's lanes: their conservativeness, then the rule on the conservative ones,
+        whose missed carries ``c ^ c'`` must be those their chains' probes missed, the bits of
+        ``2^j ^ (2^j - e)`` for chain (i, j) of entry e; a chain in no lane is skipped."""
+        seen = self.conservative.add(sweep)  # the lanes leaving the model, then those differing lower
         if self.table is None:
             return
+        diff = [x ^ y for x, y in zip(sweep.true_carry_masks(), sweep.carries_at(self.read_time)[0])]
         a, b = ([sweep.operand_bit_mask(x, k) for k in range(self.n)] for x in "ab")
-        lowest, seen = [], 0  # per bit, the lanes that first differ there
-        for x, y in zip(errors, _table_errors(self.table, _chain_masks(a, b), len(errors))):
-            lowest.append((x ^ y) & fits & ~seen)
-            seen |= x ^ y
-        self.independence_counterexamples = _first_ten(self.independence_counterexamples, sweep, lowest)
+        for (_, j), e, m in zip(_spans(self.n), self.table._ec, _chain_masks(a, b)):
+            flip = 1 << j ^ (1 << j) - e if m and e else 0
+            while flip:
+                diff[k := flip.bit_length() - 1] ^= m
+                flip ^= 1 << k
+        for k, x in enumerate(diff):  # per bit, the conservative lanes that first differ there
+            diff[k], seen = x & ~seen, seen | x
+        self.independence_counterexamples = _first_ten(self.independence_counterexamples, sweep, diff)
 
     def to_json_dict(self) -> dict:
         """The ``validity`` block of ``stats`` and ``ec``; a failed verdict with an exhaustive
@@ -230,8 +234,7 @@ def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SA
     if exhaustive:
         report.oracle = sae_oracle_simulate(net, t, check=report.add)
         return report
-    sample = sw.lanes(0, sw.pair_count - n * (n + 1) // 2)
-    report.add(sample, _error_slices(sample, t))
+    report.add(sample := sw.lanes(0, sw.pair_count - n * (n + 1) // 2))
     if report.table is None and report.conservative.passed:
         report.conservative.add(sw.lanes(k := sample.pair_count + _rank(n, *read.chain), k + 1))
     return report

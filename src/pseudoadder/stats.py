@@ -8,8 +8,8 @@ masks is kept, and is reduced to its SAE, SSE and max |error| before
 the next is built.  They run at any n, 4^(n-8) blocks above n = 8; the
 caller chooses the width (``validity(limit=)``, ``verify
 --exhaustive-n-limit``).  The simulation
-oracle also hands each block to a check when given one, so ``validity``
-simulates every block once.  The fast path,
+oracle also hands each block's sweep to a check when given one, so
+``validity`` simulates every block once.  The fast path,
 :func:`analyze_table`, works from a chain-error table: one scan over bit
 positions yields SAE/Er_avg, MSE, max |error| with a witness, and the
 per-chain tallies of every erring chain, in quadratic time.  It is exact
@@ -138,30 +138,23 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
     return report
 
 
-def _error_slices(sw: PairSweep, t: Time) -> list[int]:
-    """Every lane's signed error at T, true sum minus read, as n + 2 two's-complement slices."""
-    n, bit, c = sw.n, sw.operand_bit_mask, sw.true_carry_masks()
-    d, borrow = [], 0
-    for k, y in enumerate(sw.output_masks_at(t)):
-        x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
-        d.append(x ^ y ^ borrow)
-        borrow = (~x & (y | borrow)) | (y & borrow)
-    d.append(borrow)
-    return d
-
-
-def sae_oracle_simulate(net: Netlist, t: Time,
-                        check: Callable[[PairSweep, list[int]], None] | None = None) -> StatsReport:
+def sae_oracle_simulate(net: Netlist, t: Time, check: Callable[[PairSweep], None] | None = None) -> StatsReport:
     """Ground truth by simulating every pair, one lane block at a time (4^(n-8) blocks at n > 8);
-    independent of the chain model (no per-chain tallies).  ``check(sweep, errors)`` is called on
-    each block with its :func:`_error_slices` before the block is reduced, so one exhaustive pass
-    also serves :func:`~pseudoadder.analysis.validity`."""
+    independent of the chain model (no per-chain tallies).  Each block's signed errors, true sum
+    minus read, are n + 2 two's-complement slices; ``check(sweep)`` is then called on the block
+    before it is reduced, so one exhaustive pass also serves :func:`~pseudoadder.analysis.validity`."""
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for sw in block_sweeps(net, [t]):
-            d = _error_slices(sw, t)
+            n, bit, c = sw.n, sw.operand_bit_mask, sw.true_carry_masks()
+            d, borrow = [], 0
+            for k, y in enumerate(sw.output_masks_at(t)):
+                x = bit("a", k) ^ bit("b", k) ^ c[k] if k < n else c[n]  # true sum bit
+                d.append(x ^ y ^ borrow)
+                borrow = (~x & (y | borrow)) | (y & borrow)
+            d.append(borrow)
             if check is not None:
-                check(sw, d)
+                check(sw)
             yield _slice_sums(d)
 
     return _oracle_report(net.n, blocks())

@@ -15,7 +15,7 @@ and high halves, at lane ``a_lo + (b_lo << w)`` for their low w bits;
 the one block of width n is all 4^n pairs at lane ``a + (b << n)``.
 :func:`lane_blocks` splits all pairs into blocks of ``BLOCK_BITS`` bits,
 so an exhaustive check holds 8 KB masks at any n, where all pairs at
-once take 4^n / 8 bytes per mask (128 KB at n=10, 8 MB at n=13).
+once take 4^n / 8 bytes per mask, 2 MB at the widest (n=12).
 :func:`read_carries` is the one validity rule of the carry-chain model,
 applied to lane masks.
 
@@ -52,6 +52,7 @@ def _doubling_masks(bits: int) -> tuple[int, ...]:
 
 
 BLOCK_BITS = 8  # operand bits of a lane block: 4^8 lanes, so a mask is 8 KB
+WIDEST_BLOCK_BITS = 12  # the widest block a sweep builds: 4^12 lanes, so a mask is 2 MB
 
 # built once per process for each lane-block width, and shared by every
 # block of it (at width BLOCK_BITS, 16 masks of 8 KB); a wider all-pairs
@@ -177,7 +178,8 @@ class PairSweep:
     """Waveforms of a netlist's gates over a batch of lanes.
 
     ``words=None`` runs the lane block ``block = (k, width)``, by default
-    all 4^n pairs (lane ``a + (b << n)``); otherwise lane k is the pair
+    all 4^n pairs (lane ``a + (b << n)``); a width above
+    ``WIDEST_BLOCK_BITS`` raises ValueError.  Otherwise lane k is the pair
     packed in ``words[k]`` by :func:`~pseudoadder.model.pair_word`,
     duplicates allowed, a word outside ``[0, 4^n)`` raises ValueError,
     and so does a ``block``.  The words are not kept: :meth:`lane_pair`
@@ -216,6 +218,8 @@ class PairSweep:
             k, width = self.block
             if not (0 <= width <= n and 0 <= k < 1 << 2 * (n - width)):
                 raise ValueError(f"no lane block {block} at n={n}")
+            if width > WIDEST_BLOCK_BITS:
+                raise ValueError(f"a lane block of width {width} is wider than {WIDEST_BLOCK_BITS} bits")
             self.pair_count = 1 << (2 * width)
             self._a, self._b = operand_masks(n, k, width)
         else:

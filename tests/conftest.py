@@ -527,7 +527,6 @@ def reference_sampled_validity(net, t, samples, seed):
     that probe's lane."""
     from pseudoadder import AssumptionReport, ConservativenessError, extract_ec_table
     from pseudoadder.chains import canonical_word
-    from pseudoadder.stats import _error_slices
 
     report = AssumptionReport(net.n, t, seed)
     try:
@@ -535,7 +534,7 @@ def reference_sampled_validity(net, t, samples, seed):
     except ConservativenessError as exc:
         report.probe_error, failing = str(exc), exc.chain
     sample = PairSweep(net, words=reference_sample_words(net.n, samples, seed), times=[t])
-    report.add(sample, _error_slices(sample, t))
+    report.add(sample)
     if report.table is None and report.conservative.passed:
         report.conservative.add(PairSweep(net, words=[canonical_word(failing, net.n)], times=[t]))
     return report

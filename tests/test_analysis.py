@@ -109,6 +109,15 @@ def low_bit_gated_rca3():
     return Netlist(3, gates, base.outputs)
 
 
+def carry_out_gated_rca2():
+    """The RCA-2 whose sum bit 2 reads ``c2 & ~a0``: conservative, and not
+    independent at position n alone, where chain (2, 2) errs when a0 is set."""
+    base = generate_rca(2, [1, 1], [1, 1, 1])
+    gates = [Gate("s2", GateKind.XOR2, ("c2k", "zero"), 1) if g.id == "s2" else g for g in base.gates]
+    gates += [Gate("na0", GateKind.NOT, ("a0",), 0), Gate("c2k", GateKind.AND2, ("c2", "na0"), 0)]
+    return Netlist(2, gates, base.outputs)
+
+
 def quiescence_of(net):
     worst = 0
     for p in exhaustive_pairs(net.n):
@@ -431,7 +440,22 @@ def test_low_bit_gating_fails_independence():
     assert not report.independent
 
 
-FIXTURES = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3}
+def test_a_fault_at_the_carry_out_fails_independence_there_alone():
+    # every probe reads its chain with a0 clear but (1, 2)'s, whose a0 is its generate; so
+    # (3, 2) and (3, 3), which hold chain (2, 2) with a0 set, miss the carry out; a sample
+    # of 15 of the 16 pairs holds at least one of them
+    net = carry_out_gated_rca2()
+    exhaustive, sampled = validity(net, 1000), validity(net, 1000, limit=0, samples=15)
+    assert (exhaustive.method, sampled.method) == ("exhaustive", "sampled")
+    for report in (exhaustive, sampled):
+        assert report.conservative.passed and not report.passed
+        assert {k for _, _, k in report.independence_counterexamples} == {2}
+    assert exhaustive.independence_counterexamples == [(3, 2, 2), (3, 3, 2)]
+    assert set(sampled.independence_counterexamples) <= {(3, 2, 2), (3, 3, 2)}
+
+
+FIXTURES = {"inverted": inverted_carry_rca2, "ignores_a0": ignores_a0_rca2, "gated": low_bit_gated_rca3,
+            "carry_out_gated": carry_out_gated_rca2}
 
 
 def _any_netlist(kind, build_seed):

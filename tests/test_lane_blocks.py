@@ -212,6 +212,39 @@ def test_a_dropped_wide_sweep_leaves_no_masks_behind():
     assert kept < 200_000, f"{kept / 1e6:.2f} MB stayed allocated"
 
 
+def test_the_all_pairs_sweep_refuses_a_width_it_cannot_hold():
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def bounded():  # a width checked after its masks are built fails here, not on the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # all 4^16 pairs at once raised MemoryError under this limit, and 4^32 grew until killed;
+    # 4^10 is verify-n10's checker, which builds them
+    widths = (10, sweep.WIDEST_BLOCK_BITS + 1, 16, 32)
+    script = f"""if True:
+        from pseudoadder import PairSweep, generate_rca
+        for n in {widths}:
+            net = generate_rca(n, [1] * n, [1] * (n + 1))
+            for kw in ({{"times": [5]}}, {{"times": [5], "block": (0, n)}}):
+                try:
+                    print(n, PairSweep(net, **kw).pair_count)
+                except ValueError as exc:
+                    print(n, exc)
+    """
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=bounded)
+    assert done.returncode == 0, done.stderr
+    refused = [f"{n} a lane block of width {n} is wider than {sweep.WIDEST_BLOCK_BITS} bits" for n in widths[1:]]
+    assert done.stdout.splitlines() == [f"10 {4**10}"] * 2 + [line for line in refused for _ in range(2)]
+
+
 def _peak(fn, *args):
     tracemalloc.start()
     try:
