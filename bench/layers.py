@@ -49,11 +49,13 @@ so both see the same machine load.  Its records go under the report's
 ``against`` key, in the same shape.  Cold runs on a shared machine are
 bimodal, so two separate reports can order two sources by a mode they
 happened to catch; in one alternating report both sources meet the same
-modes.  With ``REPEATS`` runs, read an ordering only where the two
-sources' quartiles do not overlap: each command and cold record of
-both sources says so in its ``faster`` key, ``"src"`` or ``"against"``
-for the source whose upper time quartile lies below the other's lower
-one, and null where they overlap.  It uses only the standard library.
+modes.  Each repetition is one pair of runs, and every record keeps
+its times in repetition order (``times_s``).  Each command and cold
+record of both sources names in its ``faster`` key the source,
+``"src"`` or ``"against"``, that was faster in at least nine tenths of
+the pairs (all 5 at ``REPEATS = 5``) and whose median time beats the
+other's by more than the other's quartile spread; it is null where
+neither was.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -213,14 +215,20 @@ def probe(src: Path, code: str, *argv: str) -> list[str]:
 
 
 def faster(mine: dict, theirs: dict) -> str | None:
-    """``"src"`` or ``"against"``, whichever of the two records' time
-    quartiles lie wholly below the other's; None where they overlap."""
-    (low, high), (their_low, their_high) = mine["quartiles_s"], theirs["quartiles_s"]
-    return "src" if high < their_low else "against" if their_high < low else None
+    """``"src"`` or ``"against"``, whichever of the two records was faster in at least nine tenths
+    of the pairs of runs, with its median below the other's by more than the other's quartile
+    spread; None where neither was."""
+    for name, fast, slow in (("src", mine, theirs), ("against", theirs, mine)):
+        wins = sum(x < y for x, y in zip(fast["times_s"], slow["times_s"]))
+        low, high = slow["quartiles_s"]
+        if 10 * wins >= 9 * len(slow["times_s"]) and slow["median_s"] - fast["median_s"] > high - low:
+            return name
+    return None
 
 
 def spread(times: list[float]) -> dict:
-    return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2]}
+    return {"median_s": statistics.median(times), "quartiles_s": statistics.quantiles(times, n=4)[::2],
+            "times_s": times}
 
 
 def import_times(sources: list[Source]) -> list[dict]:

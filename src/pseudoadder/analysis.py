@@ -27,11 +27,10 @@ from itertools import chain, islice
 from operator import or_
 
 from . import ORACLE_LIMIT, SAMPLES
-from .chains import canonical_word
 from .model import CarryChain, ChainErrorTable, ConservativenessError, Record, _rank, _spans, all_chains, pair_word
 from .netlist import Netlist, Time
 from .stats import _chain_masks, sae_oracle_simulate
-from .sweep import PairSweep, block_sweeps
+from .sweep import PairSweep, block_sweeps, pair_masks, probe_masks
 
 
 def _first_ten(found: list, sweep: PairSweep, masks: list[int]) -> list[tuple[int, int, int]]:
@@ -169,8 +168,7 @@ def _read_probes(sw: PairSweep, t: Time) -> ChainErrorTable | ConservativenessEr
 
 def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, ChainErrorTable]]:
     """Iterate ``(t, table)`` over ``times`` in the caller's order, from
-    one lane-parallel run of all n(n+1)/2 probes that answers at every
-    read time.
+    one sweep of the :func:`~pseudoadder.sweep.probe_masks` lanes.
 
     Each table is built when it is asked for, so a consumer that drops
     each one holds one table at a time; a time listed twice yields its
@@ -178,7 +176,7 @@ def ec_table_sweep(net: Netlist, times: list[Time]) -> Iterator[tuple[Time, Chai
     read is not conservative, :class:`ConservativenessError` is raised
     naming the failing chain, after the pairs before it were yielded.
     """
-    sw = PairSweep(net, words=[canonical_word(c, net.n) for c in _spans(net.n)], times=times)
+    sw = PairSweep(net, masks=probe_masks(net.n), times=times)
     for t in times:
         if isinstance(read := _read_probes(sw, t), ConservativenessError):
             raise read
@@ -218,17 +216,17 @@ def validity(net: Netlist, t: Time, limit: int = ORACLE_LIMIT, samples: int = SA
     read alike.  ``.conservative`` counts the pairs leaving the model, and
     ``.independence_counterexamples`` lists the others read otherwise.  Both cover all 4^n pairs
     iff n <= ``limit`` or ``samples`` >= 4^n, in :func:`~pseudoadder.stats.sae_oracle_simulate`'s
-    pass (``.oracle``).  Otherwise one batch holds the :func:`_sample_words` of ``seed``, whose
-    lanes the checks cover, then the chain probes, whose lanes give the table; a probe outside the
-    model that the sample missed counts from its own lane.
+    pass (``.oracle``), else the :func:`_sample_words` of ``seed``: one batch holds their
+    ``pair_masks`` lanes, then the ``probe_masks`` lanes, which give the table; a probe outside
+    the model that the sample missed counts from its own lane.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n = net.n
     exhaustive = n <= limit or samples >= 1 << 2 * n
     report = AssumptionReport(n, t, None if exhaustive else seed)
-    sw = PairSweep(net, times=[t], words=([] if exhaustive else _sample_words(n, samples, seed))
-                   + [canonical_word(c, n) for c in _spans(n)])  # probes last: low bits' masks end at the first probes
+    sw = PairSweep(net, masks=probe_masks(n, pair_masks([] if exhaustive else _sample_words(n, samples, seed), n)),
+                   times=[t])  # probes last, as _read_probes reads them; no sample word or mask is held beside them
     read = _read_probes(sw, t)
     report.table, report.probe_error = (None, str(read)) if isinstance(read, ConservativenessError) else (read, None)
     if exhaustive:

@@ -264,12 +264,12 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .model import InputPair, pair_word
-    from .sweep import PairSweep
+    from .sweep import PairSweep, pair_masks
 
     net = _load_netlist(args.netlist)
     p = InputPair(net.n, args.a, args.b)
     times = None if args.times is None else [_read_time(x, "--times") for x in args.times.split(",")]
-    lane = PairSweep(net, words=[pair_word(p.a, p.b, net.n)], times=times)
+    lane = PairSweep(net, masks=pair_masks([pair_word(p.a, p.b, net.n)], net.n), times=times)
     s_true = p.a + p.b
     rows = []
     for t in lane.output_change_times() if times is None else times:

@@ -48,7 +48,7 @@ class InputPair(namedtuple("InputPair", "n a b")):
 def pair_word(a: int, b: int, n: int) -> int:
     """The operands of one pair of width n packed as one lane word,
     ``a | b << n``: the batch format of
-    :class:`~pseudoadder.sweep.PairSweep` and the lane order of all 4^n
+    :func:`~pseudoadder.sweep.pair_masks` and the lane order of all 4^n
     pairs."""
     return a | b << n
 

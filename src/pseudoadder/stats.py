@@ -115,7 +115,7 @@ def sae_oracle_chains(ec: ChainErrorTable) -> StatsReport:
 
     def blocks() -> Iterator[tuple[int, int, int]]:
         for block, width in lane_blocks(n):
-            a, b = operand_masks(n, block, width)
+            a, b, _ = operand_masks(n, block, width)
             pos = neg = 0
 
             def signed(masks: Iterator[int]) -> Iterator[int]:

@@ -8,16 +8,17 @@ gate, the full list of ``(time, lane-mask)`` changes: the exact aggregate
 of what the event-driven simulator :func:`pseudoadder.sim.simulate`
 produces pair by pair (the test suite checks that, gate by gate).
 
-The lanes are either one *lane block* of pairs or any given batch of
-pairs: the chain probes after any sample, or a single pair.  Block k of
-width w holds the 4^w pairs whose top n - w bits of a and b are k's low
+A sweep takes its lanes as operand masks (a's and b's bit masks and the
+lane count) from a builder.  :func:`operand_masks` builds lane block k
+of width w: the 4^w pairs whose top n - w bits of a and b are k's low
 and high halves, at lane ``a_lo + (b_lo << w)`` for their low w bits;
-the one block of width n is all 4^n pairs at lane ``a + (b << n)``.
+block (0, n), the default, is all 4^n pairs at lane ``a + (b << n)``.
 :func:`lane_blocks` splits all pairs into blocks of ``BLOCK_BITS`` bits,
 so an exhaustive check holds 8 KB masks at any n, where all pairs at
 once take 4^n / 8 bytes per mask, 2 MB at the widest (n=12).
-:func:`read_carries` is the one validity rule of the carry-chain model,
-applied to lane masks.
+:func:`pair_masks` builds a batch of pairs and :func:`probe_masks` the
+chain probes, in closed form, above any batch.  :func:`read_carries` is
+the one validity rule of the carry-chain model, applied to lane masks.
 
 A sweep built for given read times answers only at them.  It stops at the
 last one (exact under transport delays) and keeps one mask per output and
@@ -67,21 +68,48 @@ def lane_blocks(n: int) -> Iterator[tuple[int, int]]:
     return ((k, width) for k in range(1 << 2 * (n - width)))
 
 
-def operand_masks(n: int, block: int, width: int) -> tuple[list[int], list[int]]:
-    """Lane masks of a's and of b's bits 0..n-1 over one lane block: the
-    low ``width`` bits are doubling masks over the block's 4^width lanes,
-    each fixed high bit is 0 or every lane."""
+def operand_masks(n: int, block: int, width: int) -> tuple[list[int], list[int], int]:
+    """The lanes of lane block ``(block, width)``: its 4^width lanes' masks of a's and of b's bits
+    0..n-1, the low ``width`` bits doubling masks, each fixed high bit 0 or every lane.  A block
+    that does not exist at n, or is wider than ``WIDEST_BLOCK_BITS``, raises ValueError first."""
+    if not (0 <= width <= n and 0 <= block < 1 << 2 * (n - width)):
+        raise ValueError(f"no lane block {(block, width)} at n={n}")
+    if width > WIDEST_BLOCK_BITS:
+        raise ValueError(f"a lane block of width {width} is wider than {WIDEST_BLOCK_BITS} bits")
     low = (_index_bit_masks if width <= BLOCK_BITS else _doubling_masks)(2 * width)
     full = (1 << (1 << 2 * width)) - 1
     high = [full if block >> x & 1 else 0 for x in range(2 * (n - width))]
-    return [*low[:width], *high[: n - width]], [*low[width:], *high[n - width :]]
+    return [*low[:width], *high[: n - width]], [*low[width:], *high[n - width :]], 1 << 2 * width
 
 
 def block_sweeps(net: Netlist, times: list[Time]) -> Iterator[PairSweep]:
-    """One sweep answering at ``times`` per lane block of all 4^n pairs,
-    each built only when the consumer asks for it, so a consumer that
-    drops each block holds one block's masks at a time."""
-    return (PairSweep(net, times=times, block=block) for block in lane_blocks(net.n))
+    """One sweep answering at ``times`` per lane block of all 4^n pairs, each built only when the
+    consumer asks for it, so a consumer that drops each block holds one block's masks at a time."""
+    return (PairSweep(net, masks=operand_masks(net.n, *block), times=times) for block in lane_blocks(net.n))
+
+
+def pair_masks(words: list[int], n: int) -> tuple[list[int], list[int], int]:
+    """The lanes of a batch of pairs: lane k is the pair packed in ``words[k]`` by
+    :func:`~pseudoadder.model.pair_word`, duplicates allowed; a word outside ``[0, 4^n)`` raises ValueError."""
+    if words and not (min(words) >= 0 and max(words) < 1 << 2 * n):
+        raise ValueError(f"width mismatch: a pair word is outside [0, 4^{n}) for netlist n={n}")
+    sources = _transpose(words, 2 * n)
+    return sources[:n], sources[n:], len(words)
+
+
+def probe_masks(n: int, below: tuple[list[int], list[int], int] | None = None) -> tuple[list[int], list[int], int]:
+    """The lanes of ``below`` (default: none), then in rank order the chain probes, the pairs of
+    :func:`~pseudoadder.chains.canonical_word`, in closed form: start i's probes are one run of lanes,
+    j = i..n; ``b_{i-1}`` is that run, and ``a_k`` is ``b_k`` plus, in each run with i <= k, the lanes with j > k."""
+    a, b, count = below or ([0] * n, [0] * n, 0)
+    a, b, ends = [*a], [*b], 0  # ends: the last lane of each run so far
+    for k, run in enumerate(range(n, 0, -1)):  # run: the lane count of start k + 1
+        ends |= 1 << count + run - 1
+        b[k] |= (1 << run) - 1 << count
+        firsts = ends >> run - 1  # lane j = k + 1 of each run so far
+        a[k] |= (firsts << run) - firsts
+        count += run
+    return a, b, count
 
 
 TRANSPOSE_ROWS = 512  # rows, and columns, per string of _transpose
@@ -161,74 +189,49 @@ def read_carries(
 
 
 class Waveform:
-    """Piecewise-constant mask over time: ``(time, mask)`` changes (a step keeping the mask is dropped), 0 start."""
+    """Piecewise-constant mask over time: ``(time, mask)`` changes, each to a new mask, from 0 at the start."""
 
     __slots__ = ("steps", "times")
 
     def __init__(self, steps: list[tuple[Time, int]]):
-        self.steps = [step for step, before in zip(steps, [(0, 0), *steps]) if step[1] != before[1]]
-        self.times = [t for t, _ in self.steps]
+        self.steps, self.times = steps, [t for t, _ in steps]
 
     def at(self, t: Time) -> int:
         k = bisect_right(self.times, t)
         return self.steps[k - 1][1] if k else 0
 
 
+def _sampled(samples: list[tuple[Time, int]]) -> Waveform:
+    """The waveform of ``(time, mask)`` samples, each sample that keeps the mask before it dropped."""
+    return Waveform([x for x, before in zip(samples, [(0, 0), *samples]) if x[1] != before[1]])
+
+
 class PairSweep:
     """Waveforms of a netlist's gates over a batch of lanes.
 
-    ``words=None`` runs the lane block ``block = (k, width)``, by default
-    all 4^n pairs (lane ``a + (b << n)``); a width above
-    ``WIDEST_BLOCK_BITS`` raises ValueError.  Otherwise lane k is the pair
-    packed in ``words[k]`` by :func:`~pseudoadder.model.pair_word`,
-    duplicates allowed, a word outside ``[0, 4^n)`` raises ValueError,
-    and so does a ``block``.  The words are not kept: :meth:`lane_pair`
-    reads a lane's pair from the operand masks, which alone hold the
-    layout.  Only the sum outputs and the gates in ``keep`` (default:
-    none) keep their waveforms; any other waveform is freed as soon as
-    its last fanout has read it.
+    ``masks = (a, b, count)`` gives the lanes, from :func:`operand_masks`
+    (by default all 4^n pairs, lane ``a + (b << n)``), :func:`pair_masks`
+    or :func:`probe_masks`.  The operand masks alone hold the layout:
+    :meth:`lane_pair` reads a lane's pair from them.  Only the sum outputs
+    and the gates in ``keep`` (default: none) keep their waveforms; any
+    other waveform is freed as soon as its last fanout has read it.
 
     ``times`` (default: the whole history) lists the only read times the
     sweep answers; any other read and :meth:`output_change_times` raise
     ValueError.  Gates are simulated up to the last one (exact: with
     transport delays an output at tau depends only on inputs at tau - d);
-    kept waveforms hold just those samples, so at one T the unit-delay
-    RCA-10 keeps 11 masks, not 65: of 8 KB in a block of 4^8 lanes, of
-    128 KB over all its pairs at once.  Read times, here and at a read, go
-    through :func:`~pseudoadder.netlist.as_time`: 0.3 reads at 3/10.
+    kept waveforms hold just those samples.  Read times, here and at a
+    read, go through :func:`~pseudoadder.netlist.as_time`: 0.3 reads at 3/10.
     """
 
-    def __init__(
-        self,
-        net: Netlist,
-        keep: set[str] | None = None,
-        words: list[int] | None = None,
-        times: list[Time] | None = None,
-        block: tuple[int, int] | None = None,
-    ):
+    def __init__(self, net: Netlist, keep: set[str] | None = None,
+                 masks: tuple[list[int], list[int], int] | None = None, times: list[Time] | None = None):
         self.net = net
         self._reads = None if times is None else frozenset(map(as_time, times))
         reads = sorted(self._reads or ())
         horizon = float("inf") if times is None else max(reads, default=0)
         self.n = n = net.n
-        if words is not None and block is not None:
-            raise ValueError("PairSweep takes pair words or a lane block, not both")
-        if words is None:
-            self.block: tuple[int, int] | None = block or (0, n)
-            k, width = self.block
-            if not (0 <= width <= n and 0 <= k < 1 << 2 * (n - width)):
-                raise ValueError(f"no lane block {block} at n={n}")
-            if width > WIDEST_BLOCK_BITS:
-                raise ValueError(f"a lane block of width {width} is wider than {WIDEST_BLOCK_BITS} bits")
-            self.pair_count = 1 << (2 * width)
-            self._a, self._b = operand_masks(n, k, width)
-        else:
-            self.block = None
-            if words and not (min(words) >= 0 and max(words) < 1 << 2 * n):
-                raise ValueError(f"width mismatch: a pair word is outside [0, 4^{n}) for netlist n={n}")
-            self.pair_count = len(words)
-            sources = _transpose(words, 2 * n)
-            self._a, self._b = sources[:n], sources[n:]
+        self._a, self._b, self.pair_count = masks or operand_masks(n, 0, n)
         self.full = (1 << self.pair_count) - 1
         self._carries: list[int] | None = None
         wanted = set(net.outputs.values()).union(keep or ())
@@ -251,7 +254,7 @@ class PairSweep:
                 live[gid] = steps
             if gid in wanted:
                 wf = Waveform(steps)
-                self._wf[gid] = wf if times is None else Waveform([(t, wf.at(t)) for t in reads])
+                self._wf[gid] = wf if times is None else _sampled([(t, wf.at(t)) for t in reads])
 
     def waveform(self, gate_id: str) -> Waveform:
         return self._wf[gate_id]
@@ -261,8 +264,8 @@ class PairSweep:
         if not 0 <= lo <= hi <= self.pair_count:
             raise ValueError(f"no lanes {lo}..{hi} in a sweep of {self.pair_count}")
         part, sub = (1 << hi - lo) - 1, PairSweep.__new__(PairSweep)
-        cut = {gid: Waveform([(t, v >> lo & part) for t, v in wf.steps]) for gid, wf in self._wf.items()}
-        sub.__dict__.update(vars(self), block=None, pair_count=hi - lo, full=part, _carries=None, _wf=cut)
+        cut = {gid: _sampled([(t, v >> lo & part) for t, v in wf.steps]) for gid, wf in self._wf.items()}
+        sub.__dict__.update(vars(self), pair_count=hi - lo, full=part, _carries=None, _wf=cut)
         sub._a, sub._b = ([m >> lo & part for m in masks] for masks in (self._a, self._b))
         return sub
 
@@ -301,8 +304,7 @@ class PairSweep:
     def true_carry_masks(self) -> list[int]:
         """Masks of the correct carries c_0..c_n over all lanes."""
         if self._carries is None:
-            carries = [0]
-            c = 0
+            carries, c = [0], 0
             for ak, bk in zip(self._a, self._b):
                 c = (ak & bk) | (ak & c) | (bk & c)
                 carries.append(c)

@@ -6,6 +6,8 @@ import pytest
 
 from pseudoadder import CarryChain, ChainErrorTable, InputPair, PairSweep, StatsReport, all_chains, nu_single
 from pseudoadder.model import pair_word
+from pseudoadder import sweep as sweep_module
+from pseudoadder.sweep import pair_masks
 
 
 @pytest.fixture
@@ -21,15 +23,27 @@ def membership8():
 
 @pytest.fixture
 def sweeps_built(monkeypatch):
-    """``(block, times)`` of every PairSweep built during the test; the
-    block is ``None`` for a batch of given pair words."""
+    """``(pair_count, times)`` of every PairSweep built during the test."""
     built, init = [], PairSweep.__init__
 
-    def spy(self, net, keep=None, words=None, times=None, block=None):
-        init(self, net, keep=keep, words=words, times=times, block=block)
-        built.append((self.block, times))
+    def spy(self, net, keep=None, masks=None, times=None):
+        init(self, net, keep=keep, masks=masks, times=times)
+        built.append((self.pair_count, times))
 
     monkeypatch.setattr(PairSweep, "__init__", spy)
+    return built
+
+
+@pytest.fixture
+def blocks_built(monkeypatch):
+    """``(block, width)`` of every lane block whose operand masks the engine built during the test."""
+    built, build = [], sweep_module.operand_masks
+
+    def spy(n, block, width):
+        built.append((block, width))
+        return build(n, block, width)
+
+    monkeypatch.setattr(sweep_module, "operand_masks", spy)
     return built
 
 
@@ -533,8 +547,8 @@ def reference_sampled_validity(net, t, samples, seed):
         report.table = extract_ec_table(net, t)
     except ConservativenessError as exc:
         report.probe_error, failing = str(exc), exc.chain
-    sample = PairSweep(net, words=reference_sample_words(net.n, samples, seed), times=[t])
+    sample = PairSweep(net, masks=pair_masks(reference_sample_words(net.n, samples, seed), net.n), times=[t])
     report.add(sample)
     if report.table is None and report.conservative.passed:
-        report.conservative.add(PairSweep(net, words=[canonical_word(failing, net.n)], times=[t]))
+        report.conservative.add(PairSweep(net, masks=pair_masks([canonical_word(failing, net.n)], net.n), times=[t]))
     return report

@@ -24,12 +24,13 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert set(report) == {"python", "cpus", "git_sha", "src_changes", "repeats", "import", "cold", "commands"}
     assert report["repeats"] == layers.REPEATS
-    assert set(report["import"]) == {"median_s", "quartiles_s"}
+    assert set(report["import"]) == {"median_s", "quartiles_s", "times_s"}
+    assert len(report["import"]["times_s"]) == layers.REPEATS
     low, high = report["import"]["quartiles_s"]
     assert 0 < low <= report["import"]["median_s"] <= high
     assert [row["command"] for row in report["cold"]] == [name for name, _ in layers.COLD]
     for row in report["cold"]:
-        assert set(row) == {"command", "argv", "exit_code", "median_s", "quartiles_s"}
+        assert set(row) == {"command", "argv", "exit_code", "median_s", "quartiles_s", "times_s"}
         assert row["exit_code"] == 0
         low, high = row["quartiles_s"]
         assert 0 < low <= row["median_s"] <= high
@@ -37,7 +38,7 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
         (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep", *layers.LIBRARY)
     ] + [warm[:3] for warm in layers.WARM]
-    timing = {"median_s", "quartiles_s", "peak_bytes"}
+    timing = {"median_s", "quartiles_s", "times_s", "peak_bytes"}
     for row in rows:
         low, high = row["quartiles_s"]
         assert low <= row["median_s"] <= high and row["peak_bytes"] > 0
@@ -74,13 +75,18 @@ def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, mo
     # the same sources give the same output bytes and make the same calls
     for key in ("output_bytes", "call"):
         assert [r.get(key) for r in report["commands"]] == [r.get(key) for r in against["commands"]]
-    # both records of a command name the faster source, or none where the quartiles overlap
+    # both records of a command name the faster source, or none
     for key in ("cold", "commands"):
         for mine, theirs in zip(report[key], against[key]):
             assert mine["faster"] == theirs["faster"] == layers.faster(mine, theirs)
-    quartiles = [{"quartiles_s": q} for q in ([1.0, 2.0], [2.5, 3.0], [1.5, 2.6])]
-    assert [layers.faster(x, y) for x, y in itertools.permutations(quartiles, 2)] == [
-        "src", None, "against", None, None, None]
+    # a source is faster when it wins 9/10 of the pairs (all 5 here) and its median beats the
+    # other's by more than the other's quartile spread: fast beats slow; fast beats near in every
+    # pair, but by less than near's spread; fast and near beat mixed in 4 of 5 pairs only
+    runs = ([1.0, 1.1, 1.2, 1.0, 1.1], [2.0, 2.2, 2.1, 2.0, 2.3],
+            [1.01, 1.11, 1.21, 1.01, 1.11], [2.0, 2.2, 2.1, 2.0, 1.05])
+    fast, slow, near, mixed = map(layers.spread, runs)
+    assert [layers.faster(x, y) for x, y in itertools.permutations([fast, slow, near, mixed], 2)] == [
+        "src", None, None, "against", "against", None, None, "src", None, None, None, None]
 
 
 def test_layers_imports_only_the_standard_library_and_the_package():

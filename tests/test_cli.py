@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pseudoadder import InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, validity
+from pseudoadder import SAMPLES, InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, validity
+from pseudoadder.analysis import _sample_words
 from pseudoadder.cli import JSON_SLICE, _emit_json, main
 
 from conftest import traced_sum
@@ -674,13 +675,13 @@ def unit_rca(tmp_path, n):
     return str(path)
 
 
-def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_built, tmp_path):
+def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, blocks_built, tmp_path):
     # n=6 above a limit of 4: the conservative check is sampled, and no
     # lane block is built for an oracle either
     netlist = unit_rca(tmp_path, 6)
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "7", "--exhaustive-n-limit", "4")
     assert code == 0, out
-    assert all(block is None for block, _ in sweeps_built), sweeps_built
+    assert blocks_built == [], blocks_built
     assert out.splitlines() == [
         "PASS  conservative (no spurious carries)",
         "PASS  lower-position independence",
@@ -688,17 +689,20 @@ def test_verify_above_the_limit_is_sampled_and_runs_no_oracle(capsys, sweeps_bui
     ]
 
 
-def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(capsys, sweeps_built, tmp_path):
+def test_sampled_verify_builds_the_sample_batch_and_the_probe_batch_once_each(
+    capsys, sweeps_built, blocks_built, tmp_path
+):
     # n=10 above a limit of 4: one batch holds the seeded sample, then all
     # chain probes; the table is read off its probe lanes and both checks
     # off its sample lanes, with no second simulation
     netlist = unit_rca(tmp_path, 10)
     _, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "3", "--exhaustive-n-limit", "4")
     assert len(out.splitlines()) == 3, out
-    assert sweeps_built == [(None, [3])], sweeps_built
+    assert sweeps_built == [(len(_sample_words(10, SAMPLES, 0)) + 55, [3])], sweeps_built
+    assert blocks_built == [], blocks_built
 
 
-def test_a_sample_of_every_pair_runs_the_exhaustive_pass(capsys, sweeps_built, tmp_path):
+def test_a_sample_of_every_pair_runs_the_exhaustive_pass(capsys, sweeps_built, blocks_built, tmp_path):
     # n=3 above a limit of 0: 64 samples cover the 4^3 pairs, so the block
     # pass runs after the probe batch and verify prints its oracle line;
     # 63 stay one sampled batch, though its witnesses fill it to 64 pairs
@@ -706,14 +710,19 @@ def test_a_sample_of_every_pair_runs_the_exhaustive_pass(capsys, sweeps_built, t
     argv = ["verify", "--netlist", netlist, "-T", "2", "--exhaustive-n-limit", "0", "--samples"]
     code, out, _ = run_cli(capsys, *argv, "64")
     assert code == 0 and out.splitlines()[3].startswith("PASS  fast statistics equal exhaustive simulation"), out
-    assert sweeps_built == [(None, [2]), ((0, 3), [2])], sweeps_built
+    assert sweeps_built == [(6, [2]), (64, [2])], sweeps_built
+    assert blocks_built == [(0, 3)], blocks_built
     sweeps_built.clear()
+    blocks_built.clear()
     code, out, _ = run_cli(capsys, *argv, "63")
     assert code == 0 and len(out.splitlines()) == 3, out
-    assert sweeps_built == [(None, [2])], sweeps_built
+    assert sweeps_built == [(len(_sample_words(3, 63, 0)) + 6, [2])], sweeps_built
+    assert blocks_built == [], blocks_built
 
 
-def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsys, sweeps_built, tmp_path):
+def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(
+    capsys, sweeps_built, blocks_built, tmp_path
+):
     # n=11 within a limit of 11: after the probe batch, the 4^3 lane
     # blocks of 4^8 pairs are built once each, and serve both checks and
     # the oracle; no sample is drawn
@@ -721,7 +730,8 @@ def test_verify_within_a_raised_limit_runs_the_oracle_on_the_checked_sweep(capsy
     code, out, _ = run_cli(capsys, "verify", "--netlist", netlist, "-T", "12", "--exhaustive-n-limit", "11")
     assert code == 0, out
     assert "PASS  fast statistics equal exhaustive simulation  fast sae=0 oracle sae=0" in out
-    assert sweeps_built == [(None, [12]), *(((k, 8), [12]) for k in range(64))], sweeps_built
+    assert sweeps_built == [(66, [12]), *((4**8, [12]) for _ in range(64))], sweeps_built
+    assert blocks_built == [(k, 8) for k in range(64)], blocks_built
 
 
 def test_verify_force_is_gone(capsys):

@@ -139,8 +139,7 @@ def test_block_lanes_hold_every_pair_once(kind, seed, width, data):
     t = Fraction(data.draw(st.integers(0, 2 * int(net.arrival_time()) + 2), label="2T"), 2)
     seen = []
     with mock.patch.object(sweep, "BLOCK_BITS", width):
-        for sw in sweep.block_sweeps(net, [t]):
-            k, w = sw.block
+        for (k, w), sw in zip(sweep.lane_blocks(n), sweep.block_sweeps(net, [t])):
             a_hi, b_hi = word_pair(k, n - w)
             for lane in range(sw.pair_count):
                 a_lo, b_lo = word_pair(lane, w)
@@ -185,14 +184,14 @@ def test_failing_rca10_read_prints_the_unblocked_lines(capsys, tmp_path):
     ]
 
 
-def test_verify_builds_the_doubling_masks_once(capsys, sweeps_built, tmp_path):
+def test_verify_builds_the_doubling_masks_once(capsys, blocks_built, tmp_path):
     # every block of one width shares its low operand masks
     path = tmp_path / "rca10.json"
     path.write_text(generate_rca(10, [1] * 10, [1] * 11).to_json())
     sweep._index_bit_masks.cache_clear()
     code = main(["verify", "--netlist", str(path), "-T", "5", "--exhaustive-n-limit", "10"])
     assert code == 0, capsys.readouterr().out
-    assert [block for block, _ in sweeps_built if block is not None] == [(k, 8) for k in range(16)]
+    assert blocks_built == [(k, 8) for k in range(16)]
     info = sweep._index_bit_masks.cache_info()
     assert (info.misses, info.hits) == (1, 15)
 
@@ -230,11 +229,12 @@ def test_the_all_pairs_sweep_refuses_a_width_it_cannot_hold():
     widths = (10, sweep.WIDEST_BLOCK_BITS + 1, 16, 32)
     script = f"""if True:
         from pseudoadder import PairSweep, generate_rca
+        from pseudoadder.sweep import operand_masks
         for n in {widths}:
             net = generate_rca(n, [1] * n, [1] * (n + 1))
-            for kw in ({{"times": [5]}}, {{"times": [5], "block": (0, n)}}):
+            for masks in (lambda: None, lambda: operand_masks(n, 0, n)):
                 try:
-                    print(n, PairSweep(net, **kw).pair_count)
+                    print(n, PairSweep(net, masks=masks(), times=[5]).pair_count)
                 except ValueError as exc:
                     print(n, exc)
     """

@@ -120,13 +120,14 @@ def test_simulation_oracle_on_pinned_out_of_model_reads():
     assert sae_oracle_simulate(net, 11).sae == 0
 
 
-def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
+def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, blocks_built, tmp_path):
     # with default flags every width up to the oracle limit (10) is
     # checked over all pairs
     for n in (6, 9):
         path = tmp_path / f"rca{n}.json"
         path.write_text(generate_rca(n, [1] * n, [1] * (n + 1)).to_json())
         sweeps_built.clear()
+        blocks_built.clear()
         code = main(["verify", "--netlist", str(path), "-T", "4"])
         out = capsys.readouterr().out
         assert code == 0, out
@@ -134,5 +135,6 @@ def test_verify_runs_one_exhaustive_sweep(capsys, sweeps_built, tmp_path):
         # the probe batch, then the lane blocks once each: they serve
         # every check, so no sampled batch is built; each is simulated
         # only up to the one read time it answers
-        blocks = [((k, min(n, 8)), [4]) for k in range(1 << 2 * max(0, n - 8))]
-        assert sweeps_built == [(None, [4]), *blocks], (n, sweeps_built)
+        blocks = [(k, min(n, 8)) for k in range(1 << 2 * max(0, n - 8))]
+        assert sweeps_built == [(n * (n + 1) // 2, [4]), *((4 ** min(n, 8), [4]) for _ in blocks)], (n, sweeps_built)
+        assert blocks_built == blocks, (n, blocks_built)

@@ -11,7 +11,7 @@ from pseudoadder import (
     simulate,
     staggered_ksa8,
 )
-from pseudoadder.sweep import PairSweep
+from pseudoadder.sweep import PairSweep, pair_masks
 from conftest import exhaustive_pairs, pair_index, traced_sum
 
 
@@ -76,7 +76,7 @@ def test_rca_carries_ripple_one_apart():
 
 def lane_read(net, p, t):
     """Sum and recovered carries of one pair, read from a one-lane sweep."""
-    lane = PairSweep(net, words=[pair_index(p)])
+    lane = PairSweep(net, masks=pair_masks([pair_index(p)], p.n))
     c_prime, _ = lane.carries_at(t)
     return lane.lane_sums(t)[0], sum(ck << k for k, ck in enumerate(c_prime))
 
@@ -97,7 +97,7 @@ def test_read_output_rejects_negative_time():
     net = generate_rca(1, [1], [1, 1])
     p = InputPair(1, 1, 1)
     with pytest.raises(ValueError):
-        PairSweep(net, words=[pair_index(p)]).output_masks_at(-1)
+        PairSweep(net, masks=pair_masks([pair_index(p)], p.n)).output_masks_at(-1)
     with pytest.raises(ValueError):
         computed_sum(net, p, -1)
 

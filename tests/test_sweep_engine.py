@@ -24,7 +24,7 @@ from pseudoadder import (
 from pseudoadder import sweep as sweep_module
 from pseudoadder.chains import canonical_word
 from pseudoadder.model import word_pair
-from pseudoadder.sweep import TRANSPOSE_ROWS, PairSweep, _gate_steps as gate_steps, _transpose
+from pseudoadder.sweep import TRANSPOSE_ROWS, PairSweep, _gate_steps as gate_steps, _transpose, pair_masks, probe_masks
 from conftest import (
     exhaustive_pairs,
     lane_transitions,
@@ -173,7 +173,7 @@ def test_sweep_equals_event_sim_on_random_netlists():
         ]
         for pairs in batches:
             words = [pair_index(p) for p in pairs]
-            lanes = PairSweep(net, keep=set(net.by_id), words=words)
+            lanes = PairSweep(net, keep=set(net.by_id), masks=pair_masks(words, n))
             assert lanes.pair_count == len(pairs)
             for lane, (p, word) in enumerate(zip(pairs, words)):
                 assert lanes.lane_pair(lane) == word_pair(word, n) == (p.a, p.b)
@@ -187,7 +187,7 @@ def test_batch_source_masks_match_all_pairs_lanes():
     # a batch of every pair in index order is the all-pairs sweep
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
     every = PairSweep(net)
-    batch = PairSweep(net, words=sorted(map(pair_index, exhaustive_pairs(3))))
+    batch = PairSweep(net, masks=pair_masks(sorted(map(pair_index, exhaustive_pairs(3))), 3))
     for operand in "ab":
         for k in range(3):
             assert batch.operand_bit_mask(operand, k) == every.operand_bit_mask(operand, k)
@@ -222,7 +222,7 @@ def bounded_sweep_cases(draw):
     pair = st.builds(InputPair, st.just(n), operand, operand)
     lanes = draw(st.sampled_from(["all", "batch", "one"]))
     if lanes == "all":
-        words = None
+        words = None  # the default lane block
     elif lanes == "batch":
         words = [pair_index(p) for p in draw(st.lists(pair, min_size=1, max_size=20))]
     else:
@@ -231,11 +231,16 @@ def bounded_sweep_cases(draw):
     return net, words, reads, draw(st.fractions(min_value=0, max_value=12, max_denominator=7))
 
 
+def lanes_of(words, n):
+    """The lanes of ``words``, or None for the default lane block of all pairs."""
+    return None if words is None else pair_masks(words, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(bounded_sweep_cases())
 def test_bounded_sweep_equals_full_sweep(case):
     net, words, reads, other = case
-    full = PairSweep(net, words=words)
+    full = PairSweep(net, masks=lanes_of(words, net.n))
     past = net.arrival_time() + Fraction(1, 2)
     # 0 and the drawn (mostly rational) times, with and without a time
     # past quiescence
@@ -248,7 +253,7 @@ def test_bounded_sweep_equals_full_sweep(case):
             return steps
 
         with mock.patch.object(sweep_module, "_gate_steps", spy):
-            bounded = PairSweep(net, words=words, times=times)
+            bounded = PairSweep(net, masks=lanes_of(words, net.n), times=times)
         # no gate changes past the last read, and only the masks at the
         # read times are kept
         assert all(t <= max(times) for t in simulated)
@@ -286,6 +291,18 @@ def test_transpose_equals_numpy_reference(matrix):
     assert _transpose(cols, len(rows)) == rows
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_probe_masks_equal_the_transposed_probe_words(data):
+    # the closed form, above any batch of pairs, is the transpose of the probes' words after it
+    n = data.draw(st.integers(1, 70), label="n")
+    words = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=40), label="words")
+    probes = [canonical_word(c, n) for c in all_chains(n)]
+    assert probe_masks(n, pair_masks(words, n)) == pair_masks(words + probes, n)
+    if not words:
+        assert probe_masks(n) == pair_masks(probes, n)
+
+
 def one_string_transpose(rows, width):
     """``_transpose`` as one string of every row, the form it takes in chunks."""
     if not rows:
@@ -316,25 +333,19 @@ def test_transpose_in_tiles_equals_one_string():
 
 def test_empty_pair_batch_has_no_lanes():
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
-    sweep = PairSweep(net, words=[])
+    sweep = PairSweep(net, masks=pair_masks([], 3))
     assert sweep.pair_count == 0
     for t in (0, 2, net.arrival_time()):
         assert sweep.lane_sums(t) == []
 
 
-def test_pairs_and_a_block_are_refused():
-    net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
-    with pytest.raises(ValueError, match="words or a lane block"):
-        PairSweep(net, words=[pair_index(InputPair(3, 1, 2))], block=(5, 1))
-
-
 def test_pair_words_outside_the_width_are_refused():
     # a word packs a | b << n, so every lane of width 3 lies in [0, 4^3)
     net = generate_rca(3, [1, 2, 1], [1, 0, 2, 1])
-    assert PairSweep(net, words=[0, 63]).lane_pair(1) == (7, 7)
+    assert PairSweep(net, masks=pair_masks([0, 63], 3)).lane_pair(1) == (7, 7)
     for words in ([64], [5, -1], [1 << 70]):
         with pytest.raises(ValueError, match=r"outside \[0, 4\^3\)"):
-            PairSweep(net, words=words)
+            pair_masks(words, 3)
 
 
 def test_hand_written_json_netlist_runs():
@@ -371,12 +382,16 @@ def test_a_range_of_lanes_equals_a_sweep_of_its_pairs(case, data):
     # answer as a sweep simulated over just those pairs would
     net, words, reads, _ = case
     times = data.draw(st.sampled_from([None, [0, *reads]]), label="times")
-    sweep = PairSweep(net, words=words, times=times)
+    sweep = PairSweep(net, keep=set(net.by_id), masks=lanes_of(words, net.n), times=times)
     words = list(range(1 << 2 * net.n)) if words is None else words  # all pairs: lane a + (b << n)
     lo = data.draw(st.integers(0, len(words)), label="lo")
     hi = data.draw(st.integers(lo, len(words)), label="hi")
-    cut, alone = sweep.lanes(lo, hi), PairSweep(net, words=words[lo:hi], times=times)
-    assert (cut.pair_count, cut.full, cut.block) == (alone.pair_count, alone.full, None)
+    cut, alone = sweep.lanes(lo, hi), PairSweep(net, masks=pair_masks(words[lo:hi], net.n), times=times)
+    assert (cut.pair_count, cut.full) == (alone.pair_count, alone.full)
+    for kept in (sweep, cut):  # every kept step changes the mask, from 0 at the start
+        for gid in net.by_id:
+            masks = [0, *(v for _, v in kept.waveform(gid).steps)]
+            assert all(x != y for x, y in zip(masks, masks[1:])), (gid, masks)
     for t in [0, *reads]:
         assert cut.output_masks_at(t) == alone.output_masks_at(t), t
         assert cut.carries_at(t) == alone.carries_at(t), t
