@@ -15,10 +15,11 @@ Kogge-Stone adder (KSA) at each width in ``SIZES`` it runs, through
   t = 2 on the KSA
 * ``sweep --netlist <netlist> --t-range 0..quiescence --format json``
 
-then each library call in ``LIBRARY`` on that netlist, loaded beforehand,
-at the ``stats`` read time: ``validity(net, t)`` with its defaults (the
+then ``load``, ``Netlist.from_json(text)`` of that netlist's text, and
+each library call in ``LIBRARY`` on that netlist, loaded beforehand, at
+the ``stats`` read time: ``validity(net, t)`` with its defaults (the
 block pass at n <= 10, the sampled batch above) and
-``extract_ec_table(net, t)``, recorded with ``call`` in place of
+``extract_ec_table(net, t)``, each recorded with ``call`` in place of
 ``argv``, exit code and output size.  Last come the commands in
 ``WARM``: the exhaustive ``verify -T 5`` of the unit-delay RCA-10 and
 ``verify --fast-vs-oracle --n 10 --tables 1`` (kind null).
@@ -88,9 +89,10 @@ COLD = (
     ("chains n8", ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
     ("fast-vs-oracle n10", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/cold-out"]),
 )
-#: library calls of ``pseudoadder.analysis`` beside the per-size commands,
-#: each given the netlist and the ``stats`` read time
+#: library calls of ``pseudoadder.analysis`` beside the per-size commands and
+#: ``load``, each given the netlist and the ``stats`` read time
 LIBRARY = ("validity", "extract_ec_table")
+LOAD = "load"  # the record of ``Netlist.from_json`` on the per-size netlist's text
 #: warm commands beside the per-size ones: kind, n, name, argv with ``{dir}``
 #: for the work directory, where ``rca10.json`` is the unit-delay RCA-10
 WARM = (
@@ -195,15 +197,26 @@ def measure_cli(sources: list[Source], argvs: list[list[str]], outputs: list[Pat
 
 
 def library_call(source: Source, name: str, netlist: Path, t: int) -> Callable[[], None]:
-    """``name(net, t)`` of the source's ``pseudoadder.analysis``, on the
-    netlist loaded now, its result dropped on return."""
-    function = getattr(source.modules["pseudoadder.analysis"], name)
-    net = source.modules["pseudoadder.netlist"].Netlist.from_json(netlist.read_text())
+    """The source's ``Netlist.from_json`` of the netlist's text, read now,
+    when ``name`` is :data:`LOAD`, else ``name(net, t)`` of its
+    ``pseudoadder.analysis`` on the netlist loaded now; either way its
+    result dropped on return."""
+    from_json, text = source.modules["pseudoadder.netlist"].Netlist.from_json, netlist.read_text()
+    if name == LOAD:
+        def call() -> None:
+            from_json(text)
+    else:
+        function, net = getattr(source.modules["pseudoadder.analysis"], name), from_json(text)
 
-    def call() -> None:
-        function(net, t)
+        def call() -> None:
+            function(net, t)
 
     return call
+
+
+def call_text(name: str, t: int) -> str:
+    """The ``call`` key of a :func:`library_call` record."""
+    return "Netlist.from_json(text)" if name == LOAD else f"{name}(net, {t})"
 
 
 def probe(src: Path, code: str, *argv: str) -> list[str]:
@@ -298,12 +311,12 @@ def run(sources: list[Source], workdirs: list[Path]) -> list[list[dict]]:
                     rows[x].append({"kind": kind, "n": n, "command": name, "argv": shown, **result})
                 show(f"{kind}{n:<3} {name:6}", results)
             t = read_time(kind, n)
-            for name in LIBRARY:
+            for name in (LOAD, *LIBRARY):
                 calls = [library_call(source, name, netlist, t) for source, netlist in zip(sources, netlists)]
                 results = [timing for _, timing in measure(sources, calls)]
                 del calls  # each source's netlist
                 for x, result in enumerate(results):
-                    rows[x].append({"kind": kind, "n": n, "command": name, "call": f"{name}(net, {t})", **result})
+                    rows[x].append({"kind": kind, "n": n, "command": name, "call": call_text(name, t), **result})
                 show(f"{kind}{n:<3} {name}", results)
     for source, workdir in zip(sources, workdirs):
         with source:

@@ -17,11 +17,10 @@ with any sample in it, a trace as one lane.  A trace has a row at each
 every column is a function of the sums.  ``0..quiescence`` stops at the
 netlist's static arrival time, after which no output changes.
 
-JSON output is one compact object per line; pretty-print it with
-``python -m json.tool``.  It is written slice by slice through the C
-encoder (lists :data:`JSON_SLICE` items at a time), with bytes identical
-to one ``json.dumps``, so a large report never exists whole in memory;
-chain-entry lists are made slice by slice from the table's maps.
+JSON output is one compact object per line with the bytes of one ``json.dumps``
+(pretty-print it with ``python -m json.tool``), never whole in memory: ``gen``
+writes its netlist gate by gate, and a report goes through the C encoder
+:data:`JSON_SLICE` list items at a time, chain entries made from the table's maps.
 Per-chain tallies are exact pair counts (``nu_plus``/``nu_minus``) for
 each erring chain; divide by 4^n for a probability.
 
@@ -46,7 +45,7 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, nullcontext
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 from . import ORACLE_LIMIT, SAMPLES, PseudoAdderError
 
@@ -136,7 +135,7 @@ def _emit_json(obj: object, output: str | None) -> None:
     import json
 
     with _output(output) as fh:
-        _encode(obj, fh.write, json.dumps)
+        _encode(obj, fh.write, json.JSONEncoder(check_circular=False).encode)
         fh.write("\n")
 
 
@@ -208,7 +207,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             else:
                 delays = as_delay(args.delay.removeprefix("uniform:"))
         net = generate_ksa(args.n, delays)
-    _emit_json(net.to_json_dict(lazy=True), args.output)
+    with _output(args.output) as fh:
+        fh.writelines(chain(net.json_pieces(), ["\n"]))
     return 0
 
 

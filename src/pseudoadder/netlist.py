@@ -21,7 +21,9 @@ is not one, as an exact ``"p/q"`` string; floats are read but never
 written.  A :class:`Gate` is an immutable named tuple, checked once when
 built.  Each name is held once: every input and output is the ``str`` of
 the id it names.  :meth:`Netlist.from_json` turns each decoded gate into
-its Gate in place, and ``gen`` streams them out (``to_json_dict(lazy=True)``).
+its Gate in place, and ``gen`` writes them out one at a time (:meth:`Netlist.json_pieces`).
+A netlist's topological ``order`` is its listing order when each gate is
+listed after its inputs, as in every generated netlist and file ``gen`` wrote.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from typing import Callable, Iterator, Sequence
 
 Delay = int | Fraction
@@ -91,7 +94,7 @@ def _exact(value: int | float | str | Fraction) -> Delay:
     if isinstance(value, bool):
         raise ValueError("delay must be a number")
     if isinstance(value, int):
-        return value
+        return int(value)  # an int subclass as the int it holds
     if isinstance(value, (Fraction, float, str)):
         try:
             f = Fraction(value if isinstance(value, Fraction) else str(value))
@@ -103,6 +106,9 @@ def _exact(value: int | float | str | Fraction) -> Delay:
 
 def as_delay(value: int | float | str | Fraction) -> Delay:
     """Normalize a delay to an exact non-negative int or Fraction."""
+    cls = type(value)
+    if cls is int and value >= 0 or cls is Fraction and value.denominator != 1 and value.numerator >= 0:
+        return value  # already in normal form: bool and whole Fractions go through _exact
     d = _exact(value)
     if d < 0:
         raise ValueError(f"delay must be non-negative, got {value}")
@@ -145,6 +151,7 @@ def delay_to_json(d: Delay) -> int | str:
 
 
 _KINDS = {k.value: k for k in GateKind}  # a str-Enum member hashes like its value
+_TEXT = {k: k.value for k in GateKind}
 
 
 class Gate(namedtuple("Gate", "id kind inputs delay")):
@@ -178,7 +185,8 @@ class Netlist:
     """Immutable gate DAG with designated sum outputs.
 
     Construction validates acyclicity, the input-id convention, output
-    completeness and gate arities, and precomputes a topological order.
+    completeness and gate arities, and precomputes a topological :attr:`order`:
+    the listing order when every input names an earlier gate, else Kahn's.
     The readers of each gate (:attr:`fanout`) are built on first read,
     which only the event-driven oracle makes.
     """
@@ -190,10 +198,14 @@ class Netlist:
         self.gates: tuple[Gate, ...] = tuple(gates)
         self.outputs: dict[int, str] = dict(outputs)
         self.by_id: dict[str, Gate] = {}
+        by_id, listed = self.by_id, True  # listed: each input names an earlier gate
         for g in self.gates:
-            if g.id in self.by_id:
+            if g.id in by_id:
                 raise ValueError(f"duplicate gate id {g.id!r}")
-            self.by_id[g.id] = g
+            for src in g.inputs:
+                if src not in by_id:
+                    listed = False
+            by_id[g.id] = g
 
         # sizes first, so a claimed n costs nothing until the gates are there
         declared_inputs = {g.id for g in self.gates if g.kind is GateKind.INPUT}
@@ -202,13 +214,16 @@ class Netlist:
                 "INPUT gates must be exactly a0..a%d and b0..b%d" % (n - 1, n - 1)
             )
 
-        fan = self._readers()
+        fan = None if listed else self._readers()  # an unknown input raises here
 
         if len(self.outputs) != n + 1 or set(self.outputs) != set(range(n + 1)):
             raise ValueError(f"outputs must map every position 0..{n}")
         for pos, gid in self.outputs.items():
             if gid not in self.by_id:
                 raise ValueError(f"output {pos}: unknown gate {gid!r}")
+        if listed:
+            self.order: tuple[str, ...] = tuple(by_id)
+            return
 
         # Kahn's algorithm over the readers; a duplicate input is two edges
         waiting = {g.id: len(g.inputs) for g in self.gates}
@@ -221,7 +236,7 @@ class Netlist:
         if len(order) < len(self.gates):
             stuck = ", ".join(g.id for g in self.gates if waiting[g.id])
             raise ValueError(f"gate graph is not acyclic: gates on or behind a cycle: {stuck}")
-        self.order: tuple[str, ...] = tuple(order)
+        self.order = tuple(order)
 
     def _readers(self) -> dict[str, list[str]]:
         """The ids of the gates reading each gate, in gate order; an unknown input raises."""
@@ -260,18 +275,22 @@ class Netlist:
             arrival[gid] = gate.delay + max((arrival[s] for s in gate.inputs), default=0)
         return max(arrival[gid] for gid in self.outputs.values())
 
-    def to_json_dict(self, lazy: bool = False) -> dict:
-        """The netlist as JSON; ``lazy`` gives its gate dicts as an iterator, made as read."""
-        gates = ({"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs), "delay": delay_to_json(g.delay)}
-                 for g in self.gates)
-        return {
-            "n": self.n,
-            "gates": gates if lazy else list(gates),
-            "outputs": {str(pos): gid for pos, gid in sorted(self.outputs.items())},
-        }
+    def json_pieces(self) -> Iterator[str]:
+        """The text of :meth:`to_json` in pieces, one per gate, each made from
+        the gate's fields, with every name quoted by ``json``'s own encoder."""
+        yield '{"n": %d, "gates": [' % self.n
+        for k, (gid, kind, inputs, d) in enumerate(self.gates):
+            yield '%s{"id": %s, "kind": "%s", "inputs": [%s], "delay": %s}' % (
+                ", " if k else "", _quote(gid), _TEXT[kind], ", ".join(map(_quote, inputs)),
+                d if type(d) is int else f'"{d}"')  # a Fraction as its "p/q" string
+        yield '], "outputs": %s}' % json.dumps({str(pos): gid for pos, gid in sorted(self.outputs.items())})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return "".join(self.json_pieces())
+
+    def to_json_dict(self) -> dict:
+        """The netlist as decoded JSON, ``json.loads(self.to_json())``."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Netlist":

@@ -36,12 +36,16 @@ def test_layers_report_at_n8_has_every_key(tmp_path, monkeypatch):
         assert 0 < low <= row["median_s"] <= high
     rows = report["commands"]
     assert [(r["kind"], r["n"], r["command"]) for r in rows] == [
-        (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep", *layers.LIBRARY)
+        (kind, 8, command) for kind in ("rca", "ksa") for command in ("gen", "stats", "sweep", "load", *layers.LIBRARY)
     ] + [warm[:3] for warm in layers.WARM]
     timing = {"median_s", "quartiles_s", "times_s", "peak_bytes"}
     for row in rows:
         low, high = row["quartiles_s"]
         assert low <= row["median_s"] <= high and row["peak_bytes"] > 0
+        if row["command"] == "load":  # the netlist loaded from its text
+            assert set(row) == {"kind", "n", "command", "call", *timing}
+            assert row["call"] == "Netlist.from_json(text)"
+            continue
         if row["command"] in layers.LIBRARY:  # a library call at the stats read time
             t = layers.read_time(row["kind"], 8)
             assert set(row) == {"kind", "n", "command", "call", *timing}
@@ -70,7 +74,7 @@ def test_layers_against_a_second_source_measures_both_in_one_report(tmp_path, mo
     for record in (report, against):
         assert [(r["command"], r["exit_code"]) for r in record["cold"]] == [(layers.COLD[0][0], 0)]
         assert [(r["kind"], r["n"], r["command"], r.get("exit_code", 0)) for r in record["commands"]] == [
-            ("rca", 8, command, 0) for command in ("gen", "stats", "sweep", *layers.LIBRARY)
+            ("rca", 8, command, 0) for command in ("gen", "stats", "sweep", "load", *layers.LIBRARY)
         ] + [(*warm[:3], 0) for warm in layers.WARM]
     # the same sources give the same output bytes and make the same calls
     for key in ("output_bytes", "call"):

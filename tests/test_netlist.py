@@ -5,6 +5,7 @@ import re
 import tempfile
 import tracemalloc
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -63,8 +64,15 @@ def test_gate_normalizes_kind_and_delay():
     lanes, reference = PairSweep(loose), PairSweep(exact)
     for t in reference.output_change_times():
         assert lanes.lane_sums(t) == reference.lane_sums(t), t
+    # a non-negative int and a non-whole Fraction are kept as they are; every other value is normalized
+    for value, exact in ((7, 7), (Fraction(5, 7), Fraction(5, 7)), (Fraction(6, 3), 2), (0.75, Fraction(3, 4)),
+                         (2.0, 2), ("3/6", Fraction(1, 2)), (IntEnum("Step", "ONE TWO").TWO, 2)):
+        delay = Gate("x", GateKind.XOR2, ("a0", "b0"), value).delay
+        assert delay == exact and type(delay) is type(exact), value
     for args, fault in (
         ((GateKind.XOR2, ("a0", "b0"), True), "delay must be a number"),
+        ((GateKind.XOR2, ("a0", "b0"), Fraction(-1, 2)), "delay must be non-negative, got -1/2"),
+        ((GateKind.XOR2, ("a0", "b0"), Fraction(-4, 2)), "delay must be non-negative, got -2"),
         (("XOR3", ("a0", "b0")), "'XOR3' is not a valid GateKind"),
         ((["XOR2"], ("a0", "b0")), "['XOR2'] is not a valid GateKind"),  # unhashable, as JSON gives it
         ((GateKind.XOR2, ("a0", "b0"), -1), "delay must be non-negative, got -1"),
@@ -210,6 +218,29 @@ def test_each_name_is_held_once_through_json(drawn, shuffle, data):
             assert path.read_text() == text + "\n"
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), names=st.lists(st.text(), min_size=20, max_size=20, unique=True),
+       delays=st.lists(rationals, min_size=14, max_size=14))
+def test_json_text_is_one_json_dumps(seed, names, delays):
+    """Any names, quoted or escaped as json.dumps would, and exact delays."""
+    base = random_netlist(2, random.Random(seed))
+    name = dict(zip((g.id for g in base.gates if g.kind is not GateKind.INPUT),
+                    (x for x in names if not re.fullmatch("[ab][01]", x))))
+    delay = iter(delays)
+    gates = [g if g.kind is GateKind.INPUT else Gate(name[g.id], g.kind, tuple(name.get(s, s) for s in g.inputs),
+                                                     next(delay) if g.inputs else 0) for g in base.gates]
+    net = Netlist(2, gates, {pos: name.get(gid, gid) for pos, gid in base.outputs.items()})
+    text = json.dumps({
+        "n": 2,
+        "gates": [{"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs),
+                   "delay": g.delay if type(g.delay) is int else str(g.delay)} for g in net.gates],
+        "outputs": {str(pos): net.outputs[pos] for pos in range(3)},
+    })
+    assert net.to_json() == "".join(net.json_pieces()) == text
+    assert net.to_json_dict() == json.loads(text)
+    assert Netlist.from_json(text).gates == net.gates
+
+
 def ksa_delays(net):
     """The module delays a generated KSA was built from (0 where no cell is)."""
     levels = net.n.bit_length() - 1
@@ -240,8 +271,18 @@ def test_from_json_of_the_ksa128_in_bounded_memory():
 def test_order_is_topological(seed, n):
     rng = random.Random(seed)
     base = random_netlist(n, rng)
+    # gates listed after their inputs keep the listing order: generated adders and gen's output
+    delays = lambda count: [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(count)]
+    width, ksa = rng.randint(1, 9), 2 << n
+    listed = [base, generate_rca(width, delays(width), delays(width + 1)), generate_ksa(ksa, delays(1)[0])]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["rca", "--n", str(width)], ["ksa", "--n", str(ksa), "--delay", str(delays(1)[0])]):
+            assert main(["gen", *argv, "-o", f"{tmp}/net.json"]) == 0
+            listed.append(Netlist.from_json(Path(f"{tmp}/net.json").read_text()))
+    for net in listed:
+        assert net.order == tuple(g.id for g in net.gates)
     gates = list(base.gates)
-    rng.shuffle(gates)  # the order must not lean on the listing order
+    rng.shuffle(gates)  # a shuffled listing still gets a topological order
     net = Netlist(n, gates, base.outputs)
     assert sorted(net.order) == sorted(g.id for g in gates)
     position = {gid: k for k, gid in enumerate(net.order)}
@@ -292,6 +333,10 @@ def test_malformed_netlist_json_is_refused():
          "gate 's0': cannot interpret delay '1/0'"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay=-1)),
          "gate 's0': delay must be non-negative, got -1"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay="-1/2")),
+         "gate 's0': delay must be non-negative, got -1/2"),
+        (changed(lambda d: d["gates"][base["gates"].index(xor)].update(delay=True)),
+         "gate 's0': delay must be a number"),
         (changed(lambda d: d["gates"][base["gates"].index(xor)].update(inputs=["a0"])),
          "gate 's0': kind XOR2 takes 2 inputs, got 1"),
         (changed(lambda d: d["gates"][0].update(delay=5)), "gate 'a0': source gate INPUT takes no delay, got 5"),
