@@ -86,6 +86,9 @@ COLD = (
     ("gen ksa64", ["gen", "ksa", "--n", "64", "-o", "{dir}/cold-ksa64.json"]),
     ("stats ksa64", ["stats", "--netlist", "{dir}/cold-ksa64.json", "-T", "2", "-o", "{dir}/cold-out"]),
     ("verify rca10", ["verify", "--netlist", "{dir}/cold-rca10.json", "-T", "5", "-o", "{dir}/cold-out"]),
+    ("sweep rca10", ["sweep", "--netlist", "{dir}/cold-rca10.json", "--t-range", "0..quiescence",
+                     "-o", "{dir}/cold-out"]),
+    ("trace rca10", ["trace", "--netlist", "{dir}/cold-rca10.json", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
     ("chains n8", ["chains", "--n", "8", "-a", "5", "-b", "3", "-o", "{dir}/cold-out"]),
     ("fast-vs-oracle n10", ["verify", "--fast-vs-oracle", "--n", "10", "--tables", "1", "-o", "{dir}/cold-out"]),
 )

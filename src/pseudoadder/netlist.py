@@ -138,6 +138,15 @@ def malformed_json(what: str) -> Iterator[None]:
         raise ValueError(f"malformed {what} JSON: {fault}") from exc
 
 
+def load_json(text: str, what: str) -> object:
+    """``json.loads(text)``, with text nested too deeply to decode refused
+    as malformed ``what`` JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from None
+
+
 def json_list(value: object, what: str) -> list:
     """``value`` when decoded JSON holds a list there, else a TypeError naming ``what``."""
     if not isinstance(value, list):
@@ -303,7 +312,7 @@ class Netlist:
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
         """:meth:`from_json_dict` of decoded text, each gate dict replaced by its Gate as it is read."""
-        return cls._parse(json.loads(text), copy=False)
+        return cls._parse(load_json(text, "netlist"), copy=False)
 
     @classmethod
     def _parse(cls, data: dict, copy: bool) -> "Netlist":

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pseudoadder import SAMPLES, InputPair, Netlist, generate_ksa, generate_rca, simulate, staggered_ksa8, validity
 from pseudoadder.analysis import _sample_words
-from pseudoadder.cli import JSON_SLICE, _emit_json, main
+from pseudoadder.cli import main
+from pseudoadder.report import JSON_SLICE, _emit_json
 
 from conftest import traced_sum
 
@@ -332,7 +333,7 @@ def test_quiescence_stop_is_sound_on_random_netlists():
     import random
 
     from pseudoadder import KsaDelays, generate_ksa, generate_rca
-    from pseudoadder.cli import _parse_t_range
+    from pseudoadder.report import _parse_t_range
     from pseudoadder.sweep import PairSweep
     from test_sweep_engine import random_netlist
 
@@ -436,6 +437,44 @@ def test_a_ksa_delay_file_with_a_string_row_is_refused(capsys, tmp_path):
             1, "", f"error: --delay: malformed KSA delay JSON: {row}\n")
 
 
+#: JSON nested past any recursion limit, as an array and as an object
+DEEP_JSON = ("[" * 200_000 + "]" * 200_000, '{"a": ' * 200_000 + "1" + "}" * 200_000)
+
+
+def refused_once(result: tuple[int, str, str], prefix: str) -> bool:
+    """Exit 1, no output and one ``error:`` line starting with ``prefix``: no traceback."""
+    code, out, err = result
+    return (code, out) == (1, "") and err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_a_deeply_nested_netlist_is_refused(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    for text in DEEP_JSON:
+        path.write_text(text)
+        assert refused_once(run_cli(capsys, "stats", "--netlist", str(path)), "error: malformed netlist JSON: ")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert refused_once(run_cli(capsys, "verify", "--netlist", "-"), "error: malformed netlist JSON: ")
+        with pytest.raises(ValueError, match="^malformed netlist JSON: "):
+            Netlist.from_json(text)
+
+
+def test_a_deeply_nested_ksa_delay_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    for text in DEEP_JSON:
+        path.write_text(text)
+        assert refused_once(run_cli(capsys, "gen", "ksa", "--n", "2", "--delay", f"file:{path}"),
+                            "error: --delay: malformed KSA delay JSON: ")
+
+
+def test_a_deeply_nested_delay_list_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    for text in DEEP_JSON:
+        path.write_text(text)
+        for option in ("--carry-delays", "--sum-delays"):
+            assert refused_once(run_cli(capsys, "gen", "rca", "--n", "2", option, f"file:{path}"),
+                                f"error: {option}: malformed delay list JSON: ")
+
+
 def test_bad_delay_text_names_its_option(capsys):
     # as a bad read time names -T (test_read_time_errors_name_their_option)
     for argv in (("ksa", "--n", "8", "--delay", "uniform:x"), ("rca", "--n", "1", "--carry-delays", "x"),
@@ -488,7 +527,8 @@ def test_sweep_refuses_too_many_read_times_before_listing_them(tmp_path):
     import subprocess
     from pathlib import Path
 
-    from pseudoadder.cli import SWEEP_ROWS, _parse_t_range
+    from pseudoadder.cli import SWEEP_ROWS
+    from pseudoadder.report import _parse_t_range
 
     net = generate_rca(4, [1] * 4, [1] * 5)
     path = tmp_path / "rca4.json"

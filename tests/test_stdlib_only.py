@@ -77,13 +77,14 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
         return {m.removeprefix("pseudoadder.") for m in added if m.startswith("pseudoadder.")}
 
     assert package(imported) == {"cli"}
+    # gen compiles no report code: the report commands live in their own module
     assert package(generated) == {"netlist", "generators"}
-    assert package(chained) == {"model", "chains"}
+    assert package(chained) == {"report", "model", "chains"}
     assert package(analysed) & {"sim", "generators", "tables", "maxerror"} == set()
     assert "stats" in package(analysed)
     # fast-vs-oracle alone runs neither the netlist analysis nor chain detection
     _, verified = steps(["verify", "--fast-vs-oracle", "--n", "4", "--tables", "1", "-o", str(tmp_path / "v")])
-    assert package(verified) == {"model", "netlist", "stats", "sweep", "tables"}
+    assert package(verified) == {"report", "model", "netlist", "stats", "sweep", "tables"}
 
 
 def test_package_api_resolves_every_name_lazily():
